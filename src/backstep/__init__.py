@@ -30,7 +30,6 @@ from .kernel import (
     residual,
     series_coefficients,
     series_oracle,
-    solve_direct_kernel,
     solve_inverse_kernel,
     tail_bound,
 )

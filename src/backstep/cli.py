@@ -16,7 +16,15 @@ from .coefficients import ValidationError, lambda_lower, validate
 from .kernel import ConvergenceError, GoursatProblem, dump_kernel_csv, picard_solve, residual, solve_inverse_kernel
 from .simulator import DivergenceError, simulate_closed_loop, simulate_target
 from .transforms import initial_target_data, make_compatible
-from .verify import ConfigError, ScenarioConfig, load_scenario, oracle_comparison, run_scenario
+from .verify import (
+    ConfigError,
+    ScenarioConfig,
+    load_scenario,
+    oracle_comparison,
+    run_scenario,
+    write_controls,
+    write_trajectory,
+)
 
 EXIT_PASS = 0
 EXIT_BOUND = 1
@@ -42,7 +50,7 @@ def _load(args) -> ScenarioConfig:
     if args.out:
         config = dataclasses.replace(config, outputs=args.out)
     if getattr(args, "p", None):
-        plist = tuple(float("inf") if tok == "inf" else float(tok) for tok in args.p.split(","))
+        plist = tuple(float(tok) for tok in args.p.split(","))
         config = dataclasses.replace(config, p_list=plist)
     return _refine(config, args.refine)
 
@@ -83,16 +91,14 @@ def _cmd_simulate(args) -> int:
     if config.initial_data.adjust_compatibility and not args.open_loop:
         w0, _ = make_compatible(w0, k)
     os.makedirs(config.outputs, exist_ok=True)
-    from .verify import _write_controls, _write_trajectory
-
     if args.target:
         u0 = initial_target_data(w0, k)
         traj = simulate_target(config.spec, u0, config.sim)
-        path = _write_trajectory(config.outputs, "target.csv", traj)
+        path = write_trajectory(config.outputs, "target.csv", traj)
     else:
         traj = simulate_closed_loop(config.spec, k, w0, config.sim, open_loop=args.open_loop)
-        path = _write_trajectory(config.outputs, "closed_loop.csv", traj)
-        _write_controls(config.outputs, traj)
+        path = write_trajectory(config.outputs, "closed_loop.csv", traj)
+        write_controls(config.outputs, traj)
     final = float(np.max(np.abs(traj.fields[-1])))
     print(f"wrote {path}; final sup-norm {final:.6e} at t = {traj.times[-1]:g}")
     return EXIT_PASS

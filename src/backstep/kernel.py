@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._quad import composite_weights, cumquad, fixed_quad, volterra_matrix
-from .coefficients import ProblemSpec, eval_mu, eval_phi
+from .coefficients import ProblemSpec
 
 MIN_N_XI = 33
 _PAD = 8
@@ -84,13 +84,6 @@ class GoursatProblem:
     @property
     def conv_sign(self) -> float:
         return 1.0 if self.orientation == "direct" else -1.0
-
-    @property
-    def reaction(self):
-        """Triangle-coordinate reaction weight (mu or phi)."""
-        if self.orientation == "direct":
-            return lambda x, y: eval_mu(self.spec, x, y)
-        return lambda x, y: eval_phi(self.spec, x, y)
 
     def reaction_chart(self, xi, eta):
         """Reaction weight in characteristic coordinates (any real args)."""
@@ -618,12 +611,6 @@ def solve_inverse_kernel(
 ) -> KernelGrid:
     """Inverse-kernel counterpart of :func:`picard_solve`."""
     return picard_solve(GoursatProblem.inverse(spec), n_xi, tol, max_iter, order)
-
-
-def solve_direct_kernel(
-    spec: ProblemSpec, n_xi: int = 201, tol: float = 1e-10, max_iter: int = 80, order: int = 4
-) -> KernelGrid:
-    return picard_solve(GoursatProblem.direct(spec), n_xi, tol, max_iter, order)
 
 
 # --------------------------------------------------------------------------

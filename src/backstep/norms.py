@@ -14,8 +14,6 @@ import numpy as np
 
 from .transforms import Profile
 
-TAU_SWEEP_DEFAULT = (1e-1, 1e-2, 1e-3)
-
 
 def _check_p(p: float) -> float:
     p = float(p)

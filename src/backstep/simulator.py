@@ -1,10 +1,13 @@
 """Crank-Nicolson time integration of the plant and the target system.
 
-Both systems share the spatial discretisation: second-order centered
+One stepper serves both.  Diffusion is the second-order centered
 Laplacian on a uniform grid with Neumann conditions through second-order
-ghost nodes.  The reaction term is folded into the implicit operator and
-evaluated at the midpoint time; the plant's nonlocal source and feedback
-flux are explicit with one corrector sweep, which keeps the overall
+ghost nodes; the local reaction is implicit at the midpoint time.  The
+boundary feedback U = r . w enters through the ghost node at x = 1, so
+it adds a rank-one last row to the tridiagonal implicit matrix, and each
+step solves that system exactly by Sherman-Morrison over one LAPACK
+tridiagonal solve.  Only the plant's nonlocal Volterra source is
+explicit, advanced by one predictor-corrector sweep, which keeps the
 scheme second order in dt.
 """
 from __future__ import annotations
@@ -13,18 +16,19 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.polynomial import polynomial as npoly
+from scipy.linalg.lapack import dgtsv
 
 from ._quad import volterra_matrix
 from .coefficients import ProblemSpec
 from .kernel import KernelGrid
-from .transforms import Profile, control_input, kx1_on_grid
+from .transforms import Profile, control_input, feedback_row
 
 BLOWUP_FACTOR = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """The closed-loop field exceeded the blow-up threshold."""
+    """The simulated field exceeded the blow-up threshold."""
 
 
 @dataclass(frozen=True)
@@ -98,78 +102,90 @@ def check_compatibility(w0: Profile, k: KernelGrid, tol: float = 1e-3) -> Compat
     return CompatibilityReport(left < tol and right < tol, float(left), float(right))
 
 
-def _laplacian_bands(m: int, h: float) -> np.ndarray:
-    """Banded (3, m) form of the Neumann ghost-node Laplacian."""
-    inv = 1.0 / (h * h)
-    bands = np.zeros((3, m))
-    bands[0, 1:] = inv      # superdiagonal
-    bands[1, :] = -2.0 * inv
-    bands[2, :-1] = inv     # subdiagonal
-    bands[0, 1] = 2.0 * inv
-    bands[2, -2] = 2.0 * inv
-    return bands
+def _crank_nicolson(spec: ProblemSpec, w0: Profile, cfg: SimConfig, shift: float = 0.0,
+                    row: np.ndarray | None = None, source: np.ndarray | None = None):
+    """Integrate w_t = w_xx + (c(x, t) - shift) w + source @ w, w_x(0) = 0.
 
+    The flux at x = 1 is U = row . w (zero without a row); the ghost node
+    turns it into (2/h) U in the last equation, taken at both time levels.
+    Returns the recorded (times, fields).  Raises DivergenceError on the
+    first step whose sup-norm is not finite or exceeds ``BLOWUP_FACTOR``
+    times the initial one.
+    """
+    m, h, dt = cfg.grid_m, cfg.h, cfg.dt
+    if w0.grid_m != m:
+        raise ValueError("initial datum must live on the configured grid")
+    n_steps = cfg.n_steps
+    a = 0.5 * dt / (h * h)
+    g = dt / h
+    up = np.full(m - 1, a)  # half-step Laplacian off-diagonals with ghost nodes
+    up[0] = 2.0 * a
+    lo = up[::-1].copy()
+    lhs_lo, lhs_up = -lo, -up
+    hc1 = 0.5 * dt * (spec.family.c1(np.linspace(0.0, 1.0, m)) - shift)
+    hc2 = 0.5 * dt * np.asarray(spec.family.c2((np.arange(n_steps) + 0.5) * dt))
+    d_implicit, d_explicit = (1.0 + 2.0 * a) - hc1, (1.0 - 2.0 * a) + hc1
+    r = np.zeros(m) if row is None else row
+    rhs = np.zeros((m, 2), order="F")
+    rhs[-1, 1] = 1.0  # second column e_m
 
-def _apply_tridiag(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = bands[1] * v
-    out[:-1] += bands[0, 1:] * v[1:]
-    out[1:] += bands[2, :-1] * v[:-1]
-    return out
+    def solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(T - g e_m r^T)^{-1} b by Sherman-Morrison, T = tridiag(lhs_lo, d, lhs_up)."""
+        rhs[:, 0] = b
+        _, _, _, x, info = dgtsv(lhs_lo, d, lhs_up, rhs)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (dgtsv info {info})")
+        y, z = x[:, 0], x[:, 1]
+        return y + (g * (r @ y) / (1.0 - g * (r @ z))) * z
 
-
-def _cn_matrices(lap: np.ndarray, reaction: np.ndarray, dt: float):
-    """(LHS, RHS) bands of the Crank-Nicolson step for u_t = u_xx + reaction u."""
-    lhs = -0.5 * dt * lap
-    lhs[1] += 1.0 - 0.5 * dt * reaction
-    rhs = 0.5 * dt * lap
-    rhs[1] += 1.0 + 0.5 * dt * reaction
-    return lhs, rhs
-
-
-def _recorded(step: int, n_steps: int, stride: int) -> bool:
-    return step % stride == 0 or step == n_steps
+    w = w0.values  # never written in place: each step makes a new array
+    limit = BLOWUP_FACTOR * max(float(np.max(np.abs(w))), 1e-12)
+    times, fields = [0.0], [w]
+    for step in range(1, n_steps + 1):
+        c = hc2[step - 1]
+        d = d_implicit - c
+        base = (d_explicit + c) * w
+        base[:-1] += up * w[1:]
+        base[1:] += lo * w[:-1]
+        base[-1] += g * (r @ w)
+        if source is None:
+            w = solve(d, base)
+        else:
+            s_old = source @ w
+            pred = solve(d, base + dt * s_old)
+            w = solve(d, base + (0.5 * dt) * (s_old + source @ pred))
+        sup = np.abs(w).max()
+        if not sup <= limit:  # NaN fails this test too
+            raise DivergenceError(
+                f"field reached {sup:.3e} at t = {step * dt:g} "
+                f"(blow-up threshold {BLOWUP_FACTOR:g} x initial sup)"
+            )
+        if step % cfg.record_stride == 0 or step == n_steps:
+            times.append(step * dt)
+            fields.append(w)
+    return np.asarray(times), np.asarray(fields)
 
 
 def simulate_target(spec: ProblemSpec, u0: Profile, cfg: SimConfig) -> Trajectory:
     """Integrate u_t = u_xx - lambda(x, t) u with homogeneous Neumann ends."""
-    m, h, dt = cfg.grid_m, cfg.h, cfg.dt
-    if u0.grid_m != m:
-        raise ValueError("initial datum must live on the configured grid")
-    lap = _laplacian_bands(m, h)
+    return Trajectory(*_crank_nicolson(spec, u0, cfg, shift=spec.lambda0))
+
+
+def _source_operator(f_poly, m: int) -> np.ndarray | None:
+    """Matrix of w -> int_0^x w(y) f(x, y) dy by cumulative trapezoid; None if f = 0."""
+    F = np.atleast_2d(np.asarray(f_poly, dtype=float))
+    if not np.any(F):
+        return None
     x = np.linspace(0.0, 1.0, m)
-    c1x = spec.family.c1(x)
-    u = u0.values.copy()
-    times, fields = [0.0], [u.copy()]
-    n_steps = cfg.n_steps
-    for step in range(1, n_steps + 1):
-        t_mid = (step - 0.5) * dt
-        reaction = -(spec.lambda0 - c1x - spec.family.c2(t_mid))
-        lhs, rhs = _cn_matrices(lap, reaction, dt)
-        u = solve_banded((1, 1), lhs, _apply_tridiag(rhs, u))
-        if _recorded(step, n_steps, cfg.record_stride):
-            times.append(step * dt)
-            fields.append(u.copy())
-    return Trajectory(np.asarray(times), np.asarray(fields))
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    vals = np.where(yy <= xx, npoly.polyval2d(xx, np.minimum(yy, xx), F), 0.0)
+    return volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
 
 
 def volterra_source(w: Profile, f_poly) -> Profile:
     """Nonlocal source int_0^x w(y) f(x, y) dy by cumulative trapezoid."""
-    F = _source_matrix(f_poly, w.grid_m)
-    if F is None:
-        return Profile(w.grid_m, np.zeros(w.grid_m))
-    W = volterra_matrix(w.grid_m, w.h, order=2)
-    return Profile(w.grid_m, (W * F) @ w.values)
-
-
-def _source_matrix(f_poly, m: int):
-    F = np.atleast_2d(np.asarray(f_poly, dtype=float))
-    if not np.any(F):
-        return None
-    from numpy.polynomial import polynomial as npoly
-
-    x = np.linspace(0.0, 1.0, m)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    return np.where(yy <= xx, npoly.polyval2d(xx, np.minimum(yy, xx), F), 0.0)
+    S = _source_operator(f_poly, w.grid_m)
+    return Profile(w.grid_m, np.zeros(w.grid_m) if S is None else S @ w.values)
 
 
 def simulate_closed_loop(
@@ -179,68 +195,17 @@ def simulate_closed_loop(
     cfg: SimConfig,
     open_loop: bool = False,
 ) -> Trajectory:
-    """Integrate the plant under the backstepping feedback flux.
+    """Integrate the plant under the backstepping boundary feedback.
 
-    Diffusion and the local reaction c(x, t) are implicit; the nonlocal
-    source and the boundary flux are advanced by one predictor-corrector
-    sweep.  ``open_loop=True`` forces U = 0 (for instability contrast
-    runs).  Raises DivergenceError if the field grows by ``BLOWUP_FACTOR``
-    over the initial sup-norm.
+    Diffusion, the local reaction c(x, t) and the feedback U = r . w are
+    implicit: the feedback row sits inside the Crank-Nicolson matrix.  The
+    nonlocal source alone is advanced by one predictor-corrector sweep.
+    ``open_loop=True`` forces U = 0 (for instability contrast runs).
+    Raises DivergenceError if the field grows by ``BLOWUP_FACTOR`` over
+    the initial sup-norm.
     """
-    m, h, dt = cfg.grid_m, cfg.h, cfg.dt
-    if w0.grid_m != m:
-        raise ValueError("initial datum must live on the configured grid")
-    lap = _laplacian_bands(m, h)
-    x = np.linspace(0.0, 1.0, m)
-    c1x = spec.family.c1(x)
-    F = _source_matrix(spec.family.f_poly, m)
-    Wq = volterra_matrix(m, h, order=2) if F is not None else None
-    if open_loop:
-        k11, kx1, uw = 0.0, None, None
-    else:
-        k11 = float(k.trace_diag[-1])
-        kx1 = kx1_on_grid(k, m)
-        uw = np.asarray(volterra_matrix(m, h, 4)[-1]) * kx1
-
-    def control(v: np.ndarray) -> float:
-        if open_loop:
-            return 0.0
-        return float(-k11 * v[-1] - uw @ v)
-
-    def source(v: np.ndarray) -> np.ndarray:
-        if F is None:
-            return 0.0
-        return (Wq * F) @ v
-
-    w = w0.values.copy()
-    floor = max(float(np.max(np.abs(w))), 1e-12)
-    u_ctrl = control(w)
-    times, fields, controls = [0.0], [w.copy()], [u_ctrl]
-    flux = np.zeros(m)
-    n_steps = cfg.n_steps
-    for step in range(1, n_steps + 1):
-        t_mid = (step - 0.5) * dt
-        reaction = c1x + spec.family.c2(t_mid)
-        lhs, rhs = _cn_matrices(lap, reaction, dt)
-        s_old = source(w)
-        u_old = control(w)
-        base = _apply_tridiag(rhs, w)
-        # predictor: freeze source and flux at the old level
-        flux[-1] = (2.0 / h) * u_old
-        pred = solve_banded((1, 1), lhs, base + dt * s_old + dt * flux)
-        # corrector: midpoint source and flux
-        s_mid = 0.5 * (s_old + source(pred))
-        u_new = control(pred)
-        flux[-1] = (1.0 / h) * (u_old + u_new)
-        w = solve_banded((1, 1), lhs, base + dt * s_mid + dt * flux)
-        if _recorded(step, n_steps, cfg.record_stride):
-            sup = float(np.max(np.abs(w)))
-            if not np.isfinite(sup) or sup > BLOWUP_FACTOR * floor:
-                raise DivergenceError(
-                    f"field reached {sup:.3e} at t = {step * dt:g} "
-                    f"(blow-up threshold {BLOWUP_FACTOR:g} x initial sup)"
-                )
-            times.append(step * dt)
-            fields.append(w.copy())
-            controls.append(control(w))
-    return Trajectory(np.asarray(times), np.asarray(fields), np.asarray(controls))
+    row = None if open_loop else feedback_row(k, cfg.grid_m)
+    source = _source_operator(spec.family.f_poly, cfg.grid_m)
+    times, fields = _crank_nicolson(spec, w0, cfg, row=row, source=source)
+    controls = np.zeros(len(times)) if row is None else fields @ row
+    return Trajectory(times, fields, controls)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import volterra_matrix
+from ._quad import composite_weights, volterra_matrix
 from .kernel import KernelGrid
 
 
@@ -90,12 +90,20 @@ def kx1_on_grid(k: KernelGrid, grid_m: int) -> np.ndarray:
     return CubicSpline(k.x_nodes, k.trace_kx1)(np.linspace(0.0, 1.0, grid_m))
 
 
+def feedback_row(k: KernelGrid, grid_m: int, order: int = 4) -> np.ndarray:
+    """Row r of the discrete feedback U = r . w on a profile grid.
+
+    Quadrature of U = -k(1,1) w(1) - int_0^1 k_x(1, y) w(y) dy.
+    """
+    h = 1.0 / (grid_m - 1)
+    r = -(composite_weights(grid_m, order) * h) * kx1_on_grid(k, grid_m)
+    r[-1] -= float(k.trace_diag[-1])
+    return r
+
+
 def control_input(w: Profile, k: KernelGrid, order: int = 4) -> float:
     """Boundary feedback U = -k(1,1) w(1) - int_0^1 k_x(1, y) w(y) dy."""
-    kx1 = kx1_on_grid(k, w.grid_m)
-    wts = np.asarray(volterra_matrix(w.grid_m, w.h, order)[-1])
-    k11 = float(k.trace_diag[-1])
-    return float(-k11 * w.values[-1] - wts @ (kx1 * w.values))
+    return float(feedback_row(k, w.grid_m, order) @ w.values)
 
 
 def make_compatible(w0: Profile, k: KernelGrid, order: int = 4) -> tuple[Profile, float]:
@@ -107,10 +115,10 @@ def make_compatible(w0: Profile, k: KernelGrid, order: int = 4) -> tuple[Profile
     at x = 0 untouched (the shift function is flat there).
     """
     s = Profile(w0.grid_m, 0.5 * w0.x ** 2)
+    r = feedback_row(k, w0.grid_m, order)
 
     def flux_residual(p: Profile) -> float:
-        dp = _edge_derivative(p)
-        return dp - control_input(p, k, order)
+        return _edge_derivative(p) - float(r @ p.values)
 
     r0 = flux_residual(w0)
     rs = flux_residual(s)

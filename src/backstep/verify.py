@@ -8,7 +8,6 @@ plus a JSON report and a MANIFEST.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 import math
 import os
@@ -223,7 +222,7 @@ class ScenarioConfig:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(float("inf") if tok in ("inf", "Inf") else float(tok) for tok in text.split())
+    return tuple(float(tok) for tok in text.split())
 
 
 def _matrix(text: str) -> tuple:
@@ -514,9 +513,9 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
         stage = "artifacts"
         if write:
             artifacts += _write_traces(outdir, traces)
-            artifacts.append(_write_trajectory(outdir, "closed_loop.csv", traj_w))
-            artifacts.append(_write_controls(outdir, traj_w))
-            artifacts.append(_write_trajectory(outdir, "target.csv", traj_u))
+            artifacts.append(write_trajectory(outdir, "closed_loop.csv", traj_w))
+            artifacts.append(write_controls(outdir, traj_w))
+            artifacts.append(write_trajectory(outdir, "target.csv", traj_u))
             rpath = os.path.join(outdir, "report.json")
             with open(rpath, "w") as fh:
                 fh.write(report.to_json())
@@ -538,39 +537,34 @@ def _ptag(p: float) -> str:
     return "pinf" if np.isinf(p) else f"p{p:g}"
 
 
+def _write_csv(path, header: str, columns, fmt) -> str:
+    """One CSV file: header row, then the columns with ``fmt``, CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=header, comments="", newline="\r\n")
+    return path
+
+
 def _write_traces(outdir, traces: dict) -> list[str]:
-    written = []
-    for name, tr in traces.items():
-        path = os.path.join(outdir, f"trace_{name}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(tr.times, tr.values):
-                writer.writerow([f"{t:.12g}", f"{v:.15g}"])
-        written.append(path)
-    return written
+    return [
+        _write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
+                   (tr.times, tr.values), ("%.12g", "%.15g"))
+        for name, tr in traces.items()
+    ]
 
 
-def _write_trajectory(outdir, name, traj: Trajectory) -> str:
-    path = os.path.join(outdir, name)
-    xs = traj.x
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "value"])
-        for t, row in zip(traj.times, traj.fields):
-            for x, v in zip(xs, row):
-                writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{v:.15g}"])
-    return path
+def write_trajectory(outdir, name, traj: Trajectory) -> str:
+    """Long-format CSV ``t,x,value`` of every recorded slice."""
+    n, m = traj.fields.shape
+    return _write_csv(os.path.join(outdir, name), "t,x,value",
+                      (np.repeat(traj.times, m), np.tile(traj.x, n), traj.fields.ravel()),
+                      ("%.12g", "%.12g", "%.15g"))
 
 
-def _write_controls(outdir, traj: Trajectory) -> str:
-    path = os.path.join(outdir, "controls.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "U"])
-        for t, u in zip(traj.times, traj.controls):
-            writer.writerow([f"{t:.12g}", f"{u:.15g}"])
-    return path
+def write_controls(outdir, traj: Trajectory) -> str:
+    """CSV ``t,U`` of the boundary control at the recorded times."""
+    return _write_csv(os.path.join(outdir, "controls.csv"), "t,U",
+                      (traj.times, traj.controls), ("%.12g", "%.15g"))
 
 
 def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,14 @@ class TestClosedLoop:
         cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=100)
         with pytest.raises(DivergenceError):
             simulate_closed_loop(spec, k, Profile(51, np.ones(51)), cfg, open_loop=True)
+        # every step is checked, not only the recorded ones: with a stride
+        # beyond the horizon the error still names the first crossing,
+        # t = ln(1e6) / 30 ~ 0.46
+        cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=cfg.n_steps + 1)
+        with pytest.raises(DivergenceError, match=r"at t = ") as err:
+            simulate_closed_loop(spec, k, Profile(51, np.ones(51)), cfg, open_loop=True)
+        t_hit = float(re.search(r"at t = (\S+) ", str(err.value)).group(1))
+        assert t_hit < 0.5 * cfg.t_end
 
     def test_equivalence_with_target(self, kernels_rx2_101):
         # forward transform of the closed-loop run tracks the target run
@@ -174,6 +184,36 @@ class TestClosedLoop:
         fine = discrepancy(101, 1e-4)
         assert coarse < 5e-3
         assert fine < coarse
+
+    @pytest.mark.parametrize("f_poly", [((0.0,),), ((1.0, 0.0), (0.0, 1.0))],
+                             ids=["f0", "f1+xy"])
+    def test_temporal_order(self, f_poly):
+        """Second order in dt with the feedback row inside the implicit solve.
+
+        The default scenario's plant (c = x^2 + e^{-t}, lambda0 = 3), without
+        and with the Volterra source f = 1 + xy; errors at t = 0.2 against a
+        run at dt = 1e-4 / 8.
+        """
+        from backstep.kernel import GoursatProblem, picard_solve
+        from backstep.transforms import make_compatible
+        from backstep.verify import InitialData
+
+        spec = ProblemSpec(
+            CoefficientFamily(c1_poly=(0.0, 0.0, 1.0), c2_kind="exp_decay", c2_a=1.0,
+                              c2_b=1.0, f_poly=f_poly),
+            lambda0=3.0,
+        )
+        k = picard_solve(GoursatProblem.direct(spec), n_xi=201, tol=1e-10, max_iter=80)
+        w0, _ = make_compatible(InitialData("bump").build(101), k)
+
+        def final(dt):
+            cfg = SimConfig(grid_m=101, dt=dt, t_end=0.2, record_stride=10 ** 9)
+            return simulate_closed_loop(spec, k, w0, cfg).fields[-1]
+
+        ref = final(1e-4 / 8)
+        errs = [np.max(np.abs(final(dt) - ref)) for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert min(ratios) >= 3.8, ratios
 
 
 def _resample(p: Profile, m: int) -> Profile:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from backstep.cli import main as cli_main
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError
 from backstep.norms import NormTrace
-from backstep.simulator import SimConfig
+from backstep.simulator import SimConfig, Trajectory
 from backstep.transforms import Profile
 from backstep.verify import (
     ConfigError,
@@ -24,7 +25,10 @@ from backstep.verify import (
     stability_constant_C2,
     stability_constants_inf,
     verify_theorem_bound,
+    write_controls,
+    write_trajectory,
 )
+from backstep.verify import _write_traces
 
 
 class TestC1:
@@ -147,6 +151,39 @@ def scenario(tmpdir, **overrides) -> ScenarioConfig:
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+class TestCsvWriters:
+    """The writers keep the bytes of the csv.writer loops they replaced."""
+
+    @staticmethod
+    def reference(path, header, rows) -> bytes:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+        return path.read_bytes()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        fields = np.array([[0.0, -0.0, 1e-300], [1.0 / 3.0, -2.5e-17, 123456.78901234567]])
+        traj = Trajectory(np.array([0.0, 0.1 + 0.2]), fields, np.array([-0.0, 1e-300]))
+        trace = NormTrace(traj.times, np.array([1e-300, 0.0]), 2.0, "lp")
+        ref = tmp_path / "ref.csv"
+
+        path = write_trajectory(str(tmp_path), "traj.csv", traj)
+        rows = [[f"{t:.12g}", f"{x:.12g}", f"{v:.15g}"]
+                for t, row in zip(traj.times, traj.fields) for x, v in zip(traj.x, row)]
+        assert open(path, "rb").read() == self.reference(ref, ["t", "x", "value"], rows)
+
+        path = write_controls(str(tmp_path), traj)
+        rows = [[f"{t:.12g}", f"{u:.15g}"] for t, u in zip(traj.times, traj.controls)]
+        assert open(path, "rb").read() == self.reference(ref, ["t", "U"], rows)
+
+        (path,) = _write_traces(str(tmp_path), {"w_lp_p2": trace})
+        assert os.path.basename(path) == "trace_w_lp_p2.csv"
+        rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
+        assert open(path, "rb").read() == self.reference(ref, ["t", "value"], rows)
 
 
 class TestScenario:

@@ -13,12 +13,14 @@ import sys
 import numpy as np
 
 from .coefficients import ValidationError, lambda_lower, validate
-from .kernel import ConvergenceError, GoursatProblem, dump_kernel_csv, picard_solve, residual, solve_inverse_kernel
+from .kernel import ConvergenceError, GoursatProblem, picard_solve, residual, solve_inverse_kernel
 from .simulator import DivergenceError, simulate_closed_loop, simulate_target
 from .transforms import initial_target_data, make_compatible
 from .verify import (
     ConfigError,
     ScenarioConfig,
+    _write_csv,
+    dump_kernel_csv,
     load_scenario,
     oracle_comparison,
     run_scenario,
@@ -86,7 +88,9 @@ def _cmd_simulate(args) -> int:
     config = _load(args)
     validate(config.spec)
     ks = config.kernel
-    k = picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
+    k = None
+    if args.target or not args.open_loop:
+        k = picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
     w0 = config.initial_data.build(config.sim.grid_m)
     if config.initial_data.adjust_compatibility and not args.open_loop:
         w0, _ = make_compatible(w0, k)
@@ -122,16 +126,17 @@ def _cmd_oracle(args) -> int:
     print(f"sup |picard - series| over the region: {sup:.6e}")
     if args.out:
         os.makedirs(config.outputs, exist_ok=True)
-        path = os.path.join(config.outputs, "oracle.csv")
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi", "eta", "picard", "series", "abs_err"])
-            for row in rows:
-                writer.writerow([f"{v:.12g}" for v in row])
+        path = _write_csv(os.path.join(config.outputs, "oracle.csv"),
+                          "xi,eta,picard,series,abs_err", np.transpose(rows), "%.12g")
         print(f"table written to {path}")
     return EXIT_PASS
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--p", default=None, help="comma-separated p list override")
-        p.add_argument("--refine", type=int, default=1, help="grid refinement factor")
+        p.add_argument("--refine", type=_positive_int, default=1, help="grid refinement factor")
         p.set_defaults(fn=fn)
         if name == "simulate":
             p.add_argument("--target", action="store_true", help="run the target system")

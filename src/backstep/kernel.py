@@ -24,7 +24,6 @@ the region.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -169,38 +168,33 @@ def _psi_tables(f_poly: np.ndarray, lat: ChartLattice) -> list[np.ndarray]:
 def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice, order: int):
     """Both source-convolution triple integrals of the sweep operator.
 
-    Returns (P3, Q3) with
+    Returns (P3, E) with
       P3[j,i] = int_{xi_j}^{xi_i} dz int_0^{eta_j} ds int_z^{z+eta_j-s} H(tau,s,z) dtau
-      Q3[j]   = int_0^{eta_j} dz int_0^z ds int_z^{2z-s} H(tau,s,z) dtau
-    where H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s).  All inner limits
-    are lattice-aligned, so the tau-integrals are differences of one
-    cumulative table per z-power of the expanded f.
+      E[j]    = int_0^{eta_j} ds int_{eta_j}^{2 eta_j-s} H(tau,s,eta_j) dtau
+    where H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s).  The second
+    triple integral Q3[j] = int_0^{eta_j} dz int_0^z ds int_z^{2z-s} H dtau
+    is ``cumquad(E)``, and E is the edge term of the chart derivatives.
+    All inner limits are lattice-aligned, so the tau-integrals are
+    differences of one cumulative table Cr per z-power of the expanded f.
+    With the skewed table S[s, q] = Cr[s, q - s] (column clipped to the
+    lattice), the s-integral of every row is
+    B[j, c] = (WB @ S)[j, c + j] - (WB @ Cr)[j, c].
     """
     n_eta, npts = G.shape
     d = lat.delta
-    P3 = np.zeros_like(G)
-    Q3 = np.zeros(n_eta)
+    rows = np.arange(n_eta)
+    skew = np.clip(np.arange(npts + n_eta - 1)[None, :] - rows[:, None], 0, npts - 1)
+    shift = np.arange(npts)[None, :] + rows[:, None]
     WB = volterra_matrix(n_eta, d, order)
-    cols = np.arange(npts)
-    am = np.arange(n_eta)
+    P3 = np.zeros_like(G)
+    E = np.zeros(n_eta)
     for r, ps in enumerate(psi):
         Cr = cumquad(ps * G, d, axis=1, order=order)
-        zpow_xi = lat.xi ** r
-        zpow_eta = lat.eta ** r
-        for j in range(1, n_eta):
-            js = np.arange(j + 1)
-            idx = cols[None, :] + (j - js)[:, None]
-            np.clip(idx, 0, npts - 1, out=idx)
-            gathered = Cr[js[:, None], idx]
-            B = WB[j, : j + 1] @ (gathered - Cr[: j + 1])
-            C1d = cumquad(zpow_xi * B, d, order=order)
-            P3[j] += C1d - C1d[j]
-        idx2 = 2 * am[:, None] - am[None, :]
-        np.clip(idx2, 0, npts - 1, out=idx2)
-        M = Cr[am[None, :], idx2] - Cr[am[None, :], am[:, None]]
-        D = (WB[:, :n_eta] * M).sum(axis=1)
-        Q3 += cumquad(zpow_eta * D, d, order=order)
-    return P3, Q3
+        B = np.take_along_axis(WB @ Cr[rows[:, None], skew], shift, axis=1) - WB @ Cr
+        C = cumquad(lat.xi ** r * B, d, axis=1, order=order)
+        P3 += C - C[rows, rows][:, None]
+        E += lat.eta ** r * B[rows, rows]
+    return P3, E
 
 
 def _g0_lattice(problem: GoursatProblem, lat: ChartLattice, order: int) -> np.ndarray:
@@ -271,8 +265,8 @@ def _apply_phi(react, psi, conv_sign, G, lat, order):
     P, Q = _double_parts(react * G, lat, order)
     out = 0.25 * P + 0.5 * Q[:, None]
     if psi is not None:
-        P3, Q3 = _triple_parts(G, psi, lat, order)
-        out += conv_sign * (0.25 * P3 + 0.5 * Q3[:, None])
+        P3, E = _triple_parts(G, psi, lat, order)
+        out += conv_sign * (0.25 * P3 + 0.5 * cumquad(E, lat.delta, order=order)[:, None])
     return out
 
 
@@ -739,38 +733,8 @@ def _edge_identity_residual(grid: KernelGrid, problem: GoursatProblem) -> float:
         ftil = fam.f((lat.xi[None, :n] + lat.eta[:, None]) / 2.0,
                      (lat.xi[None, :n] - lat.eta[:, None]) / 2.0)
         common = common + cumquad(ftil, d, axis=0, order=order)[rows, rows]
-        common = common + problem.conv_sign * _edge_triple(grid, problem, lat, order)
+        psi = _psi_tables(fam.f_poly, lat)
+        common = common + problem.conv_sign * _triple_parts(G, psi, lat, order)[1]
     g_xi_edge = 0.25 * problem.lambda0 + 0.25 * common
     g_eta_edge = 0.25 * problem.lambda0 + (0.5 - 0.25) * common
     return float(np.max(np.abs(g_xi_edge - g_eta_edge)))
-
-
-def _edge_triple(grid, problem, lat, order):
-    """int_0^eta int_eta^{2 eta - s} H(tau, s, eta) dtau ds at each edge node."""
-    d = lat.delta
-    n = lat.n_eta
-    G = grid.values_xieta
-    psi = _psi_tables(problem.spec.family.f_poly, lat)
-    WB = volterra_matrix(n, d, order)
-    out = np.zeros(n)
-    am = np.arange(n)
-    for r, ps in enumerate(psi):
-        Cr = cumquad(ps * G, d, axis=1, order=order)
-        idx2 = np.clip(2 * am[:, None] - am[None, :], 0, lat.npts - 1)
-        M = Cr[am[None, :], idx2] - Cr[am[None, :], am[:, None]]
-        out += (lat.eta ** r) * (WB[:, :n] * M).sum(axis=1)
-    return out
-
-
-def dump_kernel_csv(path, k: KernelGrid, l: KernelGrid) -> None:
-    """Write (x, y, k, l) rows on the triangle grid, row-major in x then y."""
-    if k.values_xy.shape != l.values_xy.shape:
-        raise ValueError("kernel grids must share a lattice")
-    xs = k.x_nodes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "k", "l"])
-        for m in range(len(xs)):
-            for ll in range(m + 1):
-                writer.writerow([f"{xs[m]:.12g}", f"{xs[ll]:.12g}",
-                                 f"{k.values_xy[m, ll]:.15g}", f"{l.values_xy[m, ll]:.15g}"])

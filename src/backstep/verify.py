@@ -17,9 +17,10 @@ import numpy as np
 
 from .coefficients import CoefficientFamily, ProblemSpec, lambda_lower, validate
 from .kernel import (
+    MIN_N_XI,
     GoursatProblem,
     KernelConstants,
-    dump_kernel_csv,
+    KernelGrid,
     kernel_constants,
     picard_solve,
     residual,
@@ -170,6 +171,11 @@ class KernelSettings:
     n_xi: int = 401
     tol: float = 1e-10
     max_iter: int = 80
+
+    def __post_init__(self):
+        if not (self.tol > 0 and self.max_iter >= 1 and self.n_xi >= MIN_N_XI and self.n_xi % 2):
+            raise ConfigError(f"kernel settings need tol > 0, max_iter >= 1 and odd n_xi >= "
+                              f"{MIN_N_XI}, got {self}")
 
 
 @dataclass(frozen=True)
@@ -432,9 +438,7 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
         l = solve_inverse_kernel(spec, config.kernel.n_xi, config.kernel.tol,
                                  config.kernel.max_iter)
         if write:
-            path = os.path.join(outdir, "kernels.csv")
-            dump_kernel_csv(path, k, l)
-            artifacts.append(path)
+            artifacts.append(dump_kernel_csv(os.path.join(outdir, "kernels.csv"), k, l))
 
         stage = "constants"
         con = kernel_constants(k, l)
@@ -565,6 +569,15 @@ def write_controls(outdir, traj: Trajectory) -> str:
     """CSV ``t,U`` of the boundary control at the recorded times."""
     return _write_csv(os.path.join(outdir, "controls.csv"), "t,U",
                       (traj.times, traj.controls), ("%.12g", "%.15g"))
+
+
+def dump_kernel_csv(path, k: KernelGrid, l: KernelGrid) -> str:
+    """CSV ``x,y,k,l`` on the triangle grid, row-major in x then y."""
+    if k.values_xy.shape != l.values_xy.shape:
+        raise ValueError("kernel grids must share a lattice")
+    m, n = np.tril_indices(k.n_eta)
+    return _write_csv(path, "x,y,k,l", (k.x_nodes[m], k.x_nodes[n], k.values_xy[m, n],
+                                        l.values_xy[m, n]), ("%.12g", "%.12g", "%.15g", "%.15g"))
 
 
 def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None):

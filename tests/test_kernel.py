@@ -10,7 +10,6 @@ from backstep.kernel import (
     ConvergenceError,
     GoursatProblem,
     bound_constant_M,
-    dump_kernel_csv,
     g_initial,
     kernel_constants,
     kernel_derivative_x,
@@ -23,6 +22,7 @@ from backstep.kernel import (
     solve_inverse_kernel,
     tail_bound,
 )
+from backstep.verify import dump_kernel_csv
 
 from conftest import zero_spec
 
@@ -92,6 +92,27 @@ class TestPhiOperator:
         lhs = phi_operator(prob, a * g1 + b * g2, 41)
         rhs = a * phi_operator(prob, g1, 41) + b * phi_operator(prob, g2, 41)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @staticmethod
+    def source_error(f_poly, exact, n_xi) -> float:
+        """Max region error of Phi(1) with lambda0 = 0, c1 = 0: only the triple integrals."""
+        prob = GoursatProblem.direct(ProblemSpec(CoefficientFamily(f_poly=f_poly), lambda0=0.0))
+        lat = ChartLattice(n_xi)
+        out = phi_operator(prob, np.ones((lat.n_eta, lat.npts)), n_xi)
+        XI, ETA = lat.mesh()
+        return float(np.max(np.abs((out - exact(XI, ETA))[lat.region_mask()])))
+
+    def test_source_integrals_closed_form(self):
+        def unit(xi, eta):  # f = 1
+            return (xi - eta) * eta ** 2 / 8 + eta ** 3 / 12
+
+        def linear_y(xi, eta):  # f = y: the z^1 term of the expanded source
+            return eta ** 2 * (xi - eta) ** 2 / 32 + eta ** 3 * (xi - eta) / 48 + eta ** 4 / 96
+
+        assert self.source_error(((1.0,),), unit, 41) < 1e-13
+        coarse = self.source_error(((0.0, 1.0),), linear_y, 41)
+        assert coarse < 5e-6
+        assert self.source_error(((0.0, 1.0),), linear_y, 81) < coarse / 4
 
 
 class TestTailBound:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from backstep.verify import (
     KernelSettings,
     ScenarioConfig,
     continuous_dependence_experiment,
+    dump_kernel_csv,
     fit_decay_rate,
     load_scenario,
     oracle_comparison,
@@ -165,7 +168,7 @@ class TestCsvWriters:
                 writer.writerow(row)
         return path.read_bytes()
 
-    def test_bytes_match_csv_writer(self, tmp_path):
+    def test_bytes_match_csv_writer(self, tmp_path, null_kernel):
         fields = np.array([[0.0, -0.0, 1e-300], [1.0 / 3.0, -2.5e-17, 123456.78901234567]])
         traj = Trajectory(np.array([0.0, 0.1 + 0.2]), fields, np.array([-0.0, 1e-300]))
         trace = NormTrace(traj.times, np.array([1e-300, 0.0]), 2.0, "lp")
@@ -184,6 +187,15 @@ class TestCsvWriters:
         assert os.path.basename(path) == "trace_w_lp_p2.csv"
         rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
         assert open(path, "rb").read() == self.reference(ref, ["t", "value"], rows)
+
+        shape = null_kernel.values_xy.shape
+        k = dataclasses.replace(null_kernel, values_xy=np.full(shape, 1.0 / 3.0))
+        l = dataclasses.replace(null_kernel, values_xy=np.full(shape, -1e-300))
+        path = dump_kernel_csv(str(tmp_path / "kernels.csv"), k, l)
+        xs = k.x_nodes
+        rows = [[f"{xs[m]:.12g}", f"{xs[n]:.12g}", f"{k.values_xy[m, n]:.15g}",
+                 f"{l.values_xy[m, n]:.15g}"] for m in range(len(xs)) for n in range(m + 1)]
+        assert open(path, "rb").read() == self.reference(ref, ["x", "y", "k", "l"], rows)
 
 
 class TestScenario:
@@ -265,6 +277,8 @@ class TestContinuousDependence:
         rep = continuous_dependence_experiment(cfg, w0, w0)
         assert rep.lp[0].observed == 0.0
 
+
+DEFAULT_INI = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.ini"
 
 CONFIG_TEXT = """
 [problem]
@@ -398,3 +412,26 @@ class TestCli:
         assert cli_main(["oracle", "--config", str(path),
                          "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "oracle.csv").exists()
+
+    def test_open_loop_solves_no_kernel(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(DEFAULT_INI.read_text().replace("max_iter = 80", "max_iter = 1"))
+        assert cli_main(["simulate", "--config", str(path), "--open-loop",
+                         "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "closed_loop.csv").exists()
+
+    def test_refine_below_one_exit(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["kernel", "--config", str(path), "--refine", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("old, new", [("tol = 1e-9", "tol = 0"),
+                                          ("max_iter = 60", "max_iter = 0"),
+                                          ("n_xi = 101", "n_xi = 100"),
+                                          ("n_xi = 101", "n_xi = 31")])
+    def test_bad_kernel_settings_exit(self, tmp_path, old, new):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
+        assert cli_main(["kernel", "--config", str(path)]) == 2

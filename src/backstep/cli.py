@@ -51,9 +51,8 @@ def _load(args) -> ScenarioConfig:
     config = load_scenario(args.config)
     if args.out:
         config = dataclasses.replace(config, outputs=args.out)
-    if getattr(args, "p", None):
-        plist = tuple(float(tok) for tok in args.p.split(","))
-        config = dataclasses.replace(config, p_list=plist)
+    if args.p:
+        config = dataclasses.replace(config, p_list=args.p)
     return _refine(config, args.refine)
 
 
@@ -75,7 +74,7 @@ def _cmd_kernel(args) -> int:
             rep = residual(grid, prob, h=mult * grid.delta)
             lines.append(
                 f"{name} residual at h={rep.h:.5g}: interior {rep.interior_sup:.4e}, "
-                f"boundary ({rep.bc_diagonal:.2e}, {rep.bc_edge:.2e}, {rep.bc_corner:.2e})"
+                f"boundary ({rep.bc_diagonal:.2e}, {rep.bc_corner:.2e})"
             )
     report = "\n".join(lines)
     print(report)
@@ -139,6 +138,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _p_list(text: str) -> tuple:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="backstep",
@@ -154,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--p", default=None, help="comma-separated p list override")
+        p.add_argument("--p", type=_p_list, default=None, help="comma-separated p list override")
         p.add_argument("--refine", type=_positive_int, default=1, help="grid refinement factor")
         p.set_defaults(fn=fn)
         if name == "simulate":

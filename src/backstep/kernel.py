@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quad import composite_weights, cumquad, fixed_quad, volterra_matrix
+from ._quad import cumquad, fixed_quad, volterra_matrix
 from .coefficients import ProblemSpec
 
 MIN_N_XI = 33
@@ -165,6 +165,20 @@ def _psi_tables(f_poly: np.ndarray, lat: ChartLattice) -> list[np.ndarray]:
     return tables
 
 
+def _line_sum(W: np.ndarray, H: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Quadrature along the lattice lines xi + eta = const.
+
+    Returns out[j, c] = sum_s W[j, s] H[s*stride, c + (j - s)*stride] for the
+    rows s*stride of ``H`` (columns clipped to the lattice): skew the strided
+    rows so each line becomes a column, apply W once, read the skew back.
+    """
+    Hs = H[::stride]
+    n, npts = Hs.shape
+    s = np.arange(n)[:, None]
+    skew = np.clip(np.arange(npts + (n - 1) * stride) - s * stride, 0, npts - 1)
+    return np.take_along_axis(W @ Hs[s, skew], np.arange(npts) + s * stride, axis=1)
+
+
 def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice, order: int):
     """Both source-convolution triple integrals of the sweep operator.
 
@@ -173,24 +187,20 @@ def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice, order
       E[j]    = int_0^{eta_j} ds int_{eta_j}^{2 eta_j-s} H(tau,s,eta_j) dtau
     where H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s).  The second
     triple integral Q3[j] = int_0^{eta_j} dz int_0^z ds int_z^{2z-s} H dtau
-    is ``cumquad(E)``, and E is the edge term of the chart derivatives.
-    All inner limits are lattice-aligned, so the tau-integrals are
-    differences of one cumulative table Cr per z-power of the expanded f.
-    With the skewed table S[s, q] = Cr[s, q - s] (column clipped to the
-    lattice), the s-integral of every row is
-    B[j, c] = (WB @ S)[j, c + j] - (WB @ Cr)[j, c].
+    is ``cumquad(E)``.  All inner limits are lattice-aligned, so the
+    tau-integrals are differences of one cumulative table Cr per z-power
+    of the expanded f, and the s-integral of every row is
+    B = _line_sum(WB, Cr) - WB @ Cr.
     """
-    n_eta, npts = G.shape
+    n_eta = G.shape[0]
     d = lat.delta
     rows = np.arange(n_eta)
-    skew = np.clip(np.arange(npts + n_eta - 1)[None, :] - rows[:, None], 0, npts - 1)
-    shift = np.arange(npts)[None, :] + rows[:, None]
     WB = volterra_matrix(n_eta, d, order)
     P3 = np.zeros_like(G)
     E = np.zeros(n_eta)
     for r, ps in enumerate(psi):
         Cr = cumquad(ps * G, d, axis=1, order=order)
-        B = np.take_along_axis(WB @ Cr[rows[:, None], skew], shift, axis=1) - WB @ Cr
+        B = _line_sum(WB, Cr) - WB @ Cr
         C = cumquad(lat.xi ** r * B, d, axis=1, order=order)
         P3 += C - C[rows, rows][:, None]
         E += lat.eta ** r * B[rows, rows]
@@ -289,15 +299,13 @@ def tail_bound(n: int, M: float, xi: float, eta: float) -> float:
 
 
 def bound_constant_M(spec: ProblemSpec) -> float:
-    """Growth constant (lambda1 + fbar) / 2 of the increment bound."""
+    """Growth constant (lambda1 + fbar) / 2 of the increment bound.
+
+    fbar = sum |F_ij| bounds |f| on [0, 1]^2, since |x^i y^j| <= 1 there.
+    """
     lo, hi = spec.family.c1_range()
-    spread = hi - lo
-    lam1 = max(abs(spec.lambda0), abs(spec.lambda0) + spread)
-    if spec.family.f_is_zero:
-        fbar = 0.0
-    else:
-        g = np.linspace(0.0, 1.0, 801)
-        fbar = float(np.max(np.abs(spec.family.f(g[:, None], g[None, :]))))
+    lam1 = abs(spec.lambda0) + (hi - lo)
+    fbar = float(np.sum(np.abs(spec.family.f_poly)))
     return 0.5 * (lam1 + fbar)
 
 
@@ -513,7 +521,7 @@ def _bilinear_2d(G, u, v):
             + sv * (1 - su) * G[bv + 1, bu] + sv * su * G[bv + 1, bu + 1])
 
 
-def _build_grid(problem, lat, G, iterations, increments, n_cert, order) -> KernelGrid:
+def _build_grid(problem, lat, G, M, iterations, increments, n_cert, order) -> KernelGrid:
     n_eta = lat.n_eta
     m = np.arange(n_eta)
     tri = np.tril(np.ones((n_eta, n_eta), dtype=bool))
@@ -525,7 +533,7 @@ def _build_grid(problem, lat, G, iterations, increments, n_cert, order) -> Kerne
         pad=lat.pad,
         delta=lat.delta,
         lambda0=problem.lambda0,
-        bound_M=bound_constant_M(problem.spec),
+        bound_M=M,
         order=order,
         values_xieta=G,
         values_xy=values_xy,
@@ -597,7 +605,7 @@ def picard_solve(
             "the grid is too coarse for this tolerance",
             last_increment=increments[-1],
         )
-    return _build_grid(problem, lat, G, n, increments, n_cert, order)
+    return _build_grid(problem, lat, G, M, n, increments, n_cert, order)
 
 
 def solve_inverse_kernel(
@@ -647,17 +655,12 @@ class KernelResidual:
     """Residual report of the kernel problem on a converged grid.
 
     ``interior_sup`` measures the hyperbolic identity with centered
-    stencils of spacing ``h``.  The three boundary entries report the
-    diagonal slope, the bottom-edge derivative condition and the corner
-    value.  The bottom-edge condition is enforced algebraically by the
-    integral representation (the two chart derivatives share every
-    term), so its residual only certifies that the discrete
-    representation inherits the identity.
+    stencils of spacing ``h``.  The boundary entries report the diagonal
+    slope and the corner value.
     """
 
     interior_sup: float
     bc_diagonal: float
-    bc_edge: float
     bc_corner: float
     h: float
     n_points: int
@@ -670,7 +673,9 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     """Sup-norm residual of the kernel PDE at verification spacing ``h``.
 
     ``h`` must be a lattice multiple; the stencil strides the lattice so
-    kernel values enter exactly.
+    kernel values enter exactly.  For nonzero f the convolution
+    int_y^x f(z, y) k(x, z) dz runs along the strided lines xi + eta = const,
+    one :func:`_line_sum` per y-power of f(z, y) = sum_q y^q sum_p F[p, q] z^p.
     """
     lat = grid.lattice
     d = lat.delta
@@ -682,59 +687,24 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     if 2 * st > grid.pad:
         raise ValueError("verification spacing too large for the lattice padding")
     G = grid.values_xieta
-    fam = problem.spec.family
+    Gs = G[::st]
     XI, ETA = lat.mesh()
-    react = problem.reaction_chart(XI, ETA)
-    order = grid.order
-    worst = 0.0
-    count = 0
-    for j in range(st, lat.n_eta - st, st):
-        i = np.arange(j, lat.n_xi - j)
-        gxe = (G[j + st, i + st] - G[j + st, i - st]
-               - G[j - st, i + st] + G[j - st, i - st]) / (4.0 * (st * d) ** 2)
-        res = 4.0 * gxe - react[j, i] * G[j, i]
-        if not fam.f_is_zero:
-            y = (lat.xi[i] - lat.eta[j]) / 2.0
-            res -= fam.f((lat.xi[i] + lat.eta[j]) / 2.0, y)
-            ks = np.arange(j // st + 1)
-            zk = y[None, :] + (ks * st * d)[:, None]
-            fk = fam.f(zk, y[None, :])
-            gk = G[j - ks[:, None] * st, i[None, :] + ks[:, None] * st]
-            w = composite_weights(j // st + 1, order) * (st * d)
-            res -= problem.conv_sign * (w[:, None] * fk * gk).sum(axis=0)
-        worst = max(worst, float(np.max(np.abs(res))))
-        count += len(i)
+    fam = problem.spec.family
+    # interior nodes: rows st .. n_eta - st - 1 of the strided lattice
+    inner = (slice(st, lat.n_eta - st, st), slice(st, -st))
+    gxe = (Gs[2:, 2 * st:] - Gs[2:, :-2 * st]
+           - Gs[:-2, 2 * st:] + Gs[:-2, :-2 * st]) / (4.0 * (st * d) ** 2)
+    res = 4.0 * gxe - (problem.reaction_chart(XI, ETA) * G)[inner]
+    if not fam.f_is_zero:
+        Y = (XI - ETA) / 2.0
+        F = np.asarray(fam.f_poly)
+        W = volterra_matrix(len(Gs), st * d, grid.order)
+        conv = sum(Y[::st] ** q * _line_sum(W, npoly.polyval(Y, F[:, q]) * G, st)
+                   for q in range(F.shape[1]))
+        # conv has the strided rows only
+        res -= fam.f((XI + ETA) / 2.0, Y)[inner] + problem.conv_sign * conv[1:-1, st:-st]
+    inside = lat.region_mask()[inner]
     slope = np.gradient(grid.trace_diag, d, edge_order=2)
     bc_diag = float(np.max(np.abs(2.0 * slope - problem.lambda0)))
-    bc_edge = _edge_identity_residual(grid, problem)
-    bc_corner = float(abs(G[0, 0]))
-    return KernelResidual(worst, bc_diag, bc_edge, bc_corner, st * d, count)
-
-
-def _edge_identity_residual(grid: KernelGrid, problem: GoursatProblem) -> float:
-    """Residual of k_y(x, 0) = 0 through the chart-derivative identity.
-
-    On the edge xi = eta the two chart derivatives reduce to the same
-    combination of edge integrals; assembling them separately measures
-    how far the discrete representation drifts from the built-in
-    condition (zero up to rounding).
-    """
-    lat = grid.lattice
-    d = lat.delta
-    order = grid.order
-    G = grid.values_xieta
-    fam = problem.spec.family
-    n = lat.n_eta
-    rows = np.arange(n)
-    # integrand over s (axis 0) at fixed edge node xi = eta_m (axis 1)
-    react = problem.reaction_chart(lat.xi[None, :n], lat.eta[:, None])
-    common = cumquad(react * G[:, :n], d, axis=0, order=order)[rows, rows]
-    if not fam.f_is_zero:
-        ftil = fam.f((lat.xi[None, :n] + lat.eta[:, None]) / 2.0,
-                     (lat.xi[None, :n] - lat.eta[:, None]) / 2.0)
-        common = common + cumquad(ftil, d, axis=0, order=order)[rows, rows]
-        psi = _psi_tables(fam.f_poly, lat)
-        common = common + problem.conv_sign * _triple_parts(G, psi, lat, order)[1]
-    g_xi_edge = 0.25 * problem.lambda0 + 0.25 * common
-    g_eta_edge = 0.25 * problem.lambda0 + (0.5 - 0.25) * common
-    return float(np.max(np.abs(g_xi_edge - g_eta_edge)))
+    return KernelResidual(float(np.max(np.abs(res[inside]))), bc_diag, float(abs(G[0, 0])),
+                          st * d, int(np.count_nonzero(inside)))

@@ -22,25 +22,37 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _lp(values: np.ndarray, h: float, p: float) -> np.ndarray:
+    """L^p norm of each profile along the last axis (max for p = inf)."""
+    if np.isinf(p):
+        return np.max(np.abs(values), axis=-1)
+    return np.trapezoid(np.abs(values) ** p, dx=h, axis=-1) ** (1.0 / p)
+
+
+def _w1p(values: np.ndarray, h: float, p: float) -> np.ndarray:
+    """W^{1,p} norm of each profile along the last axis, centered-difference derivative."""
+    a = _lp(values, h, p)
+    b = _lp(np.gradient(values, h, axis=-1, edge_order=2), h, p)
+    if np.isinf(p):
+        return np.maximum(a, b)
+    return (a ** p + b ** p) ** (1.0 / p)
+
+
+def _alf(values: np.ndarray, h: float, p: float, tau: float) -> np.ndarray:
+    """int_0^1 rho(v(x))^p dx of each profile along the last axis."""
+    if np.isinf(p):
+        raise ValueError("the smoothed functional is defined for finite p")
+    return np.trapezoid(rho(values, tau) ** p, dx=h, axis=-1)
+
+
 def lp_norm(v: Profile, p: float) -> float:
     """L^p norm on (0,1): trapezoid integral for finite p, max for p = inf."""
-    p = _check_p(p)
-    if np.isinf(p):
-        return float(np.max(np.abs(v.values)))
-    return float(np.trapezoid(np.abs(v.values) ** p, dx=v.h) ** (1.0 / p))
-
-
-def _grid_derivative(v: Profile) -> np.ndarray:
-    return np.gradient(v.values, v.h, edge_order=2)
+    return float(_lp(v.values, v.h, _check_p(p)))
 
 
 def w1p_norm(v: Profile, p: float) -> float:
     """Discrete W^{1,p} norm with the centered-difference derivative."""
-    p = _check_p(p)
-    dv = Profile(v.grid_m, _grid_derivative(v))
-    if np.isinf(p):
-        return max(lp_norm(v, p), lp_norm(dv, p))
-    return float((lp_norm(v, p) ** p + lp_norm(dv, p) ** p) ** (1.0 / p))
+    return float(_w1p(v.values, v.h, _check_p(p)))
 
 
 def _check_tau(tau: float) -> float:
@@ -77,10 +89,7 @@ def rho_second(s, tau: float):
 
 def alf(v: Profile, p: float, tau: float) -> float:
     """Approximate Lyapunov functional int_0^1 rho(v(x))^p dx."""
-    p = _check_p(p)
-    if np.isinf(p):
-        raise ValueError("the smoothed functional is defined for finite p")
-    return float(np.trapezoid(rho(v.values, tau) ** p, dx=v.h))
+    return float(_alf(v.values, v.h, _check_p(p), tau))
 
 
 def gronwall_bound(z0: float, q, h, times) -> np.ndarray:
@@ -131,18 +140,16 @@ class NormTrace:
 
 def norm_trace(traj, p: float, kind: str = "lp", tau: float | None = None) -> NormTrace:
     """Evaluate a norm per recorded slice of a Trajectory-like object."""
-    m = traj.fields.shape[1]
-    vals = np.empty(len(traj.times))
-    for i, row in enumerate(traj.fields):
-        prof = Profile(m, row)
-        if kind == "lp":
-            vals[i] = lp_norm(prof, p)
-        elif kind == "w1p":
-            vals[i] = w1p_norm(prof, p)
-        elif kind == "alf":
-            if tau is None:
-                raise ValueError("alf trace needs tau")
-            vals[i] = alf(prof, p, tau)
-        else:
-            raise ValueError(f"unknown trace kind {kind!r}")
-    return NormTrace(np.asarray(traj.times), vals, float(p), kind, tau)
+    p = _check_p(p)
+    h = 1.0 / (traj.fields.shape[1] - 1)
+    if kind == "lp":
+        vals = _lp(traj.fields, h, p)
+    elif kind == "w1p":
+        vals = _w1p(traj.fields, h, p)
+    elif kind == "alf":
+        if tau is None:
+            raise ValueError("alf trace needs tau")
+        vals = _alf(traj.fields, h, p, tau)
+    else:
+        raise ValueError(f"unknown trace kind {kind!r}")
+    return NormTrace(np.asarray(traj.times), vals, p, kind, tau)

@@ -23,7 +23,6 @@ from .kernel import (
     KernelGrid,
     kernel_constants,
     picard_solve,
-    residual,
     series_oracle,
     solve_inverse_kernel,
 )
@@ -178,6 +177,15 @@ class KernelSettings:
                               f"{MIN_N_XI}, got {self}")
 
 
+#: parameters each initial-datum family reads
+_INITIAL_FAMILIES = {
+    "constant": ("a",),
+    "cosine": ("a", "modes"),
+    "polynomial": ("coeffs",),
+    "bump": ("center", "width", "height"),
+}
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Named initial-datum family for the closed-loop run."""
@@ -185,6 +193,14 @@ class InitialData:
     family: str = "bump"
     params: dict = field(default_factory=dict)
     adjust_compatibility: bool = True
+
+    def __post_init__(self):
+        if self.family not in _INITIAL_FAMILIES:
+            raise ConfigError(f"unknown initial-data family {self.family!r}")
+        unknown = sorted(set(self.params) - set(_INITIAL_FAMILIES[self.family]))
+        if unknown:
+            raise ConfigError(f"initial-data family {self.family!r} takes no "
+                              f"parameter {', '.join(unknown)}")
 
     def build(self, grid_m: int) -> Profile:
         p = self.params
@@ -197,7 +213,7 @@ class InitialData:
             from numpy.polynomial import polynomial as npoly
 
             vals = npoly.polyval(x, np.asarray(p.get("coeffs", [1.0]), dtype=float))
-        elif self.family == "bump":
+        else:
             c = float(p.get("center", 0.5))
             wd = float(p.get("width", 0.3))
             hgt = float(p.get("height", 1.0))
@@ -205,8 +221,6 @@ class InitialData:
             vals = np.zeros(grid_m)
             inside = r < 1.0
             vals[inside] = hgt * np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-        else:
-            raise ConfigError(f"unknown initial-data family {self.family!r}")
         return Profile(grid_m, vals)
 
 
@@ -235,6 +249,29 @@ def _matrix(text: str) -> tuple:
     return tuple(tuple(float(tok) for tok in row.split()) for row in text.split(";"))
 
 
+#: keys each scenario section reads; [initial_data] also takes its family's parameters
+_SCENARIO_KEYS = {
+    "problem": ("c1_poly", "c2_kind", "c2_a", "c2_b", "f_poly", "lambda0", "horizon",
+                "sup_tolerance"),
+    "kernel": ("n_xi", "tol", "max_iter"),
+    "sim": ("grid_m", "dt", "t_end", "record_stride", "scheme"),
+    "initial_data": ("family", "adjust_compatibility",
+                     *sorted({k for keys in _INITIAL_FAMILIES.values() for k in keys})),
+    "verify": ("p_list", "tau_list", "skip_fraction", "slack"),
+    "outputs": ("directory",),
+}
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """Reject unknown sections and keys, so a typo cannot fall back to a default."""
+    for name in cp.sections():
+        if name not in _SCENARIO_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = sorted(set(cp[name]) - set(_SCENARIO_KEYS[name]))
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(unknown)} in [{name}]")
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Parse the flat key = value scenario file (one section per stage)."""
     if not os.path.exists(path):
@@ -242,6 +279,7 @@ def load_scenario(path) -> ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read(path)
+        _check_keys(cp)
         prob = cp["problem"]
         family = CoefficientFamily(
             c1_poly=_floats(prob.get("c1_poly", "0")),
@@ -380,19 +418,17 @@ def continuous_dependence_experiment(
     con = kernel_constants(k, l)
     t1 = simulate_closed_loop(spec, k, w01, config.sim)
     t2 = simulate_closed_loop(spec, k, w02, config.sim)
-    tdiff = simulate_closed_loop(
-        spec, k, Profile(w01.grid_m, w01.values - w02.values), config.sim
-    )
-    diff_fields = t1.fields - t2.fields
-    linearity_gap = float(np.max(np.abs(diff_fields - tdiff.fields)))
-    m = w01.grid_m
+    w0 = Profile(w01.grid_m, w01.values - w02.values)
+    tdiff = simulate_closed_loop(spec, k, w0, config.sim)
+    diff = Trajectory(t1.times, t1.fields - t2.fields)
+    linearity_gap = float(np.max(np.abs(diff.fields - tdiff.fields)))
     lp_rows, w1p_rows = [], []
     for p in config.p_list:
         cmap = constants_for_p(p, con)
-        sup_lp = max(lp_norm(Profile(m, row), p) for row in diff_fields)
-        sup_w1p = max(w1p_norm(Profile(m, row), p) for row in diff_fields)
-        init_lp = lp_norm(Profile(m, w01.values - w02.values), p)
-        init_w1p = w1p_norm(Profile(m, w01.values - w02.values), p)
+        sup_lp = float(np.max(norm_trace(diff, p, "lp").values))
+        sup_w1p = float(np.max(norm_trace(diff, p, "w1p").values))
+        init_lp = lp_norm(w0, p)
+        init_w1p = w1p_norm(w0, p)
         blp = config.slack * cmap["lp"] * init_lp
         bw = config.slack * cmap["w1p"] * init_w1p
         lp_rows.append(DependenceResult(p, sup_lp, blp, sup_lp <= blp))

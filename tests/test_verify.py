@@ -427,6 +427,25 @@ class TestCli:
             cli_main(["kernel", "--config", str(path), "--refine", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("old, new", [("[kernel]", "[kernal]"),
+                                          ("n_xi = 101", "n_x1 = 101"),
+                                          ("a = 1.0\nmodes", "centre = 0.4\nmodes"),
+                                          ("family = cosine", "family = bump"),
+                                          ("family = cosine", "family = sawtooth")])
+    def test_config_typo_exit(self, tmp_path, old, new):
+        path = tmp_path / "s.ini"
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert cli_main(["kernel", "--config", str(path)]) == 2
+
+    def test_bad_p_list_exit(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--config", str(path), "--p", "abc"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("old, new", [("tol = 1e-9", "tol = 0"),
                                           ("max_iter = 60", "max_iter = 0"),
                                           ("n_xi = 101", "n_xi = 100"),

@@ -1,11 +1,13 @@
 """Composite quadrature rules on uniform grids.
 
-Shared by the kernel solver and the Volterra transforms.  Two orders are
-supported everywhere:
+Shared by the kernel solver and the Volterra transforms.  The weight
+tables take one of two orders:
 
 * ``order=2``: composite trapezoid.
 * ``order=4``: trapezoid with Euler-Maclaurin endpoint corrections
   (Gregory-type weights for fixed limits), exact for cubics.
+
+The kernel solver's fixed and cumulative integrals are fourth order only.
 """
 from __future__ import annotations
 
@@ -49,30 +51,28 @@ def composite_weights(n_nodes: int, order: int = 4) -> np.ndarray:
     return w
 
 
-def fixed_quad(g: np.ndarray, h: float, order: int = 4, axis: int = -1) -> np.ndarray:
-    """Integral over the full sample range along ``axis``."""
+def fixed_quad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
+    """Fourth-order integral over the full sample range along ``axis``."""
     g = np.asarray(g, dtype=float)
-    w = composite_weights(g.shape[axis], order)
+    w = composite_weights(g.shape[axis])
     shape = [1] * g.ndim
     shape[axis] = -1
     return h * np.sum(g * w.reshape(shape), axis=axis)
 
 
-def cumquad(g: np.ndarray, h: float, axis: int = -1, order: int = 4) -> np.ndarray:
+def cumquad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     """Cumulative integral from the first node, same shape as ``g``.
 
-    ``order=4`` adds the h^2/12 endpoint-derivative correction with
+    The trapezoid sums get the h^2/12 endpoint-derivative correction with
     second-order finite-difference slopes; entry ``k`` then carries an
     O(h^4) error uniformly in ``k``.
     """
     g = np.asarray(g, dtype=float)
     out = cumulative_trapezoid(g, dx=h, axis=axis, initial=0.0)
-    if order == 4 and g.shape[axis] >= 3:
+    if g.shape[axis] >= 3:
         d = np.gradient(g, h, axis=axis, edge_order=2)
         d0 = np.take(d, [0], axis=axis)
         out = out - (h * h / 12.0) * (d - d0)
-    elif order not in (2, 4):
-        raise ValueError(f"unsupported quadrature order {order}")
     return out
 
 

@@ -96,7 +96,6 @@ class ChartLattice:
     """Aligned uniform lattice on the (xi, eta) chart with padding in xi."""
 
     n_xi: int
-    pad: int = _PAD
 
     def __post_init__(self):
         if self.n_xi < MIN_N_XI or self.n_xi % 2 == 0:
@@ -112,7 +111,7 @@ class ChartLattice:
 
     @property
     def npts(self) -> int:
-        return self.n_xi + self.pad
+        return self.n_xi + _PAD
 
     @property
     def xi(self) -> np.ndarray:
@@ -137,14 +136,14 @@ class ChartLattice:
 # --------------------------------------------------------------------------
 
 
-def _double_parts(g: np.ndarray, lat: ChartLattice, order: int):
+def _double_parts(g: np.ndarray, lat: ChartLattice):
     """P[j,i] = int_{xi_j}^{xi_i} int_0^{eta_j} g  and  Q[j] = int_0^{eta_j} int_0^tau g."""
     d = lat.delta
-    V = cumquad(g, d, axis=0, order=order)  # int_0^{eta_j} g(xi_i, s) ds
-    W = cumquad(V, d, axis=1, order=order)
+    V = cumquad(g, d, axis=0)  # int_0^{eta_j} g(xi_i, s) ds
+    W = cumquad(V, d, axis=1)
     rows = np.arange(lat.n_eta)
     P = W - W[rows, rows][:, None]
-    Q = cumquad(V[rows, rows], d, order=order)
+    Q = cumquad(V[rows, rows], d)
     return P, Q
 
 
@@ -179,7 +178,7 @@ def _line_sum(W: np.ndarray, H: np.ndarray, stride: int = 1) -> np.ndarray:
     return np.take_along_axis(W @ Hs[s, skew], np.arange(npts) + s * stride, axis=1)
 
 
-def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice, order: int):
+def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice):
     """Both source-convolution triple integrals of the sweep operator.
 
     Returns (P3, E) with
@@ -195,30 +194,30 @@ def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice, order
     n_eta = G.shape[0]
     d = lat.delta
     rows = np.arange(n_eta)
-    WB = volterra_matrix(n_eta, d, order)
+    WB = volterra_matrix(n_eta, d)
     P3 = np.zeros_like(G)
     E = np.zeros(n_eta)
     for r, ps in enumerate(psi):
-        Cr = cumquad(ps * G, d, axis=1, order=order)
+        Cr = cumquad(ps * G, d, axis=1)
         B = _line_sum(WB, Cr) - WB @ Cr
-        C = cumquad(lat.xi ** r * B, d, axis=1, order=order)
+        C = cumquad(lat.xi ** r * B, d, axis=1)
         P3 += C - C[rows, rows][:, None]
         E += lat.eta ** r * B[rows, rows]
     return P3, E
 
 
-def _g0_lattice(problem: GoursatProblem, lat: ChartLattice, order: int) -> np.ndarray:
+def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     fam = problem.spec.family
     XI, ETA = lat.mesh()
     G0 = 0.25 * problem.lambda0 * (XI + ETA)
     if not fam.f_is_zero:
         ftil = fam.f((XI + ETA) / 2.0, (XI - ETA) / 2.0)
-        Pf, Qf = _double_parts(ftil, lat, order)
+        Pf, Qf = _double_parts(ftil, lat)
         G0 = G0 + 0.25 * Pf + 0.5 * Qf[:, None]
     return G0
 
 
-def g_initial(problem: GoursatProblem, xi: float, eta: float, order: int = 4) -> float:
+def g_initial(problem: GoursatProblem, xi: float, eta: float) -> float:
     """Inhomogeneous part G0 of the integral equation at one chart point."""
     if not (0.0 <= eta <= 1.0 and eta - 1e-12 <= xi <= 2.0 - eta + 1e-12):
         raise ValueError("(xi, eta) must satisfy 0 <= eta <= 1, eta <= xi <= 2 - eta")
@@ -235,26 +234,22 @@ def g_initial(problem: GoursatProblem, xi: float, eta: float, order: int = 4) ->
     tau = np.linspace(eta, xi, nq)
     s = np.linspace(0.0, eta, nq)
     vals = ftil(tau[:, None], s[None, :])
-    inner = fixed_quad(vals, s[1] - s[0] if eta else 0.0, order=order, axis=1)
-    out += 0.25 * fixed_quad(inner, tau[1] - tau[0] if xi != eta else 0.0, order=order)
+    inner = fixed_quad(vals, s[1] - s[0] if eta else 0.0, axis=1)
+    out += 0.25 * fixed_quad(inner, tau[1] - tau[0] if xi != eta else 0.0)
     # int_0^eta int_0^tau, inner integral rescaled to the unit interval
     tau2 = np.linspace(0.0, eta, nq)
     u = np.linspace(0.0, 1.0, nq)
     vals2 = ftil(tau2[:, None], tau2[:, None] * u[None, :])
-    inner2 = tau2 * fixed_quad(vals2, u[1] - u[0], order=order, axis=1)
-    out += 0.5 * fixed_quad(inner2, tau2[1] - tau2[0] if eta else 0.0, order=order)
+    inner2 = tau2 * fixed_quad(vals2, u[1] - u[0], axis=1)
+    out += 0.5 * fixed_quad(inner2, tau2[1] - tau2[0] if eta else 0.0)
     return float(out)
 
 
-def phi_operator(
-    problem: GoursatProblem,
-    values: np.ndarray,
-    n_xi: int | None = None,
-    order: int = 4,
-) -> np.ndarray:
+def phi_operator(problem: GoursatProblem, values: np.ndarray,
+                 n_xi: int | None = None) -> np.ndarray:
     """One application of the sweep operator Phi to lattice values.
 
-    ``values`` must have the lattice shape (n_eta, n_xi + pad); the result
+    ``values`` must have the lattice shape (n_eta, n_xi + _PAD); the result
     has the same shape.  Linear in ``values``.
     """
     values = np.asarray(values, dtype=float)
@@ -267,16 +262,16 @@ def phi_operator(
     react = problem.reaction_chart(XI, ETA)
     out = _apply_phi(react, None if problem.spec.family.f_is_zero else
                      _psi_tables(problem.spec.family.f_poly, lat),
-                     problem.conv_sign, values, lat, order)
+                     problem.conv_sign, values, lat)
     return out
 
 
-def _apply_phi(react, psi, conv_sign, G, lat, order):
-    P, Q = _double_parts(react * G, lat, order)
+def _apply_phi(react, psi, conv_sign, G, lat):
+    P, Q = _double_parts(react * G, lat)
     out = 0.25 * P + 0.5 * Q[:, None]
     if psi is not None:
-        P3, E = _triple_parts(G, psi, lat, order)
-        out += conv_sign * (0.25 * P3 + 0.5 * cumquad(E, lat.delta, order=order)[:, None])
+        P3, E = _triple_parts(G, psi, lat)
+        out += conv_sign * (0.25 * P3 + 0.5 * cumquad(E, lat.delta)[:, None])
     return out
 
 
@@ -422,11 +417,9 @@ class KernelGrid:
 
     orientation: str
     n_xi: int
-    pad: int
     delta: float
     lambda0: float
     bound_M: float
-    order: int
     values_xieta: np.ndarray
     values_xy: np.ndarray
     trace_diag: np.ndarray
@@ -447,32 +440,21 @@ class KernelGrid:
 
     @property
     def lattice(self) -> ChartLattice:
-        return ChartLattice(self.n_xi, self.pad)
+        return ChartLattice(self.n_xi)
 
     def tri_mask(self) -> np.ndarray:
         return np.tril(np.ones((self.n_eta, self.n_eta), dtype=bool))
 
     def kx_xy(self) -> np.ndarray:
         """k_x on the values_xy grid via chain-rule lattice differences."""
-        kx_chart = self._kx_chart()
-        m = np.arange(self.n_eta)
-        return np.where(self.tri_mask(), kx_chart[m[:, None] - m[None, :],
-                                                  m[:, None] + m[None, :]], 0.0)
+        return _triangle(_kx_chart(self.values_xieta, self.delta))
 
-    def _kx_chart(self) -> np.ndarray:
-        G = self.values_xieta
-        gxi = np.gradient(G, self.delta, axis=1, edge_order=2)
-        geta = np.gradient(G, self.delta, axis=0, edge_order=2)
-        return gxi + geta
-
-    def values_at(self, x, y, order: int | None = None) -> np.ndarray:
+    def values_at(self, x, y) -> np.ndarray:
         """Kernel values at arbitrary triangle points.
 
         Exact lattice reads when the points sit on the chart lattice;
-        otherwise separable Lagrange interpolation (cubic for order 4,
-        linear for order 2).
+        otherwise separable cubic Lagrange interpolation.
         """
-        order = self.order if order is None else order
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         u = (x + y) / self.delta
@@ -483,9 +465,25 @@ class KernelGrid:
         on_lattice = (np.abs(u - iu) < 1e-9) & (np.abs(v - iv) < 1e-9)
         if np.all(on_lattice):
             return G[iv, iu]
-        if order >= 4:
-            return _lagrange4_2d(G, u, v)
-        return _bilinear_2d(G, u, v)
+        return _lagrange4_2d(G, u, v)
+
+
+def _triangle(chart: np.ndarray) -> np.ndarray:
+    """Chart-lattice values read onto the triangle grid x_m = m delta.
+
+    (x_a, y_b) is the chart node (eta, xi) = (a - b, a + b); zero above the
+    diagonal.
+    """
+    m = np.arange(chart.shape[0])
+    return np.where(m[:, None] >= m[None, :], chart[m[:, None] - m[None, :],
+                                                    m[:, None] + m[None, :]], 0.0)
+
+
+def _kx_chart(G: np.ndarray, delta: float) -> np.ndarray:
+    """k_x = G_xi + G_eta on the chart lattice, second-order differences."""
+    gxi = np.gradient(G, delta, axis=1, edge_order=2)
+    geta = np.gradient(G, delta, axis=0, edge_order=2)
+    return gxi + geta
 
 
 def _lagrange_w(s: np.ndarray) -> np.ndarray:
@@ -511,41 +509,23 @@ def _lagrange4_2d(G, u, v):
     return out
 
 
-def _bilinear_2d(G, u, v):
-    nj, ni = G.shape
-    bu = np.clip(np.floor(u).astype(int), 0, ni - 2)
-    bv = np.clip(np.floor(v).astype(int), 0, nj - 2)
-    su = u - bu
-    sv = v - bv
-    return ((1 - sv) * (1 - su) * G[bv, bu] + (1 - sv) * su * G[bv, bu + 1]
-            + sv * (1 - su) * G[bv + 1, bu] + sv * su * G[bv + 1, bu + 1])
-
-
-def _build_grid(problem, lat, G, M, iterations, increments, n_cert, order) -> KernelGrid:
-    n_eta = lat.n_eta
-    m = np.arange(n_eta)
-    tri = np.tril(np.ones((n_eta, n_eta), dtype=bool))
-    values_xy = np.where(tri, G[m[:, None] - m[None, :], m[:, None] + m[None, :]], 0.0)
-    trace_diag = G[0, 2 * m]
-    grid = KernelGrid(
+def _build_grid(problem, lat, G, M, iterations, increments, n_cert) -> KernelGrid:
+    values_xy = _triangle(G)
+    return KernelGrid(
         orientation=problem.orientation,
         n_xi=lat.n_xi,
-        pad=lat.pad,
         delta=lat.delta,
         lambda0=problem.lambda0,
         bound_M=M,
-        order=order,
         values_xieta=G,
         values_xy=values_xy,
-        trace_diag=trace_diag,
-        trace_kx1=np.zeros(n_eta),
+        trace_diag=np.diag(values_xy).copy(),
+        trace_kx1=_triangle(_kx_chart(G, lat.delta))[-1].copy(),
         iterations_used=iterations,
         final_increment=increments[-1] if increments else 0.0,
         increments=tuple(increments),
         n_certified=n_cert,
     )
-    object.__setattr__(grid, "trace_kx1", kernel_derivative_x(grid))
-    return grid
 
 
 def picard_solve(
@@ -553,7 +533,6 @@ def picard_solve(
     n_xi: int = 201,
     tol: float = 1e-10,
     max_iter: int = 80,
-    order: int = 4,
     initial_values: np.ndarray | None = None,
 ) -> KernelGrid:
     """Solve the kernel integral equation by successive approximation.
@@ -572,7 +551,7 @@ def picard_solve(
     react = problem.reaction_chart(XI, ETA)
     fam = problem.spec.family
     psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-    G0 = _g0_lattice(problem, lat, order)
+    G0 = _g0_lattice(problem, lat)
     M = bound_constant_M(problem.spec)
     n_cert = 0
     while tail_bound(n_cert, M, 2.0, 0.0) >= tol:
@@ -590,7 +569,7 @@ def picard_solve(
         if n >= n_cert and initial_values is None:
             converged = True
             break
-        G_next = G0 + _apply_phi(react, psi, problem.conv_sign, G, lat, order)
+        G_next = G0 + _apply_phi(react, psi, problem.conv_sign, G, lat)
         inc = float(np.max(np.abs((G_next - G)[region])))
         increments.append(inc)
         G = G_next
@@ -605,14 +584,14 @@ def picard_solve(
             "the grid is too coarse for this tolerance",
             last_increment=increments[-1],
         )
-    return _build_grid(problem, lat, G, M, n, increments, n_cert, order)
+    return _build_grid(problem, lat, G, M, n, increments, n_cert)
 
 
 def solve_inverse_kernel(
-    spec: ProblemSpec, n_xi: int = 201, tol: float = 1e-10, max_iter: int = 80, order: int = 4
+    spec: ProblemSpec, n_xi: int = 201, tol: float = 1e-10, max_iter: int = 80
 ) -> KernelGrid:
     """Inverse-kernel counterpart of :func:`picard_solve`."""
-    return picard_solve(GoursatProblem.inverse(spec), n_xi, tol, max_iter, order)
+    return picard_solve(GoursatProblem.inverse(spec), n_xi, tol, max_iter)
 
 
 # --------------------------------------------------------------------------
@@ -628,10 +607,7 @@ def kernel_derivative_x(grid: KernelGrid) -> np.ndarray:
     """
     if grid.n_xi < MIN_N_XI:
         raise ValueError(f"grid too coarse: n_xi >= {MIN_N_XI} required")
-    kx_chart = grid._kx_chart()
-    n = grid.n_eta
-    idx = np.arange(n)
-    return kx_chart[n - 1 - idx, n - 1 + idx]
+    return grid.kx_xy()[-1]
 
 
 def kernel_constants(k: KernelGrid, l: KernelGrid) -> KernelConstants:
@@ -684,7 +660,7 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     st = int(round(h / d))
     if st < 1 or abs(st * d - h) > 1e-9 * max(h, d):
         raise ValueError("h must be a positive multiple of the lattice spacing")
-    if 2 * st > grid.pad:
+    if 2 * st > _PAD:
         raise ValueError("verification spacing too large for the lattice padding")
     G = grid.values_xieta
     Gs = G[::st]
@@ -698,7 +674,7 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     if not fam.f_is_zero:
         Y = (XI - ETA) / 2.0
         F = np.asarray(fam.f_poly)
-        W = volterra_matrix(len(Gs), st * d, grid.order)
+        W = volterra_matrix(len(Gs), st * d)
         conv = sum(Y[::st] ** q * _line_sum(W, npoly.polyval(Y, F[:, q]) * G, st)
                    for q in range(F.shape[1]))
         # conv has the strided rows only

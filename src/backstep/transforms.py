@@ -3,8 +3,8 @@
 The forward map adds a lower-triangular integral of the kernel k, the
 inverse map subtracts the analogous l-integral; composing the two is the
 identity in the continuum.  Profiles live on uniform grids of [0, 1].
-When the profile spacing is an integer multiple of the kernel-lattice
-spacing, kernel values are read off the lattice exactly; otherwise they
+When the profile spacing is an integer multiple of the kernel's triangle
+grid spacing, kernel values are strided reads of that grid; otherwise they
 are interpolated.
 """
 from __future__ import annotations
@@ -50,63 +50,83 @@ class Profile:
         return np.linspace(0.0, 1.0, self.grid_m)
 
 
-def kernel_matrix(k: KernelGrid, grid_m: int, order: int | None = None) -> np.ndarray:
+def _grid_step(k: KernelGrid, grid_m: int) -> int | None:
+    """Stride of a profile grid on the kernel's triangle grid, None if it is not one."""
+    ratio = (k.n_eta - 1) / (grid_m - 1)
+    step = int(round(ratio))
+    return step if step >= 1 and abs(ratio - step) < 1e-9 else None
+
+
+def kernel_matrix(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Kernel values k(x_i, y_j) on a profile grid, zero above the diagonal."""
+    step = _grid_step(k, grid_m)
+    if step is not None:
+        return k.values_xy[::step, ::step].copy()
     x = np.linspace(0.0, 1.0, grid_m)
     ii, jj = np.meshgrid(x, x, indexing="ij")
-    vals = np.where(jj <= ii, k.values_at(ii, np.minimum(jj, ii), order=order), 0.0)
-    return vals
+    return np.where(jj <= ii, k.values_at(ii, np.minimum(jj, ii)), 0.0)
 
 
 def forward_transform(w: Profile, k: KernelGrid, order: int = 4) -> Profile:
-    """u(x) = w(x) + int_0^x k(x, y) w(y) dy per grid node."""
-    K = kernel_matrix(k, w.grid_m, order=order)
+    """u(x) = w(x) + int_0^x k(x, y) w(y) dy per grid node.
+
+    ``order`` (2 or 4) selects the Volterra quadrature weights.
+    """
+    K = kernel_matrix(k, w.grid_m)
     W = volterra_matrix(w.grid_m, w.h, order)
     return Profile(w.grid_m, w.values + (W * K) @ w.values)
 
 
 def inverse_transform(u: Profile, l: KernelGrid, order: int = 4) -> Profile:
-    """w(x) = u(x) - int_0^x l(x, y) u(y) dy per grid node."""
-    L = kernel_matrix(l, u.grid_m, order=order)
+    """w(x) = u(x) - int_0^x l(x, y) u(y) dy per grid node.
+
+    ``order`` (2 or 4) selects the Volterra quadrature weights.
+    """
+    L = kernel_matrix(l, u.grid_m)
     W = volterra_matrix(u.grid_m, u.h, order)
     return Profile(u.grid_m, u.values - (W * L) @ u.values)
 
 
-def initial_target_data(w0: Profile, k: KernelGrid, order: int = 4) -> Profile:
+def initial_target_data(w0: Profile, k: KernelGrid) -> Profile:
     """Target-system initial datum: the forward transform of w0."""
-    return forward_transform(w0, k, order)
+    return forward_transform(w0, k)
 
 
 def kx1_on_grid(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Trace k_x(1, y) resampled onto a profile grid."""
     if np.size(k.trace_kx1) == 0 or not np.all(np.isfinite(k.trace_kx1)):
         raise RuntimeError("kernel grid has no derivative trace")
-    ratio = (k.n_eta - 1) / (grid_m - 1)
-    step = int(round(ratio))
-    if step >= 1 and abs(ratio - step) < 1e-9:
+    step = _grid_step(k, grid_m)
+    if step is not None:
         return k.trace_kx1[::step].copy()
     from scipy.interpolate import CubicSpline
 
     return CubicSpline(k.x_nodes, k.trace_kx1)(np.linspace(0.0, 1.0, grid_m))
 
 
-def feedback_row(k: KernelGrid, grid_m: int, order: int = 4) -> np.ndarray:
+def feedback_row(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Row r of the discrete feedback U = r . w on a profile grid.
 
     Quadrature of U = -k(1,1) w(1) - int_0^1 k_x(1, y) w(y) dy.
     """
     h = 1.0 / (grid_m - 1)
-    r = -(composite_weights(grid_m, order) * h) * kx1_on_grid(k, grid_m)
+    r = -(composite_weights(grid_m) * h) * kx1_on_grid(k, grid_m)
     r[-1] -= float(k.trace_diag[-1])
     return r
 
 
-def control_input(w: Profile, k: KernelGrid, order: int = 4) -> float:
+def control_input(w: Profile, k: KernelGrid) -> float:
     """Boundary feedback U = -k(1,1) w(1) - int_0^1 k_x(1, y) w(y) dy."""
-    return float(feedback_row(k, w.grid_m, order) @ w.values)
+    return float(feedback_row(k, w.grid_m) @ w.values)
 
 
-def make_compatible(w0: Profile, k: KernelGrid, order: int = 4) -> tuple[Profile, float]:
+def flux_residual(w: Profile, k: KernelGrid) -> float:
+    """w_x(1) - U: second-order one-sided derivative at x = 1 minus the feedback."""
+    v, h = w.values, w.h
+    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)) - control_input(w, k)
+
+
+def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     """Shift w0 by a multiple of x^2/2 so the flux condition holds at x = 1.
 
     Solves the one-parameter equation matching the one-sided boundary
@@ -115,21 +135,10 @@ def make_compatible(w0: Profile, k: KernelGrid, order: int = 4) -> tuple[Profile
     at x = 0 untouched (the shift function is flat there).
     """
     s = Profile(w0.grid_m, 0.5 * w0.x ** 2)
-    r = feedback_row(k, w0.grid_m, order)
-
-    def flux_residual(p: Profile) -> float:
-        return _edge_derivative(p) - float(r @ p.values)
-
-    r0 = flux_residual(w0)
-    rs = flux_residual(s)
+    r0 = flux_residual(w0, k)
+    rs = flux_residual(s, k)
     if abs(rs) < 1e-14:
         raise RuntimeError("compatibility shift is degenerate for this kernel")
     gamma = -r0 / rs
     adjusted = Profile(w0.grid_m, w0.values + gamma * s.values)
     return adjusted, gamma
-
-
-def _edge_derivative(p: Profile) -> float:
-    """Second-order one-sided derivative at x = 1."""
-    v, h = p.values, p.h
-    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))

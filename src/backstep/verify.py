@@ -26,7 +26,7 @@ from .kernel import (
     series_oracle,
     solve_inverse_kernel,
 )
-from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
+from .norms import NormTrace, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from .simulator import (
     CompatibilityReport,
     SimConfig,
@@ -72,8 +72,8 @@ def stability_constant_C2(p: float, alphas, betas, C1: float):
     return float(C2), float(gamma1), float(gamma2)
 
 
-def stability_constants_inf(alphas, betas):
-    """Max-norm constants (C3, C4).
+def _constants_inf(alphas, betas) -> dict:
+    """Max-norm constants C3 ("lp") and C4 ("w1p") with their gamma3, gamma4.
 
     gamma3 follows the four-branch table in alpha1, beta1 (the <= 1
     branches cover the zero-kernel edge); the L^inf constant feeding C4
@@ -85,7 +85,13 @@ def stability_constants_inf(alphas, betas):
     C3 = 4.0 * gamma3
     gamma4 = max(1.0, b2 + b3)
     C4 = max(9.0 * gamma4, C3 + 9.0 * gamma4 * (1 + a1 + a2 + a3))
-    return float(C3), float(C4)
+    return {"lp": float(C3), "w1p": float(C4), "gamma3": gamma3, "gamma4": gamma4}
+
+
+def stability_constants_inf(alphas, betas):
+    """Max-norm constants (C3, C4); see :func:`_constants_inf`."""
+    c = _constants_inf(alphas, betas)
+    return c["lp"], c["w1p"]
 
 
 def constants_for_p(p: float, con: KernelConstants) -> dict:
@@ -93,10 +99,7 @@ def constants_for_p(p: float, con: KernelConstants) -> dict:
     a = (con.alpha1, con.alpha2, con.alpha3)
     b = (con.beta1, con.beta2, con.beta3)
     if np.isinf(p):
-        C3, C4 = stability_constants_inf(a, b)
-        gamma3 = max(1.0, con.alpha1) * max(1.0, con.beta1)
-        gamma4 = max(1.0, con.beta2 + con.beta3)
-        return {"lp": C3, "w1p": C4, "gamma3": gamma3, "gamma4": gamma4}
+        return _constants_inf(a, b)
     C1 = stability_constant_C1(p, con.alpha1, con.beta1)
     C2, g1, g2 = stability_constant_C2(p, a, (con.beta2, con.beta3), C1)
     return {"lp": C1, "w1p": C2, "gamma1": g1, "gamma2": g2}
@@ -239,6 +242,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.p_list) == 0 or any(not (p >= 1.0) for p in self.p_list):
             raise ConfigError("p_list must be non-empty with every p >= 1")
+        if any(not (tau > 0.0) for tau in self.tau_list):
+            raise ConfigError(f"every tau in tau_list must be > 0, got {self.tau_list}")
+        if not (0.0 <= self.skip_fraction < 1.0):
+            raise ConfigError(f"skip_fraction must lie in [0, 1), got {self.skip_fraction}")
+        if not (self.slack >= 1.0):
+            raise ConfigError(f"slack must be >= 1, got {self.slack}")
 
 
 def _floats(text: str) -> tuple:
@@ -438,14 +447,10 @@ def continuous_dependence_experiment(
 
 def _alf_envelope_check(spec, lam, traj: Trajectory, p: float, tau: float, slack: float):
     """Gronwall envelope domination of the smoothed functional trace."""
-    m = traj.grid_m
-    x = traj.x
-    z = np.array([alf(Profile(m, row), p, tau) for row in traj.fields])
-    lam_xt = np.array([
-        spec.lambda0 - spec.family.c1(x) - spec.family.c2(t) for t in traj.times
-    ])
+    z = norm_trace(traj, p, "alf", tau).values
+    lam_xt = spec.lambda0 - spec.family.c1(traj.x) - spec.family.c2(traj.times)[:, None]
     psi1 = 0.375 * p * np.trapezoid(
-        lam_xt * rho(traj.fields, tau) ** (p - 1), dx=1.0 / (m - 1), axis=1
+        lam_xt * rho(traj.fields, tau) ** (p - 1), dx=1.0 / (traj.grid_m - 1), axis=1
     )
     env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi1, traj.times)
     ok = bool(np.all(z <= slack * env + 1e-250))

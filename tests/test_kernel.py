@@ -259,7 +259,7 @@ class TestPicard:
         bump = np.sin(np.pi * XI / 2.0) * np.cos(ETA)  # smooth, sup <= 1
         from backstep.kernel import _g0_lattice  # start iterate = G0 + bump
 
-        g0 = _g0_lattice(prob, lat, 4)
+        g0 = _g0_lattice(prob, lat)
         pert = picard_solve(prob, n_xi=65, tol=tol, max_iter=120,
                             initial_values=g0 + bump)
         reg = lat.region_mask()

@@ -11,6 +11,8 @@ from backstep.transforms import (
     forward_transform,
     initial_target_data,
     inverse_transform,
+    kernel_matrix,
+    kx1_on_grid,
     make_compatible,
 )
 
@@ -79,6 +81,28 @@ class TestForward:
         u1 = forward_transform(Profile(m, base), k).values
         u2 = forward_transform(Profile(m, tail_change), k).values
         assert np.array_equal(u1[: cut + 1], u2[: cut + 1])
+
+
+class TestKernelRead:
+    """Profile grids that stride the triangle grid read it; others interpolate."""
+
+    @pytest.mark.parametrize("m", [101, 51, 81])  # steps 1 and 2, then off-lattice
+    def test_kernel_matrix_equals_values_at(self, kernels_rx2_201, m):
+        x = np.linspace(0.0, 1.0, m)
+        ii, jj = np.meshgrid(x, x, indexing="ij")
+        for grid in kernels_rx2_201:
+            expect = np.where(jj <= ii, grid.values_at(ii, np.minimum(jj, ii)), 0.0)
+            assert np.array_equal(kernel_matrix(grid, m), expect)
+
+    @pytest.mark.parametrize("m, step", [(101, 1), (51, 2)])
+    def test_kx1_on_grid_is_strided_row(self, kernels_rx2_201, m, step):
+        for grid in kernels_rx2_201:
+            assert np.array_equal(kx1_on_grid(grid, m), grid.kx_xy()[-1][::step])
+
+    def test_traces_are_triangle_rows(self, kernels_rx2_201):
+        for grid in kernels_rx2_201:
+            assert np.array_equal(grid.trace_kx1, grid.kx_xy()[-1])
+            assert np.array_equal(grid.trace_diag, np.diag(grid.values_xy))
 
 
 class TestInverse:

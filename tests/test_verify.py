@@ -415,7 +415,8 @@ class TestCli:
 
     def test_open_loop_solves_no_kernel(self, tmp_path):
         path = tmp_path / "s.ini"
-        path.write_text(DEFAULT_INI.read_text().replace("max_iter = 80", "max_iter = 1"))
+        path.write_text(DEFAULT_INI.read_text().replace("max_iter = 80", "max_iter = 1")
+                        .replace("t_end = 2.0", "t_end = 0.05"))
         assert cli_main(["simulate", "--config", str(path), "--open-loop",
                          "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "closed_loop.csv").exists()
@@ -454,3 +455,12 @@ class TestCli:
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
         assert cli_main(["kernel", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("old, new", [("tau_list = 1e-1 1e-2", "tau_list = 0"),
+                                          ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 -1e-2"),
+                                          ("skip_fraction = 0.1", "skip_fraction = 1.5"),
+                                          ("slack = 1.05", "slack = 0.5")])
+    def test_bad_verify_settings_exit(self, tmp_path, old, new):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
+        assert cli_main(["verify", "--config", str(path)]) == 2

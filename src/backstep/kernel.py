@@ -449,6 +449,16 @@ class KernelGrid:
         """k_x on the values_xy grid via chain-rule lattice differences."""
         return _triangle(_kx_chart(self.values_xieta, self.delta))
 
+    def node_index(self, t) -> np.ndarray | None:
+        """Indices t / delta of coordinates t on the delta-spaced lattice.
+
+        None unless every coordinate is within 1e-9 of a lattice node: the
+        one test of whether a read is exact or interpolated.
+        """
+        s = np.asarray(t, dtype=float) / self.delta
+        i = np.rint(s).astype(int)
+        return i if np.all(np.abs(s - i) < 1e-9) else None
+
     def values_at(self, x, y) -> np.ndarray:
         """Kernel values at arbitrary triangle points.
 
@@ -457,15 +467,11 @@ class KernelGrid:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        u = (x + y) / self.delta
-        v = (x - y) / self.delta
-        G = self.values_xieta
-        iu = np.rint(u).astype(int)
-        iv = np.rint(v).astype(int)
-        on_lattice = (np.abs(u - iu) < 1e-9) & (np.abs(v - iv) < 1e-9)
-        if np.all(on_lattice):
-            return G[iv, iu]
-        return _lagrange4_2d(G, u, v)
+        iu = self.node_index(x + y)
+        iv = self.node_index(x - y)
+        if iu is not None and iv is not None:
+            return self.values_xieta[iv, iu]
+        return _lagrange4_2d(self.values_xieta, (x + y) / self.delta, (x - y) / self.delta)
 
 
 def _triangle(chart: np.ndarray) -> np.ndarray:
@@ -607,7 +613,7 @@ def kernel_derivative_x(grid: KernelGrid) -> np.ndarray:
     """
     if grid.n_xi < MIN_N_XI:
         raise ValueError(f"grid too coarse: n_xi >= {MIN_N_XI} required")
-    return grid.kx_xy()[-1]
+    return grid.trace_kx1.copy()
 
 
 def kernel_constants(k: KernelGrid, l: KernelGrid) -> KernelConstants:

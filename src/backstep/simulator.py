@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dgtsv
 from ._quad import volterra_matrix
 from .coefficients import ProblemSpec
 from .kernel import KernelGrid
-from .transforms import Profile, feedback_row, flux_residual
+from .transforms import Profile, _edge_derivative, control_input, feedback_row
 
 BLOWUP_FACTOR = 1e6
 
@@ -98,7 +98,7 @@ def check_compatibility(w0: Profile, k: KernelGrid, tol: float = 1e-3) -> Compat
     """
     v, h = w0.values, w0.h
     left = abs((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
-    right = abs(flux_residual(w0, k))
+    right = abs(_edge_derivative(w0) - control_input(w0, k))
     return CompatibilityReport(left < tol and right < tol, float(left), float(right))
 
 

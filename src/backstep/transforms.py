@@ -3,9 +3,9 @@
 The forward map adds a lower-triangular integral of the kernel k, the
 inverse map subtracts the analogous l-integral; composing the two is the
 identity in the continuum.  Profiles live on uniform grids of [0, 1].
-When the profile spacing is an integer multiple of the kernel's triangle
-grid spacing, kernel values are strided reads of that grid; otherwise they
-are interpolated.
+Kernel values are exact lattice reads when the profile nodes sit on the
+kernel's lattice (``KernelGrid.node_index``); otherwise they are
+interpolated.
 """
 from __future__ import annotations
 
@@ -50,18 +50,8 @@ class Profile:
         return np.linspace(0.0, 1.0, self.grid_m)
 
 
-def _grid_step(k: KernelGrid, grid_m: int) -> int | None:
-    """Stride of a profile grid on the kernel's triangle grid, None if it is not one."""
-    ratio = (k.n_eta - 1) / (grid_m - 1)
-    step = int(round(ratio))
-    return step if step >= 1 and abs(ratio - step) < 1e-9 else None
-
-
 def kernel_matrix(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Kernel values k(x_i, y_j) on a profile grid, zero above the diagonal."""
-    step = _grid_step(k, grid_m)
-    if step is not None:
-        return k.values_xy[::step, ::step].copy()
     x = np.linspace(0.0, 1.0, grid_m)
     ii, jj = np.meshgrid(x, x, indexing="ij")
     return np.where(jj <= ii, k.values_at(ii, np.minimum(jj, ii)), 0.0)
@@ -96,12 +86,13 @@ def kx1_on_grid(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Trace k_x(1, y) resampled onto a profile grid."""
     if np.size(k.trace_kx1) == 0 or not np.all(np.isfinite(k.trace_kx1)):
         raise RuntimeError("kernel grid has no derivative trace")
-    step = _grid_step(k, grid_m)
-    if step is not None:
-        return k.trace_kx1[::step].copy()
+    y = np.linspace(0.0, 1.0, grid_m)
+    idx = k.node_index(y)
+    if idx is not None:
+        return k.trace_kx1[idx]
     from scipy.interpolate import CubicSpline
 
-    return CubicSpline(k.x_nodes, k.trace_kx1)(np.linspace(0.0, 1.0, grid_m))
+    return CubicSpline(k.x_nodes, k.trace_kx1)(y)
 
 
 def feedback_row(k: KernelGrid, grid_m: int) -> np.ndarray:
@@ -120,12 +111,6 @@ def control_input(w: Profile, k: KernelGrid) -> float:
     return float(feedback_row(k, w.grid_m) @ w.values)
 
 
-def flux_residual(w: Profile, k: KernelGrid) -> float:
-    """w_x(1) - U: second-order one-sided derivative at x = 1 minus the feedback."""
-    v, h = w.values, w.h
-    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)) - control_input(w, k)
-
-
 def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     """Shift w0 by a multiple of x^2/2 so the flux condition holds at x = 1.
 
@@ -135,10 +120,21 @@ def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     at x = 0 untouched (the shift function is flat there).
     """
     s = Profile(w0.grid_m, 0.5 * w0.x ** 2)
-    r0 = flux_residual(w0, k)
-    rs = flux_residual(s, k)
+    r = feedback_row(k, w0.grid_m)
+
+    def flux_residual(p: Profile) -> float:
+        return _edge_derivative(p) - float(r @ p.values)
+
+    r0 = flux_residual(w0)
+    rs = flux_residual(s)
     if abs(rs) < 1e-14:
         raise RuntimeError("compatibility shift is degenerate for this kernel")
     gamma = -r0 / rs
     adjusted = Profile(w0.grid_m, w0.values + gamma * s.values)
     return adjusted, gamma
+
+
+def _edge_derivative(p: Profile) -> float:
+    """Second-order one-sided derivative at x = 1."""
+    v, h = p.values, p.h
+    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))

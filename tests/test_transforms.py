@@ -84,20 +84,20 @@ class TestForward:
 
 
 class TestKernelRead:
-    """Profile grids that stride the triangle grid read it; others interpolate."""
-
-    @pytest.mark.parametrize("m", [101, 51, 81])  # steps 1 and 2, then off-lattice
-    def test_kernel_matrix_equals_values_at(self, kernels_rx2_201, m):
-        x = np.linspace(0.0, 1.0, m)
-        ii, jj = np.meshgrid(x, x, indexing="ij")
-        for grid in kernels_rx2_201:
-            expect = np.where(jj <= ii, grid.values_at(ii, np.minimum(jj, ii)), 0.0)
-            assert np.array_equal(kernel_matrix(grid, m), expect)
+    """Profile nodes on the kernel lattice read it exactly; others interpolate."""
 
     @pytest.mark.parametrize("m, step", [(101, 1), (51, 2)])
-    def test_kx1_on_grid_is_strided_row(self, kernels_rx2_201, m, step):
+    def test_on_lattice_grid_is_strided_triangle(self, kernels_rx2_201, m, step):
         for grid in kernels_rx2_201:
+            assert np.array_equal(kernel_matrix(grid, m), grid.values_xy[::step, ::step])
             assert np.array_equal(kx1_on_grid(grid, m), grid.kx_xy()[-1][::step])
+
+    def test_off_lattice_grid_interpolates(self, kernels_rx2_201):
+        # grid_m = 81 on n_eta = 101: every 4th profile node is every 5th lattice node
+        for grid in kernels_rx2_201:
+            K = kernel_matrix(grid, 81)
+            assert np.max(np.abs(K[::4, ::4] - grid.values_xy[::5, ::5])) < 1e-12
+            assert np.max(np.abs(kx1_on_grid(grid, 81)[::4] - grid.trace_kx1[::5])) < 1e-12
 
     def test_traces_are_triangle_rows(self, kernels_rx2_201):
         for grid in kernels_rx2_201:

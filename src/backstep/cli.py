@@ -15,7 +15,7 @@ import numpy as np
 from .coefficients import ValidationError, lambda_lower, validate
 from .kernel import ConvergenceError, GoursatProblem, picard_solve, residual, solve_inverse_kernel
 from .simulator import DivergenceError, simulate_closed_loop, simulate_target
-from .transforms import initial_target_data, make_compatible
+from .transforms import TransformError, initial_target_data, make_compatible
 from .verify import (
     ConfigError,
     ScenarioConfig,
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, DivergenceError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, DivergenceError, TransformError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -73,6 +73,18 @@ class CoefficientFamily:
             out = self.c2_a * np.sin(self.c2_b * t) * np.exp(-t)
         return out if out.ndim else float(out)
 
+    def c2_integral(self, t):
+        """C2(t) = int_0^t c2(s) ds (closed form per family)."""
+        t = np.asarray(t, dtype=float)
+        a, b = self.c2_a, self.c2_b
+        if self.c2_kind == "constant":
+            out = a * t
+        elif self.c2_kind == "exp_decay":
+            out = -(a / b) * np.expm1(-b * t)
+        else:
+            out = a * (b - np.exp(-t) * (np.sin(b * t) + b * np.cos(b * t))) / (1.0 + b * b)
+        return out if out.ndim else float(out)
+
     def f(self, x, y):
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         out = npoly.polyval2d(xb, yb, np.asarray(self.f_poly))

@@ -17,6 +17,10 @@ from ._quad import composite_weights, volterra_matrix
 from .kernel import KernelGrid
 
 
+class TransformError(RuntimeError):
+    """A kernel grid cannot supply the feedback row or the compatibility shift."""
+
+
 @dataclass(frozen=True)
 class Profile:
     """A spatial field sampled on a uniform grid over [0, 1]."""
@@ -85,7 +89,7 @@ def initial_target_data(w0: Profile, k: KernelGrid) -> Profile:
 def kx1_on_grid(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Trace k_x(1, y) resampled onto a profile grid."""
     if np.size(k.trace_kx1) == 0 or not np.all(np.isfinite(k.trace_kx1)):
-        raise RuntimeError("kernel grid has no derivative trace")
+        raise TransformError("kernel grid has no derivative trace")
     y = np.linspace(0.0, 1.0, grid_m)
     idx = k.node_index(y)
     if idx is not None:
@@ -128,7 +132,7 @@ def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     r0 = flux_residual(w0)
     rs = flux_residual(s)
     if abs(rs) < 1e-14:
-        raise RuntimeError("compatibility shift is degenerate for this kernel")
+        raise TransformError("compatibility shift is degenerate for this kernel")
     gamma = -r0 / rs
     adjusted = Profile(w0.grid_m, w0.values + gamma * s.values)
     return adjusted, gamma

@@ -22,6 +22,23 @@ def spec_of(c1=(0.0,), kind="constant", a=0.0, b=0.0, lambda0=1.0, horizon=2.0):
                        lambda0=lambda0, horizon=horizon)
 
 
+class TestC2Integral:
+    @pytest.mark.parametrize("kind, a, b", [("constant", 1.7, 0.0), ("constant", -2.0, 0.0),
+                                            ("exp_decay", 1.3, 0.4), ("exp_decay", -0.8, 5.0),
+                                            ("damped_osc", 1.0, 2.0), ("damped_osc", -1.5, 3.0),
+                                            ("damped_osc", 0.5, -4.0)])
+    def test_matches_quadrature(self, kind, a, b):
+        from scipy.integrate import quad
+
+        fam = CoefficientFamily(c2_kind=kind, c2_a=a, c2_b=b)
+        ts = np.array([0.0, 1e-3, 0.3, 1.0, 2.5, 7.0])
+        closed = fam.c2_integral(ts)
+        for t, value in zip(ts, closed):
+            ref = quad(fam.c2, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            assert abs(value - ref) < 1e-12, (t, value, ref)
+        assert fam.c2_integral(0.0) == 0.0
+
+
 class TestEvalC:
     def test_zero_coefficients(self):
         s = spec_of()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
+from backstep import simulator
 from backstep.norms import lp_norm
 from backstep.simulator import (
     DivergenceError,
@@ -27,8 +28,6 @@ class TestSimConfig:
             SimConfig(grid_m=2)
         with pytest.raises(ValueError):
             SimConfig(dt=-1.0)
-        with pytest.raises(ValueError):
-            SimConfig(scheme="explicit_euler")
 
     def test_timestep_warning(self):
         with pytest.warns(UserWarning):
@@ -151,17 +150,55 @@ class TestClosedLoop:
 
         k = picard_solve(GoursatProblem.direct(ProblemSpec(CoefficientFamily(), lambda0=0.0)),
                          n_xi=65, tol=1e-10, max_iter=5)
-        cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=100)
-        with pytest.raises(DivergenceError):
-            simulate_closed_loop(spec, k, Profile(51, np.ones(51)), cfg, open_loop=True)
-        # every step is checked, not only the recorded ones: with a stride
-        # beyond the horizon the error still names the first crossing,
-        # t = ln(1e6) / 30 ~ 0.46
-        cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=cfg.n_steps + 1)
-        with pytest.raises(DivergenceError, match=r"at t = ") as err:
-            simulate_closed_loop(spec, k, Profile(51, np.ones(51)), cfg, open_loop=True)
-        t_hit = float(re.search(r"at t = (\S+) ", str(err.value)).group(1))
-        assert t_hit < 0.5 * cfg.t_end
+        # every step is checked, not only the recorded ones: at a stride
+        # of 100 and with a stride beyond the horizon the error names the
+        # first crossing, t = ln(1e6) / 30 = 0.46052 -> step 4606
+        for stride in (100, 10001):
+            cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=stride)
+            with pytest.raises(DivergenceError, match=r"at t = ") as err:
+                simulate_closed_loop(spec, k, Profile(51, np.ones(51)), cfg, open_loop=True)
+            t_hit = float(re.search(r"at t = (\S+) ", str(err.value)).group(1))
+            assert t_hit == 0.4606, stride
+
+    def test_near_threshold_steps_through(self, null_kernel, monkeypatch):
+        # exp(30 * 0.45) = 7.3e5 stays below the 1e6 threshold: no error,
+        # but the bound K exp(C2) sup|v| cannot rule a crossing out, so the
+        # last records are advanced one checked step at a time
+        stepped = []
+
+        def spy(A, v, growth, start, n, limit, dt):
+            stepped.append(n)
+            return step_checked(A, v, growth, start, n, limit, dt)
+
+        step_checked = simulator._step_checked
+        monkeypatch.setattr(simulator, "_step_checked", spy)
+        spec = ProblemSpec(CoefficientFamily(c2_kind="constant", c2_a=30.0), lambda0=31.0)
+        cfg = SimConfig(grid_m=101, dt=1e-3, t_end=0.45, record_stride=100)
+        traj = simulate_closed_loop(spec, null_kernel, Profile(101, np.ones(101)), cfg,
+                                    open_loop=True)
+        assert stepped
+        exact = np.exp(30.0 * traj.times)
+        assert np.max(np.abs(traj.fields / exact[:, None] - 1.0)) < 1e-4
+
+    @pytest.mark.parametrize("f_poly", [((0.0,),), ((1.0, 0.0), (0.0, 1.0))],
+                             ids=["f0", "f1+xy"])
+    def test_record_stride_invariance(self, f_poly):
+        """One power per record equals the same steps taken one at a time."""
+        from backstep.kernel import GoursatProblem, picard_solve
+
+        spec = ProblemSpec(
+            CoefficientFamily(c1_poly=(0.0, 0.0, 1.0), c2_kind="exp_decay", c2_a=1.0,
+                              c2_b=1.0, f_poly=f_poly),
+            lambda0=3.0,
+        )
+        k = picard_solve(GoursatProblem.direct(spec), n_xi=101, tol=1e-10, max_iter=80)
+        w0 = Profile.from_function(lambda x: np.cos(np.pi * x), 101)
+        runs = [simulate_closed_loop(spec, k, w0, SimConfig(grid_m=101, dt=1e-4, t_end=0.1,
+                                                            record_stride=stride))
+                for stride in (1, 100)]
+        every, sparse = runs
+        assert np.array_equal(every.times[::100], sparse.times)
+        assert np.max(np.abs(every.fields[::100] - sparse.fields)) < 1e-12
 
     def test_equivalence_with_target(self, kernels_rx2_101):
         # forward transform of the closed-loop run tracks the target run

@@ -464,3 +464,33 @@ class TestCli:
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
         assert cli_main(["verify", "--config", str(path)]) == 2
+
+    def test_unknown_scheme_exit(self, tmp_path):
+        path = tmp_path / "s.ini"
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        path.write_text(text.replace("[sim]\n", "[sim]\nscheme = crank_nicolson\n"))
+        assert load_scenario(str(path)).sim.grid_m == 101
+        path.write_text(text.replace("[sim]\n", "[sim]\nscheme = explicit_euler\n"))
+        assert cli_main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("case", ["no_trace", "degenerate_shift"])
+    def test_unusable_kernel_exit(self, tmp_path, monkeypatch, case):
+        import backstep.cli
+        from backstep.transforms import _edge_derivative
+
+        def broken(*args, **kwargs):
+            k = picard_solve(*args, **kwargs)
+            if case == "no_trace":
+                return dataclasses.replace(k, trace_kx1=np.empty(0))
+            # U = -k(1, 1) w(1) then cancels the edge slope of x^2/2 exactly
+            slope = _edge_derivative(Profile.from_function(lambda x: 0.5 * x ** 2, 101))
+            diag = k.trace_diag.copy()
+            diag[-1] = -2.0 * slope
+            return dataclasses.replace(k, trace_kx1=np.zeros_like(k.trace_kx1), trace_diag=diag)
+
+        picard_solve = backstep.cli.picard_solve
+        monkeypatch.setattr(backstep.cli, "picard_solve", broken)
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
+            "adjust_compatibility = false", "adjust_compatibility = true"))
+        assert cli_main(["simulate", "--config", str(path)]) == 3

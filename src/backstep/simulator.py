@@ -1,31 +1,23 @@
 """Crank-Nicolson time integration of the plant and the target system.
 
-One propagator serves both.  Diffusion is the second-order centered
-Laplacian on a uniform grid with Neumann conditions through second-order
-ghost nodes.  The boundary feedback U = r . w enters through the ghost
-node at x = 1, a rank-one last row of the spatial operator, and the
-plant's Volterra source is one more dense matrix in it.
+One propagator serves both.  The reaction is c(x, t) = c1(x) + c2(t)
+with c2 independent of x, so the integrating factor w = exp(C2(t)) v,
+C2 = int_0^t c2, is exact and v solves the autonomous system v_t = L v.
+L is one dense m x m matrix: the centered Laplacian with second-order
+Neumann ghost nodes, c1 on the diagonal, the boundary feedback
+U = r . w as a rank-one last row through the ghost node at x = 1, and
+the plant's Volterra source.  Crank-Nicolson advances v by the constant
+matrix A = (I - dt/2 L)^{-1} (I + dt/2 L), every term implicit, and a
+record is one product with A^stride from repeated squaring; there is
+no loop over steps.
 
-The reaction is c(x, t) = c1(x) + c2(t) with c2 independent of x, so the
-integrating factor w = exp(C2(t)) v, C2 = int_0^t c2, is exact: v solves
-the autonomous system v_t = L v with the same boundary row.  L is built
-once as a dense m x m matrix, and Crank-Nicolson advances v by the
-constant matrix A = (I - dt/2 L)^{-1} (I + dt/2 L), which keeps the
-scheme second order in dt with every term implicit.  A record is one
-product v <- A^stride v, with A^stride from repeated squaring (and one
-more power for a last partial record); there is no loop over steps.
-
-Divergence is still checked at every step.  K, the product of
-max(1, ||A^(2^i)||_inf) over the squarings, bounds ||A^j||_inf for every
-j up to the stride, so a record whose K max exp(C2) sup|v| stays below
-the blow-up threshold cannot cross it at any step in between.  Any other
-record, NaN included, is advanced one step at a time and the first
-crossing is named exactly.
-
-A is dense: the squarings cost O(m^3 log stride) once and a record
-O(m^2), against O(m) per step for a banded stepper.  That pays at every
-record stride on the default grid_m = 201; at grid_m = 801 it stops
-paying once records are closer than about 4 steps apart (README).
+Divergence is still checked at every step: K, the product of
+max(1, ||A^(2^i)||_inf) over the squarings, bounds every power up to the
+stride, and a record that the bound cannot clear is redone one checked
+step at a time.  The squarings cost O(m^3 log stride) once and a record
+O(m^2), against O(m) per step for a banded stepper: this pays at every
+stride on the default grid_m = 201, but at grid_m = 801 not once records
+are closer than about 4 steps apart (README).
 """
 from __future__ import annotations
 
@@ -120,12 +112,10 @@ def _crank_nicolson(spec: ProblemSpec, w0: Profile, cfg: SimConfig, shift: float
     """Integrate w_t = w_xx + (c(x, t) - shift) w + source @ w, w_x(0) = 0.
 
     The flux at x = 1 is U = row . w (zero without a row); the ghost node
-    turns it into (2/h) U in the last equation.  With w = exp(C2(t)) v the
-    system for v is autonomous, v_t = L v, and Crank-Nicolson advances it
-    by the constant matrix A; a record is v <- A^stride v.  Returns the
-    recorded (times, fields).  Raises DivergenceError on the first step
-    whose sup-norm is not finite or exceeds ``BLOWUP_FACTOR`` times the
-    initial one.
+    turns it into (2/h) U in the last equation.  Returns the recorded
+    (times, fields).  Raises DivergenceError on the first step whose
+    sup-norm is not finite or exceeds ``BLOWUP_FACTOR`` times the initial
+    one.
     """
     m, h, dt = cfg.grid_m, cfg.h, cfg.dt
     if w0.grid_m != m:

@@ -197,6 +197,19 @@ class TestCsvWriters:
                  f"{l.values_xy[m, n]:.15g}"] for m in range(len(xs)) for n in range(m + 1)]
         assert open(path, "rb").read() == self.reference(ref, ["x", "y", "k", "l"], rows)
 
+    def test_blocks_match_savetxt(self, tmp_path, rng):
+        # 2.3 blocks of rows, so both a full and a partial block are written
+        fields = rng.standard_normal((3, 3100)) * np.logspace(-300, 300, 3100)
+        traj = Trajectory(np.array([0.0, 1.0 / 3.0, 2.0]), fields)
+        path = write_trajectory(str(tmp_path), "traj.csv", traj)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            np.savetxt(fh, np.column_stack((np.repeat(traj.times, 3100), np.tile(traj.x, 3),
+                                            fields.ravel())),
+                       fmt=("%.12g", "%.12g", "%.15g"), delimiter=",", header="t,x,value",
+                       comments="", newline="\r\n")
+        assert open(path, "rb").read() == ref.read_bytes()
+
 
 class TestScenario:
     def test_default_runs_and_passes(self, tmp_path):

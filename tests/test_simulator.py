@@ -193,12 +193,14 @@ class TestClosedLoop:
         )
         k = picard_solve(GoursatProblem.direct(spec), n_xi=101, tol=1e-10, max_iter=80)
         w0 = Profile.from_function(lambda x: np.cos(np.pi * x), 101)
-        runs = [simulate_closed_loop(spec, k, w0, SimConfig(grid_m=101, dt=1e-4, t_end=0.1,
-                                                            record_stride=stride))
-                for stride in (1, 100)]
-        every, sparse = runs
-        assert np.array_equal(every.times[::100], sparse.times)
-        assert np.max(np.abs(every.fields[::100] - sparse.fields)) < 1e-12
+        every, *sparse = [
+            simulate_closed_loop(spec, k, w0, SimConfig(grid_m=101, dt=1e-4, t_end=0.1,
+                                                        record_stride=stride))
+            for stride in (1, 100, 300)  # 300: the last record is a partial one
+        ]
+        for traj, steps in zip(sparse, ([*range(0, 1001, 100)], [0, 300, 600, 900, 1000])):
+            assert np.array_equal(traj.times, every.times[steps])
+            assert np.max(np.abs(traj.fields - every.fields[steps])) < 1e-12
 
     def test_equivalence_with_target(self, kernels_rx2_101):
         # forward transform of the closed-loop run tracks the target run

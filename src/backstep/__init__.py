@@ -11,10 +11,6 @@ from .coefficients import (
     CoefficientFamily,
     ProblemSpec,
     ValidationError,
-    eval_c,
-    eval_lambda,
-    eval_mu,
-    eval_phi,
     lambda_lower,
     sup_c,
     validate,
@@ -25,7 +21,6 @@ from .kernel import (
     KernelGrid,
     bound_constant_M,
     kernel_constants,
-    kernel_derivative_x,
     picard_solve,
     residual,
     series_coefficients,
@@ -33,7 +28,7 @@ from .kernel import (
     solve_inverse_kernel,
     tail_bound,
 )
-from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, rho_prime, rho_second, w1p_norm
+from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from .simulator import (
     DivergenceError,
     SimConfig,
@@ -41,7 +36,6 @@ from .simulator import (
     check_compatibility,
     simulate_closed_loop,
     simulate_target,
-    volterra_source,
 )
 from .transforms import (
     Profile,
@@ -62,7 +56,6 @@ from .verify import (
     run_scenario,
     stability_constant_C1,
     stability_constant_C2,
-    stability_constants_inf,
     verify_theorem_bound,
 )
 

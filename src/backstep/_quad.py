@@ -5,9 +5,9 @@ tables take one of two orders:
 
 * ``order=2``: composite trapezoid.
 * ``order=4``: trapezoid with Euler-Maclaurin endpoint corrections
-  (Gregory-type weights for fixed limits), exact for cubics.
+  (Gregory-type weights), exact for cubics.
 
-The kernel solver's fixed and cumulative integrals are fourth order only.
+The kernel solver's cumulative integrals are fourth order only.
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from scipy.integrate import cumulative_trapezoid
 # Closed Newton-Cotes rows used when there are too few nodes for the
 # Gregory end corrections (weights are per unit spacing).
 _SHORT_RULES = {
-    0: np.array([0.0]),
-    1: np.array([0.5, 0.5]),
     2: np.array([1.0, 4.0, 1.0]) / 3.0,
     3: np.array([3.0, 9.0, 9.0, 3.0]) / 8.0,
     4: np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 3.0,
@@ -49,15 +47,6 @@ def composite_weights(n_nodes: int, order: int = 4) -> np.ndarray:
         raise ValueError(f"unsupported quadrature order {order}")
     w.flags.writeable = False
     return w
-
-
-def fixed_quad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Fourth-order integral over the full sample range along ``axis``."""
-    g = np.asarray(g, dtype=float)
-    w = composite_weights(g.shape[axis])
-    shape = [1] * g.ndim
-    shape[axis] = -1
-    return h * np.sum(g * w.reshape(shape), axis=axis)
 
 
 def cumquad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:

@@ -143,43 +143,6 @@ class ProblemSpec:
             raise ValidationError("sup_tolerance must be positive")
 
 
-def _check_domain(x, lo, hi, name):
-    x = np.asarray(x)
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError(f"{name} must lie in [{lo}, {hi}]")
-
-
-def eval_c(spec: ProblemSpec, x, t):
-    """Reaction coefficient c(x, t) = c1(x) + c2(t)."""
-    _check_domain(x, 0.0, 1.0, "x")
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
-    return spec.family.c1(x) + spec.family.c2(t)
-
-
-def _check_triangle(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    if np.any(y < -1e-12) or np.any(x > 1 + 1e-12) or np.any(y > x + 1e-12):
-        raise ValueError("(x, y) must satisfy 0 <= y <= x <= 1")
-
-
-def eval_mu(spec: ProblemSpec, x, y):
-    """Direct-kernel reaction weight lambda0 - c1(x) + c1(y) on the triangle."""
-    _check_triangle(x, y)
-    return spec.lambda0 - spec.family.c1(x) + spec.family.c1(y)
-
-
-def eval_phi(spec: ProblemSpec, x, y):
-    """Inverse-kernel reaction weight -lambda0 - c1(x) + c1(y) on the triangle."""
-    _check_triangle(x, y)
-    return -spec.lambda0 - spec.family.c1(x) + spec.family.c1(y)
-
-
-def eval_lambda(spec: ProblemSpec, x, t):
-    """Target-system reaction lambda(x, t) = lambda0 - c(x, t)."""
-    return spec.lambda0 - eval_c(spec, x, t)
-
-
 def sup_c(spec: ProblemSpec) -> float:
     """Supremum of c over (0,1) x (0, inf).
 

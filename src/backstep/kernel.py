@@ -31,12 +31,11 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quad import cumquad, fixed_quad, volterra_matrix
+from ._quad import cumquad, volterra_matrix
 from .coefficients import ProblemSpec
 
 MIN_N_XI = 33
 _PAD = 8
-_POINT_QUAD_NODES = 129
 
 
 class ConvergenceError(RuntimeError):
@@ -217,55 +216,6 @@ def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     return G0
 
 
-def g_initial(problem: GoursatProblem, xi: float, eta: float) -> float:
-    """Inhomogeneous part G0 of the integral equation at one chart point."""
-    if not (0.0 <= eta <= 1.0 and eta - 1e-12 <= xi <= 2.0 - eta + 1e-12):
-        raise ValueError("(xi, eta) must satisfy 0 <= eta <= 1, eta <= xi <= 2 - eta")
-    fam = problem.spec.family
-    out = 0.25 * problem.lambda0 * (xi + eta)
-    if fam.f_is_zero:
-        return float(out)
-    nq = _POINT_QUAD_NODES
-
-    def ftil(tau, s):
-        return fam.f((tau + s) / 2.0, (tau - s) / 2.0)
-
-    # int_eta^xi int_0^eta
-    tau = np.linspace(eta, xi, nq)
-    s = np.linspace(0.0, eta, nq)
-    vals = ftil(tau[:, None], s[None, :])
-    inner = fixed_quad(vals, s[1] - s[0] if eta else 0.0, axis=1)
-    out += 0.25 * fixed_quad(inner, tau[1] - tau[0] if xi != eta else 0.0)
-    # int_0^eta int_0^tau, inner integral rescaled to the unit interval
-    tau2 = np.linspace(0.0, eta, nq)
-    u = np.linspace(0.0, 1.0, nq)
-    vals2 = ftil(tau2[:, None], tau2[:, None] * u[None, :])
-    inner2 = tau2 * fixed_quad(vals2, u[1] - u[0], axis=1)
-    out += 0.5 * fixed_quad(inner2, tau2[1] - tau2[0] if eta else 0.0)
-    return float(out)
-
-
-def phi_operator(problem: GoursatProblem, values: np.ndarray,
-                 n_xi: int | None = None) -> np.ndarray:
-    """One application of the sweep operator Phi to lattice values.
-
-    ``values`` must have the lattice shape (n_eta, n_xi + _PAD); the result
-    has the same shape.  Linear in ``values``.
-    """
-    values = np.asarray(values, dtype=float)
-    if n_xi is None:
-        n_xi = 2 * values.shape[0] - 1
-    lat = ChartLattice(n_xi)
-    if values.shape != (lat.n_eta, lat.npts):
-        raise ValueError(f"expected lattice shape {(lat.n_eta, lat.npts)}, got {values.shape}")
-    XI, ETA = lat.mesh()
-    react = problem.reaction_chart(XI, ETA)
-    out = _apply_phi(react, None if problem.spec.family.f_is_zero else
-                     _psi_tables(problem.spec.family.f_poly, lat),
-                     problem.conv_sign, values, lat)
-    return out
-
-
 def _apply_phi(react, psi, conv_sign, G, lat):
     P, Q = _double_parts(react * G, lat)
     out = 0.25 * P + 0.5 * Q[:, None]
@@ -309,22 +259,12 @@ def bound_constant_M(spec: ProblemSpec) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Ragged table A[n][i] of the closed-form series coefficients."""
-
-    r: float
-    n_max: int
-    A: tuple
-    lambda0: float | None = None
-
-
 def _c_factor(m: int) -> float:
     return 1.0 / (m * (m + 1))
 
 
-def series_coefficients(n_max: int, r: float) -> SeriesCoefficients:
-    """Coefficient table via the three-branch recursion.
+def series_coefficients(n_max: int, r: float) -> tuple:
+    """Ragged coefficient table A[n][i] via the three-branch recursion.
 
     One rule covers all branches: with phantom parents A[n-1][-1] =
     A[n-1][n] = 0,
@@ -349,7 +289,7 @@ def series_coefficients(n_max: int, r: float) -> SeriesCoefficients:
             row[i] = (prev[i - 1] - r * prev[i]) * _c_factor(2 * n - i)
         row[n] = prev[n - 1] * _c_factor(n)
         rows.append(tuple(row))
-    return SeriesCoefficients(r=r, n_max=n_max, A=tuple(rows))
+    return tuple(rows)
 
 
 def series_oracle(lambda0: float, r: float, xi, eta, n_trunc: int):
@@ -362,7 +302,7 @@ def series_oracle(lambda0: float, r: float, xi, eta, n_trunc: int):
         raise ValueError("n_trunc must be >= 1")
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    table = series_coefficients(n_trunc, r).A
+    table = series_coefficients(n_trunc, r)
     total = 0.25 * lambda0 * (xi + eta)
     for n in range(1, n_trunc + 1):
         quarter = 0.25 ** n
@@ -375,21 +315,6 @@ def series_oracle(lambda0: float, r: float, xi, eta, n_trunc: int):
             inner = inner + (lambda0 ** i) * table[n][i] * t_term
         total = total + 0.25 * lambda0 * quarter * inner
     return total if total.ndim else float(total)
-
-
-def series_tail_bound(lambda0: float, r: float, xi, eta, n_trunc: int) -> float:
-    """Upper bound on the truncation remainder of :func:`series_oracle`."""
-    m1 = r + abs(lambda0)
-    xi = float(np.max(np.asarray(xi)))
-    eta = float(np.max(np.asarray(eta)))
-    total = 0.0
-    for n in range(n_trunc + 1, n_trunc + 400):
-        logt = (n + 1) * math.log(max(m1, 1e-300)) - math.lgamma(n + 2)
-        term = math.exp(logt) * (xi ** (n + 1) * eta ** n + xi ** n * eta ** (n + 1))
-        total += term
-        if term < 1e-300 or term < 1e-18 * max(total, 1.0):
-            break
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -539,16 +464,13 @@ def picard_solve(
     n_xi: int = 201,
     tol: float = 1e-10,
     max_iter: int = 80,
-    initial_values: np.ndarray | None = None,
 ) -> KernelGrid:
     """Solve the kernel integral equation by successive approximation.
 
     Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
     region drops below ``tol``, or until the certified bound says every
     remaining increment is already below ``tol`` (whichever happens
-    first).  ``initial_values`` replaces the standard starting iterate
-    G0; the fixed point does not depend on it (contraction), which is the
-    uniqueness diagnostic.
+    first).  The iteration starts from G0.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -565,14 +487,12 @@ def picard_solve(
         if n_cert > 1000:
             break
     region = lat.region_mask()
-    if initial_values is not None and np.shape(initial_values) != G0.shape:
-        raise ValueError(f"initial_values must have lattice shape {G0.shape}")
-    G = G0.copy() if initial_values is None else np.asarray(initial_values, dtype=float).copy()
+    G = G0
     increments: list[float] = []
     converged = False
     n = 0
     while n < max_iter:
-        if n >= n_cert and initial_values is None:
+        if n >= n_cert:
             converged = True
             break
         G_next = G0 + _apply_phi(react, psi, problem.conv_sign, G, lat)
@@ -605,17 +525,6 @@ def solve_inverse_kernel(
 # --------------------------------------------------------------------------
 
 
-def kernel_derivative_x(grid: KernelGrid) -> np.ndarray:
-    """Trace k_x(1, y) on the y-grid, by chain rule on the chart lattice.
-
-    k_x = G_xi + G_eta with second-order differences; the padded lattice
-    keeps the xi-stencil centered on the whole edge x = 1.
-    """
-    if grid.n_xi < MIN_N_XI:
-        raise ValueError(f"grid too coarse: n_xi >= {MIN_N_XI} required")
-    return grid.trace_kx1.copy()
-
-
 def kernel_constants(k: KernelGrid, l: KernelGrid) -> KernelConstants:
     """Grid maxima of |k|, |k(x,x)|, |k_x| and the l-kernel analogues."""
 
@@ -646,9 +555,6 @@ class KernelResidual:
     bc_corner: float
     h: float
     n_points: int
-
-    def __float__(self):
-        return self.interior_sup
 
 
 def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) -> KernelResidual:

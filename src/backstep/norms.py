@@ -55,35 +55,14 @@ def w1p_norm(v: Profile, p: float) -> float:
     return float(_w1p(v.values, v.h, _check_p(p)))
 
 
-def _check_tau(tau: float) -> float:
+def rho(s, tau: float):
+    """Smoothed absolute value: |s| outside |s| < tau, quartic inside."""
     tau = float(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return tau
-
-
-def rho(s, tau: float):
-    """Smoothed absolute value: |s| outside |s| < tau, quartic inside."""
-    tau = _check_tau(tau)
     s = np.asarray(s, dtype=float)
     inner = -(s ** 4) / (8 * tau ** 3) + 3 * s ** 2 / (4 * tau) + 3 * tau / 8
     out = np.where(np.abs(s) >= tau, np.abs(s), inner)
-    return out if out.ndim else float(out)
-
-
-def rho_prime(s, tau: float):
-    tau = _check_tau(tau)
-    s = np.asarray(s, dtype=float)
-    inner = -(s ** 3) / (2 * tau ** 3) + 3 * s / (2 * tau)
-    out = np.where(np.abs(s) >= tau, np.sign(s), inner)
-    return out if out.ndim else float(out)
-
-
-def rho_second(s, tau: float):
-    tau = _check_tau(tau)
-    s = np.asarray(s, dtype=float)
-    inner = 1.5 / tau * (1.0 - s ** 2 / tau ** 2)
-    out = np.where(np.abs(s) >= tau, 0.0, inner)
     return out if out.ndim else float(out)
 
 
@@ -129,13 +108,6 @@ class NormTrace:
             raise ValueError("times and values must have equal length")
         if np.any(np.asarray(self.values) < 0):
             raise ValueError("norm values must be nonnegative")
-
-    def label(self) -> str:
-        p = "inf" if np.isinf(self.p) else f"{self.p:g}"
-        tag = f"{self.kind}_p{p}"
-        if self.tau is not None:
-            tag += f"_tau{self.tau:g}"
-        return tag
 
 
 def norm_trace(traj, p: float, kind: str = "lp", tau: float | None = None) -> NormTrace:

@@ -21,6 +21,7 @@ are closer than about 4 steps apart (README).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,12 +48,18 @@ class SimConfig:
     record_stride: int = 100
 
     def __post_init__(self):
-        if self.grid_m < 3 or self.dt <= 0 or self.t_end <= 0 or self.record_stride < 1:
-            raise ValueError("invalid simulation configuration")
-        h = 1.0 / (self.grid_m - 1)
-        if self.dt > 0.5 * h:
+        for name, ok in (("grid_m", self.grid_m >= 3),
+                         ("dt", 0 < self.dt < math.inf),
+                         ("t_end", 0 < self.t_end < math.inf),
+                         ("record_stride", self.record_stride >= 1)):
+            if not ok:
+                raise ValueError(f"invalid simulation configuration: {name} = {getattr(self, name)!r}")
+        if self.n_steps < 1:
+            raise ValueError(f"invalid simulation configuration: t_end = {self.t_end!r} rounds to "
+                             f"0 steps of dt = {self.dt!r}; t_end must exceed dt/2")
+        if self.dt > 0.5 * self.h:
             warnings.warn(
-                f"dt = {self.dt:g} exceeds the accuracy guideline 0.5 h = {0.5 * h:g}",
+                f"dt = {self.dt:g} exceeds the accuracy guideline 0.5 h = {0.5 * self.h:g}",
                 stacklevel=2,
             )
 
@@ -80,9 +87,6 @@ class Trajectory:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_m)
-
-    def profile(self, idx: int) -> Profile:
-        return Profile(self.grid_m, self.fields[idx])
 
     def __len__(self) -> int:
         return len(self.times)
@@ -200,12 +204,6 @@ def _source_operator(f_poly, m: int) -> np.ndarray | None:
     xx, yy = np.meshgrid(x, x, indexing="ij")
     vals = np.where(yy <= xx, npoly.polyval2d(xx, np.minimum(yy, xx), F), 0.0)
     return volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
-
-
-def volterra_source(w: Profile, f_poly) -> Profile:
-    """Nonlocal source int_0^x w(y) f(x, y) dy by cumulative trapezoid."""
-    S = _source_operator(f_poly, w.grid_m)
-    return Profile(w.grid_m, np.zeros(w.grid_m) if S is None else S @ w.values)
 
 
 def simulate_closed_loop(

@@ -37,11 +37,6 @@ class Profile:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_values(cls, values) -> "Profile":
-        values = np.asarray(values, dtype=float)
-        return cls(len(values), values)
-
-    @classmethod
     def from_function(cls, fn, grid_m: int) -> "Profile":
         return cls(grid_m, np.asarray(fn(np.linspace(0.0, 1.0, grid_m)), dtype=float))
 

@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Log-linear fit hit nonpositive values inside the window."""
+    """Log-linear fit window holds fewer than two samples or a nonpositive value."""
 
 
 # --------------------------------------------------------------------------
@@ -88,12 +88,6 @@ def _constants_inf(alphas, betas) -> dict:
     return {"lp": float(C3), "w1p": float(C4), "gamma3": gamma3, "gamma4": gamma4}
 
 
-def stability_constants_inf(alphas, betas):
-    """Max-norm constants (C3, C4); see :func:`_constants_inf`."""
-    c = _constants_inf(alphas, betas)
-    return c["lp"], c["w1p"]
-
-
 def constants_for_p(p: float, con: KernelConstants) -> dict:
     """Envelope constants for one p (C1/C2 finite p, C3/C4 for p = inf)."""
     a = (con.alpha1, con.alpha2, con.alpha3)
@@ -114,13 +108,18 @@ def fit_decay_rate(trace: NormTrace, skip_fraction: float = 0.1):
     """Least-squares exponential fit on the trailing window.
 
     Returns (C, sigma, rms_residual) from log(values) ~ log C - sigma t
-    over t >= skip_fraction * T.
+    over t >= skip_fraction * T.  Raises FitError unless that window holds
+    at least two samples, all positive.
     """
     if not (0.0 <= skip_fraction < 1.0):
         raise ValueError("skip_fraction must lie in [0, 1)")
     t = np.asarray(trace.times, dtype=float)
     v = np.asarray(trace.values, dtype=float)
     mask = t >= skip_fraction * t[-1]
+    n_window = int(np.count_nonzero(mask))
+    if n_window < 2:
+        raise FitError(f"the fit window t >= {skip_fraction * t[-1]:g} holds {n_window} "
+                       "sample(s); a line needs two")
     if np.any(v[mask] <= 0.0):
         raise FitError(
             "nonpositive values inside the fit window "
@@ -320,7 +319,8 @@ def load_scenario(path) -> ScenarioConfig:
         )
         init = dict(cp["initial_data"]) if cp.has_section("initial_data") else {}
         fam_name = init.pop("family", "bump")
-        adjust = init.pop("adjust_compatibility", "true").lower() in ("1", "true", "yes")
+        init.pop("adjust_compatibility", None)
+        adjust = cp.getboolean("initial_data", "adjust_compatibility", fallback=True)
         params = {}
         for key, val in init.items():
             params[key] = _floats(val) if key == "coeffs" else float(val)

@@ -16,6 +16,18 @@ def zero_spec(lambda0=0.0):
     return ProblemSpec(CoefficientFamily(), lambda0=lambda0)
 
 
+def rho_prime(s, tau):
+    """First derivative of ``norms.rho``; s and tau broadcast elementwise."""
+    inner = -(s ** 3) / (2 * tau ** 3) + 3 * s / (2 * tau)
+    return np.where(np.abs(s) >= tau, np.sign(s), inner)
+
+
+def rho_second(s, tau):
+    """Second derivative of ``norms.rho``; zero outside |s| < tau."""
+    inner = 1.5 / tau * (1 - s ** 2 / tau ** 2)
+    return np.where(np.abs(s) >= tau, 0.0, inner)
+
+
 @pytest.fixture(scope="session")
 def spec_rx2():
     """The closed-form family: f = 0, c1(x) = 2 x^2, lambda0 = 10."""

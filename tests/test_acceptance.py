@@ -32,6 +32,8 @@ from backstep.verify import (
     verify_theorem_bound,
 )
 
+from conftest import rho_prime, rho_second
+
 SPEC_RX2 = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 2.0)), lambda0=10.0)
 SPEC_SRC = ProblemSpec(
     CoefficientFamily(c1_poly=(0.0, 0.0, 2.0), f_poly=((1.0, 0.0), (0.0, 1.0))),
@@ -228,8 +230,8 @@ def test_criterion_9_rho_property_suite():
     s = rng.uniform(-5.0, 5.0, size=n)
     tau = 10 ** rng.uniform(-4.0, 0.0, size=n)
     r = _rho_vec(s, tau)
-    rp = _rho_prime_vec(s, tau)
-    rpp = _rho_second_vec(s, tau)
+    rp = rho_prime(s, tau)
+    rpp = rho_second(s, tau)
     eps = 1e-12
     checks = {
         "0<=|s|<=rho": np.all(np.abs(s) <= r + eps),
@@ -262,16 +264,6 @@ def _rho_vec(s, tau):
     return np.where(np.abs(s) >= tau, np.abs(s), inner)
 
 
-def _rho_prime_vec(s, tau):
-    inner = -(s ** 3) / (2 * tau ** 3) + 3 * s / (2 * tau)
-    return np.where(np.abs(s) >= tau, np.sign(s), inner)
-
-
-def _rho_second_vec(s, tau):
-    inner = 1.5 / tau * (1 - s ** 2 / tau ** 2)
-    return np.where(np.abs(s) >= tau, 0.0, inner)
-
-
 def test_criterion_10_gronwall_checker(target_decay_run):
     t = np.linspace(0.0, 3.0, 601)
     e1 = np.max(np.abs(gronwall_bound(5.0, -2.0, 0.0, t) - 5 * np.exp(-2 * t)))
@@ -282,7 +274,7 @@ def test_criterion_10_gronwall_checker(target_decay_run):
     env_ok = True
     margins = []
     for p, tau in ((1.5, 1e-2), (2.0, 1e-2)):
-        z = np.array([alf(traj.profile(i), p, tau) for i in range(len(traj))])
+        z = np.array([alf(Profile(traj.grid_m, row), p, tau) for row in traj.fields])
         x = traj.x
         lam_xt = np.array([3.0 - x ** 2 - np.exp(-ti) for ti in traj.times])
         psi1 = 0.375 * p * np.trapezoid(

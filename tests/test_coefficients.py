@@ -7,19 +7,31 @@ from backstep.coefficients import (
     CoefficientFamily,
     ProblemSpec,
     ValidationError,
-    eval_c,
-    eval_lambda,
-    eval_mu,
-    eval_phi,
     lambda_lower,
     sup_c,
     validate,
 )
+from backstep.kernel import GoursatProblem
 
 
 def spec_of(c1=(0.0,), kind="constant", a=0.0, b=0.0, lambda0=1.0, horizon=2.0):
     return ProblemSpec(CoefficientFamily(c1_poly=c1, c2_kind=kind, c2_a=a, c2_b=b),
                        lambda0=lambda0, horizon=horizon)
+
+
+def c_of(spec, x, t):
+    """Reaction coefficient c(x, t) = c1(x) + c2(t)."""
+    return spec.family.c1(x) + spec.family.c2(t)
+
+
+def mu_of(spec, x, y):
+    """Direct-kernel reaction weight lambda0 - c1(x) + c1(y) at (x, y)."""
+    return GoursatProblem.direct(spec).reaction_chart(x + y, x - y)
+
+
+def phi_of(spec, x, y):
+    """Inverse-kernel reaction weight -lambda0 - c1(x) + c1(y) at (x, y)."""
+    return GoursatProblem.inverse(spec).reaction_chart(x + y, x - y)
 
 
 class TestC2Integral:
@@ -42,41 +54,34 @@ class TestC2Integral:
 class TestEvalC:
     def test_zero_coefficients(self):
         s = spec_of()
-        assert eval_c(s, 0.3, 5.0) == 0.0
+        assert c_of(s, 0.3, 5.0) == 0.0
 
     def test_exp_decay_at_origin(self):
         s = spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=3.0)
-        assert eval_c(s, 1.0, 0.0) == pytest.approx(2.0, abs=1e-14)
+        assert c_of(s, 1.0, 0.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_linear_plus_constant(self):
         s = spec_of(c1=(0, 1.0), kind="constant", a=0.5, lambda0=2.0)
-        assert eval_c(s, 0.25, 7.0) == pytest.approx(0.75, abs=1e-14)
-
-    def test_domain_errors(self):
-        s = spec_of()
-        with pytest.raises(ValueError):
-            eval_c(s, 1.5, 0.0)
-        with pytest.raises(ValueError):
-            eval_c(s, 0.5, -1.0)
+        assert c_of(s, 0.25, 7.0) == pytest.approx(0.75, abs=1e-14)
 
 
 class TestMuPhi:
     def test_constant_reduction(self):
         s = spec_of(lambda0=10.0)
-        assert eval_mu(s, 0.7, 0.2) == 10.0
-        assert eval_phi(s, 0.7, 0.2) == -10.0
+        assert mu_of(s, 0.7, 0.2) == 10.0
+        assert phi_of(s, 0.7, 0.2) == -10.0
 
     def test_direct_evaluation(self):
         s = spec_of(c1=(0, 0, 2.0), lambda0=10.0)
-        assert eval_mu(s, 1.0, 0.0) == pytest.approx(8.0)
+        assert mu_of(s, 1.0, 0.0) == pytest.approx(8.0)
         s2 = spec_of(c1=(0, 1.0), lambda0=3.0)
-        assert eval_phi(s2, 1.0, 0.5) == pytest.approx(-3.5)
+        assert phi_of(s2, 1.0, 0.5) == pytest.approx(-3.5)
 
     @given(st.floats(0, 1), st.floats(-3, 3), st.floats(-2, 2))
     def test_diagonal_cancellation(self, x, c1_lin, c1_quad):
         s = spec_of(c1=(0.5, c1_lin, c1_quad), lambda0=4.0)
-        assert eval_mu(s, x, x) == pytest.approx(4.0, abs=1e-12)
-        assert eval_phi(s, x, x) == pytest.approx(-4.0, abs=1e-12)
+        assert mu_of(s, x, x) == pytest.approx(4.0, abs=1e-12)
+        assert phi_of(s, x, x) == pytest.approx(-4.0, abs=1e-12)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_mu_plus_phi_identity(self, x, t):
@@ -84,29 +89,25 @@ class TestMuPhi:
         x, y = max(x, t), min(x, t)
         s = spec_of(c1=(1.0, -2.0, 3.0), lambda0=7.0)
         c1 = s.family.c1
-        total = eval_mu(s, x, y) + eval_phi(s, x, y)
+        total = mu_of(s, x, y) + phi_of(s, x, y)
         assert total == pytest.approx(-2.0 * (c1(x) - c1(y)), abs=1e-11)
-
-    def test_triangle_domain_error(self):
-        s = spec_of()
-        with pytest.raises(ValueError):
-            eval_mu(s, 0.2, 0.7)
 
 
 class TestLambda:
     def test_constant(self):
-        assert eval_lambda(spec_of(lambda0=4.0), 0.5, 1.0) == 4.0
+        s = spec_of(lambda0=4.0)
+        assert s.lambda0 - c_of(s, 0.5, 1.0) == 4.0
 
     def test_quadratic(self):
         s = spec_of(c1=(0, 0, 1.0), lambda0=3.0)
-        assert eval_lambda(s, 1.0, 9.0) == pytest.approx(2.0)
+        assert s.lambda0 - c_of(s, 1.0, 9.0) == pytest.approx(2.0)
 
     def test_floor(self):
         s = spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=3.0)
         floor = lambda_lower(s)
         xs = np.linspace(0, 1, 101)
         ts = np.linspace(0, 2, 101)
-        vals = np.array([eval_lambda(s, xs, t) for t in ts])
+        vals = np.array([s.lambda0 - c_of(s, xs, t) for t in ts])
         assert np.all(vals >= floor - s.sup_tolerance)
 
 

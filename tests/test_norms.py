@@ -11,12 +11,12 @@ from backstep.norms import (
     lp_norm,
     norm_trace,
     rho,
-    rho_prime,
-    rho_second,
     w1p_norm,
 )
 from backstep.simulator import SimConfig, Trajectory, simulate_target
 from backstep.transforms import Profile
+
+from conftest import rho_prime, rho_second
 
 taus = st.floats(1e-4, 1.0)
 svals = st.floats(-10.0, 10.0)
@@ -174,10 +174,10 @@ class TestNormTrace:
         cfg = SimConfig(grid_m=51, dt=1e-3, t_end=0.1, record_stride=10)
         traj = simulate_target(spec, prof(lambda x: np.cos(np.pi * x), 51), cfg)
         tr = norm_trace(traj, 2.0, "lp")
-        assert tr.label() == "lp_p2"
+        assert (tr.kind, tr.p, tr.tau) == ("lp", 2.0, None)
         assert len(tr.times) == len(tr.values)
         tr2 = norm_trace(traj, 1.5, "alf", tau=1e-2)
-        assert tr2.label() == "alf_p1.5_tau0.01"
+        assert (tr2.kind, tr2.p, tr2.tau) == ("alf", 1.5, 1e-2)
         with pytest.raises(ValueError):
             norm_trace(traj, 2.0, "alf")
 

@@ -12,7 +12,6 @@ from backstep.simulator import (
     check_compatibility,
     simulate_closed_loop,
     simulate_target,
-    volterra_source,
 )
 from backstep.transforms import Profile, forward_transform, initial_target_data
 
@@ -28,6 +27,9 @@ class TestSimConfig:
             SimConfig(grid_m=2)
         with pytest.raises(ValueError):
             SimConfig(dt=-1.0)
+        # t_end = 1e-6 rounds to zero steps of dt = 2.5e-5
+        with pytest.raises(ValueError, match=r"t_end = 1e-06 .* dt = 2\.5e-05"):
+            SimConfig(dt=2.5e-5, t_end=1e-6)
 
     def test_timestep_warning(self):
         with pytest.warns(UserWarning):
@@ -46,7 +48,7 @@ class TestTarget:
         cfg = SimConfig(grid_m=201, dt=1e-4, t_end=0.5, record_stride=20)
         traj = simulate_target(const_lambda_spec(3.0),
                                Profile.from_function(lambda x: np.cos(np.pi * x), 201), cfg)
-        norms = np.array([lp_norm(traj.profile(i), 2.0) for i in range(len(traj))])
+        norms = np.array([lp_norm(Profile(traj.grid_m, row), 2.0) for row in traj.fields])
         slope = np.polyfit(traj.times, np.log(norms), 1)[0]
         assert -slope == pytest.approx(np.pi ** 2 + 3.0, rel=2e-2)
 
@@ -86,18 +88,17 @@ class TestCompatibility:
 
 class TestVolterraSource:
     def test_zero_source(self):
-        out = volterra_source(Profile(51, np.ones(51)), ((0.0,),))
-        assert np.all(out.values == 0.0)
+        assert simulator._source_operator(((0.0,),), 51) is None
 
     def test_unit_kernel_constant_state(self):
         w = Profile(101, np.ones(101))
-        out = volterra_source(w, ((1.0,),))
-        assert np.max(np.abs(out.values - w.x)) < 1e-13
+        out = simulator._source_operator(((1.0,),), 101) @ w.values
+        assert np.max(np.abs(out - w.x)) < 1e-13
 
     def test_unit_kernel_linear_state(self):
         w = Profile.from_function(lambda x: x, 101)
-        out = volterra_source(w, ((1.0,),))
-        assert np.max(np.abs(out.values - w.x ** 2 / 2)) < 1e-13
+        out = simulator._source_operator(((1.0,),), 101) @ w.values
+        assert np.max(np.abs(out - w.x ** 2 / 2)) < 1e-13
 
 
 class TestClosedLoop:
@@ -215,7 +216,7 @@ class TestClosedLoop:
             traj_u = simulate_target(spec, initial_target_data(_resample(w0, m), k), cfg)
             worst = 0.0
             for i in range(len(traj_w.times)):
-                u_from_w = forward_transform(traj_w.profile(i), k)
+                u_from_w = forward_transform(Profile(traj_w.grid_m, traj_w.fields[i]), k)
                 worst = max(worst, float(np.max(np.abs(u_from_w.values - traj_u.fields[i]))))
             return worst
 

@@ -29,7 +29,7 @@ class TestProfile:
             Profile(5, np.zeros(4))
 
     def test_grid(self):
-        p = Profile.from_values([0.0, 1.0, 2.0])
+        p = Profile(3, [0.0, 1.0, 2.0])
         assert p.h == 0.5
         assert np.allclose(p.x, [0, 0.5, 1.0])
 

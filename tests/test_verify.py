@@ -9,6 +9,7 @@ import pytest
 
 from backstep.cli import main as cli_main
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError
+from backstep.kernel import KernelConstants
 from backstep.norms import NormTrace
 from backstep.simulator import SimConfig, Trajectory
 from backstep.transforms import Profile
@@ -18,6 +19,7 @@ from backstep.verify import (
     InitialData,
     KernelSettings,
     ScenarioConfig,
+    constants_for_p,
     continuous_dependence_experiment,
     dump_kernel_csv,
     fit_decay_rate,
@@ -26,7 +28,6 @@ from backstep.verify import (
     run_scenario,
     stability_constant_C1,
     stability_constant_C2,
-    stability_constants_inf,
     verify_theorem_bound,
     write_controls,
     write_trajectory,
@@ -76,18 +77,23 @@ class TestC2:
 
 
 class TestCInf:
+    @staticmethod
+    def c3_c4(alphas, betas):
+        c = constants_for_p(math.inf, KernelConstants(*alphas, *betas))
+        return c["lp"], c["w1p"]
+
     def test_branch_table(self):
-        assert stability_constants_inf((0.5, 0, 0), (0.5, 0, 0))[0] == pytest.approx(4.0)
-        assert stability_constants_inf((2.0, 0, 0), (0.5, 0, 0))[0] == pytest.approx(8.0)
-        assert stability_constants_inf((2.0, 0, 0), (3.0, 0, 0))[0] == pytest.approx(24.0)
+        assert self.c3_c4((0.5, 0, 0), (0.5, 0, 0))[0] == pytest.approx(4.0)
+        assert self.c3_c4((2.0, 0, 0), (0.5, 0, 0))[0] == pytest.approx(8.0)
+        assert self.c3_c4((2.0, 0, 0), (3.0, 0, 0))[0] == pytest.approx(24.0)
 
     def test_zero_kernel_edge(self):
-        C3, C4 = stability_constants_inf((0, 0, 0), (0, 0, 0))
+        C3, C4 = self.c3_c4((0, 0, 0), (0, 0, 0))
         assert C3 == pytest.approx(4.0)
         assert C4 == pytest.approx(max(9.0, 4.0 + 9.0))
 
     def test_c4_floor(self):
-        C3, C4 = stability_constants_inf((1, 1, 1), (1, 2, 3))
+        C3, C4 = self.c3_c4((1, 1, 1), (1, 2, 3))
         assert C4 >= 9.0
 
 
@@ -113,6 +119,14 @@ class TestFit:
             fit_decay_rate(NormTrace(t, v, 1.0, "lp"), 0.5)
         with pytest.raises(ValueError):
             fit_decay_rate(NormTrace(t, np.ones_like(t), 1.0, "lp"), 1.0)
+
+    def test_single_sample_window(self):
+        # records at t = 0 and 1e-4 only: the window t >= 1e-5 holds one sample
+        tr = NormTrace(np.array([0.0, 1e-4]), np.array([1.0, 0.996]), 1.0, "lp")
+        with pytest.raises(FitError, match="1 sample"):
+            fit_decay_rate(tr, 0.1)
+        _, sigma, _ = fit_decay_rate(tr, 0.0)
+        assert sigma == pytest.approx(-np.log(0.996) / 1e-4, rel=1e-9)
 
 
 class TestBound:
@@ -177,16 +191,16 @@ class TestCsvWriters:
         path = write_trajectory(str(tmp_path), "traj.csv", traj)
         rows = [[f"{t:.12g}", f"{x:.12g}", f"{v:.15g}"]
                 for t, row in zip(traj.times, traj.fields) for x, v in zip(traj.x, row)]
-        assert open(path, "rb").read() == self.reference(ref, ["t", "x", "value"], rows)
+        assert Path(path).read_bytes() == self.reference(ref, ["t", "x", "value"], rows)
 
         path = write_controls(str(tmp_path), traj)
         rows = [[f"{t:.12g}", f"{u:.15g}"] for t, u in zip(traj.times, traj.controls)]
-        assert open(path, "rb").read() == self.reference(ref, ["t", "U"], rows)
+        assert Path(path).read_bytes() == self.reference(ref, ["t", "U"], rows)
 
         (path,) = _write_traces(str(tmp_path), {"w_lp_p2": trace})
         assert os.path.basename(path) == "trace_w_lp_p2.csv"
         rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
-        assert open(path, "rb").read() == self.reference(ref, ["t", "value"], rows)
+        assert Path(path).read_bytes() == self.reference(ref, ["t", "value"], rows)
 
         shape = null_kernel.values_xy.shape
         k = dataclasses.replace(null_kernel, values_xy=np.full(shape, 1.0 / 3.0))
@@ -195,7 +209,7 @@ class TestCsvWriters:
         xs = k.x_nodes
         rows = [[f"{xs[m]:.12g}", f"{xs[n]:.12g}", f"{k.values_xy[m, n]:.15g}",
                  f"{l.values_xy[m, n]:.15g}"] for m in range(len(xs)) for n in range(m + 1)]
-        assert open(path, "rb").read() == self.reference(ref, ["x", "y", "k", "l"], rows)
+        assert Path(path).read_bytes() == self.reference(ref, ["x", "y", "k", "l"], rows)
 
     def test_blocks_match_savetxt(self, tmp_path, rng):
         # 2.3 blocks of rows, so both a full and a partial block are written
@@ -208,7 +222,7 @@ class TestCsvWriters:
                                             fields.ravel())),
                        fmt=("%.12g", "%.12g", "%.15g"), delimiter=",", header="t,x,value",
                        comments="", newline="\r\n")
-        assert open(path, "rb").read() == ref.read_bytes()
+        assert Path(path).read_bytes() == ref.read_bytes()
 
 
 class TestScenario:
@@ -445,13 +459,22 @@ class TestCli:
                                           ("n_xi = 101", "n_x1 = 101"),
                                           ("a = 1.0\nmodes", "centre = 0.4\nmodes"),
                                           ("family = cosine", "family = bump"),
-                                          ("family = cosine", "family = sawtooth")])
+                                          ("family = cosine", "family = sawtooth"),
+                                          ("adjust_compatibility = false",
+                                           "adjust_compatibility = flase")])
     def test_config_typo_exit(self, tmp_path, old, new):
         path = tmp_path / "s.ini"
         text = CONFIG_TEXT.format(out=tmp_path / "run")
         assert old in text
         path.write_text(text.replace(old, new))
         assert cli_main(["kernel", "--config", str(path)]) == 2
+
+    def test_zero_step_t_end_exit(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
+            "t_end = 0.5", "t_end = 1e-6"))
+        assert cli_main(["simulate", "--config", str(path)]) == 2
+        assert "t_end = 1e-06" in capsys.readouterr().err
 
     def test_bad_p_list_exit(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -164,11 +164,12 @@ def sup_c(spec: ProblemSpec) -> float:
 
 def lambda_lower(spec: ProblemSpec) -> float:
     """Decay floor: inf over (0,1) x (0, inf) of lambda0 - c(x, t)."""
-    lam = spec.lambda0 - sup_c(spec)
+    sup = sup_c(spec)
+    lam = spec.lambda0 - sup
     if lam <= 0:
         raise ValidationError(
             f"lambda0 must exceed the supremum of c(x, t): "
-            f"lambda0 = {spec.lambda0:.12g}, sup c = {sup_c(spec):.12g}"
+            f"lambda0 = {spec.lambda0:.12g}, sup c = {sup:.12g}"
         )
     return lam
 

@@ -11,7 +11,7 @@ import configparser
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -179,12 +179,12 @@ class KernelSettings:
                               f"{MIN_N_XI}, got {self}")
 
 
-#: parameters each initial-datum family reads
+#: each initial-datum family's parameters and their defaults
 _INITIAL_FAMILIES = {
-    "constant": ("a",),
-    "cosine": ("a", "modes"),
-    "polynomial": ("coeffs",),
-    "bump": ("center", "width", "height"),
+    "constant": {"a": 1.0},
+    "cosine": {"a": 1.0, "modes": 1.0},
+    "polynomial": {"coeffs": (1.0,)},
+    "bump": {"center": 0.5, "width": 0.3, "height": 1.0},
 }
 
 
@@ -203,22 +203,25 @@ class InitialData:
         if unknown:
             raise ConfigError(f"initial-data family {self.family!r} takes no "
                               f"parameter {', '.join(unknown)}")
+        p = self.params  # the defaults in _INITIAL_FAMILIES pass both checks
+        if "modes" in p and not float(p["modes"]).is_integer():
+            raise ConfigError(f"cosine modes must be a whole number, got {p['modes']!r}")
+        if "width" in p and not p["width"] > 0:
+            raise ConfigError(f"bump width must be > 0, got {p['width']!r}")
 
     def build(self, grid_m: int) -> Profile:
-        p = self.params
+        p = {**_INITIAL_FAMILIES[self.family], **self.params}
         x = np.linspace(0.0, 1.0, grid_m)
         if self.family == "constant":
-            vals = np.full(grid_m, float(p.get("a", 1.0)))
+            vals = np.full(grid_m, float(p["a"]))
         elif self.family == "cosine":
-            vals = float(p.get("a", 1.0)) * np.cos(int(p.get("modes", 1)) * np.pi * x)
+            vals = float(p["a"]) * np.cos(int(p["modes"]) * np.pi * x)
         elif self.family == "polynomial":
             from numpy.polynomial import polynomial as npoly
 
-            vals = npoly.polyval(x, np.asarray(p.get("coeffs", [1.0]), dtype=float))
+            vals = npoly.polyval(x, np.asarray(p["coeffs"], dtype=float))
         else:
-            c = float(p.get("center", 0.5))
-            wd = float(p.get("width", 0.3))
-            hgt = float(p.get("height", 1.0))
+            c, wd, hgt = (float(p[k]) for k in ("center", "width", "height"))
             r = np.abs(x - c) / wd
             vals = np.zeros(grid_m)
             inside = r < 1.0
@@ -254,90 +257,84 @@ def _floats(text: str) -> tuple:
 
 
 def _matrix(text: str) -> tuple:
-    return tuple(tuple(float(tok) for tok in row.split()) for row in text.split(";"))
+    rows = tuple(_floats(row) for row in text.split(";"))
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows differ in length")
+    return rows
 
 
-#: keys each scenario section reads; [initial_data] also takes its family's parameters
-_SCENARIO_KEYS = {
-    "problem": ("c1_poly", "c2_kind", "c2_a", "c2_b", "f_poly", "lambda0", "horizon",
-                "sup_tolerance"),
-    "kernel": ("n_xi", "tol", "max_iter"),
-    "sim": ("grid_m", "dt", "t_end", "record_stride", "scheme"),
-    "initial_data": ("family", "adjust_compatibility",
-                     *sorted({k for keys in _INITIAL_FAMILIES.values() for k in keys})),
-    "verify": ("p_list", "tau_list", "skip_fraction", "slack"),
-    "outputs": ("directory",),
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _scheme(text: str) -> str:
+    if text != "crank_nicolson":
+        raise ValueError("the only scheme is crank_nicolson")
+    return text
+
+
+#: section -> key -> parser of the key's text.  An omitted key takes the
+#: default of the dataclass field it fills, so no default is written here.
+_SCHEMA = {
+    "problem": {"c1_poly": _floats, "c2_kind": str, "c2_a": float, "c2_b": float,
+                "f_poly": _matrix, "lambda0": float, "horizon": float, "sup_tolerance": float},
+    "kernel": {"n_xi": int, "tol": float, "max_iter": int},
+    "sim": {"grid_m": int, "dt": float, "t_end": float, "record_stride": int, "scheme": _scheme},
+    "initial_data": {"family": str, "adjust_compatibility": _boolean,
+                     **{key: _floats if isinstance(default, tuple) else float
+                        for params in _INITIAL_FAMILIES.values()
+                        for key, default in params.items()}},
+    "verify": {"p_list": _floats, "tau_list": _floats, "skip_fraction": float, "slack": float},
+    "outputs": {"directory": str},
 }
 
 
-def _check_keys(cp: configparser.ConfigParser) -> None:
-    """Reject unknown sections and keys, so a typo cannot fall back to a default."""
-    for name in cp.sections():
-        if name not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        unknown = sorted(set(cp[name]) - set(_SCENARIO_KEYS[name]))
-        if unknown:
-            raise ConfigError(f"unknown key {', '.join(unknown)} in [{name}]")
+def _section(cp: configparser.ConfigParser, name: str) -> dict:
+    """The keys that section ``[name]`` sets, each parsed by its ``_SCHEMA`` entry."""
+    section = cp[name] if cp.has_section(name) else {}
+    parsers = _SCHEMA[name]
+    unknown = sorted(set(section) - set(parsers))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)} in [{name}]")
+    parsed = {}
+    for key, text in section.items():
+        try:
+            parsed[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key} = {text}: {exc}") from None
+    return parsed
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse the flat key = value scenario file (one section per stage)."""
+    """Parse the scenario file; an omitted key takes its dataclass field's default."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read(path)
-        _check_keys(cp)
-        prob = cp["problem"]
-        family = CoefficientFamily(
-            c1_poly=_floats(prob.get("c1_poly", "0")),
-            c2_kind=prob.get("c2_kind", "constant"),
-            c2_a=prob.getfloat("c2_a", 0.0),
-            c2_b=prob.getfloat("c2_b", 0.0),
-            f_poly=_matrix(prob.get("f_poly", "0")),
-        )
-        spec = ProblemSpec(
-            family=family,
-            lambda0=prob.getfloat("lambda0", 1.0),
-            horizon=prob.getfloat("horizon", 2.0),
-            sup_tolerance=prob.getfloat("sup_tolerance", 1e-9),
-        )
-        ker = cp["kernel"] if cp.has_section("kernel") else {}
-        kernel = KernelSettings(
-            n_xi=int(ker.get("n_xi", 401)),
-            tol=float(ker.get("tol", 1e-10)),
-            max_iter=int(ker.get("max_iter", 80)),
-        )
-        simsec = cp["sim"] if cp.has_section("sim") else {}
-        if simsec.get("scheme", "crank_nicolson") != "crank_nicolson":
-            raise ConfigError(f"unknown scheme {simsec['scheme']!r}; only crank_nicolson")
-        sim = SimConfig(
-            grid_m=int(simsec.get("grid_m", 201)),
-            dt=float(simsec.get("dt", 2.5e-5)),
-            t_end=float(simsec.get("t_end", 2.0)),
-            record_stride=int(simsec.get("record_stride", 100)),
-        )
-        init = dict(cp["initial_data"]) if cp.has_section("initial_data") else {}
-        fam_name = init.pop("family", "bump")
-        init.pop("adjust_compatibility", None)
-        adjust = cp.getboolean("initial_data", "adjust_compatibility", fallback=True)
-        params = {}
-        for key, val in init.items():
-            params[key] = _floats(val) if key == "coeffs" else float(val)
-        ver = cp["verify"] if cp.has_section("verify") else {}
-        out = cp["outputs"]["directory"] if cp.has_section("outputs") else "out"
+        for name in cp.sections():
+            if name not in _SCHEMA:
+                raise ConfigError(f"unknown section [{name}]")
+        if not cp.has_section("problem"):
+            raise ConfigError("missing section [problem]")
+        prob, ker, sim, init, top, out = (_section(cp, name) for name in (
+            "problem", "kernel", "sim", "initial_data", "verify", "outputs"))
+        family = {f.name: prob.pop(f.name) for f in fields(CoefficientFamily) if f.name in prob}
+        sim.pop("scheme", None)  # its parser admits only the one scheme
+        named = {f.name: init.pop(f.name) for f in fields(InitialData) if f.name in init}
+        if "directory" in out:
+            top["outputs"] = out["directory"]
         return ScenarioConfig(
-            spec=spec,
-            kernel=kernel,
-            sim=sim,
-            initial_data=InitialData(fam_name, params, adjust),
-            p_list=_floats(ver.get("p_list", "1 2 inf")),
-            tau_list=_floats(ver.get("tau_list", "1e-1 1e-2 1e-3")),
-            skip_fraction=float(ver.get("skip_fraction", 0.1)),
-            slack=float(ver.get("slack", 1.05)),
-            outputs=out,
+            spec=ProblemSpec(CoefficientFamily(**family), **prob),
+            kernel=KernelSettings(**ker),
+            sim=SimConfig(**sim),
+            initial_data=InitialData(params=init, **named),
+            **top,
         )
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad scenario file {path}: {exc}") from exc
@@ -420,7 +417,6 @@ def continuous_dependence_experiment(
         raise ValueError("both initial data must share a grid")
     spec = config.spec
     validate(spec)
-    lam = lambda_lower(spec)
     k = picard_solve(GoursatProblem.direct(spec), config.kernel.n_xi,
                      config.kernel.tol, config.kernel.max_iter)
     l = solve_inverse_kernel(spec, config.kernel.n_xi, config.kernel.tol,
@@ -471,8 +467,7 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
         if write:
             os.makedirs(outdir, exist_ok=True)
         spec = config.spec
-        validate(spec)
-        lam = lambda_lower(spec)
+        lam = lambda_lower(spec)  # raises unless lambda0 > sup c
 
         stage = "kernel"
         k = picard_solve(GoursatProblem.direct(spec), config.kernel.n_xi,

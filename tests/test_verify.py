@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import math
@@ -32,7 +33,7 @@ from backstep.verify import (
     write_controls,
     write_trajectory,
 )
-from backstep.verify import _write_traces
+from backstep.verify import _INITIAL_FAMILIES, _SCHEMA, _write_traces
 
 
 class TestC1:
@@ -305,7 +306,8 @@ class TestContinuousDependence:
         assert rep.lp[0].observed == 0.0
 
 
-DEFAULT_INI = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.ini"
+REPO = Path(__file__).resolve().parents[1]
+DEFAULT_INI = REPO / "scripts" / "configs" / "default.ini"
 
 CONFIG_TEXT = """
 [problem]
@@ -375,6 +377,35 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_scenario(path)
 
+    def test_missing_problem_section(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[kernel]\nn_xi = 101\n")
+        with pytest.raises(ConfigError, match=r"\[problem\]"):
+            load_scenario(path)
+
+    def test_omitted_keys_take_field_defaults(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[problem]\nlambda0 = 2.0\n[outputs]\n")
+        cfg = load_scenario(path)
+        assert cfg == ScenarioConfig(spec=ProblemSpec(lambda0=2.0))
+        assert cfg.outputs == "out"
+
+    def test_readme_grammar_matches_schema(self, tmp_path):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("## Scenario file grammar", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        cp.read_string(block)
+        params = {key for family in _INITIAL_FAMILIES.values() for key in family}
+        assert set(cp.sections()) == set(_SCHEMA)
+        for name in cp.sections():
+            assert set(cp[name]) <= set(_SCHEMA[name]), name
+            # every key but the family parameters is shown with its default
+            assert set(_SCHEMA[name]) - params <= set(cp[name]), name
+        path = tmp_path / "grammar.ini"
+        path.write_text(block)
+        assert load_scenario(path) == load_scenario(DEFAULT_INI)
+
 
 class TestInitialData:
     def test_families(self):
@@ -389,6 +420,24 @@ class TestInitialData:
         assert bump.values[0] == 0.0 and np.max(bump.values) == pytest.approx(1.0)
         with pytest.raises(ConfigError):
             InitialData("sawtooth", {}).build(m)
+
+    def test_family_defaults(self):
+        # the parameter defaults the README grammar states
+        m = 101
+        x = np.linspace(0, 1, m)
+        assert np.array_equal(InitialData("constant").build(m).values, np.ones(m))
+        assert np.array_equal(InitialData("cosine").build(m).values, np.cos(np.pi * x))
+        assert np.array_equal(InitialData("polynomial").build(m).values, np.ones(m))
+        bump = InitialData("bump", {"center": 0.5, "width": 0.3, "height": 1.0})
+        assert np.array_equal(InitialData().build(m).values, bump.build(m).values)
+
+    @pytest.mark.parametrize("family, params", [("cosine", {"modes": 1.5}),
+                                                ("cosine", {"modes": math.inf}),
+                                                ("bump", {"width": 0.0}),
+                                                ("bump", {"width": -0.3})])
+    def test_unusable_values(self, family, params):
+        with pytest.raises(ConfigError, match=next(iter(params))):
+            InitialData(family, params)
 
 
 class TestOracleComparison:
@@ -461,13 +510,36 @@ class TestCli:
                                           ("family = cosine", "family = bump"),
                                           ("family = cosine", "family = sawtooth"),
                                           ("adjust_compatibility = false",
-                                           "adjust_compatibility = flase")])
+                                           "adjust_compatibility = flase"),
+                                          pytest.param("modes = 1", "modes = 1.5",
+                                                       id="modes_1.5"),
+                                          pytest.param("family = cosine\na = 1.0\nmodes = 1",
+                                                       "family = bump\nwidth = 0", id="width_0"),
+                                          pytest.param("family = cosine\na = 1.0\nmodes = 1",
+                                                       "family = bump\nwidth = -0.3",
+                                                       id="width_-0.3")])
     def test_config_typo_exit(self, tmp_path, old, new):
         path = tmp_path / "s.ini"
         text = CONFIG_TEXT.format(out=tmp_path / "run")
         assert old in text
         path.write_text(text.replace(old, new))
         assert cli_main(["kernel", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("adjust_compatibility = false", "adjust_compatibility = ture",
+         "[initial_data] adjust_compatibility"),
+        ("n_xi = 101", "n_xi = abc", "[kernel] n_xi"),
+        ("dt = 2e-4", "dt = fast", "[sim] dt"),
+        ("c1_poly = 0 0 1", "c1_poly = 0 zero 1", "[problem] c1_poly"),
+        ("f_poly = 0", "f_poly = 1 0; 0", "[problem] f_poly"),
+    ], ids=["adjust_compatibility", "n_xi", "dt", "c1_poly", "f_poly_ragged"])
+    def test_bad_value_named(self, tmp_path, capsys, old, new, named):
+        path = tmp_path / "s.ini"
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert cli_main(["kernel", "--config", str(path)]) == 2
+        assert f"{named} = {new.split(' = ')[1]}: " in capsys.readouterr().err
 
     def test_zero_step_t_end_exit(self, tmp_path, capsys):
         path = tmp_path / "s.ini"

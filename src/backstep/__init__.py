@@ -13,7 +13,6 @@ from .coefficients import (
     ValidationError,
     lambda_lower,
     sup_c,
-    validate,
 )
 from .kernel import (
     ConvergenceError,
@@ -28,18 +27,17 @@ from .kernel import (
     solve_inverse_kernel,
     tail_bound,
 )
-from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
+from .norms import NormTrace, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from .simulator import (
     DivergenceError,
     SimConfig,
     Trajectory,
-    check_compatibility,
     simulate_closed_loop,
     simulate_target,
 )
 from .transforms import (
     Profile,
-    control_input,
+    check_compatibility,
     forward_transform,
     initial_target_data,
     inverse_transform,

@@ -1,7 +1,7 @@
 """Command-line front end: kernel solves, simulations, verification runs.
 
-Exit codes: 0 pass, 1 bound violation, 2 configuration error, 3 numerical
-failure.
+Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
+unwritable output directory included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .coefficients import ValidationError, lambda_lower, validate
-from .kernel import ConvergenceError, GoursatProblem, picard_solve, residual, solve_inverse_kernel
+from .coefficients import ValidationError, lambda_lower
+from .kernel import ConvergenceError, GoursatProblem, picard_solve, residual
 from .simulator import DivergenceError, simulate_closed_loop, simulate_target
 from .transforms import TransformError, initial_target_data, make_compatible
 from .verify import (
@@ -24,6 +24,7 @@ from .verify import (
     load_scenario,
     oracle_comparison,
     run_scenario,
+    solve_kernels,
     write_controls,
     write_trajectory,
 )
@@ -58,10 +59,8 @@ def _load(args) -> ScenarioConfig:
 
 def _cmd_kernel(args) -> int:
     config = _load(args)
-    validate(config.spec)
-    ks = config.kernel
-    k = picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
-    l = solve_inverse_kernel(config.spec, ks.n_xi, ks.tol, ks.max_iter)
+    lambda_lower(config.spec)
+    k, l = solve_kernels(config)
     os.makedirs(config.outputs, exist_ok=True)
     dump_kernel_csv(os.path.join(config.outputs, "kernels.csv"), k, l)
     lines = [
@@ -85,7 +84,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    validate(config.spec)
+    lambda_lower(config.spec)
     ks = config.kernel
     k = None
     if args.target or not args.open_loop:
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, DivergenceError, TransformError, np.linalg.LinAlgError) as exc:

@@ -173,7 +173,3 @@ def lambda_lower(spec: ProblemSpec) -> float:
         )
     return lam
 
-
-def validate(spec: ProblemSpec) -> None:
-    """Raise ValidationError unless the spectral-shift condition holds."""
-    lambda_lower(spec)

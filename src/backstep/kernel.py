@@ -367,9 +367,6 @@ class KernelGrid:
     def lattice(self) -> ChartLattice:
         return ChartLattice(self.n_xi)
 
-    def tri_mask(self) -> np.ndarray:
-        return np.tril(np.ones((self.n_eta, self.n_eta), dtype=bool))
-
     def kx_xy(self) -> np.ndarray:
         """k_x on the values_xy grid via chain-rule lattice differences."""
         return _triangle(_kx_chart(self.values_xieta, self.delta))
@@ -459,12 +456,7 @@ def _build_grid(problem, lat, G, M, iterations, increments, n_cert) -> KernelGri
     )
 
 
-def picard_solve(
-    problem: GoursatProblem,
-    n_xi: int = 201,
-    tol: float = 1e-10,
-    max_iter: int = 80,
-) -> KernelGrid:
+def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) -> KernelGrid:
     """Solve the kernel integral equation by successive approximation.
 
     Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
@@ -513,9 +505,7 @@ def picard_solve(
     return _build_grid(problem, lat, G, M, n, increments, n_cert)
 
 
-def solve_inverse_kernel(
-    spec: ProblemSpec, n_xi: int = 201, tol: float = 1e-10, max_iter: int = 80
-) -> KernelGrid:
+def solve_inverse_kernel(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int) -> KernelGrid:
     """Inverse-kernel counterpart of :func:`picard_solve`."""
     return picard_solve(GoursatProblem.inverse(spec), n_xi, tol, max_iter)
 
@@ -526,14 +516,16 @@ def solve_inverse_kernel(
 
 
 def kernel_constants(k: KernelGrid, l: KernelGrid) -> KernelConstants:
-    """Grid maxima of |k|, |k(x,x)|, |k_x| and the l-kernel analogues."""
+    """Grid maxima of |k|, |k(x,x)|, |k_x| and the l-kernel analogues.
+
+    The triangle arrays are zero above the diagonal, which leaves their maxima unchanged.
+    """
 
     def three(g: KernelGrid):
-        tri = g.tri_mask()
         return (
-            float(np.max(np.abs(g.values_xy[tri]))),
+            float(np.max(np.abs(g.values_xy))),
             float(np.max(np.abs(g.trace_diag))),
-            float(np.max(np.abs(g.kx_xy()[tri]))),
+            float(np.max(np.abs(g.kx_xy()))),
         )
 
     a1, a2, a3 = three(k)

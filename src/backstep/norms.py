@@ -66,11 +66,6 @@ def rho(s, tau: float):
     return out if out.ndim else float(out)
 
 
-def alf(v: Profile, p: float, tau: float) -> float:
-    """Approximate Lyapunov functional int_0^1 rho(v(x))^p dx."""
-    return float(_alf(v.values, v.h, _check_p(p), tau))
-
-
 def gronwall_bound(z0: float, q, h, times) -> np.ndarray:
     """Envelope of z' <= q(t) z + h(t): exp-integral form of the lemma.
 

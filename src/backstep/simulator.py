@@ -31,7 +31,7 @@ from numpy.polynomial import polynomial as npoly
 from ._quad import volterra_matrix
 from .coefficients import ProblemSpec
 from .kernel import KernelGrid
-from .transforms import Profile, _edge_derivative, control_input, feedback_row
+from .transforms import Profile, feedback_row
 
 BLOWUP_FACTOR = 1e6
 
@@ -90,25 +90,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    ok: bool
-    residual_left: float
-    residual_right: float
-
-
-def check_compatibility(w0: Profile, k: KernelGrid, tol: float = 1e-3) -> CompatibilityReport:
-    """Boundary residuals of the initial datum against the feedback flux.
-
-    Advisory only: the simulation runs either way, an incompatible datum
-    just pollutes a short transient.
-    """
-    v, h = w0.values, w0.h
-    left = abs((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
-    right = abs(_edge_derivative(w0) - control_input(w0, k))
-    return CompatibilityReport(left < tol and right < tol, float(left), float(right))
 
 
 def _crank_nicolson(spec: ProblemSpec, w0: Profile, cfg: SimConfig, shift: float = 0.0,

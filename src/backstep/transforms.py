@@ -1,4 +1,4 @@
-"""Volterra integral transforms and the boundary feedback law.
+"""Volterra integral transforms, the boundary feedback law and its flux at x = 1.
 
 The forward map adds a lower-triangular integral of the kernel k, the
 inverse map subtracts the analogous l-integral; composing the two is the
@@ -105,11 +105,6 @@ def feedback_row(k: KernelGrid, grid_m: int) -> np.ndarray:
     return r
 
 
-def control_input(w: Profile, k: KernelGrid) -> float:
-    """Boundary feedback U = -k(1,1) w(1) - int_0^1 k_x(1, y) w(y) dy."""
-    return float(feedback_row(k, w.grid_m) @ w.values)
-
-
 def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     """Shift w0 by a multiple of x^2/2 so the flux condition holds at x = 1.
 
@@ -120,12 +115,8 @@ def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     """
     s = Profile(w0.grid_m, 0.5 * w0.x ** 2)
     r = feedback_row(k, w0.grid_m)
-
-    def flux_residual(p: Profile) -> float:
-        return _edge_derivative(p) - float(r @ p.values)
-
-    r0 = flux_residual(w0)
-    rs = flux_residual(s)
+    r0 = _flux_residual(w0, r)
+    rs = _flux_residual(s, r)
     if abs(rs) < 1e-14:
         raise TransformError("compatibility shift is degenerate for this kernel")
     gamma = -r0 / rs
@@ -133,7 +124,26 @@ def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     return adjusted, gamma
 
 
-def _edge_derivative(p: Profile) -> float:
-    """Second-order one-sided derivative at x = 1."""
+@dataclass(frozen=True)
+class CompatibilityReport:
+    ok: bool  # both residuals below 1e-3
+    residual_left: float
+    residual_right: float
+
+
+def check_compatibility(w0: Profile, k: KernelGrid) -> CompatibilityReport:
+    """Boundary residuals of the initial datum against the feedback flux.
+
+    Advisory only: the simulation runs either way, an incompatible datum
+    just pollutes a short transient.
+    """
+    v, h = w0.values, w0.h
+    left = abs((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
+    right = abs(_flux_residual(w0, feedback_row(k, w0.grid_m)))
+    return CompatibilityReport(left < 1e-3 and right < 1e-3, float(left), float(right))
+
+
+def _flux_residual(p: Profile, r: np.ndarray) -> float:
+    """w_x(1) - r . w: the second-order one-sided derivative at x = 1 minus the feedback."""
     v, h = p.values, p.h
-    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
+    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)) - float(r @ v)

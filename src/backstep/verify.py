@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .coefficients import CoefficientFamily, ProblemSpec, lambda_lower, validate
+from .coefficients import CoefficientFamily, ProblemSpec, lambda_lower
 from .kernel import (
     MIN_N_XI,
     GoursatProblem,
@@ -27,15 +27,14 @@ from .kernel import (
     solve_inverse_kernel,
 )
 from .norms import NormTrace, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
-from .simulator import (
+from .simulator import SimConfig, Trajectory, simulate_closed_loop, simulate_target
+from .transforms import (
     CompatibilityReport,
-    SimConfig,
-    Trajectory,
+    Profile,
     check_compatibility,
-    simulate_closed_loop,
-    simulate_target,
+    initial_target_data,
+    make_compatible,
 )
-from .transforms import Profile, initial_target_data, make_compatible
 
 
 class ConfigError(ValueError):
@@ -308,6 +307,14 @@ def _section(cp: configparser.ConfigParser, name: str) -> dict:
     return parsed
 
 
+def _build(name: str, cls, **kwargs):
+    """``cls(**kwargs)``; an admissibility error it raises names section ``[name]``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Parse the scenario file; an omitted key takes its dataclass field's default."""
     if not os.path.exists(path):
@@ -327,13 +334,13 @@ def load_scenario(path) -> ScenarioConfig:
         named = {f.name: init.pop(f.name) for f in fields(InitialData) if f.name in init}
         if "directory" in out:
             top["outputs"] = out["directory"]
-        return ScenarioConfig(
-            spec=ProblemSpec(CoefficientFamily(**family), **prob),
-            kernel=KernelSettings(**ker),
-            sim=SimConfig(**sim),
-            initial_data=InitialData(params=init, **named),
-            **top,
-        )
+        spec = _build("problem", ProblemSpec, family=_build("problem", CoefficientFamily, **family),
+                      **prob)
+        return _build("verify", ScenarioConfig, spec=spec,
+                      kernel=_build("kernel", KernelSettings, **ker),
+                      sim=_build("sim", SimConfig, **sim),
+                      initial_data=_build("initial_data", InitialData, params=init, **named),
+                      **top)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -366,8 +373,6 @@ class DecayReport:
 
     def to_json(self) -> str:
         payload = asdict(self)
-        if self.compatibility is not None:
-            payload["compatibility"] = asdict(self.compatibility)
         payload["passed"] = self.passed
 
         def default(o):
@@ -404,6 +409,13 @@ class ContinuousDependenceReport:
 # --------------------------------------------------------------------------
 
 
+def solve_kernels(config: ScenarioConfig) -> tuple[KernelGrid, KernelGrid]:
+    """The direct kernel k and the inverse kernel l at the config's kernel settings."""
+    ks = config.kernel
+    return (picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter),
+            solve_inverse_kernel(config.spec, ks.n_xi, ks.tol, ks.max_iter))
+
+
 def continuous_dependence_experiment(
     config: ScenarioConfig, w01: Profile, w02: Profile
 ) -> ContinuousDependenceReport:
@@ -416,11 +428,8 @@ def continuous_dependence_experiment(
     if w01.grid_m != w02.grid_m:
         raise ValueError("both initial data must share a grid")
     spec = config.spec
-    validate(spec)
-    k = picard_solve(GoursatProblem.direct(spec), config.kernel.n_xi,
-                     config.kernel.tol, config.kernel.max_iter)
-    l = solve_inverse_kernel(spec, config.kernel.n_xi, config.kernel.tol,
-                             config.kernel.max_iter)
+    lambda_lower(spec)  # raises unless lambda0 > sup c
+    k, l = solve_kernels(config)
     con = kernel_constants(k, l)
     t1 = simulate_closed_loop(spec, k, w01, config.sim)
     t2 = simulate_closed_loop(spec, k, w02, config.sim)
@@ -454,7 +463,7 @@ def _alf_envelope_check(spec, lam, traj: Trajectory, p: float, tau: float, slack
     return ok, z, env
 
 
-def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
+def run_scenario(config: ScenarioConfig) -> DecayReport:
     """Full pipeline: validate, solve kernels, simulate, fit, check, write.
 
     Deterministic for a given config.  On a stage failure the MANIFEST
@@ -464,26 +473,21 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
     artifacts: list[str] = []
     stage = "validate"
     try:
-        if write:
-            os.makedirs(outdir, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
         spec = config.spec
         lam = lambda_lower(spec)  # raises unless lambda0 > sup c
 
         stage = "kernel"
-        k = picard_solve(GoursatProblem.direct(spec), config.kernel.n_xi,
-                         config.kernel.tol, config.kernel.max_iter)
-        l = solve_inverse_kernel(spec, config.kernel.n_xi, config.kernel.tol,
-                                 config.kernel.max_iter)
-        if write:
-            artifacts.append(dump_kernel_csv(os.path.join(outdir, "kernels.csv"), k, l))
+        k, l = solve_kernels(config)
+        artifacts.append(dump_kernel_csv(os.path.join(outdir, "kernels.csv"), k, l))
 
         stage = "constants"
         con = kernel_constants(k, l)
+        per_p = {p: constants_for_p(p, con) for p in config.p_list}
         constants = {
             "alpha": (con.alpha1, con.alpha2, con.alpha3),
             "beta": (con.beta1, con.beta2, con.beta3),
-            "per_p": {("inf" if np.isinf(p) else f"{p:g}"): constants_for_p(p, con)
-                      for p in config.p_list},
+            "per_p": {("inf" if np.isinf(p) else f"{p:g}"): cm for p, cm in per_p.items()},
         }
 
         stage = "compatibility"
@@ -509,7 +513,7 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
         fits: dict[str, tuple] = {}
         margins = []
         for p in config.p_list:
-            cm = constants_for_p(p, con)
+            cm = per_p[p]
             for kind in ("lp", "w1p"):
                 wtr = traces[f"w_{kind}_{_ptag(p)}"]
                 init = wtr.values[0]
@@ -552,25 +556,22 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> DecayReport:
         )
 
         stage = "artifacts"
-        if write:
-            artifacts += _write_traces(outdir, traces)
-            artifacts.append(write_trajectory(outdir, "closed_loop.csv", traj_w))
-            artifacts.append(write_controls(outdir, traj_w))
-            artifacts.append(write_trajectory(outdir, "target.csv", traj_u))
-            rpath = os.path.join(outdir, "report.json")
-            with open(rpath, "w") as fh:
-                fh.write(report.to_json())
-            artifacts.append(rpath)
-            _write_manifest(outdir, artifacts, complete=True)
+        artifacts += _write_traces(outdir, traces)
+        artifacts.append(write_trajectory(outdir, "closed_loop.csv", traj_w))
+        artifacts.append(write_controls(outdir, traj_w))
+        artifacts.append(write_trajectory(outdir, "target.csv", traj_u))
+        rpath = os.path.join(outdir, "report.json")
+        with open(rpath, "w") as fh:
+            fh.write(report.to_json())
+        artifacts.append(rpath)
+        _write_manifest(outdir, artifacts, complete=True)
         return report
     except Exception as exc:
-        if write:
-            try:
-                os.makedirs(outdir, exist_ok=True)
-                _write_manifest(outdir, artifacts, complete=False,
-                                error=f"stage {stage}: {exc}")
-            except OSError:
-                pass
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            _write_manifest(outdir, artifacts, complete=False, error=f"stage {stage}: {exc}")
+        except OSError:
+            pass
         raise
 
 
@@ -641,8 +642,7 @@ def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None)
             fh.write(os.path.basename(a) + "\n")
 
 
-def oracle_comparison(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int,
-                      n_trunc: int = 25):
+def oracle_comparison(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int):
     """Series-vs-Picard table for the closed-form family f = 0, c1 = r x^2.
 
     Returns (rows, sup_error); each row is (xi, eta, picard, series, abs_err).
@@ -658,7 +658,7 @@ def oracle_comparison(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int,
     lat = grid.lattice
     XI, ETA = lat.mesh()
     mask = lat.region_mask()
-    series = series_oracle(spec.lambda0, r, XI[mask], ETA[mask], n_trunc)
+    series = series_oracle(spec.lambda0, r, XI[mask], ETA[mask], 25)  # 25 series terms
     picard = grid.values_xieta[mask]
     err = np.abs(picard - series)
     sup = float(np.max(err))

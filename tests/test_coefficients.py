@@ -9,7 +9,6 @@ from backstep.coefficients import (
     ValidationError,
     lambda_lower,
     sup_c,
-    validate,
 )
 from backstep.kernel import GoursatProblem
 
@@ -139,15 +138,15 @@ class TestSup:
 
 class TestValidate:
     def test_trivial_ok(self):
-        validate(spec_of(lambda0=1.0))
+        lambda_lower(spec_of(lambda0=1.0))
 
     def test_equality_rejected(self):
         s = spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=2.0)
         with pytest.raises(ValidationError, match="lambda0"):
-            validate(s)
+            lambda_lower(s)
 
     def test_strictly_above_ok(self):
-        validate(spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=3.0))
+        lambda_lower(spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=3.0))
         assert lambda_lower(
             spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=3.0)
         ) == pytest.approx(1.0, abs=1e-12)

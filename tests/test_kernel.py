@@ -273,11 +273,11 @@ class TestPicard:
     def test_grid_preconditions(self, spec_rx2):
         prob = GoursatProblem.direct(spec_rx2)
         with pytest.raises(ValueError):
-            picard_solve(prob, n_xi=32)
+            picard_solve(prob, n_xi=32, tol=1e-10, max_iter=80)
         with pytest.raises(ValueError):
-            picard_solve(prob, n_xi=31)
+            picard_solve(prob, n_xi=31, tol=1e-10, max_iter=80)
         with pytest.raises(ValueError):
-            picard_solve(prob, n_xi=65, tol=-1.0)
+            picard_solve(prob, n_xi=65, tol=-1.0, max_iter=80)
 
 
 class TestDerivativeTrace:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.norms import (
     NormTrace,
-    alf,
+    _alf,
     gronwall_bound,
     lp_norm,
     norm_trace,
@@ -102,14 +102,15 @@ class TestRho:
 class TestAlf:
     def test_zero_field(self):
         tau = 0.05
+        v = prof(lambda x: 0 * x)
         for p in (1.0, 1.5, 2.0):
-            assert alf(prof(lambda x: 0 * x), p, tau) == pytest.approx((3 * tau / 8) ** p)
+            assert _alf(v.values, v.h, p, tau) == pytest.approx((3 * tau / 8) ** p)
 
     def test_exact_outside_seam(self):
         v = prof(lambda x: 1.0 + x)  # |v| >= 1 > tau everywhere
         tau = 0.5
         for p in (1.0, 2.0, 3.0):
-            assert alf(v, p, tau) == pytest.approx(lp_norm(v, p) ** p, abs=1e-14)
+            assert _alf(v.values, v.h, p, tau) == pytest.approx(lp_norm(v, p) ** p, abs=1e-14)
 
     def test_gap_linear_envelope(self, rng):
         vals = rng.normal(size=301)
@@ -118,7 +119,7 @@ class TestAlf:
         for p in (1.0, 1.5, 2.0, 3.0):
             gaps = []
             for tau in (1e-1, 1e-2, 1e-3):
-                gap = abs(alf(v, p, tau) - lp_norm(v, p) ** p)
+                gap = abs(_alf(v.values, v.h, p, tau) - lp_norm(v, p) ** p)
                 assert gap <= 0.375 * p * tau * (sup + 0.375 * tau) ** (p - 1) + 1e-15
                 gaps.append(gap)
             assert gaps[0] > gaps[1] > gaps[2]
@@ -157,7 +158,7 @@ class TestAlfDecay:
         lam_floor = 1.0
         x = traj.x
         for p, tau in ((1.5, 1e-2), (2.0, 1e-2), (1.0, 1e-1)):
-            z = np.array([alf(Profile(cfg.grid_m, row), p, tau) for row in traj.fields])
+            z = np.array([_alf(row, cfg.h, p, tau) for row in traj.fields])
             dz = np.gradient(z, traj.times)
             lam_xt = np.array([3.0 - x ** 2 - np.exp(-t) for t in traj.times])
             rem = 0.375 * tau * p * np.trapezoid(
@@ -187,7 +188,7 @@ class TestNormTrace:
         rows = [Profile(41, row) for row in traj.fields]
         expect = {"lp": [lp_norm(v, p) for v in rows], "w1p": [w1p_norm(v, p) for v in rows]}
         if not np.isinf(p):
-            expect["alf"] = [alf(v, p, 0.3) for v in rows]
+            expect["alf"] = [_alf(v.values, v.h, p, 0.3) for v in rows]
         for kind, values in expect.items():
             got = norm_trace(traj, p, kind, tau=0.3).values
             np.testing.assert_allclose(got, values, rtol=4 * np.finfo(float).eps, atol=0)

@@ -248,21 +248,21 @@ class TestScenario:
             initial_data=InitialData("constant", {"a": 0.0}, False),
             tau_list=(1e-2,),
         )
-        report = run_scenario(cfg, write=False)
+        report = run_scenario(cfg)
         assert report.passed
         assert report.fitted_sigma is None  # zero trace has no fit
 
     def test_scaling_equivariance(self, tmp_path):
         base = scenario(tmp_path / "a", initial_data=InitialData("bump", {"height": 1.0}, True))
         double = scenario(tmp_path / "b", initial_data=InitialData("bump", {"height": 2.0}, True))
-        r1 = run_scenario(base, write=False)
-        r2 = run_scenario(double, write=False)
+        r1 = run_scenario(base)
+        r2 = run_scenario(double)
         # the envelope coefficient C / ||w0|| and the rate are scale free
         assert r2.fitted_sigma == pytest.approx(r1.fitted_sigma, rel=1e-6)
         assert r2.fitted_C == pytest.approx(2.0 * r1.fitted_C, rel=1e-6)
 
     def test_target_rate_at_least_floor(self, tmp_path):
-        report = run_scenario(scenario(tmp_path / "rate"), write=False)
+        report = run_scenario(scenario(tmp_path / "rate"))
         for name, fit in report.fits.items():
             if name.startswith("u_lp") and fit is not None:
                 assert fit[1] >= report.lambda_lower - 0.05
@@ -548,6 +548,29 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(path)]) == 2
         assert "t_end = 1e-06" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("c2_b = 1.0", "c2_b = 0", "[problem] exp_decay requires b > 0"),
+        ("t_end = 0.5", "t_end = 1e-6", "[sim] invalid simulation configuration: t_end = 1e-06"),
+        ("horizon = 2.0", "horizon = -1", "[problem] horizon must be positive"),
+        ("n_xi = 101", "n_xi = 100", "[kernel] kernel settings need"),
+    ], ids=["c2_b", "t_end", "horizon", "n_xi"])
+    def test_admissibility_error_named(self, tmp_path, capsys, old, new, named):
+        path = tmp_path / "s.ini"
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert cli_main(["kernel", "--config", str(path)]) == 2
+        assert f"configuration error: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
+    def test_unwritable_out_exit(self, tmp_path, capsys, command):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli_main([command, "--config", str(path), "--out", str(blocker / "out")]) == 2
+        assert "configuration error: " in capsys.readouterr().err
+
     def test_bad_p_list_exit(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
@@ -584,14 +607,15 @@ class TestCli:
     @pytest.mark.parametrize("case", ["no_trace", "degenerate_shift"])
     def test_unusable_kernel_exit(self, tmp_path, monkeypatch, case):
         import backstep.cli
-        from backstep.transforms import _edge_derivative
+        from backstep.transforms import _flux_residual
 
         def broken(*args, **kwargs):
             k = picard_solve(*args, **kwargs)
             if case == "no_trace":
                 return dataclasses.replace(k, trace_kx1=np.empty(0))
             # U = -k(1, 1) w(1) then cancels the edge slope of x^2/2 exactly
-            slope = _edge_derivative(Profile.from_function(lambda x: 0.5 * x ** 2, 101))
+            slope = _flux_residual(Profile.from_function(lambda x: 0.5 * x ** 2, 101),
+                                   np.zeros(101))
             diag = k.trace_diag.copy()
             diag[-1] = -2.0 * slope
             return dataclasses.replace(k, trace_kx1=np.zeros_like(k.trace_kx1), trace_diag=diag)

@@ -52,8 +52,6 @@ from .verify import (
     fit_decay_rate,
     load_scenario,
     run_scenario,
-    stability_constant_C1,
-    stability_constant_C2,
     verify_theorem_bound,
 )
 

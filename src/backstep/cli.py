@@ -1,7 +1,8 @@
 """Command-line front end: kernel solves, simulations, verification runs.
 
 Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
-unwritable output directory included), 3 numerical failure.
+unwritable output directory included), 3 numerical failure (a float
+overflow included).
 """
 from __future__ import annotations
 
@@ -59,9 +60,9 @@ def _load(args) -> ScenarioConfig:
 
 def _cmd_kernel(args) -> int:
     config = _load(args)
+    os.makedirs(config.outputs, exist_ok=True)
     lambda_lower(config.spec)
     k, l = solve_kernels(config)
-    os.makedirs(config.outputs, exist_ok=True)
     dump_kernel_csv(os.path.join(config.outputs, "kernels.csv"), k, l)
     lines = [
         f"picard sweeps: direct {k.iterations_used}, inverse {l.iterations_used}",
@@ -84,6 +85,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
+    os.makedirs(config.outputs, exist_ok=True)
     lambda_lower(config.spec)
     ks = config.kernel
     k = None
@@ -92,7 +94,6 @@ def _cmd_simulate(args) -> int:
     w0 = config.initial_data.build(config.sim.grid_m)
     if config.initial_data.adjust_compatibility and not args.open_loop:
         w0, _ = make_compatible(w0, k)
-    os.makedirs(config.outputs, exist_ok=True)
     if args.target:
         u0 = initial_target_data(w0, k)
         traj = simulate_target(config.spec, u0, config.sim)
@@ -119,11 +120,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
+    if args.out:
+        os.makedirs(config.outputs, exist_ok=True)
     ks = config.kernel
     rows, sup = oracle_comparison(config.spec, ks.n_xi, ks.tol, ks.max_iter)
     print(f"sup |picard - series| over the region: {sup:.6e}")
     if args.out:
-        os.makedirs(config.outputs, exist_ok=True)
         path = _write_csv(os.path.join(config.outputs, "oracle.csv"),
                           "xi,eta,picard,series,abs_err", np.transpose(rows), "%.12g")
         print(f"table written to {path}")
@@ -175,7 +177,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, DivergenceError, TransformError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, DivergenceError, TransformError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

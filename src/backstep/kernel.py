@@ -340,10 +340,8 @@ class KernelGrid:
     diagonal); ``trace_diag`` is k(x, x) and ``trace_kx1`` is k_x(1, y).
     """
 
-    orientation: str
     n_xi: int
     delta: float
-    lambda0: float
     bound_M: float
     values_xieta: np.ndarray
     values_xy: np.ndarray
@@ -437,19 +435,17 @@ def _lagrange4_2d(G, u, v):
     return out
 
 
-def _build_grid(problem, lat, G, M, iterations, increments, n_cert) -> KernelGrid:
+def _build_grid(lat, G, M, increments, n_cert) -> KernelGrid:
     values_xy = _triangle(G)
     return KernelGrid(
-        orientation=problem.orientation,
         n_xi=lat.n_xi,
         delta=lat.delta,
-        lambda0=problem.lambda0,
         bound_M=M,
         values_xieta=G,
         values_xy=values_xy,
         trace_diag=np.diag(values_xy).copy(),
         trace_kx1=_triangle(_kx_chart(G, lat.delta))[-1].copy(),
-        iterations_used=iterations,
+        iterations_used=len(increments),
         final_increment=increments[-1] if increments else 0.0,
         increments=tuple(increments),
         n_certified=n_cert,
@@ -462,7 +458,8 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
     region drops below ``tol``, or until the certified bound says every
     remaining increment is already below ``tol`` (whichever happens
-    first).  The iteration starts from G0.
+    first).  The iteration starts from G0.  Raises ConvergenceError when
+    a sweep is still due after ``max_iter`` sweeps.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -481,28 +478,18 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     region = lat.region_mask()
     G = G0
     increments: list[float] = []
-    converged = False
-    n = 0
-    while n < max_iter:
-        if n >= n_cert:
-            converged = True
-            break
+    while len(increments) < n_cert and (not increments or increments[-1] >= tol):
+        if len(increments) == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} sweeps "
+                f"(last increment {increments[-1]:.3e} >= tol {tol:.3e}); "
+                "the grid is too coarse for this tolerance",
+                last_increment=increments[-1],
+            )
         G_next = G0 + _apply_phi(react, psi, problem.conv_sign, G, lat)
-        inc = float(np.max(np.abs((G_next - G)[region])))
-        increments.append(inc)
+        increments.append(float(np.max(np.abs((G_next - G)[region]))))
         G = G_next
-        n += 1
-        if inc < tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} sweeps "
-            f"(last increment {increments[-1]:.3e} >= tol {tol:.3e}); "
-            "the grid is too coarse for this tolerance",
-            last_increment=increments[-1],
-        )
-    return _build_grid(problem, lat, G, M, n, increments, n_cert)
+    return _build_grid(lat, G, M, increments, n_cert)
 
 
 def solve_inverse_kernel(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int) -> KernelGrid:

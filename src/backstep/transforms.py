@@ -61,9 +61,7 @@ def forward_transform(w: Profile, k: KernelGrid, order: int = 4) -> Profile:
 
     ``order`` (2 or 4) selects the Volterra quadrature weights.
     """
-    K = kernel_matrix(k, w.grid_m)
-    W = volterra_matrix(w.grid_m, w.h, order)
-    return Profile(w.grid_m, w.values + (W * K) @ w.values)
+    return _volterra(w, k, 1.0, order)
 
 
 def inverse_transform(u: Profile, l: KernelGrid, order: int = 4) -> Profile:
@@ -71,9 +69,14 @@ def inverse_transform(u: Profile, l: KernelGrid, order: int = 4) -> Profile:
 
     ``order`` (2 or 4) selects the Volterra quadrature weights.
     """
-    L = kernel_matrix(l, u.grid_m)
-    W = volterra_matrix(u.grid_m, u.h, order)
-    return Profile(u.grid_m, u.values - (W * L) @ u.values)
+    return _volterra(u, l, -1.0, order)
+
+
+def _volterra(p: Profile, k: KernelGrid, sign: float, order: int) -> Profile:
+    """p(x) + sign * int_0^x k(x, y) p(y) dy per grid node."""
+    K = kernel_matrix(k, p.grid_m)
+    W = volterra_matrix(p.grid_m, p.h, order)
+    return Profile(p.grid_m, p.values + sign * ((W * K) @ p.values))
 
 
 def initial_target_data(w0: Profile, k: KernelGrid) -> Profile:

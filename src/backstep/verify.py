@@ -50,52 +50,30 @@ class FitError(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-def stability_constant_C1(p: float, alpha1: float, beta1: float) -> float:
-    """L^p-envelope constant (4^(p-1) (1 + alpha1^p)(1 + beta1^p))^(1/p)."""
-    if not (p >= 1.0) or np.isinf(p):
-        raise ValueError("C1 is defined for finite p >= 1")
-    if alpha1 < 0 or beta1 < 0:
+def constants_for_p(p: float, con: KernelConstants) -> dict:
+    """Envelope constants for one p from the kernel maxima.
+
+    Finite p gives C1 ("lp") and C2 ("w1p") with gamma1, gamma2; p = inf
+    gives C3 and C4 with gamma3, gamma4.  gamma3 follows the four-branch
+    table in alpha1, beta1 (the <= 1 branches cover the zero-kernel edge);
+    C3 is the p -> inf limit of C1 and the L^inf constant feeding C4.
+    """
+    if not p >= 1.0:
+        raise ValueError(f"the envelope constants need p >= 1, got {p}")
+    if any(m < 0 for m in con):
         raise ValueError("kernel maxima must be nonnegative")
-    return float((4.0 ** (p - 1) * (1 + alpha1 ** p) * (1 + beta1 ** p)) ** (1.0 / p))
-
-
-def stability_constant_C2(p: float, alphas, betas, C1: float):
-    """W^{1,p}-envelope constant; returns (C2, gamma1, gamma2)."""
-    if not (p >= 1.0) or np.isinf(p):
-        raise ValueError("C2 is defined for finite p >= 1")
-    a1, a2, a3 = alphas
-    b2, b3 = betas
+    a1, a2, a3, b1, b2, b3 = con
+    if np.isinf(p):
+        gamma3 = max(1.0, a1) * max(1.0, b1)
+        C3 = 4.0 * gamma3
+        gamma4 = max(1.0, b2 + b3)
+        C4 = max(9.0 * gamma4, C3 + 9.0 * gamma4 * (1 + a1 + a2 + a3))
+        return {"lp": float(C3), "w1p": float(C4), "gamma3": gamma3, "gamma4": gamma4}
+    C1 = float((4.0 ** (p - 1) * (1 + a1 ** p) * (1 + b1 ** p)) ** (1.0 / p))
     gamma1 = max(1.0, b2 ** p + b3 ** p)
     gamma2 = C1 ** p + 9.0 ** (p - 1) * gamma1 * (1 + a1 ** p + a2 ** p + a3 ** p)
     C2 = max(9.0 ** ((p - 1) / p) * gamma1 ** (1.0 / p), gamma2 ** (1.0 / p))
-    return float(C2), float(gamma1), float(gamma2)
-
-
-def _constants_inf(alphas, betas) -> dict:
-    """Max-norm constants C3 ("lp") and C4 ("w1p") with their gamma3, gamma4.
-
-    gamma3 follows the four-branch table in alpha1, beta1 (the <= 1
-    branches cover the zero-kernel edge); the L^inf constant feeding C4
-    is C3 itself, the p -> inf limit of the C1 formula.
-    """
-    a1, a2, a3 = alphas
-    b1, b2, b3 = betas
-    gamma3 = max(1.0, a1) * max(1.0, b1)
-    C3 = 4.0 * gamma3
-    gamma4 = max(1.0, b2 + b3)
-    C4 = max(9.0 * gamma4, C3 + 9.0 * gamma4 * (1 + a1 + a2 + a3))
-    return {"lp": float(C3), "w1p": float(C4), "gamma3": gamma3, "gamma4": gamma4}
-
-
-def constants_for_p(p: float, con: KernelConstants) -> dict:
-    """Envelope constants for one p (C1/C2 finite p, C3/C4 for p = inf)."""
-    a = (con.alpha1, con.alpha2, con.alpha3)
-    b = (con.beta1, con.beta2, con.beta3)
-    if np.isinf(p):
-        return _constants_inf(a, b)
-    C1 = stability_constant_C1(p, con.alpha1, con.beta1)
-    C2, g1, g2 = stability_constant_C2(p, a, (con.beta2, con.beta3), C1)
-    return {"lp": C1, "w1p": C2, "gamma1": g1, "gamma2": g2}
+    return {"lp": C1, "w1p": float(C2), "gamma1": float(gamma1), "gamma2": float(gamma2)}
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +81,7 @@ def constants_for_p(p: float, con: KernelConstants) -> dict:
 # --------------------------------------------------------------------------
 
 
-def fit_decay_rate(trace: NormTrace, skip_fraction: float = 0.1):
+def fit_decay_rate(trace: NormTrace, skip_fraction: float):
     """Least-squares exponential fit on the trailing window.
 
     Returns (C, sigma, rms_residual) from log(values) ~ log C - sigma t
@@ -136,7 +114,6 @@ class BoundCheck:
     passed: bool
     worst_t: float
     margin: float  # min over t of log(envelope/value), slack excluded
-    slack: float
 
 
 def verify_theorem_bound(
@@ -144,7 +121,7 @@ def verify_theorem_bound(
     C_bound: float,
     lam: float,
     initial_norm: float,
-    slack: float = 1.05,
+    slack: float,
 ) -> BoundCheck:
     """Check values(t) <= slack * C_bound * exp(-lam t) * initial_norm."""
     if slack < 1.0:
@@ -158,7 +135,7 @@ def verify_theorem_bound(
     worst = int(np.argmax(v - slack * envelope))
     tiny = max(np.max(v), 1.0) * 1e-250
     margin = float(np.min(np.log((envelope + tiny) / np.maximum(v, tiny))))
-    return BoundCheck(bool(np.all(ok)), float(t[worst]), margin, slack)
+    return BoundCheck(bool(np.all(ok)), float(t[worst]), margin)
 
 
 # --------------------------------------------------------------------------

@@ -226,17 +226,17 @@ class TestPicard:
         series = series_oracle(10.0, 2.0, XI[reg], ETA[reg], 25)
         assert np.max(np.abs(k.values_xieta[reg] - series)) < 2e-5
 
-    def test_bottom_row_is_boundary_data(self, kernels_rx2_101):
+    def test_bottom_row_is_boundary_data(self, spec_rx2, kernels_rx2_101):
         k, l = kernels_rx2_101
         for grid in (k, l):
             lat = grid.lattice
-            expect = 0.25 * grid.lambda0 * lat.xi[: grid.n_xi]
+            expect = 0.25 * spec_rx2.lambda0 * lat.xi[: grid.n_xi]
             assert np.max(np.abs(grid.values_xieta[0, : grid.n_xi] - expect)) < 1e-13
 
-    def test_diagonal_trace_exact(self, kernels_rx2_101):
+    def test_diagonal_trace_exact(self, spec_rx2, kernels_rx2_101):
         k, l = kernels_rx2_101
         for grid in (k, l):
-            expect = 0.5 * grid.lambda0 * grid.x_nodes
+            expect = 0.5 * spec_rx2.lambda0 * grid.x_nodes
             assert np.max(np.abs(grid.trace_diag - expect)) < 1e-13
 
     def test_increments_below_certified_bound(self, kernels_rx2_101):
@@ -293,7 +293,7 @@ class TestDerivativeTrace:
         d2 = np.max(np.abs(traces[201] - traces[401][::2]))
         assert 2.5 < d1 / d2 < 5.5
 
-    def test_chain_rule_consistency(self, kernels_rx2_201):
+    def test_chain_rule_consistency(self, spec_rx2, kernels_rx2_201):
         # k_x + k_y on the diagonal equals half the prescribed slope
         k, _ = kernels_rx2_201
         g = k.values_xieta
@@ -303,7 +303,7 @@ class TestDerivativeTrace:
         n = k.n_eta
         kx11 = (gxi + geta)[0, 2 * (n - 1)]
         ky11 = (gxi - geta)[0, 2 * (n - 1)]
-        assert kx11 + ky11 == pytest.approx(k.lambda0 / 2.0, abs=1e-3)
+        assert kx11 + ky11 == pytest.approx(spec_rx2.lambda0 / 2.0, abs=1e-3)
 
 
 class TestConstants:
@@ -311,10 +311,10 @@ class TestConstants:
         con = kernel_constants(null_kernel, null_kernel)
         assert all(c == 0.0 for c in con)
 
-    def test_diagonal_dominates_half_shift(self, kernels_rx2_101):
+    def test_diagonal_dominates_half_shift(self, spec_rx2, kernels_rx2_101):
         k, l = kernels_rx2_101
         con = kernel_constants(k, l)
-        assert con.alpha2 >= abs(k.lambda0) / 2.0 - 1e-12
+        assert con.alpha2 >= abs(spec_rx2.lambda0) / 2.0 - 1e-12
         assert con.alpha1 >= con.alpha2
 
 
@@ -371,7 +371,7 @@ class TestResidual:
 
 
 class TestDump:
-    def test_round_trip(self, tmp_path, kernels_rx2_101):
+    def test_round_trip(self, tmp_path, spec_rx2, kernels_rx2_101):
         k, l = kernels_rx2_101
         path = tmp_path / "kernels.csv"
         dump_kernel_csv(path, k, l)
@@ -383,7 +383,7 @@ class TestDump:
         assert float(first[0]) == 0.0 and float(first[2]) == 0.0
         last = rows[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == 1.0
-        assert float(last[2]) == pytest.approx(k.lambda0 / 2)
+        assert float(last[2]) == pytest.approx(spec_rx2.lambda0 / 2)
 
 
 class TestValuesAt:

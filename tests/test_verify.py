@@ -27,8 +27,6 @@ from backstep.verify import (
     load_scenario,
     oracle_comparison,
     run_scenario,
-    stability_constant_C1,
-    stability_constant_C2,
     verify_theorem_bound,
     write_controls,
     write_trajectory,
@@ -38,43 +36,59 @@ from backstep.verify import _INITIAL_FAMILIES, _SCHEMA, _write_traces
 
 class TestC1:
     def test_examples(self):
-        assert stability_constant_C1(1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert stability_constant_C1(2.0, 0.0, 0.0) == pytest.approx(2.0)
-        assert stability_constant_C1(2.0, 1.0, 0.0) == pytest.approx(math.sqrt(8.0))
+        assert constants_for_p(1.0, KernelConstants(0, 0, 0, 0, 0, 0))["lp"] == pytest.approx(1.0)
+        assert constants_for_p(2.0, KernelConstants(0, 0, 0, 0, 0, 0))["lp"] == pytest.approx(2.0)
+        assert (constants_for_p(2.0, KernelConstants(1, 0, 0, 0, 0, 0))["lp"]
+                == pytest.approx(math.sqrt(8.0)))
 
     def test_at_least_one(self, rng):
         for _ in range(20):
             p = rng.uniform(1, 6)
             a, b = rng.uniform(0, 4, size=2)
-            assert stability_constant_C1(p, a, b) >= 1.0
+            assert constants_for_p(p, KernelConstants(a, 0, 0, b, 0, 0))["lp"] >= 1.0
 
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            stability_constant_C1(np.inf, 1.0, 1.0)
+    def test_rejects_p_below_one_and_negative_maxima(self):
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError, match="p >= 1"):
+                constants_for_p(p, KernelConstants(1, 1, 1, 1, 1, 1))
+        for p in (2.0, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                constants_for_p(p, KernelConstants(1, 1, 1, 1, -0.5, 1))
+
+    @pytest.mark.parametrize("a1, b1", [(0.0, 0.0), (0.5, 0.5), (2.0, 3.0)])
+    def test_c3_is_the_large_p_limit(self, a1, b1):
+        con = KernelConstants(a1, 0, 0, b1, 0, 0)
+        c3 = constants_for_p(math.inf, con)["lp"]
+        gap100 = abs(constants_for_p(100.0, con)["lp"] / c3 - 1.0)
+        gap200 = abs(constants_for_p(200.0, con)["lp"] / c3 - 1.0)
+        assert gap100 < 0.02
+        assert gap200 < gap100
 
 
 class TestC2:
+    @staticmethod
+    def c2(p, alphas, betas):
+        c = constants_for_p(p, KernelConstants(*alphas, *betas))
+        return c["w1p"], c["gamma1"], c["gamma2"]
+
     def test_examples(self):
-        C2, g1, g2 = stability_constant_C2(1.0, (0, 0, 0), (0, 0), 1.0)
+        C2, g1, g2 = self.c2(1.0, (0, 0, 0), (0, 0, 0))
         assert (C2, g1, g2) == (pytest.approx(2.0), pytest.approx(1.0), pytest.approx(2.0))
-        C2, g1, g2 = stability_constant_C2(2.0, (0, 0, 0), (0, 0), 2.0)
+        C2, g1, g2 = self.c2(2.0, (0, 0, 0), (0, 0, 0))
         assert g2 == pytest.approx(13.0)
         assert C2 == pytest.approx(math.sqrt(13.0))
 
     def test_monotone_in_kernel_maxima(self, rng):
         p = 2.0
-        base = stability_constant_C2(p, (1, 1, 1), (1, 1),
-                                     stability_constant_C1(p, 1, 1))[0]
+        base = self.c2(p, (1, 1, 1), (1, 1, 1))[0]
         for idx in range(3):
             a = [1.0, 1.0, 1.0]
             a[idx] += 0.5
-            up = stability_constant_C2(p, tuple(a), (1, 1),
-                                       stability_constant_C1(p, a[0], 1))[0]
+            up = self.c2(p, tuple(a), (1, 1, 1))[0]
             assert up >= base - 1e-12
 
     def test_at_least_one(self):
-        assert stability_constant_C2(3.0, (0, 0, 0), (0, 0),
-                                     stability_constant_C1(3.0, 0, 0))[0] >= 1.0
+        assert self.c2(3.0, (0, 0, 0), (0, 0, 0))[0] >= 1.0
 
 
 class TestCInf:
@@ -134,7 +148,7 @@ class TestBound:
     def test_zero_trace_passes(self):
         t = np.linspace(0, 1, 11)
         chk = verify_theorem_bound(NormTrace(t, np.zeros_like(t), 2.0, "lp"),
-                                   1.0, 1.0, 0.0)
+                                   1.0, 1.0, 0.0, slack=1.05)
         assert chk.passed
 
     def test_exact_envelope_equality(self):
@@ -147,7 +161,7 @@ class TestBound:
         t = np.linspace(0, 1, 11)
         vals = np.exp(-1.0 * t)
         vals[5] = 2.0
-        chk = verify_theorem_bound(NormTrace(t, vals, 2.0, "lp"), 1.0, 1.0, 1.0)
+        chk = verify_theorem_bound(NormTrace(t, vals, 2.0, "lp"), 1.0, 1.0, 1.0, slack=1.05)
         assert not chk.passed
         assert chk.worst_t == pytest.approx(t[5])
         assert chk.margin < 0
@@ -563,13 +577,28 @@ class TestCli:
         assert f"configuration error: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
-    def test_unwritable_out_exit(self, tmp_path, capsys, command):
+    def test_unwritable_out_exit(self, tmp_path, capsys, monkeypatch, command):
+        import backstep.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the output directory is checked before any kernel solve")
+
+        monkeypatch.setattr(backstep.cli, "solve_kernels", no_solve)
+        monkeypatch.setattr(backstep.cli, "picard_solve", no_solve)
+        monkeypatch.setattr(backstep.cli, "oracle_comparison", no_solve)
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert cli_main([command, "--config", str(path), "--out", str(blocker / "out")]) == 2
         assert "configuration error: " in capsys.readouterr().err
+
+    def test_overflowing_p_exit(self, tmp_path, capsys):
+        # 9 ** (p - 1) in C2 overflows a float long before p = 400
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        assert cli_main(["verify", "--config", str(path), "--p", "400"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_bad_p_list_exit(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -1,7 +1,8 @@
-"""Composite quadrature rules on uniform grids.
+"""Composite and cumulative quadrature rules.
 
-Shared by the kernel solver and the Volterra transforms.  The weight
-tables take one of two orders:
+Shared by the kernel solver, the Volterra transforms and the Gronwall
+envelope (the one non-uniform grid).  The weight tables take one of two
+orders:
 
 * ``order=2``: composite trapezoid.
 * ``order=4``: trapezoid with Euler-Maclaurin endpoint corrections
@@ -14,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 # Closed Newton-Cotes rows used when there are too few nodes for the
 # Gregory end corrections (weights are per unit spacing).
@@ -49,6 +49,19 @@ def composite_weights(n_nodes: int, order: int = 4) -> np.ndarray:
     return w
 
 
+def cumtrapz(g: np.ndarray, d, axis: int = -1) -> np.ndarray:
+    """Cumulative trapezoid sums from the first node, same shape as ``g``.
+
+    ``d`` is the node spacing: a scalar, or the gaps between consecutive
+    nodes along the last axis.  Entry ``k`` is the running sum of
+    ``d * (g[i] + g[i + 1]) / 2.0`` over ``i < k``, evaluated in that order.
+    """
+    gl = np.moveaxis(np.asarray(g, dtype=float), axis, -1)
+    out = np.zeros_like(gl)
+    np.cumsum(d * (gl[..., 1:] + gl[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return np.moveaxis(out, -1, axis)
+
+
 def cumquad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     """Cumulative integral from the first node, same shape as ``g``.
 
@@ -57,7 +70,7 @@ def cumquad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     O(h^4) error uniformly in ``k``.
     """
     g = np.asarray(g, dtype=float)
-    out = cumulative_trapezoid(g, dx=h, axis=axis, initial=0.0)
+    out = cumtrapz(g, h, axis)
     if g.shape[axis] >= 3:
         d = np.gradient(g, h, axis=axis, edge_order=2)
         d0 = np.take(d, [0], axis=axis)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
 unwritable output directory included), 3 numerical failure (a float
-overflow included).
+overflow and a Picard stop at a rounding floor included).  A failure
+inside ``verify`` names its pipeline stage.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .verify import (
     ScenarioConfig,
     _write_csv,
     dump_kernel_csv,
+    failure_text,
     load_scenario,
     oracle_comparison,
     run_scenario,
@@ -175,11 +177,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, ValidationError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {failure_text(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, DivergenceError, TransformError, OverflowError,
             np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {failure_text(exc)}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -39,7 +39,11 @@ _PAD = 8
 
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration hit max_iter with the increment above tolerance."""
+    """Picard iteration stopped with the increment above tolerance.
+
+    Either ``max_iter`` ran out, or the certified stop came while the
+    increments stagnated at a rounding floor above the tolerance.
+    """
 
     def __init__(self, message: str, last_increment: float):
         super().__init__(message)
@@ -393,6 +397,19 @@ class KernelGrid:
             return self.values_xieta[iv, iu]
         return _lagrange4_2d(self.values_xieta, (x + y) / self.delta, (x - y) / self.delta)
 
+    def kx1_at(self, y) -> np.ndarray:
+        """Derivative trace k_x(1, y) at arbitrary y in [0, 1].
+
+        Exact reads of ``trace_kx1`` when every y sits on the lattice;
+        otherwise cubic Lagrange interpolation along the trace.
+        """
+        y = np.asarray(y, dtype=float)
+        idx = self.node_index(y)
+        if idx is not None:
+            return self.trace_kx1[idx]
+        b, w = _stencil(y / self.delta, self.n_eta)
+        return sum(w[..., a] * self.trace_kx1[b + a] for a in range(4))
+
 
 def _triangle(chart: np.ndarray) -> np.ndarray:
     """Chart-lattice values read onto the triangle grid x_m = m delta.
@@ -422,12 +439,16 @@ def _lagrange_w(s: np.ndarray) -> np.ndarray:
     return w
 
 
+def _stencil(s: np.ndarray, n: int):
+    """First index and cubic Lagrange weights of the 4-node stencil read at s of n nodes."""
+    b = np.clip(np.floor(s).astype(int) - 1, 0, n - 4)
+    return b, _lagrange_w(s - b)
+
+
 def _lagrange4_2d(G, u, v):
     nj, ni = G.shape
-    bu = np.clip(np.floor(u).astype(int) - 1, 0, ni - 4)
-    bv = np.clip(np.floor(v).astype(int) - 1, 0, nj - 4)
-    wu = _lagrange_w(u - bu)
-    wv = _lagrange_w(v - bv)
+    bu, wu = _stencil(u, ni)
+    bv, wv = _stencil(v, nj)
     out = np.zeros(np.broadcast(u, v).shape)
     for a in range(4):
         for b in range(4):
@@ -459,7 +480,9 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     region drops below ``tol``, or until the certified bound says every
     remaining increment is already below ``tol`` (whichever happens
     first).  The iteration starts from G0.  Raises ConvergenceError when
-    a sweep is still due after ``max_iter`` sweeps.
+    a sweep is still due after ``max_iter`` sweeps, or when the certified
+    stop comes while the last increment is still >= ``tol`` (the
+    increments have reached a rounding floor above the tolerance).
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -489,6 +512,13 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
         G_next = G0 + _apply_phi(react, psi, problem.conv_sign, G, lat)
         increments.append(float(np.max(np.abs((G_next - G)[region]))))
         G = G_next
+    if increments and increments[-1] >= tol:
+        raise ConvergenceError(
+            f"the certified stop after {n_cert} sweeps left an increment of "
+            f"{increments[-1]:.3e} >= tol {tol:.3e}: the increments stagnate at "
+            "a rounding floor, so this tolerance is out of reach",
+            last_increment=increments[-1],
+        )
     return _build_grid(lat, G, M, increments, n_cert)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import cumtrapz
 from .transforms import Profile
 
 
@@ -79,10 +80,9 @@ def gronwall_bound(z0: float, q, h, times) -> np.ndarray:
         raise ValueError("z0 must be nonnegative")
     q = np.broadcast_to(np.asarray(q, dtype=float), times.shape)
     h = np.broadcast_to(np.asarray(h, dtype=float), times.shape)
-    from scipy.integrate import cumulative_trapezoid
-
-    iq = cumulative_trapezoid(q, times, initial=0.0)
-    inner = cumulative_trapezoid(np.exp(-iq) * h, times, initial=0.0)
+    dt = np.diff(times)
+    iq = cumtrapz(q, dt)
+    inner = cumtrapz(np.exp(-iq) * h, dt)
     return np.exp(iq) * (z0 + inner)
 
 

@@ -3,9 +3,10 @@
 The forward map adds a lower-triangular integral of the kernel k, the
 inverse map subtracts the analogous l-integral; composing the two is the
 identity in the continuum.  Profiles live on uniform grids of [0, 1].
-Kernel values are exact lattice reads when the profile nodes sit on the
-kernel's lattice (``KernelGrid.node_index``); otherwise they are
-interpolated.
+Kernel values and the trace k_x(1, y) are exact lattice reads when the
+profile nodes sit on the kernel's lattice (``KernelGrid.node_index``);
+otherwise they are cubic Lagrange interpolants (``KernelGrid.values_at``,
+``KernelGrid.kx1_at``).
 """
 from __future__ import annotations
 
@@ -88,13 +89,7 @@ def kx1_on_grid(k: KernelGrid, grid_m: int) -> np.ndarray:
     """Trace k_x(1, y) resampled onto a profile grid."""
     if np.size(k.trace_kx1) == 0 or not np.all(np.isfinite(k.trace_kx1)):
         raise TransformError("kernel grid has no derivative trace")
-    y = np.linspace(0.0, 1.0, grid_m)
-    idx = k.node_index(y)
-    if idx is not None:
-        return k.trace_kx1[idx]
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(k.x_nodes, k.trace_kx1)(y)
+    return k.kx1_at(np.linspace(0.0, 1.0, grid_m))
 
 
 def feedback_row(k: KernelGrid, grid_m: int) -> np.ndarray:

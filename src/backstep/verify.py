@@ -69,10 +69,13 @@ def constants_for_p(p: float, con: KernelConstants) -> dict:
         gamma4 = max(1.0, b2 + b3)
         C4 = max(9.0 * gamma4, C3 + 9.0 * gamma4 * (1 + a1 + a2 + a3))
         return {"lp": float(C3), "w1p": float(C4), "gamma3": gamma3, "gamma4": gamma4}
-    C1 = float((4.0 ** (p - 1) * (1 + a1 ** p) * (1 + b1 ** p)) ** (1.0 / p))
-    gamma1 = max(1.0, b2 ** p + b3 ** p)
-    gamma2 = C1 ** p + 9.0 ** (p - 1) * gamma1 * (1 + a1 ** p + a2 ** p + a3 ** p)
-    C2 = max(9.0 ** ((p - 1) / p) * gamma1 ** (1.0 / p), gamma2 ** (1.0 / p))
+    try:
+        C1 = float((4.0 ** (p - 1) * (1 + a1 ** p) * (1 + b1 ** p)) ** (1.0 / p))
+        gamma1 = max(1.0, b2 ** p + b3 ** p)
+        gamma2 = C1 ** p + 9.0 ** (p - 1) * gamma1 * (1 + a1 ** p + a2 ** p + a3 ** p)
+        C2 = max(9.0 ** ((p - 1) / p) * gamma1 ** (1.0 / p), gamma2 ** (1.0 / p))
+    except OverflowError:
+        raise OverflowError(f"the envelope constants overflow a float at p = {p:g}") from None
     return {"lp": C1, "w1p": float(C2), "gamma1": float(gamma1), "gamma2": float(gamma2)}
 
 
@@ -443,8 +446,9 @@ def _alf_envelope_check(spec, lam, traj: Trajectory, p: float, tau: float, slack
 def run_scenario(config: ScenarioConfig) -> DecayReport:
     """Full pipeline: validate, solve kernels, simulate, fit, check, write.
 
-    Deterministic for a given config.  On a stage failure the MANIFEST
-    notes the incomplete stage before the exception propagates.
+    Deterministic for a given config.  On a stage failure the exception
+    propagates with its ``stage`` attribute set, after the MANIFEST has
+    noted the incomplete stage (see :func:`failure_text`).
     """
     outdir = config.outputs
     artifacts: list[str] = []
@@ -544,12 +548,19 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         _write_manifest(outdir, artifacts, complete=True)
         return report
     except Exception as exc:
+        exc.stage = stage
         try:
             os.makedirs(outdir, exist_ok=True)
-            _write_manifest(outdir, artifacts, complete=False, error=f"stage {stage}: {exc}")
+            _write_manifest(outdir, artifacts, complete=False, error=failure_text(exc))
         except OSError:
             pass
         raise
+
+
+def failure_text(exc: BaseException) -> str:
+    """The message of ``exc``, led by the run_scenario stage it escaped from, if any."""
+    stage = getattr(exc, "stage", None)
+    return str(exc) if stage is None else f"stage {stage}: {exc}"
 
 
 def _ptag(p: float) -> str:

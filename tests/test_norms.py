@@ -137,6 +137,15 @@ class TestGronwall:
         out = gronwall_bound(0.0, 0.0, 1.0, t)
         assert np.max(np.abs(out - t)) < 1e-10
 
+    def test_bit_equal_to_scipy_on_nonuniform_times(self, rng):
+        from scipy.integrate import cumulative_trapezoid
+
+        t = np.cumsum(rng.uniform(0.01, 0.2, 60))
+        q, h = rng.standard_normal(60), rng.standard_normal(60)
+        iq = cumulative_trapezoid(q, t, initial=0.0)
+        inner = cumulative_trapezoid(np.exp(-iq) * h, t, initial=0.0)
+        assert np.array_equal(gronwall_bound(0.7, q, h, t), np.exp(iq) * (0.7 + inner))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             gronwall_bound(-1.0, 0.0, 0.0, np.array([0.0, 1.0]))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from backstep.kernel import kernel_constants
+from backstep.kernel import kernel_constants, series_oracle
 from backstep.norms import lp_norm
 from backstep.transforms import (
     Profile,
@@ -99,6 +99,20 @@ class TestKernelRead:
             K = kernel_matrix(grid, 81)
             assert np.max(np.abs(K[::4, ::4] - grid.values_xy[::5, ::5])) < 1e-12
             assert np.max(np.abs(kx1_on_grid(grid, 81)[::4] - grid.trace_kx1[::5])) < 1e-12
+
+    def test_off_lattice_trace_keeps_lattice_error(self, kernels_rx2_201):
+        # k_x(1, y) of the series oracle by a central difference in x (error ~1e-10)
+        def exact(y, e=1e-6):
+            right = series_oracle(10.0, 2.0, 1.0 + e + y, 1.0 + e - y, 25)
+            left = series_oracle(10.0, 2.0, 1.0 - e + y, 1.0 - e - y, 25)
+            return (right - left) / (2.0 * e)
+
+        k, _ = kernels_rx2_201
+        lattice_err = np.max(np.abs(k.trace_kx1 - exact(k.x_nodes)))
+        y = np.linspace(0.0, 1.0, 201)
+        assert k.node_index(y) is None
+        read_err = np.max(np.abs(kx1_on_grid(k, 201) - exact(y)))
+        assert read_err <= 1.01 * lattice_err
 
     def test_traces_are_triangle_rows(self, kernels_rx2_201):
         for grid in kernels_rx2_201:

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +324,7 @@ class TestContinuousDependence:
 
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_INI = REPO / "scripts" / "configs" / "default.ini"
+ORACLE_INI = REPO / "scripts" / "configs" / "oracle_rx2.ini"
 
 CONFIG_TEXT = """
 [problem]
@@ -598,7 +601,20 @@ class TestCli:
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
         assert cli_main(["verify", "--config", str(path), "--p", "400"]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: stage constants: " in err
+        assert "p = 400" in err
+        assert "error: stage constants: " in (tmp_path / "run" / "MANIFEST.txt").read_text()
+
+    def test_rounding_floor_tol_exit(self, tmp_path, capsys):
+        # at n_xi = 201 the increments stagnate near 1e-15, so the certified stop
+        # (59 sweeps) comes with the last increment still above tol
+        path = tmp_path / "s.ini"
+        text = ORACLE_INI.read_text()
+        assert "tol = 1e-10" in text
+        path.write_text(text.replace("tol = 1e-10", "tol = 1e-16"))
+        assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert "rounding floor" in capsys.readouterr().err
 
     def test_bad_p_list_exit(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -655,3 +671,28 @@ class TestCli:
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
             "adjust_compatibility = false", "adjust_compatibility = true"))
         assert cli_main(["simulate", "--config", str(path)]) == 3
+
+
+class TestRuntimeDependencies:
+    """scipy serves the tests as an oracle only; the package runs on numpy alone."""
+
+    def test_verify_imports_no_scipy(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        code = (
+            "import sys\n"
+            "import backstep.cli\n"
+            f"code = backstep.cli.main(['verify', '--config', {str(path)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_no_scipy_import_in_sources(self):
+        offenders = [str(path.relative_to(REPO)) for path in (REPO / "src").rglob("*.py")
+                     if any(s in path.read_text() for s in ("import scipy", "from scipy"))]
+        assert offenders == []

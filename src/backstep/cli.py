@@ -21,7 +21,6 @@ from .transforms import TransformError, initial_target_data, make_compatible
 from .verify import (
     ConfigError,
     ScenarioConfig,
-    _write_csv,
     dump_kernel_csv,
     failure_text,
     load_scenario,
@@ -29,6 +28,7 @@ from .verify import (
     run_scenario,
     solve_kernels,
     write_controls,
+    write_oracle,
     write_trajectory,
 )
 
@@ -128,8 +128,7 @@ def _cmd_oracle(args) -> int:
     rows, sup = oracle_comparison(config.spec, ks.n_xi, ks.tol, ks.max_iter)
     print(f"sup |picard - series| over the region: {sup:.6e}")
     if args.out:
-        path = _write_csv(os.path.join(config.outputs, "oracle.csv"),
-                          "xi,eta,picard,series,abs_err", np.transpose(rows), "%.12g")
+        path = write_oracle(os.path.join(config.outputs, "oracle.csv"), rows)
         print(f"table written to {path}")
     return EXIT_PASS
 

@@ -59,8 +59,8 @@ def w1p_norm(v: Profile, p: float) -> float:
 def rho(s, tau: float):
     """Smoothed absolute value: |s| outside |s| < tau, quartic inside."""
     tau = float(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (0.0 < tau < np.inf):
+        raise ValueError("tau must be positive and finite")
     s = np.asarray(s, dtype=float)
     inner = -(s ** 4) / (8 * tau ** 3) + 3 * s ** 2 / (4 * tau) + 3 * tau / 8
     out = np.where(np.abs(s) >= tau, np.abs(s), inner)

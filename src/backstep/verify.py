@@ -127,8 +127,8 @@ def verify_theorem_bound(
     slack: float,
 ) -> BoundCheck:
     """Check values(t) <= slack * C_bound * exp(-lam t) * initial_norm."""
-    if slack < 1.0:
-        raise ValueError("slack must be >= 1")
+    if not (1.0 <= slack < math.inf):
+        raise ValueError("slack must be finite and >= 1")
     t = np.asarray(trace.times, dtype=float)
     v = np.asarray(trace.values, dtype=float)
     envelope = C_bound * initial_norm * np.exp(-lam * t)
@@ -223,12 +223,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.p_list) == 0 or any(not (p >= 1.0) for p in self.p_list):
             raise ConfigError("p_list must be non-empty with every p >= 1")
-        if any(not (tau > 0.0) for tau in self.tau_list):
-            raise ConfigError(f"every tau in tau_list must be > 0, got {self.tau_list}")
+        if any(not (0.0 < tau < math.inf) for tau in self.tau_list):
+            raise ConfigError(f"every tau in tau_list must be finite and > 0, got {self.tau_list}")
         if not (0.0 <= self.skip_fraction < 1.0):
             raise ConfigError(f"skip_fraction must lie in [0, 1), got {self.skip_fraction}")
-        if not (self.slack >= 1.0):
-            raise ConfigError(f"slack must be >= 1, got {self.slack}")
+        if not (1.0 <= self.slack < math.inf):
+            raise ConfigError(f"slack must be finite and >= 1, got {self.slack}")
 
 
 def _floats(text: str) -> tuple:
@@ -567,57 +567,63 @@ def _ptag(p: float) -> str:
     return "pinf" if np.isinf(p) else f"p{p:g}"
 
 
-#: rows formatted per write; one template over a whole trajectory costs
-#: about a third more peak memory for no further speed
-_CSV_BLOCK = 4096
+def _write_csv(path, header: str, groups) -> str:
+    """One CSV file: header row, then one ``%`` per ``(lead, cells, values)`` group.
 
-
-def _write_csv(path, header: str, columns, fmt) -> str:
-    """One CSV file: header row, then the columns with ``fmt``, CRLF line ends.
-
-    ``fmt`` is one format per column, or one for all of them.  Each block
-    of rows is one ``%`` over a repeated row template, which gives the
-    same bytes as ``np.savetxt`` with these formats.
+    A group's rows are ``lead + cell`` for each of ``cells``, CRLF-ended row
+    tails that hold the ``%`` formats ``values`` fill.  Callers format each
+    repeated coordinate once, with ``%.12g``, into a lead or a cell, which
+    gives the same bytes as ``np.savetxt``; one group is in memory at a time.
     """
-    table = np.column_stack(columns)
-    row = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for lead, cells, values in groups:
+            fh.write((lead + lead.join(cells)) % tuple(values))
     return path
+
+
+def _cells(coords, tail: str) -> list[str]:
+    return [("%.12g" % c) + tail for c in coords.tolist()]
 
 
 def _write_traces(outdir, traces: dict) -> list[str]:
     return [
         _write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
-                   (tr.times, tr.values), ("%.12g", "%.15g"))
+                   [("", _cells(tr.times, ",%.15g\r\n"), tr.values.tolist())])
         for name, tr in traces.items()
     ]
 
 
 def write_trajectory(outdir, name, traj: Trajectory) -> str:
-    """Long-format CSV ``t,x,value`` of every recorded slice."""
-    n, m = traj.fields.shape
+    """Long-format CSV ``t,x,value`` of every recorded slice, one record per write."""
+    cells = _cells(traj.x, ",%.15g\r\n")
     return _write_csv(os.path.join(outdir, name), "t,x,value",
-                      (np.repeat(traj.times, m), np.tile(traj.x, n), traj.fields.ravel()),
-                      ("%.12g", "%.12g", "%.15g"))
+                      (("%.12g," % t, cells, row.tolist())
+                       for t, row in zip(traj.times.tolist(), traj.fields)))
 
 
 def write_controls(outdir, traj: Trajectory) -> str:
     """CSV ``t,U`` of the boundary control at the recorded times."""
     return _write_csv(os.path.join(outdir, "controls.csv"), "t,U",
-                      (traj.times, traj.controls), ("%.12g", "%.15g"))
+                      [("", _cells(traj.times, ",%.15g\r\n"), traj.controls.tolist())])
 
 
 def dump_kernel_csv(path, k: KernelGrid, l: KernelGrid) -> str:
-    """CSV ``x,y,k,l`` on the triangle grid, row-major in x then y."""
+    """CSV ``x,y,k,l`` on the triangle grid, row-major in x then y, one x-row per write."""
     if k.values_xy.shape != l.values_xy.shape:
         raise ValueError("kernel grids must share a lattice")
-    m, n = np.tril_indices(k.n_eta)
-    return _write_csv(path, "x,y,k,l", (k.x_nodes[m], k.x_nodes[n], k.values_xy[m, n],
-                                        l.values_xy[m, n]), ("%.12g", "%.12g", "%.15g", "%.15g"))
+    cells = _cells(k.x_nodes, ",%.15g,%.15g\r\n")
+    kl = np.stack((k.values_xy, l.values_xy), axis=-1)
+    return _write_csv(path, "x,y,k,l",
+                      (("%.12g," % x, cells[:i + 1], kl[i, :i + 1].ravel().tolist())
+                       for i, x in enumerate(k.x_nodes.tolist())))
+
+
+def write_oracle(path, rows) -> str:
+    """CSV ``xi,eta,picard,series,abs_err`` of :func:`oracle_comparison`'s rows."""
+    return _write_csv(path, "xi,eta,picard,series,abs_err",
+                      [("", ["%.12g,%.12g,%.12g,%.12g,%.12g\r\n"] * len(rows),
+                        np.ravel(rows).tolist())])
 
 
 def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None):

@@ -98,6 +98,11 @@ class TestRho:
         with pytest.raises(ValueError):
             rho(0.1, 0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            rho(0.1, tau)
+
 
 class TestAlf:
     def test_zero_field(self):

@@ -168,6 +168,13 @@ class TestBound:
         assert chk.worst_t == pytest.approx(t[5])
         assert chk.margin < 0
 
+    @pytest.mark.parametrize("slack", [0.5, math.inf, math.nan])
+    def test_unusable_slack_rejected(self, slack):
+        # an infinite slack would pass any trace, a growing one included
+        t = np.linspace(0, 1, 11)
+        with pytest.raises(ValueError, match="slack must be finite and >= 1"):
+            verify_theorem_bound(NormTrace(t, np.exp(t), 2.0, "lp"), 1.0, 1.0, 1.0, slack)
+
 
 def scenario(tmpdir, **overrides) -> ScenarioConfig:
     spec = overrides.pop("spec", ProblemSpec(
@@ -219,9 +226,10 @@ class TestCsvWriters:
         rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
         assert Path(path).read_bytes() == self.reference(ref, ["t", "value"], rows)
 
-        shape = null_kernel.values_xy.shape
-        k = dataclasses.replace(null_kernel, values_xy=np.full(shape, 1.0 / 3.0))
-        l = dataclasses.replace(null_kernel, values_xy=np.full(shape, -1e-300))
+        # a distinct value per cell, so a row or column mix-up changes the bytes
+        m, n = np.indices(null_kernel.values_xy.shape)
+        k = dataclasses.replace(null_kernel, values_xy=(m + n / 1000) / 3.0)
+        l = dataclasses.replace(null_kernel, values_xy=-1e-300 * (1 + m + n / 1000))
         path = dump_kernel_csv(str(tmp_path / "kernels.csv"), k, l)
         xs = k.x_nodes
         rows = [[f"{xs[m]:.12g}", f"{xs[n]:.12g}", f"{k.values_xy[m, n]:.15g}",
@@ -229,7 +237,7 @@ class TestCsvWriters:
         assert Path(path).read_bytes() == self.reference(ref, ["x", "y", "k", "l"], rows)
 
     def test_blocks_match_savetxt(self, tmp_path, rng):
-        # 2.3 blocks of rows, so both a full and a partial block are written
+        # 3100-wide records whose values span 600 decades, against np.savetxt
         fields = rng.standard_normal((3, 3100)) * np.logspace(-300, 300, 3100)
         traj = Trajectory(np.array([0.0, 1.0 / 3.0, 2.0]), fields)
         path = write_trajectory(str(tmp_path), "traj.csv", traj)
@@ -504,7 +512,13 @@ class TestCli:
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
         assert cli_main(["oracle", "--config", str(path),
                          "--out", str(tmp_path / "run")]) == 0
-        assert (tmp_path / "run" / "oracle.csv").exists()
+        cfg = load_scenario(path)
+        rows, _ = oracle_comparison(cfg.spec, cfg.kernel.n_xi, cfg.kernel.tol,
+                                    cfg.kernel.max_iter)
+        ref = TestCsvWriters.reference(tmp_path / "ref.csv",
+                                       ["xi", "eta", "picard", "series", "abs_err"],
+                                       [[f"{v:.12g}" for v in row] for row in rows])
+        assert (tmp_path / "run" / "oracle.csv").read_bytes() == ref
 
     def test_open_loop_solves_no_kernel(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -634,12 +648,19 @@ class TestCli:
 
     @pytest.mark.parametrize("old, new", [("tau_list = 1e-1 1e-2", "tau_list = 0"),
                                           ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 -1e-2"),
+                                          ("tau_list = 1e-1 1e-2", "tau_list = inf"),
+                                          ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 nan"),
                                           ("skip_fraction = 0.1", "skip_fraction = 1.5"),
-                                          ("slack = 1.05", "slack = 0.5")])
-    def test_bad_verify_settings_exit(self, tmp_path, old, new):
+                                          ("slack = 1.05", "slack = 0.5"),
+                                          ("slack = 1.05", "slack = inf"),
+                                          ("slack = 1.05", "slack = nan")])
+    def test_bad_verify_settings_exit(self, tmp_path, capsys, old, new):
+        # an infinite tau or slack would pass every check it enters, whatever the run did
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
         assert cli_main(["verify", "--config", str(path)]) == 2
+        assert "configuration error: [verify] " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_scheme_exit(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -49,32 +49,49 @@ def composite_weights(n_nodes: int, order: int = 4) -> np.ndarray:
     return w
 
 
+def _along(g: np.ndarray, axis: int, index) -> np.ndarray:
+    """The view of ``g`` taking ``index`` (an int or a slice) along ``axis``."""
+    return g[(slice(None),) * (axis % g.ndim) + (index, ...)]
+
+
 def cumtrapz(g: np.ndarray, d, axis: int = -1) -> np.ndarray:
     """Cumulative trapezoid sums from the first node, same shape as ``g``.
 
     ``d`` is the node spacing: a scalar, or the gaps between consecutive
     nodes along the last axis.  Entry ``k`` is the running sum of
-    ``d * (g[i] + g[i + 1]) / 2.0`` over ``i < k``, evaluated in that order.
+    ``(g[i] + g[i + 1]) * (d / 2.0)`` over ``i < k``, evaluated in that
+    order (``d * (g[i] + g[i + 1]) / 2.0`` to the bit, halving being exact).
     """
-    gl = np.moveaxis(np.asarray(g, dtype=float), axis, -1)
-    out = np.zeros_like(gl)
-    np.cumsum(d * (gl[..., 1:] + gl[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
-    return np.moveaxis(out, -1, axis)
+    g = np.asarray(g, dtype=float)
+    out = np.empty_like(g)
+    _along(out, axis, 0)[...] = 0.0
+    pairs = _along(g, axis, slice(1, None)) + _along(g, axis, slice(None, -1))
+    pairs *= d / 2.0
+    np.cumsum(pairs, axis=axis, out=_along(out, axis, slice(1, None)))
+    return out
 
 
 def cumquad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     """Cumulative integral from the first node, same shape as ``g``.
 
     The trapezoid sums get the h^2/12 endpoint-derivative correction with
-    second-order finite-difference slopes; entry ``k`` then carries an
-    O(h^4) error uniformly in ``k``.
+    second-order finite-difference slopes (the stencils of
+    ``np.gradient(g, h, edge_order=2)``, evaluated in its order); entry
+    ``k`` then carries an O(h^4) error uniformly in ``k``.
     """
     g = np.asarray(g, dtype=float)
     out = cumtrapz(g, h, axis)
     if g.shape[axis] >= 3:
-        d = np.gradient(g, h, axis=axis, edge_order=2)
-        d0 = np.take(d, [0], axis=axis)
-        out = out - (h * h / 12.0) * (d - d0)
+        # views with the axis first; d keeps the memory layout of g and out
+        gm = np.moveaxis(g, axis, 0)
+        d = np.empty_like(gm)
+        np.subtract(gm[2:], gm[:-2], out=d[1:-1])
+        d[1:-1] /= 2.0 * h
+        d[0] = (-1.5 / h) * gm[0] + (2.0 / h) * gm[1] + (-0.5 / h) * gm[2]
+        d[-1] = (0.5 / h) * gm[-3] + (-2.0 / h) * gm[-2] + (1.5 / h) * gm[-1]
+        d -= d[0].copy()
+        d *= h * h / 12.0
+        out -= np.moveaxis(d, 0, axis)
     return out
 
 

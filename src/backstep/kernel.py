@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
 from ._quad import cumquad, volterra_matrix
@@ -173,15 +174,22 @@ def _line_sum(W: np.ndarray, H: np.ndarray, stride: int = 1) -> np.ndarray:
     Returns out[j, c] = sum_s W[j, s] H[s*stride, c + (j - s)*stride] for the
     rows s*stride of ``H`` (columns clipped to the lattice): skew the strided
     rows so each line becomes a column, apply W once, read the skew back.
+    The skew is a strided view of one padded copy of the rows: zeros on the
+    left, read only where the lower-triangular W is zero, and the edge
+    column on the right, which is the clip.
     """
     Hs = H[::stride]
     n, npts = Hs.shape
-    s = np.arange(n)[:, None]
-    skew = np.clip(np.arange(npts + (n - 1) * stride) - s * stride, 0, npts - 1)
-    return np.take_along_axis(W @ Hs[s, skew], np.arange(npts) + s * stride, axis=1)
+    pad = (n - 1) * stride
+    ncols = npts + pad
+    Hp = np.zeros((n, ncols + pad))
+    Hp[:, pad:pad + npts] = Hs
+    Hp[:, pad + npts:] = Hs[:, -1:]
+    skew = sliding_window_view(Hp.ravel(), ncols)[pad::ncols + pad - stride][:n]
+    return sliding_window_view((W @ skew).ravel(), npts)[::ncols + stride]
 
 
-def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice):
+def _triple_parts(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: ChartLattice):
     """Both source-convolution triple integrals of the sweep operator.
 
     Returns (P3, E) with
@@ -192,12 +200,11 @@ def _triple_parts(G: np.ndarray, psi: list[np.ndarray], lat: ChartLattice):
     is ``cumquad(E)``.  All inner limits are lattice-aligned, so the
     tau-integrals are differences of one cumulative table Cr per z-power
     of the expanded f, and the s-integral of every row is
-    B = _line_sum(WB, Cr) - WB @ Cr.
+    B = _line_sum(WB, Cr) - WB @ Cr, with ``WB = volterra_matrix(n_eta, delta)``.
     """
     n_eta = G.shape[0]
     d = lat.delta
     rows = np.arange(n_eta)
-    WB = volterra_matrix(n_eta, d)
     P3 = np.zeros_like(G)
     E = np.zeros(n_eta)
     for r, ps in enumerate(psi):
@@ -220,11 +227,11 @@ def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     return G0
 
 
-def _apply_phi(react, psi, conv_sign, G, lat):
+def _apply_phi(react, psi, WB, conv_sign, G, lat):
     P, Q = _double_parts(react * G, lat)
     out = 0.25 * P + 0.5 * Q[:, None]
     if psi is not None:
-        P3, E = _triple_parts(G, psi, lat)
+        P3, E = _triple_parts(G, psi, WB, lat)
         out += conv_sign * (0.25 * P3 + 0.5 * cumquad(E, lat.delta)[:, None])
     return out
 
@@ -245,6 +252,18 @@ def tail_bound(n: int, M: float, xi: float, eta: float) -> float:
         return 0.0
     logb = (n + 2) * math.log(M) + (n + 1) * math.log(s) - math.lgamma(n + 2)
     return math.exp(logb)
+
+
+def remainder_bound(n: int, M: float, xi: float, eta: float) -> float:
+    """Certified bound on the sum of every increment from the n-th on.
+
+    Consecutive terms of :func:`tail_bound` shrink by M (xi+eta)/(k+2) <=
+    M (xi+eta)/(n+2) for k >= n, so the remainder is at most the n-th term
+    over 1 - M (xi+eta)/(n+2); infinite unless M (xi+eta) < n + 2.
+    """
+    term = tail_bound(n, M, xi, eta)
+    ratio = M * (xi + eta) / (n + 2)
+    return term / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
 def bound_constant_M(spec: ProblemSpec) -> float:
@@ -477,12 +496,13 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     """Solve the kernel integral equation by successive approximation.
 
     Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
-    region drops below ``tol``, or until the certified bound says every
-    remaining increment is already below ``tol`` (whichever happens
-    first).  The iteration starts from G0.  Raises ConvergenceError when
-    a sweep is still due after ``max_iter`` sweeps, or when the certified
-    stop comes while the last increment is still >= ``tol`` (the
-    increments have reached a rounding floor above the tolerance).
+    region drops below ``tol``, or until :func:`remainder_bound` says the
+    sum of every remaining increment is already below ``tol`` (whichever
+    happens first).  The iteration starts from G0.  Raises
+    ConvergenceError when a sweep is still due after ``max_iter`` sweeps,
+    or when the certified stop comes while the last increment is still
+    >= ``tol`` (the increments have reached a rounding floor above the
+    tolerance).
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -491,10 +511,11 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     react = problem.reaction_chart(XI, ETA)
     fam = problem.spec.family
     psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
+    WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
     G0 = _g0_lattice(problem, lat)
     M = bound_constant_M(problem.spec)
     n_cert = 0
-    while tail_bound(n_cert, M, 2.0, 0.0) >= tol:
+    while remainder_bound(n_cert, M, 2.0, 0.0) >= tol:
         n_cert += 1
         if n_cert > 1000:
             break
@@ -509,7 +530,7 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
                 "the grid is too coarse for this tolerance",
                 last_increment=increments[-1],
             )
-        G_next = G0 + _apply_phi(react, psi, problem.conv_sign, G, lat)
+        G_next = G0 + _apply_phi(react, psi, WB, problem.conv_sign, G, lat)
         increments.append(float(np.max(np.abs((G_next - G)[region]))))
         G = G_next
     if increments and increments[-1] >= tol:

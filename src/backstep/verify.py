@@ -587,11 +587,16 @@ def _cells(coords, tail: str) -> list[str]:
 
 
 def _write_traces(outdir, traces: dict) -> list[str]:
-    return [
-        _write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
-                   [("", _cells(tr.times, ",%.15g\r\n"), tr.values.tolist())])
-        for name, tr in traces.items()
-    ]
+    """One ``t,value`` CSV per trace; each distinct ``times`` array is formatted once."""
+    cells: dict[bytes, list[str]] = {}
+    paths = []
+    for name, tr in traces.items():
+        key = tr.times.tobytes()
+        if key not in cells:
+            cells[key] = _cells(tr.times, ",%.15g\r\n")
+        paths.append(_write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
+                                [("", cells[key], tr.values.tolist())]))
+    return paths
 
 
 def write_trajectory(outdir, name, traj: Trajectory) -> str:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import iv, jv
 
+from backstep._quad import volterra_matrix
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.kernel import (
     ChartLattice,
@@ -12,10 +13,12 @@ from backstep.kernel import (
     GoursatProblem,
     _apply_phi,
     _g0_lattice,
+    _line_sum,
     _psi_tables,
     bound_constant_M,
     kernel_constants,
     picard_solve,
+    remainder_bound,
     residual,
     series_coefficients,
     series_oracle,
@@ -45,7 +48,8 @@ def apply_phi(prob, values, n_xi):
     lat = ChartLattice(n_xi)
     fam = prob.spec.family
     psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-    return _apply_phi(prob.reaction_chart(*lat.mesh()), psi, prob.conv_sign, values, lat)
+    WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
+    return _apply_phi(prob.reaction_chart(*lat.mesh()), psi, WB, prob.conv_sign, values, lat)
 
 
 class TestGInitial:
@@ -118,6 +122,27 @@ class TestPhiOperator:
         assert self.source_error(((0.0, 1.0),), linear_y, 81) < coarse / 4
 
 
+def gather_line_sum(W, H, stride=1):
+    """The line sum by explicit index gathers: the skewed rows, clipped columns, read back."""
+    Hs = H[::stride]
+    n, npts = Hs.shape
+    s = np.arange(n)[:, None]
+    skew = np.clip(np.arange(npts + (n - 1) * stride) - s * stride, 0, npts - 1)
+    return np.take_along_axis(W @ Hs[s, skew], np.arange(npts) + s * stride, axis=1)
+
+
+class TestLineSum:
+    @pytest.mark.parametrize("n_xi", [33, 201, 801])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_bit_equal_to_gather(self, rng, n_xi, stride):
+        lat = ChartLattice(n_xi)
+        H = rng.standard_normal((lat.n_eta, lat.npts))
+        # the clip reads the last column past the lattice: give it distinct values
+        H[:, -1] = 10.0 + np.arange(lat.n_eta)
+        W = volterra_matrix(len(H[::stride]), stride * lat.delta)
+        assert np.array_equal(_line_sum(W, H, stride), gather_line_sum(W, H, stride))
+
+
 class TestTailBound:
     def test_base_case(self):
         assert tail_bound(0, 5.0, 2.0, 0.0) == pytest.approx(50.0)
@@ -133,6 +158,14 @@ class TestTailBound:
     def test_invalid(self):
         with pytest.raises(ValueError):
             tail_bound(-1, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("M", [0.0, 2.0, 3.0, 6.0])
+    def test_remainder_bounds_the_sum(self, M):
+        for n in range(60):
+            rest = math.fsum(tail_bound(k, M, 2.0, 0.0) for k in range(n, n + 400))
+            bound = remainder_bound(n, M, 2.0, 0.0)
+            assert rest <= bound
+            assert math.isinf(bound) == (2.0 * M >= n + 2)
 
 
 class TestBoundConstantM:
@@ -243,6 +276,16 @@ class TestPicard:
         for grid in kernels_rx2_101:
             for n, inc in enumerate(grid.increments):
                 assert inc <= 1.1 * tail_bound(n, grid.bound_M, 2.0, 0.0)
+
+    def test_certified_stop_bounds_remainder(self, kernels_rx2_101):
+        # solved at tol = 1e-11: the certified stop is the first n whose remaining
+        # increments sum below tol, one sweep after the first term below tol
+        tol = 1e-11
+        for grid in kernels_rx2_101:
+            n, M = grid.n_certified, grid.bound_M
+            assert math.fsum(tail_bound(k, M, 2.0, 0.0) for k in range(n, n + 400)) < tol
+            assert remainder_bound(n, M, 2.0, 0.0) < tol <= remainder_bound(n - 1, M, 2.0, 0.0)
+            assert tail_bound(n - 1, M, 2.0, 0.0) < tol
 
     def test_uniqueness_diagnostic(self, spec_rx2):
         # iterate from a perturbed start G0 + bump: same fixed point (contraction)

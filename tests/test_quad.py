@@ -18,11 +18,18 @@ def scipy_cumquad(g, h, axis):
 class TestCumquad:
     @pytest.mark.parametrize("shape, axis", [((41, 83), 0), ((41, 83), 1), ((41, 83), -1),
                                              ((5, 7, 9), 1), ((2,), 0), ((3,), 0),
-                                             ((4, 2), 1), ((3, 4), 0)])
+                                             ((4, 2), 1), ((3, 4), 0), ((5, 7, 9), 0),
+                                             ((5, 7, 9), 2), ((5, 7, 9), -3)])
     def test_bit_equal_to_scipy(self, rng, shape, axis):
         g = rng.standard_normal(shape)
         h = 1.0 / (shape[axis] - 1)
-        assert np.array_equal(cumquad(g, h, axis), scipy_cumquad(g, h, axis))
+        expect = scipy_cumquad(g, h, axis)
+        # the same values held contiguously, as a transposed view, and in
+        # every other column of a wider array
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = g
+        for held in (g, np.ascontiguousarray(g.T).T, wide[..., ::2]):
+            assert np.array_equal(cumquad(held, h, axis), expect)
 
     def test_fourth_order(self):
         errs = []

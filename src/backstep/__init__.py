@@ -27,7 +27,7 @@ from .kernel import (
     solve_inverse_kernel,
     tail_bound,
 )
-from .norms import NormTrace, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
+from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from .simulator import (
     DivergenceError,
     SimConfig,

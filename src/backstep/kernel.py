@@ -612,7 +612,8 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     inner = (slice(st, lat.n_eta - st, st), slice(st, -st))
     gxe = (Gs[2:, 2 * st:] - Gs[2:, :-2 * st]
            - Gs[:-2, 2 * st:] + Gs[:-2, :-2 * st]) / (4.0 * (st * d) ** 2)
-    res = 4.0 * gxe - (problem.reaction_chart(XI, ETA) * G)[inner]
+    XIi, ETAi = XI[inner], ETA[inner]
+    res = 4.0 * gxe - problem.reaction_chart(XIi, ETAi) * G[inner]
     if not fam.f_is_zero:
         Y = (XI - ETA) / 2.0
         F = np.asarray(fam.f_poly)
@@ -620,7 +621,7 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
         conv = sum(Y[::st] ** q * _line_sum(W, npoly.polyval(Y, F[:, q]) * G, st)
                    for q in range(F.shape[1]))
         # conv has the strided rows only
-        res -= fam.f((XI + ETA) / 2.0, Y)[inner] + problem.conv_sign * conv[1:-1, st:-st]
+        res -= fam.f((XIi + ETAi) / 2.0, Y[inner]) + problem.conv_sign * conv[1:-1, st:-st]
     inside = lat.region_mask()[inner]
     slope = np.gradient(grid.trace_diag, d, edge_order=2)
     bc_diag = float(np.max(np.abs(2.0 * slope - problem.lambda0)))

@@ -1,4 +1,4 @@
-"""Spatial norms, the smoothed absolute value and its Lyapunov functionals.
+"""Spatial norms, the smoothed absolute value and its Lyapunov functional.
 
 ``rho(s, tau)`` replaces |s| by a C^2 quartic inside |s| < tau; the
 associated functional int rho(v)^p dx approximates the L^p energy while
@@ -23,48 +23,68 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _lp(values: np.ndarray, h: float, p: float) -> np.ndarray:
-    """L^p norm of each profile along the last axis (max for p = inf)."""
+def _check_tau(tau: float) -> float:
+    """``tau`` as a float, if tau^4 is a normal float.
+
+    Then the quartic's s^4 neither overflows for |s| < tau nor underflows
+    near the seam, and its denominator 8 tau^3 is a normal float too.
+    """
+    tau = float(tau)
+    # a float product overflows to inf where tau ** 4 would raise OverflowError
+    if not (tau > 0 and np.finfo(float).tiny <= tau * tau * tau * tau < np.inf):
+        raise ValueError("tau must be positive and finite, with tau^4 a normal float "
+                         f"(about 1.22e-77 <= tau <= 1.16e77), got {tau:g}")
+    return tau
+
+
+def _lp(a: np.ndarray, h: float, p: float) -> np.ndarray:
+    """L^p norm along the last axis of the samples ``a >= 0`` (max for p = inf)."""
     if np.isinf(p):
-        return np.max(np.abs(values), axis=-1)
-    return np.trapezoid(np.abs(values) ** p, dx=h, axis=-1) ** (1.0 / p)
+        return np.max(a, axis=-1)
+    return np.trapezoid(a ** p, dx=h, axis=-1) ** (1.0 / p)
 
 
-def _w1p(values: np.ndarray, h: float, p: float) -> np.ndarray:
-    """W^{1,p} norm of each profile along the last axis, centered-difference derivative."""
-    a = _lp(values, h, p)
-    b = _lp(np.gradient(values, h, axis=-1, edge_order=2), h, p)
-    if np.isinf(p):
-        return np.maximum(a, b)
-    return (a ** p + b ** p) ** (1.0 / p)
-
-
-def _alf(values: np.ndarray, h: float, p: float, tau: float) -> np.ndarray:
-    """int_0^1 rho(v(x))^p dx of each profile along the last axis."""
-    if np.isinf(p):
-        raise ValueError("the smoothed functional is defined for finite p")
-    return np.trapezoid(rho(values, tau) ** p, dx=h, axis=-1)
+def _norms(values: np.ndarray, h: float, p_list) -> dict:
+    """``{(p, "lp" | "w1p"): norms along the last axis}``, p-major; |v| and |v_x| formed once."""
+    a = np.abs(values)
+    b = np.abs(np.gradient(values, h, axis=-1, edge_order=2))
+    out = {}
+    for p in map(_check_p, p_list):
+        la, lb = _lp(a, h, p), _lp(b, h, p)
+        out[p, "lp"] = la
+        out[p, "w1p"] = np.maximum(la, lb) if np.isinf(p) else (la ** p + lb ** p) ** (1.0 / p)
+    return out
 
 
 def lp_norm(v: Profile, p: float) -> float:
     """L^p norm on (0,1): trapezoid integral for finite p, max for p = inf."""
-    return float(_lp(v.values, v.h, _check_p(p)))
+    return float(_lp(np.abs(v.values), v.h, _check_p(p)))
 
 
 def w1p_norm(v: Profile, p: float) -> float:
     """Discrete W^{1,p} norm with the centered-difference derivative."""
-    return float(_w1p(v.values, v.h, _check_p(p)))
+    return float(_norms(v.values, v.h, (p,))[p, "w1p"])
 
 
 def rho(s, tau: float):
     """Smoothed absolute value: |s| outside |s| < tau, quartic inside."""
-    tau = float(tau)
-    if not (0.0 < tau < np.inf):
-        raise ValueError("tau must be positive and finite")
+    tau = _check_tau(tau)
     s = np.asarray(s, dtype=float)
     inner = -(s ** 4) / (8 * tau ** 3) + 3 * s ** 2 / (4 * tau) + 3 * tau / 8
     out = np.where(np.abs(s) >= tau, np.abs(s), inner)
     return out if out.ndim else float(out)
+
+
+def alf(r: np.ndarray, lam, h: float, p: float):
+    """``z = int_0^1 r^p dx`` and ``psi = 3/8 p int_0^1 lam r^(p-1) dx`` along the last axis.
+
+    With ``r = rho(u, tau)`` and ``lam = lambda0 - c(x, t)`` on the same samples,
+    z is the smoothed functional and z' <= -p lambda_lower z + tau psi.
+    """
+    if np.isinf(_check_p(p)):
+        raise ValueError("the smoothed functional is defined for finite p")
+    return (np.trapezoid(r ** p, dx=h, axis=-1),
+            0.375 * p * np.trapezoid(lam * r ** (p - 1), dx=h, axis=-1))
 
 
 def gronwall_bound(z0: float, q, h, times) -> np.ndarray:
@@ -92,31 +112,15 @@ class NormTrace:
 
     times: np.ndarray
     values: np.ndarray
-    p: float
-    kind: str  # "lp" | "w1p" | "alf"
-    tau: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("lp", "w1p", "alf"):
-            raise ValueError(f"unknown trace kind {self.kind!r}")
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
         if np.any(np.asarray(self.values) < 0):
             raise ValueError("norm values must be nonnegative")
 
 
-def norm_trace(traj, p: float, kind: str = "lp", tau: float | None = None) -> NormTrace:
-    """Evaluate a norm per recorded slice of a Trajectory-like object."""
-    p = _check_p(p)
-    h = 1.0 / (traj.fields.shape[1] - 1)
-    if kind == "lp":
-        vals = _lp(traj.fields, h, p)
-    elif kind == "w1p":
-        vals = _w1p(traj.fields, h, p)
-    elif kind == "alf":
-        if tau is None:
-            raise ValueError("alf trace needs tau")
-        vals = _alf(traj.fields, h, p, tau)
-    else:
-        raise ValueError(f"unknown trace kind {kind!r}")
-    return NormTrace(np.asarray(traj.times), vals, p, kind, tau)
+def norm_trace(traj, p_list) -> dict:
+    """``{(p, "lp" | "w1p"): NormTrace}`` of a Trajectory-like object, p-major, in one pass."""
+    times, h = np.asarray(traj.times), 1.0 / (traj.fields.shape[1] - 1)
+    return {key: NormTrace(times, vals) for key, vals in _norms(traj.fields, h, p_list).items()}

@@ -26,7 +26,7 @@ from .kernel import (
     series_oracle,
     solve_inverse_kernel,
 )
-from .norms import NormTrace, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
+from .norms import NormTrace, _check_tau, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from .simulator import SimConfig, Trajectory, simulate_closed_loop, simulate_target
 from .transforms import (
     CompatibilityReport,
@@ -223,8 +223,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.p_list) == 0 or any(not (p >= 1.0) for p in self.p_list):
             raise ConfigError("p_list must be non-empty with every p >= 1")
-        if any(not (0.0 < tau < math.inf) for tau in self.tau_list):
-            raise ConfigError(f"every tau in tau_list must be finite and > 0, got {self.tau_list}")
+        try:
+            for tau in self.tau_list:
+                _check_tau(tau)
+        except ValueError as exc:
+            raise ConfigError(f"tau_list: {exc}") from None
         if not (0.0 <= self.skip_fraction < 1.0):
             raise ConfigError(f"skip_fraction must lie in [0, 1), got {self.skip_fraction}")
         if not (1.0 <= self.slack < math.inf):
@@ -417,11 +420,12 @@ def continuous_dependence_experiment(
     tdiff = simulate_closed_loop(spec, k, w0, config.sim)
     diff = Trajectory(t1.times, t1.fields - t2.fields)
     linearity_gap = float(np.max(np.abs(diff.fields - tdiff.fields)))
+    traces = norm_trace(diff, config.p_list)
     lp_rows, w1p_rows = [], []
     for p in config.p_list:
         cmap = constants_for_p(p, con)
-        sup_lp = float(np.max(norm_trace(diff, p, "lp").values))
-        sup_w1p = float(np.max(norm_trace(diff, p, "w1p").values))
+        sup_lp = float(np.max(traces[p, "lp"].values))
+        sup_w1p = float(np.max(traces[p, "w1p"].values))
         init_lp = lp_norm(w0, p)
         init_w1p = w1p_norm(w0, p)
         blp = config.slack * cmap["lp"] * init_lp
@@ -431,16 +435,25 @@ def continuous_dependence_experiment(
     return ContinuousDependenceReport(tuple(lp_rows), tuple(w1p_rows), linearity_gap)
 
 
-def _alf_envelope_check(spec, lam, traj: Trajectory, p: float, tau: float, slack: float):
-    """Gronwall envelope domination of the smoothed functional trace."""
-    z = norm_trace(traj, p, "alf", tau).values
-    lam_xt = spec.lambda0 - spec.family.c1(traj.x) - spec.family.c2(traj.times)[:, None]
-    psi1 = 0.375 * p * np.trapezoid(
-        lam_xt * rho(traj.fields, tau) ** (p - 1), dx=1.0 / (traj.grid_m - 1), axis=1
-    )
-    env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi1, traj.times)
-    ok = bool(np.all(z <= slack * env + 1e-250))
-    return ok, z, env
+def _alf_envelopes(config: ScenarioConfig, lam: float, traj: Trajectory) -> dict:
+    """``{(p, tau): (trace, passed)}`` of the smoothed functional for finite p, p-major.
+
+    Evaluated tau-major, so rho(u, tau) is formed once per tau; lambda(x, t)
+    is formed once.
+    """
+    finite = [p for p in config.p_list if not np.isinf(p)]
+    if not finite:
+        return {}
+    fam = config.spec.family
+    lam_xt = config.spec.lambda0 - fam.c1(traj.x) - fam.c2(traj.times)[:, None]
+    out = {}
+    for tau in config.tau_list:
+        r = rho(traj.fields, tau)
+        for p in finite:
+            z, psi = alf(r, lam_xt, 1.0 / (traj.grid_m - 1), p)
+            env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi, traj.times)
+            out[p, tau] = NormTrace(traj.times, z), bool(np.all(z <= config.slack * env + 1e-250))
+    return {(p, tau): out[p, tau] for p in finite for tau in config.tau_list}
 
 
 def run_scenario(config: ScenarioConfig) -> DecayReport:
@@ -483,41 +496,29 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         traj_u = simulate_target(spec, u0, config.sim)
 
         stage = "norms"
-        traces: dict[str, NormTrace] = {}
-        for p in config.p_list:
-            for kind in ("lp", "w1p"):
-                traces[f"w_{kind}_{_ptag(p)}"] = norm_trace(traj_w, p, kind)
-                traces[f"u_{kind}_{_ptag(p)}"] = norm_trace(traj_u, p, kind)
+        norms_w, norms_u = norm_trace(traj_w, config.p_list), norm_trace(traj_u, config.p_list)
 
         stage = "verify"
+        traces: dict[str, NormTrace] = {}
         pass_flags: dict[str, bool] = {}
         fits: dict[str, tuple] = {}
         margins = []
-        for p in config.p_list:
-            cm = per_p[p]
-            for kind in ("lp", "w1p"):
-                wtr = traces[f"w_{kind}_{_ptag(p)}"]
-                init = wtr.values[0]
-                chk = verify_theorem_bound(wtr, cm[kind], lam, init, config.slack)
-                pass_flags[f"envelope_w_{kind}_{_ptag(p)}"] = chk.passed
-                margins.append(chk.margin)
-                utr = traces[f"u_{kind}_{_ptag(p)}"]
-                chk_u = verify_theorem_bound(utr, 1.0, lam, utr.values[0], config.slack)
-                pass_flags[f"floor_u_{kind}_{_ptag(p)}"] = chk_u.passed
-                for name, tr in ((f"w_{kind}_{_ptag(p)}", wtr), (f"u_{kind}_{_ptag(p)}", utr)):
-                    try:
-                        fits[name] = fit_decay_rate(tr, config.skip_fraction)
-                    except FitError:
-                        fits[name] = None
-        for p in config.p_list:
-            if np.isinf(p):
-                continue
-            for tau in config.tau_list:
-                ok, z, env = _alf_envelope_check(spec, lam, traj_u, p, tau, config.slack)
-                pass_flags[f"alf_envelope_{_ptag(p)}_tau{tau:g}"] = ok
-                traces[f"u_alf_{_ptag(p)}_tau{tau:g}"] = NormTrace(
-                    traj_u.times, z, p, "alf", tau
-                )
+        for (p, kind), wtr in norms_w.items():
+            tag, utr = f"{kind}_{_ptag(p)}", norms_u[p, kind]
+            traces[f"w_{tag}"], traces[f"u_{tag}"] = wtr, utr
+            chk = verify_theorem_bound(wtr, per_p[p][kind], lam, wtr.values[0], config.slack)
+            pass_flags[f"envelope_w_{tag}"] = chk.passed
+            margins.append(chk.margin)
+            chk_u = verify_theorem_bound(utr, 1.0, lam, utr.values[0], config.slack)
+            pass_flags[f"floor_u_{tag}"] = chk_u.passed
+            for name, tr in ((f"w_{tag}", wtr), (f"u_{tag}", utr)):
+                try:
+                    fits[name] = fit_decay_rate(tr, config.skip_fraction)
+                except FitError:
+                    fits[name] = None
+        for (p, tau), (tr, ok) in _alf_envelopes(config, lam, traj_u).items():
+            pass_flags[f"alf_envelope_{_ptag(p)}_tau{tau:g}"] = ok
+            traces[f"u_alf_{_ptag(p)}_tau{tau:g}"] = tr
 
         headline = fits.get(f"w_lp_{_ptag(config.p_list[0])}")
         report = DecayReport(

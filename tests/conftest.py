@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.kernel import GoursatProblem, picard_solve, solve_inverse_kernel
+from backstep.norms import alf, rho
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -26,6 +27,11 @@ def rho_second(s, tau):
     """Second derivative of ``norms.rho``; zero outside |s| < tau."""
     inner = 1.5 / tau * (1 - s ** 2 / tau ** 2)
     return np.where(np.abs(s) >= tau, 0.0, inner)
+
+
+def alf_functional(values, h, p, tau):
+    """int_0^1 rho(v, tau)^p dx along the last axis: the first output of ``norms.alf``."""
+    return alf(rho(values, tau), 0.0, h, p)[0]
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from backstep.kernel import (
     solve_inverse_kernel,
     tail_bound,
 )
-from backstep.norms import _alf, gronwall_bound, lp_norm, norm_trace, rho
+from backstep.norms import gronwall_bound, lp_norm, norm_trace, rho
 from backstep.simulator import SimConfig, simulate_closed_loop, simulate_target
 from backstep.transforms import (
     Profile,
@@ -38,7 +38,7 @@ from backstep.verify import (
     verify_theorem_bound,
 )
 
-from conftest import rho_prime, rho_second
+from conftest import alf_functional, rho_prime, rho_second
 
 SPEC_RX2 = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 2.0)), lambda0=10.0)
 SPEC_SRC = ProblemSpec(
@@ -156,7 +156,7 @@ def test_criterion_5_target_exact_solutions():
     traj_cos = simulate_target(
         spec, Profile.from_function(lambda x: np.cos(np.pi * x), 201), DEFAULT_SIM
     )
-    _, sigma, _ = fit_decay_rate(norm_trace(traj_cos, 2.0, "lp"), 0.1)
+    _, sigma, _ = fit_decay_rate(norm_trace(traj_cos, (2.0,))[2.0, "lp"], 0.1)
     rate = np.pi ** 2 + 3.0
     rel = abs(sigma - rate) / rate
     ok = err_const <= 1e-6 and rel <= 0.02
@@ -171,8 +171,9 @@ def test_criterion_6_decay_floor(target_decay_run):
     traj = target_decay_run
     worst = {}
     ok = True
+    traces = norm_trace(traj, (1.0, 2.0, math.inf))
     for p in (1.0, 2.0, math.inf):
-        tr = norm_trace(traj, p, "lp")
+        tr = traces[p, "lp"]
         ratio = float(np.max(tr.values / (np.exp(-lam * tr.times) * tr.values[0])))
         worst[p] = ratio
         ok = ok and ratio <= 1.02
@@ -193,10 +194,11 @@ def test_criterion_7_theorem_envelope():
     traj = simulate_closed_loop(SPEC_DECAY, k, w0, DEFAULT_SIM)
     ok = compat.ok
     details = [f"W0 residual {max(compat.residual_left, compat.residual_right):.2e} (<1e-3)"]
+    traces = norm_trace(traj, (1.0, 2.0, math.inf))
     for p in (1.0, 2.0, math.inf):
         cm = constants_for_p(p, con)
         for kind in ("lp", "w1p"):
-            tr = norm_trace(traj, p, kind)
+            tr = traces[p, kind]
             chk = verify_theorem_bound(tr, cm[kind], lam, tr.values[0], slack=1.05)
             ok = ok and chk.passed
             details.append(f"{kind} p={p:g}: C={cm[kind]:.2f} margin={chk.margin:+.2f}")
@@ -256,7 +258,7 @@ def test_criterion_9_rho_property_suite():
     for p in (1.0, 1.5, 2.0, 3.0):
         gaps = []
         for t in (1e-1, 1e-2, 1e-3):
-            gap = abs(_alf(v.values, v.h, p, t) - lp_norm(v, p) ** p)
+            gap = abs(alf_functional(v.values, v.h, p, t) - lp_norm(v, p) ** p)
             gap_ok = gap_ok and gap <= 0.375 * p * t * (sup + 0.375 * t) ** (p - 1) + 1e-15
             gaps.append(gap)
         gap_ok = gap_ok and gaps[0] > gaps[1] > gaps[2]
@@ -280,7 +282,7 @@ def test_criterion_10_gronwall_checker(target_decay_run):
     env_ok = True
     margins = []
     for p, tau in ((1.5, 1e-2), (2.0, 1e-2)):
-        z = np.array([_alf(row, 1.0 / (traj.grid_m - 1), p, tau) for row in traj.fields])
+        z = np.array([alf_functional(row, 1.0 / (traj.grid_m - 1), p, tau) for row in traj.fields])
         x = traj.x
         lam_xt = np.array([3.0 - x ** 2 - np.exp(-ti) for ti in traj.times])
         psi1 = 0.375 * p * np.trapezoid(

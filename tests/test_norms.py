@@ -1,22 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
-from backstep.norms import (
-    NormTrace,
-    _alf,
-    gronwall_bound,
-    lp_norm,
-    norm_trace,
-    rho,
-    w1p_norm,
-)
+from backstep.norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from backstep.simulator import SimConfig, Trajectory, simulate_target
 from backstep.transforms import Profile
 
-from conftest import rho_prime, rho_second
+from conftest import alf_functional, rho_prime, rho_second
 
 taus = st.floats(1e-4, 1.0)
 svals = st.floats(-10.0, 10.0)
@@ -95,13 +89,26 @@ class TestRho:
         assert r <= abs(s) + 3 * tau / 8 + 1e-12
 
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ValueError):
-            rho(0.1, 0.0)
+        for tau in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                rho(0.1, tau)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_nonfinite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             rho(0.1, tau)
+
+    @pytest.mark.parametrize("tau", [1e-200, 1e-100, 1.2e-77, 1.16e77, 1e100, 1e200])
+    def test_tau_outside_float_range_rejected(self, tau):
+        # below, s^4 underflows (rho(0) = 0/0 once 8 tau^3 does); above, it overflows
+        with pytest.raises(ValueError, match="tau\\^4 a normal float"):
+            rho(np.array([0.0, 0.1]), tau)
+
+    @pytest.mark.parametrize("tau", [1.23e-77, 1.15e77])
+    def test_tau_at_float_range_edges_accepted(self, tau):
+        r = rho(np.array([0.0, tau / 2, tau]), tau)
+        assert r[0] == 3 * tau / 8 and r[2] == tau
+        assert r[1] == pytest.approx(71 * tau / 128, rel=1e-12, abs=0)
 
 
 class TestAlf:
@@ -109,13 +116,14 @@ class TestAlf:
         tau = 0.05
         v = prof(lambda x: 0 * x)
         for p in (1.0, 1.5, 2.0):
-            assert _alf(v.values, v.h, p, tau) == pytest.approx((3 * tau / 8) ** p)
+            assert alf_functional(v.values, v.h, p, tau) == pytest.approx((3 * tau / 8) ** p)
 
     def test_exact_outside_seam(self):
         v = prof(lambda x: 1.0 + x)  # |v| >= 1 > tau everywhere
         tau = 0.5
         for p in (1.0, 2.0, 3.0):
-            assert _alf(v.values, v.h, p, tau) == pytest.approx(lp_norm(v, p) ** p, abs=1e-14)
+            z = alf_functional(v.values, v.h, p, tau)
+            assert z == pytest.approx(lp_norm(v, p) ** p, abs=1e-14)
 
     def test_gap_linear_envelope(self, rng):
         vals = rng.normal(size=301)
@@ -124,7 +132,7 @@ class TestAlf:
         for p in (1.0, 1.5, 2.0, 3.0):
             gaps = []
             for tau in (1e-1, 1e-2, 1e-3):
-                gap = abs(_alf(v.values, v.h, p, tau) - lp_norm(v, p) ** p)
+                gap = abs(alf_functional(v.values, v.h, p, tau) - lp_norm(v, p) ** p)
                 assert gap <= 0.375 * p * tau * (sup + 0.375 * tau) ** (p - 1) + 1e-15
                 gaps.append(gap)
             assert gaps[0] > gaps[1] > gaps[2]
@@ -171,14 +179,11 @@ class TestAlfDecay:
         traj = simulate_target(spec, u0, cfg)
         lam_floor = 1.0
         x = traj.x
+        lam_xt = np.array([3.0 - x ** 2 - np.exp(-t) for t in traj.times])
         for p, tau in ((1.5, 1e-2), (2.0, 1e-2), (1.0, 1e-1)):
-            z = np.array([_alf(row, cfg.h, p, tau) for row in traj.fields])
+            z, psi = alf(rho(traj.fields, tau), lam_xt, cfg.h, p)
             dz = np.gradient(z, traj.times)
-            lam_xt = np.array([3.0 - x ** 2 - np.exp(-t) for t in traj.times])
-            rem = 0.375 * tau * p * np.trapezoid(
-                lam_xt * rho(traj.fields, tau) ** (p - 1), dx=cfg.h, axis=1
-            )
-            rhs = -lam_floor * p * z + rem
+            rhs = -lam_floor * p * z + tau * psi
             headroom = 0.05 * np.maximum(np.abs(rhs), np.max(z))
             assert np.all(dz[1:-1] <= (rhs + headroom)[1:-1])
 
@@ -188,27 +193,42 @@ class TestNormTrace:
         spec = ProblemSpec(CoefficientFamily(), lambda0=2.0)
         cfg = SimConfig(grid_m=51, dt=1e-3, t_end=0.1, record_stride=10)
         traj = simulate_target(spec, prof(lambda x: np.cos(np.pi * x), 51), cfg)
-        tr = norm_trace(traj, 2.0, "lp")
-        assert (tr.kind, tr.p, tr.tau) == ("lp", 2.0, None)
-        assert len(tr.times) == len(tr.values)
-        tr2 = norm_trace(traj, 1.5, "alf", tau=1e-2)
-        assert (tr2.kind, tr2.p, tr2.tau) == ("alf", 1.5, 1e-2)
-        with pytest.raises(ValueError):
-            norm_trace(traj, 2.0, "alf")
+        traces = norm_trace(traj, (2.0, 1.0, np.inf))
+        # p-major in p_list order, L^p before W^{1,p}
+        assert list(traces) == [(2.0, "lp"), (2.0, "w1p"), (1.0, "lp"), (1.0, "w1p"),
+                                (np.inf, "lp"), (np.inf, "w1p")]
+        for tr in traces.values():
+            assert tr.times is traces[2.0, "lp"].times and len(tr.times) == len(tr.values)
+        assert [f.name for f in dataclasses.fields(NormTrace)] == ["times", "values"]
+        with pytest.raises(ValueError, match="p >= 1"):
+            norm_trace(traj, (2.0, 0.5))
+
+    def test_one_gradient_per_trajectory(self, monkeypatch, rng):
+        calls = []
+        gradient = np.gradient
+        monkeypatch.setattr(np, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
+        norm_trace(Trajectory(np.arange(4.0), rng.normal(size=(4, 21))), (1.0, 1.5, 2.0, np.inf))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
     def test_rows_match_profile_norms(self, rng, p):
         traj = Trajectory(np.arange(5.0), rng.normal(size=(5, 41)))
         rows = [Profile(41, row) for row in traj.fields]
-        expect = {"lp": [lp_norm(v, p) for v in rows], "w1p": [w1p_norm(v, p) for v in rows]}
+        # the p under test shares its pass with other p
+        traces = norm_trace(traj, (1.0, p, np.inf))
+        for kind, norm in (("lp", lp_norm), ("w1p", w1p_norm)):
+            np.testing.assert_allclose(traces[p, kind].values, [norm(v, p) for v in rows],
+                                       rtol=4 * np.finfo(float).eps, atol=0)
         if not np.isinf(p):
-            expect["alf"] = [_alf(v.values, v.h, p, 0.3) for v in rows]
-        for kind, values in expect.items():
-            got = norm_trace(traj, p, kind, tau=0.3).values
-            np.testing.assert_allclose(got, values, rtol=4 * np.finfo(float).eps, atol=0)
+            lam = rng.uniform(1.0, 2.0, size=traj.fields.shape)
+            got = alf(rho(traj.fields, 0.3), lam, 1 / 40, p)
+            for i, row in enumerate(traj.fields):
+                want = alf(rho(row, 0.3), lam[i], 1 / 40, p)
+                np.testing.assert_allclose([g[i] for g in got], want,
+                                           rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            NormTrace(np.array([0.0, 1.0]), np.array([1.0, -0.5]), 2.0, "lp")
+            NormTrace(np.array([0.0, 1.0]), np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
-            NormTrace(np.array([0.0]), np.array([1.0, 2.0]), 2.0, "lp")
+            NormTrace(np.array([0.0]), np.array([1.0, 2.0]))

@@ -31,3 +31,12 @@ def test_artifact_digest(tmp_path, capsys):
         f"{hashlib.sha256(b'').hexdigest()}  sub/a.txt",
     ]
     assert main([str(tmp_path / "run" / "b.csv")]) == 2
+
+
+def test_reference_runs(tmp_path):
+    refs = load("reference_runs.py")
+    assert {args[0] for args in refs["RUNS"].values()} == {"verify", "kernel", "simulate", "oracle"}
+    # the oracle entry alone: the others each take up to a second
+    assert refs["run"]("oracle_rx2", tmp_path) == 0
+    assert (tmp_path / "oracle_rx2" / "oracle.csv").stat().st_size > 0
+    assert refs["main"]([]) == 2

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from backstep.cli import main as cli_main
-from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError
+from backstep import verify
+from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
 from backstep.kernel import KernelConstants
-from backstep.norms import NormTrace
+from backstep.norms import NormTrace, gronwall_bound, rho
 from backstep.simulator import SimConfig, Trajectory
 from backstep.transforms import Profile
 from backstep.verify import (
@@ -117,7 +118,7 @@ class TestCInf:
 class TestFit:
     def test_exact_exponential(self):
         t = np.linspace(0, 4, 200)
-        tr = NormTrace(t, 2.0 * np.exp(-1.5 * t), 2.0, "lp")
+        tr = NormTrace(t, 2.0 * np.exp(-1.5 * t))
         C, sigma, res = fit_decay_rate(tr, 0.0)
         assert C == pytest.approx(2.0, rel=1e-12)
         assert sigma == pytest.approx(1.5, rel=1e-12)
@@ -125,7 +126,7 @@ class TestFit:
 
     def test_constant_trace(self):
         t = np.linspace(0, 4, 50)
-        _, sigma, _ = fit_decay_rate(NormTrace(t, np.ones_like(t), 1.0, "lp"), 0.1)
+        _, sigma, _ = fit_decay_rate(NormTrace(t, np.ones_like(t)), 0.1)
         assert sigma == pytest.approx(0.0, abs=1e-12)
 
     def test_window_and_error(self):
@@ -133,13 +134,13 @@ class TestFit:
         v = np.ones_like(t)
         v[-1] = 0.0
         with pytest.raises(FitError):
-            fit_decay_rate(NormTrace(t, v, 1.0, "lp"), 0.5)
+            fit_decay_rate(NormTrace(t, v), 0.5)
         with pytest.raises(ValueError):
-            fit_decay_rate(NormTrace(t, np.ones_like(t), 1.0, "lp"), 1.0)
+            fit_decay_rate(NormTrace(t, np.ones_like(t)), 1.0)
 
     def test_single_sample_window(self):
         # records at t = 0 and 1e-4 only: the window t >= 1e-5 holds one sample
-        tr = NormTrace(np.array([0.0, 1e-4]), np.array([1.0, 0.996]), 1.0, "lp")
+        tr = NormTrace(np.array([0.0, 1e-4]), np.array([1.0, 0.996]))
         with pytest.raises(FitError, match="1 sample"):
             fit_decay_rate(tr, 0.1)
         _, sigma, _ = fit_decay_rate(tr, 0.0)
@@ -149,21 +150,21 @@ class TestFit:
 class TestBound:
     def test_zero_trace_passes(self):
         t = np.linspace(0, 1, 11)
-        chk = verify_theorem_bound(NormTrace(t, np.zeros_like(t), 2.0, "lp"),
+        chk = verify_theorem_bound(NormTrace(t, np.zeros_like(t)),
                                    1.0, 1.0, 0.0, slack=1.05)
         assert chk.passed
 
     def test_exact_envelope_equality(self):
         t = np.linspace(0, 1, 11)
         vals = 3.0 * np.exp(-2.0 * t) * 0.7
-        chk = verify_theorem_bound(NormTrace(t, vals, 2.0, "lp"), 3.0, 2.0, 0.7, slack=1.0)
+        chk = verify_theorem_bound(NormTrace(t, vals), 3.0, 2.0, 0.7, slack=1.0)
         assert chk.passed
 
     def test_violation_reports_worst_time(self):
         t = np.linspace(0, 1, 11)
         vals = np.exp(-1.0 * t)
         vals[5] = 2.0
-        chk = verify_theorem_bound(NormTrace(t, vals, 2.0, "lp"), 1.0, 1.0, 1.0, slack=1.05)
+        chk = verify_theorem_bound(NormTrace(t, vals), 1.0, 1.0, 1.0, slack=1.05)
         assert not chk.passed
         assert chk.worst_t == pytest.approx(t[5])
         assert chk.margin < 0
@@ -173,7 +174,7 @@ class TestBound:
         # an infinite slack would pass any trace, a growing one included
         t = np.linspace(0, 1, 11)
         with pytest.raises(ValueError, match="slack must be finite and >= 1"):
-            verify_theorem_bound(NormTrace(t, np.exp(t), 2.0, "lp"), 1.0, 1.0, 1.0, slack)
+            verify_theorem_bound(NormTrace(t, np.exp(t)), 1.0, 1.0, 1.0, slack)
 
 
 def scenario(tmpdir, **overrides) -> ScenarioConfig:
@@ -209,7 +210,7 @@ class TestCsvWriters:
     def test_bytes_match_csv_writer(self, tmp_path, null_kernel):
         fields = np.array([[0.0, -0.0, 1e-300], [1.0 / 3.0, -2.5e-17, 123456.78901234567]])
         traj = Trajectory(np.array([0.0, 0.1 + 0.2]), fields, np.array([-0.0, 1e-300]))
-        trace = NormTrace(traj.times, np.array([1e-300, 0.0]), 2.0, "lp")
+        trace = NormTrace(traj.times, np.array([1e-300, 0.0]))
         ref = tmp_path / "ref.csv"
 
         path = write_trajectory(str(tmp_path), "traj.csv", traj)
@@ -307,6 +308,56 @@ class TestScenario:
             scenario(tmp_path, p_list=())
         with pytest.raises(ConfigError):
             scenario(tmp_path, p_list=(0.5,))
+
+
+class TestAlfStage:
+    """The ALF checks of run_scenario equal a per-(p, tau) reference evaluation."""
+
+    def test_equal_to_per_pair_reference(self, tmp_path, monkeypatch):
+        got = {}
+        target, write = verify.simulate_target, verify._write_traces
+
+        def keep_target(*args, **kwargs):
+            got["u"] = target(*args, **kwargs)
+            return got["u"]
+
+        def keep_traces(outdir, traces):
+            got["traces"] = traces
+            return write(outdir, traces)
+
+        monkeypatch.setattr(verify, "simulate_target", keep_target)
+        monkeypatch.setattr(verify, "_write_traces", keep_traces)
+        cfg = scenario(tmp_path / "out")
+        report = run_scenario(cfg)
+        traj, spec = got["u"], cfg.spec
+        h, lam = 1.0 / (traj.grid_m - 1), lambda_lower(spec)
+        tags = []
+        for p in (1.0, 2.0):
+            for tau in cfg.tau_list:
+                # rho formed afresh for each (p, tau) and each integral
+                z = np.trapezoid(rho(traj.fields, tau) ** p, dx=h, axis=-1)
+                lam_xt = spec.lambda0 - spec.family.c1(traj.x) - spec.family.c2(traj.times)[:, None]
+                psi1 = 0.375 * p * np.trapezoid(
+                    lam_xt * rho(traj.fields, tau) ** (p - 1), dx=h, axis=1)
+                env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi1, traj.times)
+                tag = f"p{p:g}_tau{tau:g}"
+                tags.append(tag)
+                assert np.array_equal(got["traces"][f"u_alf_{tag}"].values, z)
+                assert report.pass_flags[f"alf_envelope_{tag}"] is bool(
+                    np.all(z <= cfg.slack * env + 1e-250))
+        # p outer and tau inner, after the L^p and W^{1,p} entries
+        assert list(report.pass_flags)[-len(tags):] == [f"alf_envelope_{t}" for t in tags]
+        assert list(got["traces"])[-len(tags):] == [f"u_alf_{t}" for t in tags]
+        assert report.passed
+
+    def test_rho_once_per_tau(self, tmp_path, monkeypatch):
+        calls = []
+        real = verify.rho
+        monkeypatch.setattr(verify, "rho", lambda s, tau: calls.append(tau) or real(s, tau))
+        cfg = scenario(tmp_path / "out")
+        run_scenario(cfg)
+        # rho(u, tau) is shared by every finite p: 2 calls, not 2 per (p, tau) pair
+        assert calls == list(cfg.tau_list)
 
 
 class TestContinuousDependence:
@@ -650,12 +701,15 @@ class TestCli:
                                           ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 -1e-2"),
                                           ("tau_list = 1e-1 1e-2", "tau_list = inf"),
                                           ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 nan"),
+                                          ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 1e-200"),
+                                          ("tau_list = 1e-1 1e-2", "tau_list = 1e200"),
                                           ("skip_fraction = 0.1", "skip_fraction = 1.5"),
                                           ("slack = 1.05", "slack = 0.5"),
                                           ("slack = 1.05", "slack = inf"),
                                           ("slack = 1.05", "slack = nan")])
     def test_bad_verify_settings_exit(self, tmp_path, capsys, old, new):
-        # an infinite tau or slack would pass every check it enters, whatever the run did
+        # an infinite tau or slack would pass every check it enters, whatever the run did;
+        # a tau whose powers leave the float range would make rho NaN and fail one
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
         assert cli_main(["verify", "--config", str(path)]) == 2

@@ -9,7 +9,8 @@ runs, through ``backstep.cli.main`` and each into ``OUTDIR/<name>``:
 loop, ``--target`` and ``--open-loop``); and ``oracle --out`` on
 oracle_rx2.ini.  It exits 1 if any run exits non-zero.  Two builds write
 byte-identical artifacts when the ``artifact_digest.py OUTDIR`` listings
-of their runs are equal.
+of their runs are equal; ``artifact_diff.py OLD NEW`` measures how far
+apart they are when they are not.
 """
 import sys
 import time

@@ -9,7 +9,9 @@ diagonal and the bottom edge.  In the characteristic variables
 
 where ``G0`` collects the boundary data and the source double integrals and
 ``Phi`` applies the reaction-weighted double integrals plus (for nonzero
-source f) two triple integrals.  Picard iteration of this map converges
+source f) two triple integrals.  Both share one table of s-integrals and one
+quadrature in xi; the triple integrals add one line sum per power of z in f
+and one shared matrix product.  Picard iteration of this map converges
 factorially; each increment obeys the certified bound :func:`tail_bound`.
 
 Discretisation: one uniform lattice with the same spacing ``delta`` in xi
@@ -140,15 +142,18 @@ class ChartLattice:
 # --------------------------------------------------------------------------
 
 
-def _double_parts(g: np.ndarray, lat: ChartLattice):
-    """P[j,i] = int_{xi_j}^{xi_i} int_0^{eta_j} g  and  Q[j] = int_0^{eta_j} int_0^tau g."""
+def _double_parts(V: np.ndarray, lat: ChartLattice) -> np.ndarray:
+    """0.25 P + 0.5 Q, the xi-quadrature of V[j,i] = int_0^{eta_j} g(xi_i, s) ds.
+
+    P[j,i] = int_{xi_j}^{xi_i} V(z, eta_j) dz and Q[j] = int_0^{eta_j} V(tau, tau) dtau,
+    read on the diagonal of V because ``lat.xi[j] == lat.eta[j]``.
+    """
     d = lat.delta
-    V = cumquad(g, d, axis=0)  # int_0^{eta_j} g(xi_i, s) ds
     W = cumquad(V, d, axis=1)
     rows = np.arange(lat.n_eta)
     P = W - W[rows, rows][:, None]
     Q = cumquad(V[rows, rows], d)
-    return P, Q
+    return 0.25 * P + 0.5 * Q[:, None]
 
 
 def _psi_tables(f_poly: np.ndarray, lat: ChartLattice) -> list[np.ndarray]:
@@ -189,31 +194,22 @@ def _line_sum(W: np.ndarray, H: np.ndarray, stride: int = 1) -> np.ndarray:
     return sliding_window_view((W @ skew).ravel(), npts)[::ncols + stride]
 
 
-def _triple_parts(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: ChartLattice):
-    """Both source-convolution triple integrals of the sweep operator.
+def _source_table(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: ChartLattice):
+    """S[j,i] = int_0^{eta_j} ds int_z^{z+eta_j-s} H(tau,s,z) dtau at z = xi_i.
 
-    Returns (P3, E) with
-      P3[j,i] = int_{xi_j}^{xi_i} dz int_0^{eta_j} ds int_z^{z+eta_j-s} H(tau,s,z) dtau
-      E[j]    = int_0^{eta_j} ds int_{eta_j}^{2 eta_j-s} H(tau,s,eta_j) dtau
-    where H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s).  The second
-    triple integral Q3[j] = int_0^{eta_j} dz int_0^z ds int_z^{2z-s} H dtau
-    is ``cumquad(E)``.  All inner limits are lattice-aligned, so the
-    tau-integrals are differences of one cumulative table Cr per z-power
-    of the expanded f, and the s-integral of every row is
-    B = _line_sum(WB, Cr) - WB @ Cr, with ``WB = volterra_matrix(n_eta, delta)``.
+    H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s).  The xi-quadrature of S
+    (:func:`_double_parts`) is both source triple integrals.  The tau-integrals
+    are differences of one cumulative table Cr per z-power of the expanded f, so
+    S = sum_r xi^r _line_sum(WB, Cr) - WB @ sum_r xi^r Cr; xi^r scales each line
+    sum after its read-back, so the clipped edge column is read unscaled.
     """
-    n_eta = G.shape[0]
-    d = lat.delta
-    rows = np.arange(n_eta)
-    P3 = np.zeros_like(G)
-    E = np.zeros(n_eta)
+    S = Csum = 0.0
     for r, ps in enumerate(psi):
-        Cr = cumquad(ps * G, d, axis=1)
-        B = _line_sum(WB, Cr) - WB @ Cr
-        C = cumquad(lat.xi ** r * B, d, axis=1)
-        P3 += C - C[rows, rows][:, None]
-        E += lat.eta ** r * B[rows, rows]
-    return P3, E
+        Cr = cumquad(ps * G, lat.delta, axis=1)
+        xr = lat.xi ** r
+        S = S + xr * _line_sum(WB, Cr)
+        Csum = Csum + xr * Cr
+    return S - WB @ Csum
 
 
 def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
@@ -222,18 +218,16 @@ def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     G0 = 0.25 * problem.lambda0 * (XI + ETA)
     if not fam.f_is_zero:
         ftil = fam.f((XI + ETA) / 2.0, (XI - ETA) / 2.0)
-        Pf, Qf = _double_parts(ftil, lat)
-        G0 = G0 + 0.25 * Pf + 0.5 * Qf[:, None]
+        G0 = G0 + _double_parts(cumquad(ftil, lat.delta, axis=0), lat)
     return G0
 
 
 def _apply_phi(react, psi, WB, conv_sign, G, lat):
-    P, Q = _double_parts(react * G, lat)
-    out = 0.25 * P + 0.5 * Q[:, None]
+    """Phi(G): one xi-quadrature of V = int_0^{eta_j} react G ds plus, for f != 0, +-S."""
+    V = cumquad(react * G, lat.delta, axis=0)
     if psi is not None:
-        P3, E = _triple_parts(G, psi, WB, lat)
-        out += conv_sign * (0.25 * P3 + 0.5 * cumquad(E, lat.delta)[:, None])
-    return out
+        V += conv_sign * _source_table(G, psi, WB, lat)
+    return _double_parts(V, lat)
 
 
 # --------------------------------------------------------------------------

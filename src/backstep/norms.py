@@ -70,7 +70,11 @@ def rho(s, tau: float):
     """Smoothed absolute value: |s| outside |s| < tau, quartic inside."""
     tau = _check_tau(tau)
     s = np.asarray(s, dtype=float)
-    inner = -(s ** 4) / (8 * tau ** 3) + 3 * s ** 2 / (4 * tau) + 3 * tau / 8
+    # the quartic on s clipped to [-tau, tau], so no sample overflows it; the
+    # clip keeps the sign, as numpy's vectorised s ** 4 can differ with it
+    c = np.clip(s, -tau, tau)
+    inner = -(c ** 4) / (8 * tau ** 3) + 3 * c ** 2 / (4 * tau) + 3 * tau / 8
+    del c  # not held through the select, which makes three more arrays of this size
     out = np.where(np.abs(s) >= tau, np.abs(s), inner)
     return out if out.ndim else float(out)
 

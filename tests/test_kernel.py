@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import iv, jv
 
-from backstep._quad import volterra_matrix
+from backstep import kernel
+from backstep._quad import cumquad, volterra_matrix
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.kernel import (
     ChartLattice,
     ConvergenceError,
     GoursatProblem,
     _apply_phi,
+    _double_parts,
     _g0_lattice,
     _line_sum,
     _psi_tables,
@@ -141,6 +143,74 @@ class TestLineSum:
         H[:, -1] = 10.0 + np.arange(lat.n_eta)
         W = volterra_matrix(len(H[::stride]), stride * lat.delta)
         assert np.array_equal(_line_sum(W, H, stride), gather_line_sum(W, H, stride))
+
+
+def per_power_phi(react, psi, WB, conv_sign, G, lat):
+    """Phi(G) composed power by power: the reaction double integrals, then per z-power
+    of f the xi-cumquad of its triple-integral table and its diagonal, then the sum."""
+    d = lat.delta
+    rows = np.arange(lat.n_eta)
+    V = cumquad(react * G, d, axis=0)
+    W = cumquad(V, d, axis=1)
+    out = 0.25 * (W - W[rows, rows][:, None]) + 0.5 * cumquad(V[rows, rows], d)[:, None]
+    if psi is None:
+        return out
+    P3 = np.zeros_like(G)
+    E = np.zeros(lat.n_eta)
+    for r, ps in enumerate(psi):
+        Cr = cumquad(ps * G, d, axis=1)
+        B = gather_line_sum(WB, Cr) - WB @ Cr
+        C = cumquad(lat.xi ** r * B, d, axis=1)
+        P3 += C - C[rows, rows][:, None]
+        E += lat.eta ** r * B[rows, rows]
+    return out + conv_sign * (0.25 * P3 + 0.5 * cumquad(E, d)[:, None])
+
+
+class TestFoldedSweep:
+    """The sweep's single xi-quadrature against the per-power composition."""
+
+    @staticmethod
+    def operands(f_poly, orientation, n_xi):
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.3, -0.2), f_poly=f_poly), 2.0)
+        prob = GoursatProblem(orientation, spec)
+        lat = ChartLattice(n_xi)
+        fam = spec.family
+        psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
+        WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
+        return prob.reaction_chart(*lat.mesh()), psi, WB, prob.conv_sign, lat
+
+    @pytest.mark.parametrize("n_xi", [33, 201])
+    @pytest.mark.parametrize("orientation", ["direct", "inverse"])
+    @pytest.mark.parametrize("f_poly", [((0.5, 0.2), (0.1, -0.3)),
+                                        ((1.0, 0.2, -0.4), (0.3, 0.5, 0.1), (-0.2, 0.0, 0.7))])
+    def test_agrees_with_per_power_composition(self, rng, n_xi, orientation, f_poly):
+        react, psi, WB, sign, lat = self.operands(f_poly, orientation, n_xi)
+        G = rng.standard_normal((lat.n_eta, lat.npts))
+        ref = per_power_phi(react, psi, WB, sign, G, lat)[lat.region_mask()]
+        out = _apply_phi(react, psi, WB, sign, G, lat)[lat.region_mask()]
+        assert np.max(np.abs(out - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("orientation", ["direct", "inverse"])
+    def test_f0_bit_equal_to_double_parts(self, rng, orientation):
+        react, psi, WB, sign, lat = self.operands(((0.0,),), orientation, 201)
+        G = rng.standard_normal((lat.n_eta, lat.npts))
+        out = _apply_phi(react, psi, WB, sign, G, lat)
+        assert np.array_equal(out, per_power_phi(react, psi, WB, sign, G, lat))
+        assert np.array_equal(out, _double_parts(cumquad(react * G, lat.delta, axis=0), lat))
+
+    @pytest.mark.parametrize("n_xi", [33, 41, 201, 401, 801, 1601])
+    def test_diagonal_nodes_bit_equal(self, n_xi):
+        # Q reads int_0^tau g ds on the diagonal of V: xi_j must be eta_j to the bit
+        lat = ChartLattice(n_xi)
+        assert np.array_equal(lat.xi[:lat.n_eta], lat.eta)
+
+    def test_cumquad_calls_per_sweep(self, rng, monkeypatch):
+        f_poly = ((1.0, 0.2, -0.4), (0.3, 0.5, 0.1), (-0.2, 0.0, 0.7))
+        react, psi, WB, sign, lat = self.operands(f_poly, "direct", 33)
+        calls = []
+        monkeypatch.setattr(kernel, "cumquad", lambda *a, **k: calls.append(1) or cumquad(*a, **k))
+        _apply_phi(react, psi, WB, sign, rng.standard_normal((lat.n_eta, lat.npts)), lat)
+        assert len(psi) == 3 and len(calls) == len(psi) + 3
 
 
 class TestTailBound:

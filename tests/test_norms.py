@@ -111,6 +111,19 @@ class TestRho:
         assert r[1] == pytest.approx(71 * tau / 128, rel=1e-12, abs=0)
 
 
+    def test_huge_samples_do_not_overflow_the_quartic(self):
+        # filterwarnings = error turns an overflow warning into a failure
+        r = rho(np.array([0.0, 1e76]), 1e-3)
+        assert np.array_equal(r, [3.75e-4, 1e76])
+
+    @pytest.mark.parametrize("tau", [1e-1, 1e-2, 1e-3])
+    def test_clip_keeps_the_quartic_bits(self, rng, tau):
+        for shape in (7, 4097, (41, 201)):
+            s = rng.uniform(-2 * tau, 2 * tau, shape)
+            quartic = -(s ** 4) / (8 * tau ** 3) + 3 * s ** 2 / (4 * tau) + 3 * tau / 8
+            assert np.array_equal(rho(s, tau), np.where(np.abs(s) >= tau, np.abs(s), quartic))
+
+
 class TestAlf:
     def test_zero_field(self):
         tau = 0.05

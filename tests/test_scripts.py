@@ -1,7 +1,10 @@
 """Smoke tests of the scripts: they load against the package and run."""
 import hashlib
+import json
 import runpy
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,6 +34,66 @@ def test_artifact_digest(tmp_path, capsys):
         f"{hashlib.sha256(b'').hexdigest()}  sub/a.txt",
     ]
     assert main([str(tmp_path / "run" / "b.csv")]) == 2
+
+
+def write_tree(root, files: dict):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return str(root)
+
+
+def test_artifact_diff(tmp_path, capsys):
+    report = {"fit": [0.5, 2.0], "flags": {"ok": True}, "sweeps": 8, "note": "x"}
+    old = write_tree(tmp_path / "old", {
+        "a.csv": "t,name,value\n0,p,1e-20\n0.5,q,2.0\n",
+        "report.json": json.dumps(report),
+        "same.txt": "sweeps 8\n",
+        "sub/log.txt": "residual 1.0e-05 after 8 sweeps\n",
+    })
+    new = write_tree(tmp_path / "new", {
+        "a.csv": "t,name,value\n0,p,3e-20\n0.5,q,2.000000000000004\n",
+        "report.json": json.dumps({**report, "fit": [0.5, 2.5]}),
+        "same.txt": "sweeps 8\n",
+        "sub/log.txt": "residual 1.5e-05 after 8 sweeps\n",
+    })
+    main = load("artifact_diff.py")["main"]
+    assert main([old, new]) == 0
+    # the near-zero entry is measured on its column's scale: 2e-20 / 2.000000000000004
+    assert capsys.readouterr().out.splitlines() == [
+        "a.csv  max abs 3.997e-15  max rel 1.998e-15 at value",
+        "report.json  max abs 5.000e-01  max rel 2.000e-01 at $.fit[1]",
+        "identical  same.txt",
+        "sub/log.txt  max abs 5.000e-06  max rel 3.333e-01 at number 0",
+    ]
+
+
+@pytest.mark.parametrize("rel, text", [
+    ("a.csv", "t,name,value\n0,r,1e-20\n0.5,q,2.0\n"),  # a non-numeric column
+    ("a.csv", "t,value\n0,1e-20\n"),  # the header
+    ("report.json", json.dumps({"sweeps": 9})),  # an integer leaf
+    ("report.json", json.dumps({"ok": False})),  # a pass flag
+    ("log.txt", "residual 1.0e-05 after 9 sweeps\n"),  # an integer in text
+    ("log.txt", "residual 1.0e-05 after 8 steps\n"),  # the words
+])
+def test_artifact_diff_unequal_field_exits_1(tmp_path, capsys, rel, text):
+    base = {"a.csv": "t,name,value\n0,p,1e-20\n0.5,q,2.0\n",
+            "report.json": json.dumps({"sweeps": 8, "ok": True}),
+            "log.txt": "residual 1.0e-05 after 8 sweeps\n"}
+    old = write_tree(tmp_path / "old", base)
+    new = write_tree(tmp_path / "new", {**base, rel: text})
+    assert load("artifact_diff.py")["main"]([old, new]) == 1
+    assert f"{rel}  unequal: " in capsys.readouterr().out
+
+
+def test_artifact_diff_missing_file(tmp_path, capsys):
+    old = write_tree(tmp_path / "old", {"a.csv": "t\n0\n", "b.txt": "x\n"})
+    new = write_tree(tmp_path / "new", {"a.csv": "t\n0\n", "c.txt": "x\n"})
+    main = load("artifact_diff.py")["main"]
+    assert main([old, new]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "identical  a.csv", f"b.txt  missing in {new}", f"c.txt  missing in {old}"]
+    assert main([old]) == 2 and main([old, str(tmp_path / "none")]) == 2
 
 
 def test_reference_runs(tmp_path):

@@ -45,7 +45,6 @@ from .transforms import (
 )
 from .verify import (
     ConfigError,
-    ContinuousDependenceReport,
     DecayReport,
     ScenarioConfig,
     continuous_dependence_experiment,

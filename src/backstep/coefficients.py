@@ -25,6 +25,13 @@ class ValidationError(ValueError):
     """A problem specification violates an admissibility condition."""
 
 
+def _check_finite(**values):
+    """Raise ValidationError naming the first of ``values`` with a NaN or infinite entry."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CoefficientFamily:
     """Coefficient triple (c1, c2, f) of the plant.
@@ -49,12 +56,13 @@ class CoefficientFamily:
     def __post_init__(self):
         if self.c2_kind not in C2_KINDS:
             raise ValidationError(f"unknown c2 family {self.c2_kind!r}")
-        if self.c2_kind == "exp_decay" and self.c2_b <= 0:
-            raise ValidationError("exp_decay requires b > 0")
         c1 = tuple(float(c) for c in np.atleast_1d(self.c1_poly))
         if len(c1) == 0:
             raise ValidationError("c1_poly must be non-empty")
         fp = np.atleast_2d(np.asarray(self.f_poly, dtype=float))
+        _check_finite(c1_poly=c1, c2_a=self.c2_a, c2_b=self.c2_b, f_poly=fp)
+        if self.c2_kind == "exp_decay" and self.c2_b <= 0:
+            raise ValidationError("exp_decay requires b > 0")
         object.__setattr__(self, "c1_poly", c1)
         object.__setattr__(self, "f_poly", tuple(tuple(row) for row in fp))
 
@@ -137,6 +145,8 @@ class ProblemSpec:
     sup_tolerance: float = 1e-9
 
     def __post_init__(self):
+        _check_finite(lambda0=self.lambda0, horizon=self.horizon,
+                      sup_tolerance=self.sup_tolerance)
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
         if self.sup_tolerance <= 0:

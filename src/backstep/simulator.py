@@ -54,6 +54,9 @@ class SimConfig:
                          ("record_stride", self.record_stride >= 1)):
             if not ok:
                 raise ValueError(f"invalid simulation configuration: {name} = {getattr(self, name)!r}")
+        if not self.t_end / self.dt < np.iinfo(np.intp).max:
+            raise ValueError(f"invalid simulation configuration: t_end / dt = "
+                             f"{self.t_end / self.dt:g} steps exceed the largest array index")
         if self.n_steps < 1:
             raise ValueError(f"invalid simulation configuration: t_end = {self.t_end!r} rounds to "
                              f"0 steps of dt = {self.dt!r}; t_end must exceed dt/2")
@@ -77,7 +80,7 @@ class Trajectory:
     """Recorded time slices of a simulation."""
 
     times: np.ndarray
-    fields: np.ndarray  # (n_records, grid_m)
+    fields: np.ndarray  # (n_records, grid_m), or (n_records, grid_m, n) for a block
     controls: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
@@ -92,18 +95,21 @@ class Trajectory:
         return len(self.times)
 
 
-def _crank_nicolson(spec: ProblemSpec, w0: Profile, cfg: SimConfig, shift: float = 0.0,
+def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: float = 0.0,
                     row: np.ndarray | None = None, source: np.ndarray | None = None):
     """Integrate w_t = w_xx + (c(x, t) - shift) w + source @ w, w_x(0) = 0.
 
-    The flux at x = 1 is U = row . w (zero without a row); the ghost node
-    turns it into (2/h) U in the last equation.  Returns the recorded
-    (times, fields).  Raises DivergenceError on the first step whose
-    sup-norm is not finite or exceeds ``BLOWUP_FACTOR`` times the initial
-    one.
+    ``w0`` holds the initial values, shape (m,) for one datum or (m, n)
+    for a block of n data, one per column, all advanced by the same
+    powers of A.  The flux at x = 1 is U = row . w (zero without a row);
+    the ghost node turns it into (2/h) U in the last equation.  Returns
+    the recorded (times, fields), fields of shape (n_records,) + w0.shape.
+    Raises DivergenceError on the first step whose sup-norm, over the
+    whole block, is not finite or exceeds ``BLOWUP_FACTOR`` times the
+    initial one.
     """
     m, h, dt = cfg.grid_m, cfg.h, cfg.dt
-    if w0.grid_m != m:
+    if w0.shape[0] != m:
         raise ValueError("initial datum must live on the configured grid")
     n_steps = cfg.n_steps
     stride = max(1, min(cfg.record_stride, n_steps))
@@ -120,7 +126,7 @@ def _crank_nicolson(spec: ProblemSpec, w0: Profile, cfg: SimConfig, shift: float
     P, Q, K = _powers(A, stride, n_steps % stride)
     growth = np.exp(spec.family.c2_integral(np.arange(n_steps + 1) * dt))
 
-    v = w0.values  # never written in place
+    v = w0  # never written in place
     limit = BLOWUP_FACTOR * max(float(np.max(np.abs(v))), 1e-12)
     times, fields = [0.0], [v]
     step = 0
@@ -173,7 +179,7 @@ def _step_checked(A, v, growth, start: int, n: int, limit: float, dt: float) -> 
 
 def simulate_target(spec: ProblemSpec, u0: Profile, cfg: SimConfig) -> Trajectory:
     """Integrate u_t = u_xx - lambda(x, t) u with homogeneous Neumann ends."""
-    return Trajectory(*_crank_nicolson(spec, u0, cfg, shift=spec.lambda0))
+    return Trajectory(*_crank_nicolson(spec, u0.values, cfg, shift=spec.lambda0))
 
 
 def _source_operator(f_poly, m: int) -> np.ndarray | None:
@@ -190,7 +196,7 @@ def _source_operator(f_poly, m: int) -> np.ndarray | None:
 def simulate_closed_loop(
     spec: ProblemSpec,
     k: KernelGrid,
-    w0: Profile,
+    w0: Profile | np.ndarray,
     cfg: SimConfig,
     open_loop: bool = False,
 ) -> Trajectory:
@@ -200,11 +206,16 @@ def simulate_closed_loop(
     feedback U = r . w are all implicit: the feedback row and the source
     matrix sit inside the constant Crank-Nicolson matrix.
     ``open_loop=True`` forces U = 0 (for instability contrast runs).
+    ``w0`` is one Profile or an (m, n) block of n data, one per column;
+    a block shares the one matrix and its powers, and its Trajectory has
+    fields of shape (n_records, m, n) and controls (n_records, n).
     Raises DivergenceError if the field grows by ``BLOWUP_FACTOR`` over
-    the initial sup-norm.
+    the initial sup-norm (of the whole block).
     """
     row = None if open_loop else feedback_row(k, cfg.grid_m)
     source = _source_operator(spec.family.f_poly, cfg.grid_m)
-    times, fields = _crank_nicolson(spec, w0, cfg, row=row, source=source)
-    controls = np.zeros(len(times)) if row is None else fields @ row
+    values = w0.values if isinstance(w0, Profile) else w0
+    times, fields = _crank_nicolson(spec, values, cfg, row=row, source=source)
+    controls = np.zeros(fields.shape[:1] + fields.shape[2:]) if row is None else (
+        np.moveaxis(fields, 1, -1) @ row)
     return Trajectory(times, fields, controls)

@@ -157,13 +157,16 @@ class TestClosedLoop:
                          n_xi=65, tol=1e-10, max_iter=5)
         # every step is checked, not only the recorded ones: at a stride
         # of 100 and with a stride beyond the horizon the error names the
-        # first crossing, t = ln(1e6) / 30 = 0.46052 -> step 4606
+        # first crossing, t = ln(1e6) / 30 = 0.46052 -> step 4606; a block
+        # is checked by its sup over every column
+        block = np.stack((np.ones(51), np.zeros(51)), axis=1)
         for stride in (100, 10001):
             cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=stride)
-            with pytest.raises(DivergenceError, match=r"at t = ") as err:
-                simulate_closed_loop(spec, k, Profile(51, np.ones(51)), cfg, open_loop=True)
-            t_hit = float(re.search(r"at t = (\S+) ", str(err.value)).group(1))
-            assert t_hit == 0.4606, stride
+            for w0 in (Profile(51, np.ones(51)), block):
+                with pytest.raises(DivergenceError, match=r"at t = ") as err:
+                    simulate_closed_loop(spec, k, w0, cfg, open_loop=True)
+                t_hit = float(re.search(r"at t = (\S+) ", str(err.value)).group(1))
+                assert t_hit == 0.4606, stride
 
     def test_near_threshold_steps_through(self, null_kernel, monkeypatch):
         # exp(30 * 0.45) = 7.3e5 stays below the 1e6 threshold: no error,
@@ -206,6 +209,31 @@ class TestClosedLoop:
         for traj, steps in zip(sparse, ([*range(0, 1001, 100)], [0, 300, 600, 900, 1000])):
             assert np.array_equal(traj.times, every.times[steps])
             assert np.max(np.abs(traj.fields - every.fields[steps])) < 1e-12
+
+    @pytest.mark.parametrize("f_poly", [((0.0,),), ((1.0, 0.0), (0.0, 1.0))],
+                             ids=["f0", "f1+xy"])
+    def test_block_matches_single_runs(self, f_poly):
+        """Each column of a block run is the run of that column alone."""
+        from backstep.kernel import GoursatProblem, picard_solve
+
+        spec = ProblemSpec(
+            CoefficientFamily(c1_poly=(0.0, 0.0, 1.0), c2_kind="exp_decay", c2_a=1.0,
+                              c2_b=1.0, f_poly=f_poly),
+            lambda0=3.0,
+        )
+        k = picard_solve(GoursatProblem.direct(spec), n_xi=101, tol=1e-10, max_iter=80)
+        x = np.linspace(0.0, 1.0, 101)
+        data = [np.cos(np.pi * x), 0.9 * np.cos(np.pi * x) + x ** 3, 1.0 - x ** 2]
+        cfg = SimConfig(grid_m=101, dt=1e-4, t_end=0.1, record_stride=300)  # 300: a partial record
+        block = simulate_closed_loop(spec, k, np.stack(data, axis=1), cfg)
+        assert block.fields.shape == (len(block.times), 101, 3)
+        assert block.controls.shape == (len(block.times), 3)
+        for j, w0 in enumerate(data):
+            single = simulate_closed_loop(spec, k, Profile(101, w0), cfg)
+            assert np.array_equal(block.times, single.times)
+            for got, want in ((block.fields[..., j], single.fields),
+                              (block.controls[:, j], single.controls)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_equivalence_with_target(self, kernels_rx2_101):
         # forward transform of the closed-loop run tracks the target run

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from backstep.cli import main as cli_main
-from backstep import verify
+from backstep import simulator, verify
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
 from backstep.kernel import KernelConstants
 from backstep.norms import NormTrace, gronwall_bound, rho
@@ -361,24 +361,45 @@ class TestAlfStage:
 
 
 class TestContinuousDependence:
-    def test_cosine_pair(self, tmp_path):
+    def test_cosine_pair(self, tmp_path, monkeypatch):
+        calls = []
+        real = simulator._powers
+        monkeypatch.setattr(simulator, "_powers",
+                            lambda A, stride, rem: calls.append(stride) or real(A, stride, rem))
         cfg = scenario(tmp_path / "dep", p_list=(1.0, 2.0), tau_list=(1e-2,))
         m = cfg.sim.grid_m
         x = np.linspace(0, 1, m)
         w01 = Profile(m, np.cos(np.pi * x))
         w02 = Profile(m, 0.9 * np.cos(np.pi * x))
-        rep = continuous_dependence_experiment(cfg, w01, w02)
-        assert rep.passed
-        assert rep.linearity_gap < 1e-10
-        for row in rep.lp:
-            assert row.observed <= row.bound
+        checks, linearity_gap = continuous_dependence_experiment(cfg, w01, w02)
+        assert list(checks) == ["lp_p1", "w1p_p1", "lp_p2", "w1p_p2"]
+        assert all(chk.passed for chk in checks.values())
+        assert linearity_gap < 1e-10
+        assert len(calls) == 1  # one propagator for the three data
 
     def test_identical_data(self, tmp_path):
         cfg = scenario(tmp_path / "dep0", p_list=(2.0,), tau_list=(1e-2,))
         m = cfg.sim.grid_m
         w0 = Profile(m, np.cos(np.pi * np.linspace(0, 1, m)))
-        rep = continuous_dependence_experiment(cfg, w0, w0)
-        assert rep.lp[0].observed == 0.0
+        checks, linearity_gap = continuous_dependence_experiment(cfg, w0, w0)
+        # a zero envelope passes only a difference that is zero at every record
+        assert all(chk.passed for chk in checks.values())
+        assert linearity_gap == 0.0
+
+    def test_constant_below_measured_ratio_fails(self, tmp_path, monkeypatch):
+        cfg = scenario(tmp_path / "dep", p_list=(2.0,), tau_list=(1e-2,))
+        m = cfg.sim.grid_m
+        x = np.linspace(0, 1, m)
+        w01, w02 = Profile(m, np.cos(np.pi * x)), Profile(m, 0.9 * np.cos(np.pi * x))
+        margin = continuous_dependence_experiment(cfg, w01, w02)[0]["lp_p2"].margin
+        real = verify.constants_for_p
+        # C e^{-margin} is the measured sup of ||w1 - w2|| e^{lambda t} / ||w01 - w02||
+        scale = 0.99 * math.exp(-margin) / cfg.slack
+        monkeypatch.setattr(verify, "constants_for_p",
+                            lambda p, con: {**real(p, con), "lp": scale * real(p, con)["lp"]})
+        checks, _ = continuous_dependence_experiment(cfg, w01, w02)
+        assert not checks["lp_p2"].passed
+        assert checks["w1p_p2"].passed
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -635,7 +656,18 @@ class TestCli:
         ("t_end = 0.5", "t_end = 1e-6", "[sim] invalid simulation configuration: t_end = 1e-06"),
         ("horizon = 2.0", "horizon = -1", "[problem] horizon must be positive"),
         ("n_xi = 101", "n_xi = 100", "[kernel] kernel settings need"),
-    ], ids=["c2_b", "t_end", "horizon", "n_xi"])
+        ("lambda0 = 3.0", "lambda0 = nan", "[problem] lambda0 must be finite, got nan"),
+        ("c1_poly = 0 0 1", "c1_poly = 0 0 nan", "[problem] c1_poly must be finite"),
+        ("c2_a = 1.0", "c2_a = nan", "[problem] c2_a must be finite, got nan"),
+        ("c2_b = 1.0", "c2_b = inf", "[problem] c2_b must be finite, got inf"),
+        ("horizon = 2.0", "horizon = inf", "[problem] horizon must be finite, got inf"),
+        ("family = cosine\na = 1.0\nmodes = 1", "family = polynomial\ncoeffs =",
+         "[initial_data] polynomial coeffs must be non-empty"),
+        ("dt = 2e-4", "dt = 1e-20", "[sim] invalid simulation configuration: t_end / dt"),
+        ("dt = 2e-4", "dt = 1e-300", "[sim] invalid simulation configuration: t_end / dt"),
+        ("dt = 2e-4", "dt = 5e-324", "[sim] invalid simulation configuration: t_end / dt"),
+    ], ids=["c2_b", "t_end", "horizon", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
+            "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324"])
     def test_admissibility_error_named(self, tmp_path, capsys, old, new, named):
         path = tmp_path / "s.ini"
         text = CONFIG_TEXT.format(out=tmp_path / "run")

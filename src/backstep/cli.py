@@ -1,7 +1,8 @@
 """Command-line front end: kernel solves, simulations, verification runs.
 
 Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
-unwritable output directory included), 3 numerical failure (a float
+unwritable output directory and a failed artifact writer included, such
+as ``verify``'s ``closed_loop.csv`` child), 3 numerical failure (a float
 overflow and a Picard stop at a rounding floor included).  A failure
 inside ``verify`` names its pipeline stage.
 """

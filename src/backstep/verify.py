@@ -11,10 +11,12 @@ import configparser
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import _csvout
 from .coefficients import CoefficientFamily, ProblemSpec, lambda_lower
 from .kernel import (
     MIN_N_XI,
@@ -183,6 +185,9 @@ class InitialData:
             raise ConfigError(f"initial-data family {self.family!r} takes no "
                               f"parameter {', '.join(unknown)}")
         p = self.params  # the defaults in _INITIAL_FAMILIES pass every check
+        for key, value in p.items():
+            if not all(math.isfinite(v) for v in (value if key == "coeffs" else (value,))):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if "modes" in p and not float(p["modes"]).is_integer():
             raise ConfigError(f"cosine modes must be a whole number, got {p['modes']!r}")
         if "width" in p and not p["width"] > 0:
@@ -438,10 +443,19 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     Deterministic for a given config.  On a stage failure the exception
     propagates with its ``stage`` attribute set, after the MANIFEST has
     noted the incomplete stage (see :func:`failure_text`).
+
+    ``closed_loop.csv`` is formatted from the raw float64 values by a
+    stdlib-only ``python -S`` child of :mod:`._csvout`, with the bytes of
+    :func:`write_trajectory`, while this process simulates the target,
+    computes the norms and checks and writes the other files.  A failure of
+    that writer (spawn error, broken pipe, nonzero exit) raises OSError in
+    stage ``artifacts``.  The child is reaped on every exit path, and a
+    failed call leaves no ``closed_loop.csv`` of its own.
     """
     outdir = config.outputs
     artifacts: list[str] = []
     stage = "validate"
+    closed = _TrajectoryChild(os.path.join(outdir, "closed_loop.csv"))
     try:
         os.makedirs(outdir, exist_ok=True)
         spec = config.spec
@@ -468,6 +482,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
 
         stage = "simulate"
         traj_w = simulate_closed_loop(spec, k, w0, config.sim)
+        closed.feed(traj_w)
         u0 = initial_target_data(w0, k)
         traj_u = simulate_target(spec, u0, config.sim)
 
@@ -515,9 +530,10 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
 
         stage = "artifacts"
         artifacts += _write_traces(outdir, traces)
-        artifacts.append(write_trajectory(outdir, "closed_loop.csv", traj_w))
+        at = len(artifacts)
         artifacts.append(write_controls(outdir, traj_w))
         artifacts.append(write_trajectory(outdir, "target.csv", traj_u))
+        artifacts.insert(at, closed.join())
         rpath = os.path.join(outdir, "report.json")
         with open(rpath, "w") as fh:
             fh.write(report.to_json())
@@ -532,6 +548,8 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         except OSError:
             pass
         raise
+    finally:
+        closed.close()
 
 
 def failure_text(exc: BaseException) -> str:
@@ -544,25 +562,6 @@ def _ptag(p: float) -> str:
     return "pinf" if np.isinf(p) else f"p{p:g}"
 
 
-def _write_csv(path, header: str, groups) -> str:
-    """One CSV file: header row, then one ``%`` per ``(lead, cells, values)`` group.
-
-    A group's rows are ``lead + cell`` for each of ``cells``, CRLF-ended row
-    tails that hold the ``%`` formats ``values`` fill.  Callers format each
-    repeated coordinate once, with ``%.12g``, into a lead or a cell, which
-    gives the same bytes as ``np.savetxt``; one group is in memory at a time.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for lead, cells, values in groups:
-            fh.write((lead + lead.join(cells)) % tuple(values))
-    return path
-
-
-def _cells(coords, tail: str) -> list[str]:
-    return [("%.12g" % c) + tail for c in coords.tolist()]
-
-
 def _write_traces(outdir, traces: dict) -> list[str]:
     """One ``t,value`` CSV per trace; each distinct ``times`` array is formatted once."""
     cells: dict[bytes, list[str]] = {}
@@ -570,42 +569,107 @@ def _write_traces(outdir, traces: dict) -> list[str]:
     for name, tr in traces.items():
         key = tr.times.tobytes()
         if key not in cells:
-            cells[key] = _cells(tr.times, ",%.15g\r\n")
-        paths.append(_write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
-                                [("", cells[key], tr.values.tolist())]))
+            cells[key] = _csvout.cells(tr.times.tolist(), _csvout.VALUE)
+        paths.append(_csvout.write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
+                                       [("", cells[key], tr.values.tolist())]))
     return paths
 
 
 def write_trajectory(outdir, name, traj: Trajectory) -> str:
     """Long-format CSV ``t,x,value`` of every recorded slice, one record per write."""
-    cells = _cells(traj.x, ",%.15g\r\n")
-    return _write_csv(os.path.join(outdir, name), "t,x,value",
-                      (("%.12g," % t, cells, row.tolist())
-                       for t, row in zip(traj.times.tolist(), traj.fields)))
+    return _csvout.write_trajectory(os.path.join(outdir, name), traj.times.tolist(),
+                                    traj.x.tolist(), (row.tolist() for row in traj.fields))
+
+
+class _TrajectoryChild:
+    """One trajectory CSV formatted by a ``python -S`` child running :mod:`._csvout`.
+
+    The child starts at construction.  :meth:`feed` sends it the raw
+    float64 values, :meth:`join` waits for the file, and :meth:`close`
+    reaps the child on every path.  A spawn error or a broken pipe is kept
+    and raised by :meth:`join`, so that it surfaces where the file is
+    collected, with the child's exit code and message when it failed.
+    """
+
+    def __init__(self, path: str):
+        import subprocess  # kept off the package's import path
+
+        self.path, self.pending, self.error = path, False, None
+        try:
+            self.proc = subprocess.Popen([sys.executable, "-S", _csvout.__file__, path],
+                                         stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+        except OSError as exc:
+            self.proc, self.error = None, exc
+
+    def feed(self, traj: Trajectory) -> None:
+        """Send the ``(n_records, grid_m)`` int64 header, then times, x and fields."""
+        if self.proc is None:
+            return
+        self.pending = True
+        try:
+            self.proc.stdin.write(np.array([len(traj.times), traj.grid_m], np.int64).tobytes())
+            for a in (traj.times, traj.x, traj.fields):
+                self.proc.stdin.write(memoryview(np.ascontiguousarray(a, np.float64).reshape(-1)))
+            self.proc.stdin.close()
+        except BrokenPipeError as exc:
+            self.error = exc
+
+    def join(self) -> str:
+        """The written path, after the child exits; OSError naming the file and the cause."""
+        if self.error is None:
+            message = self.proc.stderr.read().decode(errors="replace").strip()
+            if self.proc.wait():
+                self.error = f"writer exited with code {self.proc.returncode}" + (
+                    f": {message}" if message else "")
+        if self.error is not None:
+            raise OSError(f"{os.path.basename(self.path)}: {self.error}")
+        self.pending = False
+        return self.path
+
+    def close(self) -> None:
+        """Reap the child; a fed child whose file :meth:`join` never returned is
+        killed and what it wrote is removed."""
+        if self.proc is None:
+            return
+        discard = self.pending
+        if discard:
+            self.proc.kill()
+        for pipe in (self.proc.stdin, self.proc.stderr):
+            try:
+                pipe.close()  # an unfed child reads an empty stdin and exits 0
+            except BrokenPipeError:
+                pass
+        self.proc.wait()
+        if discard:
+            try:
+                os.remove(self.path)
+            except OSError:
+                pass
 
 
 def write_controls(outdir, traj: Trajectory) -> str:
     """CSV ``t,U`` of the boundary control at the recorded times."""
-    return _write_csv(os.path.join(outdir, "controls.csv"), "t,U",
-                      [("", _cells(traj.times, ",%.15g\r\n"), traj.controls.tolist())])
+    return _csvout.write_csv(os.path.join(outdir, "controls.csv"), "t,U",
+                             [("", _csvout.cells(traj.times.tolist(), _csvout.VALUE),
+                               traj.controls.tolist())])
 
 
 def dump_kernel_csv(path, k: KernelGrid, l: KernelGrid) -> str:
     """CSV ``x,y,k,l`` on the triangle grid, row-major in x then y, one x-row per write."""
     if k.values_xy.shape != l.values_xy.shape:
         raise ValueError("kernel grids must share a lattice")
-    cells = _cells(k.x_nodes, ",%.15g,%.15g\r\n")
+    cells = _csvout.cells(k.x_nodes.tolist(), ",%.15g,%.15g\r\n")
     kl = np.stack((k.values_xy, l.values_xy), axis=-1)
-    return _write_csv(path, "x,y,k,l",
-                      (("%.12g," % x, cells[:i + 1], kl[i, :i + 1].ravel().tolist())
-                       for i, x in enumerate(k.x_nodes.tolist())))
+    return _csvout.write_csv(path, "x,y,k,l",
+                             (("%.12g," % x, cells[:i + 1], kl[i, :i + 1].ravel().tolist())
+                              for i, x in enumerate(k.x_nodes.tolist())))
 
 
 def write_oracle(path, rows) -> str:
     """CSV ``xi,eta,picard,series,abs_err`` of :func:`oracle_comparison`'s rows."""
-    return _write_csv(path, "xi,eta,picard,series,abs_err",
-                      [("", ["%.12g,%.12g,%.12g,%.12g,%.12g\r\n"] * len(rows),
-                        np.ravel(rows).tolist())])
+    return _csvout.write_csv(path, "xi,eta,picard,series,abs_err",
+                             [("", ["%.12g,%.12g,%.12g,%.12g,%.12g\r\n"] * len(rows),
+                               np.ravel(rows).tolist())])
 
 
 def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None):

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from backstep.cli import main as cli_main
-from backstep import simulator, verify
+from backstep import _csvout, simulator, verify
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
 from backstep.kernel import KernelConstants
 from backstep.norms import NormTrace, gronwall_bound, rho
@@ -249,6 +250,33 @@ class TestCsvWriters:
                        fmt=("%.12g", "%.12g", "%.15g"), delimiter=",", header="t,x,value",
                        comments="", newline="\r\n")
         assert Path(path).read_bytes() == ref.read_bytes()
+
+    @staticmethod
+    def edge_trajectories(rng) -> list:
+        """The edge values above and 3100-wide records spanning 600 decades."""
+        fields = np.array([[0.0, -0.0, 1e-300], [1.0 / 3.0, -2.5e-17, 123456.78901234567]])
+        wide = rng.standard_normal((3, 3100)) * np.logspace(-300, 300, 3100)
+        return [Trajectory(np.array([0.0, 0.1 + 0.2]), fields),
+                Trajectory(np.array([0.0, 1.0 / 3.0, 2.0]), wide)]
+
+    def test_child_writes_same_bytes(self, tmp_path, rng):
+        for i, traj in enumerate(self.edge_trajectories(rng)):
+            child = verify._TrajectoryChild(str(tmp_path / f"child{i}.csv"))
+            try:
+                child.feed(traj)
+                path = child.join()
+            finally:
+                child.close()
+            assert child.proc.returncode == 0
+            ref = write_trajectory(str(tmp_path), f"ref{i}.csv", traj)
+            assert Path(path).read_bytes() == Path(ref).read_bytes()
+
+    def test_child_on_empty_stdin_writes_nothing(self, tmp_path):
+        path = tmp_path / "closed_loop.csv"
+        done = subprocess.run([sys.executable, "-S", _csvout.__file__, str(path)], input=b"",
+                              capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert not path.exists()
 
 
 class TestScenario:
@@ -531,10 +559,28 @@ class TestInitialData:
     @pytest.mark.parametrize("family, params", [("cosine", {"modes": 1.5}),
                                                 ("cosine", {"modes": math.inf}),
                                                 ("bump", {"width": 0.0}),
-                                                ("bump", {"width": -0.3})])
+                                                ("bump", {"width": -0.3}),
+                                                ("bump", {"height": math.nan}),
+                                                ("bump", {"center": math.inf}),
+                                                ("constant", {"a": -math.inf}),
+                                                ("polynomial", {"coeffs": (1.0, math.nan)})])
     def test_unusable_values(self, family, params):
         with pytest.raises(ConfigError, match=next(iter(params))):
             InitialData(family, params)
+
+    @pytest.mark.parametrize("key, text", [("height", "nan"), ("center", "inf")])
+    def test_non_finite_parameter_exit(self, tmp_path, capsys, key, text):
+        # a NaN height used to run into the simulator (exit 3) and an infinite
+        # center to pass every check on an all-zero datum
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
+            "family = cosine\na = 1.0\nmodes = 1", f"family = bump\n{key} = {text}"))
+        named = f"[initial_data] {key} must be finite, got {text}"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_scenario(path)
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert f"configuration error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestOracleComparison:
@@ -778,6 +824,86 @@ class TestCli:
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
             "adjust_compatibility = false", "adjust_compatibility = true"))
         assert cli_main(["simulate", "--config", str(path)]) == 3
+
+
+class TestClosedLoopWriter:
+    """verify's closed_loop.csv child: its failures surface and it never outlives a call."""
+
+    @pytest.fixture
+    def children(self, monkeypatch):
+        made = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        return made
+
+    @staticmethod
+    def config(tmp_path, old="", new=""):
+        path = tmp_path / "s.ini"
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        return path
+
+    @pytest.mark.parametrize("cause", ["directory", "spawn"])
+    def test_writer_failure_is_stage_artifacts(self, tmp_path, capsys, monkeypatch, cause):
+        path = self.config(tmp_path)
+        if cause == "directory":
+            (tmp_path / "run" / "closed_loop.csv").mkdir(parents=True)
+            match = "exited with code 1: .*Is a directory"
+        else:
+            def no_spawn(*args, **kwargs):
+                raise FileNotFoundError(2, "No such file or directory", args[0][0])
+
+            monkeypatch.setattr(subprocess, "Popen", no_spawn)
+            match = "No such file or directory"
+        with pytest.raises(OSError, match=match) as exc:
+            run_scenario(load_scenario(path))
+        assert exc.value.stage == "artifacts"
+        assert "closed_loop.csv" in str(exc.value)
+        manifest = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
+        assert manifest[0] == "INCOMPLETE"
+        assert manifest[1].startswith("error: stage artifacts: closed_loop.csv: ")
+        assert "closed_loop.csv" not in manifest[2:]
+        assert {"controls.csv", "target.csv", "trace_w_lp_p2.csv"} <= set(manifest[2:])
+
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: stage artifacts: closed_loop.csv: ")
+
+    @pytest.mark.parametrize("case", ["pass", "writer", "kernel", "after_feed", "interrupt"])
+    def test_no_child_outlives_a_call(self, tmp_path, capfd, monkeypatch, children, case):
+        out = tmp_path / "run" / "closed_loop.csv"
+        if case == "writer":
+            out.mkdir(parents=True)
+        if case in ("after_feed", "interrupt"):
+            # the child has the values and is writing when the call fails
+            error = KeyboardInterrupt if case == "interrupt" else simulator.DivergenceError
+
+            def fail(*args, **kwargs):
+                raise error("injected")
+
+            monkeypatch.setattr(verify, "simulate_target", fail)
+        old, new = ("max_iter = 60", "max_iter = 1") if case == "kernel" else ("", "")
+        path = self.config(tmp_path, old, new)
+        if case == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                cli_main(["verify", "--config", str(path)])
+        else:
+            expected = {"pass": 0, "writer": 2, "kernel": 3, "after_feed": 3}[case]
+            assert cli_main(["verify", "--config", str(path)]) == expected
+        assert len(children) == 1
+        assert children[0].returncode is not None
+        assert out.is_file() == (case == "pass")
+        assert "Traceback" not in capfd.readouterr().err
+        if case == "kernel":
+            # an unfed child reads an empty stdin and exits 0
+            assert children[0].returncode == 0
 
 
 class TestRuntimeDependencies:

@@ -68,7 +68,9 @@ def _cmd_kernel(args) -> int:
     k, l = solve_kernels(config)
     dump_kernel_csv(os.path.join(config.outputs, "kernels.csv"), k, l)
     lines = [
-        f"picard sweeps: direct {k.iterations_used}, inverse {l.iterations_used}",
+        # one count per lattice of the nested solve, coarse to fine
+        f"picard sweeps: direct {' -> '.join(map(str, k.level_sweeps))}, "
+        f"inverse {' -> '.join(map(str, l.level_sweeps))}",
         f"final increments: {k.final_increment:.3e}, {l.final_increment:.3e}",
     ]
     for name, grid, prob in (("direct", k, GoursatProblem.direct(config.spec)),

@@ -21,6 +21,26 @@ C2_KINDS = ("constant", "exp_decay", "damped_osc")
 _CONFIRM_NODES = 2001
 
 
+def horner(x, coeffs):
+    """sum_k coeffs[k] x^k by Horner's rule, in place.
+
+    The IEEE operations of ``npoly.polyval`` in its order (``c[-1] + x*0``,
+    then times x plus the next coefficient), so the result is bit-identical,
+    without polyval's broadcast of a reshaped coefficient array.  ``coeffs``
+    are scalars or arrays that broadcast against x; a scalar x gives a float.
+    """
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def horner2d(x, y, F):
+    """sum F[i, j] x^i y^j: :func:`horner` in x per column, then in y (``npoly.polyval2d``'s order)."""
+    return horner(y, [horner(x, col) for col in np.asarray(F).T])
+
+
 class ValidationError(ValueError):
     """A problem specification violates an admissibility condition."""
 
@@ -69,7 +89,7 @@ class CoefficientFamily:
     # -- pointwise evaluation -------------------------------------------------
 
     def c1(self, x):
-        return npoly.polyval(x, self.c1_poly)
+        return horner(x, self.c1_poly)
 
     def c2(self, t):
         t = np.asarray(t, dtype=float)
@@ -95,7 +115,7 @@ class CoefficientFamily:
 
     def f(self, x, y):
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = npoly.polyval2d(xb, yb, np.asarray(self.f_poly))
+        out = horner2d(xb, yb, self.f_poly)
         return out if np.ndim(out) else float(out)
 
     @property

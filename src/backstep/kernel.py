@@ -13,6 +13,8 @@ source f) two triple integrals.  Both share one table of s-integrals and one
 quadrature in xi; the triple integrals add one line sum per power of z in f
 and one shared matrix product.  Picard iteration of this map converges
 factorially; each increment obeys the certified bound :func:`tail_bound`.
+A large lattice starts from the solution on its half lattice (nested
+iteration), and :func:`warm_remainder_bound` caps that warm solve.
 
 Discretisation: one uniform lattice with the same spacing ``delta`` in xi
 and eta.  On that lattice every integration limit that appears in the
@@ -32,13 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import polynomial as npoly
 
 from ._quad import cumquad, volterra_matrix
-from .coefficients import ProblemSpec
+from .coefficients import ProblemSpec, horner
 
 MIN_N_XI = 33
 _PAD = 8
+#: A lattice n_xi starts from its half lattice (n_xi + 1) // 2 while that is odd
+#: and at least this (a floor of 101 timed the same, with one more level).
+_NEST_FLOOR = 201
 
 
 class ConvergenceError(RuntimeError):
@@ -149,41 +153,46 @@ def _double_parts(V: np.ndarray, lat: ChartLattice) -> np.ndarray:
     read on the diagonal of V because ``lat.xi[j] == lat.eta[j]``.
     """
     d = lat.delta
-    W = cumquad(V, d, axis=1)
     rows = np.arange(lat.n_eta)
-    P = W - W[rows, rows][:, None]
     Q = cumquad(V[rows, rows], d)
-    return 0.25 * P + 0.5 * Q[:, None]
+    out = cumquad(V, d, axis=1)
+    out -= out[rows, rows][:, None]  # P, in place
+    out *= 0.25
+    out += 0.5 * Q[:, None]
+    return out
 
 
 def _psi_tables(f_poly: np.ndarray, lat: ChartLattice) -> list[np.ndarray]:
     """Expand f((tau-s)/2, z-(tau+s)/2) = sum_r z^r * psi_r(tau, s) on the lattice."""
     F = np.atleast_2d(np.asarray(f_poly, dtype=float))
-    XI, ETA = lat.mesh()
-    a = (XI - ETA) / 2.0
-    bneg = -(XI + ETA) / 2.0  # the z-free part of the second argument
+    xi, eta = lat.xi, lat.eta[:, None]
+    a = (xi - eta) / 2.0
+    bneg = -(xi + eta) / 2.0  # the z-free part of the second argument
     n_q = F.shape[1]
-    a_polys = [npoly.polyval(a, F[:, q]) for q in range(n_q)]
+    a_polys = [horner(a, F[:, q]) for q in range(n_q)]
+    # each power once; the q = r term is a_polys[r] itself, since bneg ** 0 == 1
+    powers = [bneg ** k for k in range(1, n_q)]
     tables = []
     for r in range(n_q):
         acc = np.zeros_like(a)
-        for q in range(r, n_q):
-            acc += math.comb(q, r) * bneg ** (q - r) * a_polys[q]
+        acc += a_polys[r]
+        for q in range(r + 1, n_q):
+            acc += math.comb(q, r) * powers[q - r - 1] * a_polys[q]
         tables.append(acc)
     return tables
 
 
-def _line_sum(W: np.ndarray, H: np.ndarray, stride: int = 1) -> np.ndarray:
+def _line_sum(W: np.ndarray, Hs: np.ndarray, stride: int = 1) -> np.ndarray:
     """Quadrature along the lattice lines xi + eta = const.
 
-    Returns out[j, c] = sum_s W[j, s] H[s*stride, c + (j - s)*stride] for the
-    rows s*stride of ``H`` (columns clipped to the lattice): skew the strided
-    rows so each line becomes a column, apply W once, read the skew back.
-    The skew is a strided view of one padded copy of the rows: zeros on the
-    left, read only where the lower-triangular W is zero, and the edge
-    column on the right, which is the clip.
+    ``Hs`` holds the lattice rows 0, stride, 2 stride, ... of a table H.
+    Returns out[j, c] = sum_s W[j, s] Hs[s, c + (j - s)*stride] (columns
+    clipped to the lattice): skew the rows so each line becomes a column,
+    apply W once, read the skew back.  The skew is a strided view of one
+    padded copy of the rows: zeros on the left, read only where the
+    lower-triangular W is zero, and the edge column on the right, which is
+    the clip.
     """
-    Hs = H[::stride]
     n, npts = Hs.shape
     pad = (n - 1) * stride
     ncols = npts + pad
@@ -214,11 +223,12 @@ def _source_table(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: Cha
 
 def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     fam = problem.spec.family
-    XI, ETA = lat.mesh()
-    G0 = 0.25 * problem.lambda0 * (XI + ETA)
+    xi, eta = lat.xi, lat.eta[:, None]
+    s = xi + eta
+    G0 = 0.25 * problem.lambda0 * s
     if not fam.f_is_zero:
-        ftil = fam.f((XI + ETA) / 2.0, (XI - ETA) / 2.0)
-        G0 = G0 + _double_parts(cumquad(ftil, lat.delta, axis=0), lat)
+        ftil = fam.f(s / 2.0, (xi - eta) / 2.0)
+        G0 += _double_parts(cumquad(ftil, lat.delta, axis=0), lat)
     return G0
 
 
@@ -258,6 +268,33 @@ def remainder_bound(n: int, M: float, xi: float, eta: float) -> float:
     term = tail_bound(n, M, xi, eta)
     ratio = M * (xi + eta) / (n + 2)
     return term / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+
+def warm_remainder_bound(n: int, M: float, first_increment: float) -> float:
+    """Bound on the sum of every increment from the n-th on, from any start G_s.
+
+    The k-th increment is Phi^k (G_1 - G_s) and ||Phi^k|| <= (2M)^k / k! on
+    the region xi + eta <= 2, so the sum from n on is at most
+    e1 sum_{k>=n} (2M)^k / k! with e1 = ``first_increment`` = ||G_1 - G_s||.
+    Consecutive terms shrink by 2M/(k+1) <= 2M/(n+1), so that is at most the
+    n-th term over 1 - 2M/(n+1); infinite unless 2M < n + 1.
+    """
+    if n < 0 or M < 0 or first_increment < 0:
+        raise ValueError("need n >= 0, M >= 0 and first_increment >= 0")
+    term = first_increment
+    for k in range(1, n + 1):
+        term *= 2.0 * M / k
+    ratio = 2.0 * M / (n + 1)
+    return term / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+
+def _certified_sweeps(bound, n: int, tol: float) -> int:
+    """The first sweep count from n on whose remainder ``bound`` is below tol (at most 1001)."""
+    while bound(n) >= tol:
+        n += 1
+        if n > 1000:
+            break
+    return n
 
 
 def bound_constant_M(spec: ProblemSpec) -> float:
@@ -355,6 +392,9 @@ class KernelGrid:
     ``values_xieta`` holds G on the padded lattice; ``values_xy`` the
     kernel on the uniform triangle grid x_m = m delta (zero above the
     diagonal); ``trace_diag`` is k(x, x) and ``trace_kx1`` is k_x(1, y).
+    ``level_sweeps`` counts the sweeps on each lattice of a nested solve,
+    coarse to fine; ``iterations_used``, ``increments`` and ``n_certified``
+    are those of the finest lattice, ``n_xi``.
     """
 
     n_xi: int
@@ -368,6 +408,7 @@ class KernelGrid:
     final_increment: float
     increments: tuple
     n_certified: int
+    level_sweeps: tuple
 
     @property
     def n_eta(self) -> int:
@@ -469,7 +510,7 @@ def _lagrange4_2d(G, u, v):
     return out
 
 
-def _build_grid(lat, G, M, increments, n_cert) -> KernelGrid:
+def _build_grid(lat, G, M, increments, n_cert, level_sweeps) -> KernelGrid:
     values_xy = _triangle(G)
     return KernelGrid(
         n_xi=lat.n_xi,
@@ -483,43 +524,56 @@ def _build_grid(lat, G, M, increments, n_cert) -> KernelGrid:
         final_increment=increments[-1] if increments else 0.0,
         increments=tuple(increments),
         n_certified=n_cert,
+        level_sweeps=tuple(level_sweeps),
     )
 
 
-def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) -> KernelGrid:
-    """Solve the kernel integral equation by successive approximation.
+def _midpoints(A: np.ndarray) -> np.ndarray:
+    """The rows of A with the cubic midpoint of each neighbouring pair between them.
 
-    Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
-    region drops below ``tol``, or until :func:`remainder_bound` says the
-    sum of every remaining increment is already below ``tol`` (whichever
-    happens first).  The iteration starts from G0.  Raises
-    ConvergenceError when a sweep is still due after ``max_iter`` sweeps,
-    or when the certified stop comes while the last increment is still
-    >= ``tol`` (the increments have reached a rounding floor above the
-    tolerance).
+    Interior midpoints take (-1, 9, 9, -1)/16 of the four nearest rows; the
+    first and the last take the one-sided (5, 15, -5, 1)/16 and its mirror.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
-    lat = ChartLattice(n_xi)
-    XI, ETA = lat.mesh()
-    react = problem.reaction_chart(XI, ETA)
+    out = np.empty((2 * len(A) - 1,) + A.shape[1:])
+    out[::2] = A
+    out[3:-3:2] = (9.0 * (A[1:-2] + A[2:-1]) - (A[:-3] + A[3:])) / 16.0
+    out[1] = (5.0 * A[0] + 15.0 * A[1] - 5.0 * A[2] + A[3]) / 16.0
+    out[-2] = (5.0 * A[-1] + 15.0 * A[-2] - 5.0 * A[-3] + A[-4]) / 16.0
+    return out
+
+
+def _prolong(Gc: np.ndarray, lat: ChartLattice) -> np.ndarray:
+    """G on the half lattice of ``lat`` carried to ``lat``, along xi and then along eta.
+
+    Coarse node (j, i) is fine node (2j, 2i).  The coarse padding covers
+    every fine column, and the coarse rows end at the fine row n_eta - 1.
+    """
+    return _midpoints(_midpoints(Gc.T).T[:, :lat.npts])
+
+
+def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: float,
+            max_iter: int, where: str):
+    """Picard sweeps on ``lat`` from G0 (``start`` None) or from ``start``.
+
+    Returns (G, increments, n_certified).  A cold solve is capped by
+    :func:`remainder_bound`, a warm one by :func:`warm_remainder_bound` of
+    its first increment.  ``where`` names the lattice in an error message.
+    """
+    react = problem.reaction_chart(lat.xi, lat.eta[:, None])
     fam = problem.spec.family
     psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
     WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
     G0 = _g0_lattice(problem, lat)
-    M = bound_constant_M(problem.spec)
-    n_cert = 0
-    while remainder_bound(n_cert, M, 2.0, 0.0) >= tol:
-        n_cert += 1
-        if n_cert > 1000:
-            break
     region = lat.region_mask()
-    G = G0
+    if start is None:
+        G, n_cert = G0, _certified_sweeps(lambda n: remainder_bound(n, M, 2.0, 0.0), 0, tol)
+    else:
+        G, n_cert = start, math.inf  # until the first increment fixes the warm cap
     increments: list[float] = []
     while len(increments) < n_cert and (not increments or increments[-1] >= tol):
         if len(increments) == max_iter:
             raise ConvergenceError(
-                f"no convergence after {max_iter} sweeps "
+                f"no convergence after {max_iter} sweeps{where} "
                 f"(last increment {increments[-1]:.3e} >= tol {tol:.3e}); "
                 "the grid is too coarse for this tolerance",
                 last_increment=increments[-1],
@@ -527,14 +581,50 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
         G_next = G0 + _apply_phi(react, psi, WB, problem.conv_sign, G, lat)
         increments.append(float(np.max(np.abs((G_next - G)[region]))))
         G = G_next
+        if n_cert == math.inf:
+            e1 = increments[0]
+            n_cert = _certified_sweeps(lambda n: warm_remainder_bound(n, M, e1), 1, tol)
     if increments and increments[-1] >= tol:
         raise ConvergenceError(
-            f"the certified stop after {n_cert} sweeps left an increment of "
+            f"the certified stop after {n_cert} sweeps{where} left an increment of "
             f"{increments[-1]:.3e} >= tol {tol:.3e}: the increments stagnate at "
             "a rounding floor, so this tolerance is out of reach",
             last_increment=increments[-1],
         )
-    return _build_grid(lat, G, M, increments, n_cert)
+    return G, increments, n_cert
+
+
+def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) -> KernelGrid:
+    """Solve the kernel integral equation by successive approximation.
+
+    Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
+    region drops below ``tol``, or until a certified bound says the sum of
+    every remaining increment is already below ``tol`` (whichever happens
+    first).  Nested iteration: while the half lattice ``(n_xi + 1) // 2`` is
+    odd and at least ``_NEST_FLOOR``, the same problem is solved there first
+    (to the same ``tol`` and ``max_iter``, itself nested) and carried over by
+    the cubic midpoint rule as the start.  The coarsest lattice starts from
+    G0 and is capped by :func:`remainder_bound`; a warm start is capped by
+    :func:`warm_remainder_bound`.  Raises ConvergenceError, naming a coarse
+    lattice by its n_xi, when a sweep is still due after ``max_iter`` sweeps,
+    or when the certified stop comes while the last increment is still
+    >= ``tol`` (the increments have reached a rounding floor above the
+    tolerance).
+    """
+    if tol <= 0 or max_iter < 1:
+        raise ValueError("tol must be positive and max_iter >= 1")
+    levels = [ChartLattice(n_xi)]
+    while levels[-1].n_eta % 2 and levels[-1].n_eta >= _NEST_FLOOR:
+        levels.append(ChartLattice(levels[-1].n_eta))
+    M = bound_constant_M(problem.spec)
+    G = None
+    level_sweeps = []
+    for lat in reversed(levels):
+        where = "" if lat is levels[0] else f" on the coarse lattice n_xi = {lat.n_xi}"
+        start = None if G is None else _prolong(G, lat)
+        G, increments, n_cert = _sweeps(problem, lat, start, M, tol, max_iter, where)
+        level_sweeps.append(len(increments))
+    return _build_grid(levels[0], G, M, increments, n_cert, level_sweeps)
 
 
 def solve_inverse_kernel(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int) -> KernelGrid:
@@ -600,22 +690,20 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
         raise ValueError("verification spacing too large for the lattice padding")
     G = grid.values_xieta
     Gs = G[::st]
-    XI, ETA = lat.mesh()
     fam = problem.spec.family
-    # interior nodes: rows st .. n_eta - st - 1 of the strided lattice
+    # interior nodes: rows st .. n_eta - st - 1 of the strided lattice, which are Gs[1:-1]
     inner = (slice(st, lat.n_eta - st, st), slice(st, -st))
     gxe = (Gs[2:, 2 * st:] - Gs[2:, :-2 * st]
            - Gs[:-2, 2 * st:] + Gs[:-2, :-2 * st]) / (4.0 * (st * d) ** 2)
-    XIi, ETAi = XI[inner], ETA[inner]
-    res = 4.0 * gxe - problem.reaction_chart(XIi, ETAi) * G[inner]
+    xi_i, eta_i = lat.xi[inner[1]], lat.eta[inner[0], None]
+    res = 4.0 * gxe - problem.reaction_chart(xi_i, eta_i) * G[inner]
     if not fam.f_is_zero:
-        Y = (XI - ETA) / 2.0
+        Ys = (lat.xi - lat.eta[::st, None]) / 2.0  # y on the strided rows
         F = np.asarray(fam.f_poly)
         W = volterra_matrix(len(Gs), st * d)
-        conv = sum(Y[::st] ** q * _line_sum(W, npoly.polyval(Y, F[:, q]) * G, st)
+        conv = sum(Ys ** q * _line_sum(W, horner(Ys, F[:, q]) * Gs, st)
                    for q in range(F.shape[1]))
-        # conv has the strided rows only
-        res -= fam.f((XIi + ETAi) / 2.0, Y[inner]) + problem.conv_sign * conv[1:-1, st:-st]
+        res -= fam.f((xi_i + eta_i) / 2.0, Ys[1:-1, st:-st]) + problem.conv_sign * conv[1:-1, st:-st]
     inside = lat.region_mask()[inner]
     slope = np.gradient(grid.trace_diag, d, edge_order=2)
     bc_diag = float(np.max(np.abs(2.0 * slope - problem.lambda0)))

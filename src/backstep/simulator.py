@@ -26,10 +26,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._quad import volterra_matrix
-from .coefficients import ProblemSpec
+from .coefficients import ProblemSpec, horner2d
 from .kernel import KernelGrid
 from .transforms import Profile, feedback_row
 
@@ -189,7 +188,7 @@ def _source_operator(f_poly, m: int) -> np.ndarray | None:
         return None
     x = np.linspace(0.0, 1.0, m)
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    vals = np.where(yy <= xx, npoly.polyval2d(xx, np.minimum(yy, xx), F), 0.0)
+    vals = np.where(yy <= xx, horner2d(xx, np.minimum(yy, xx), F), 0.0)
     return volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
 
 

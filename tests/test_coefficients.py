@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
+from backstep import simulator
 from backstep.coefficients import (
     CoefficientFamily,
     ProblemSpec,
@@ -10,7 +14,7 @@ from backstep.coefficients import (
     lambda_lower,
     sup_c,
 )
-from backstep.kernel import GoursatProblem
+from backstep.kernel import ChartLattice, GoursatProblem, _psi_tables
 
 
 def spec_of(c1=(0.0,), kind="constant", a=0.0, b=0.0, lambda0=1.0, horizon=2.0):
@@ -163,3 +167,82 @@ class TestValidate:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValidationError):
             CoefficientFamily(c2_kind="sawtooth")
+
+
+def polyval_psi_tables(f_poly, lat):
+    """The psi tables with npoly.polyval on the meshgrid: the reference for Horner."""
+    F = np.atleast_2d(np.asarray(f_poly, dtype=float))
+    XI, ETA = lat.mesh()
+    a = (XI - ETA) / 2.0
+    bneg = -(XI + ETA) / 2.0
+    n_q = F.shape[1]
+    a_polys = [npoly.polyval(a, F[:, q]) for q in range(n_q)]
+    tables = []
+    for r in range(n_q):
+        acc = np.zeros_like(a)
+        for q in range(r, n_q):
+            acc += math.comb(q, r) * bneg ** (q - r) * a_polys[q]
+        tables.append(acc)
+    return tables
+
+
+class TestHorner:
+    """The in-place Horner evaluation against npoly.polyval / polyval2d, to the bit."""
+
+    @staticmethod
+    def family(rng, n_c1, shape_f):
+        return CoefficientFamily(c1_poly=tuple(rng.standard_normal(n_c1)),
+                                 f_poly=rng.standard_normal(shape_f))
+
+    @pytest.mark.parametrize("n_c1, shape_f", [(1, (1, 1)), (2, (2, 2)), (3, (2, 3)),
+                                               (5, (4, 1)), (6, (3, 4))])
+    def test_random_arrays(self, rng, n_c1, shape_f):
+        for _ in range(20):
+            fam = self.family(rng, n_c1, shape_f)
+            x = rng.uniform(-3.0, 3.0, (37, 23))
+            y = rng.uniform(-3.0, 3.0, (37, 23))
+            assert np.array_equal(fam.c1(x), npoly.polyval(x, fam.c1_poly))
+            assert np.array_equal(fam.f(x, y), npoly.polyval2d(x, y, np.asarray(fam.f_poly)))
+            # f broadcasts its arguments as before
+            assert np.array_equal(fam.f(x[:1], y), npoly.polyval2d(*np.broadcast_arrays(x[:1], y),
+                                                                   np.asarray(fam.f_poly)))
+
+    def test_scalars_return_float(self, rng):
+        fam = self.family(rng, 4, (3, 2))
+        for x, y in ((0.3, -1.7), (2, 0.5), (np.float64(0.25), np.array(-0.75))):
+            c1, f = fam.c1(x), fam.f(x, y)
+            assert isinstance(c1, float) and isinstance(f, float)
+            assert c1 == npoly.polyval(x, fam.c1_poly)
+            assert f == npoly.polyval2d(np.asarray(x, float), np.asarray(y, float),
+                                        np.asarray(fam.f_poly))
+
+    def test_negative_zero_and_single_coefficient(self):
+        x = np.array([-0.0, 0.0, -1.5, 2.0])
+        for c1 in ((0.0,), (-0.0,), (2.5,), (0.0, -0.0), (-0.0, 1.0, 0.0)):
+            fam = CoefficientFamily(c1_poly=c1, f_poly=(c1,))
+            ref = npoly.polyval(x, fam.c1_poly)
+            assert np.array_equal(fam.c1(x), ref)
+            assert np.array_equal(np.signbit(fam.c1(x)), np.signbit(ref))
+            ref2 = npoly.polyval2d(x, x[::-1], np.asarray(fam.f_poly))
+            assert np.array_equal(np.signbit(fam.f(x, x[::-1])), np.signbit(ref2))
+            assert np.array_equal(fam.f(x, x[::-1]), ref2)
+
+    @pytest.mark.parametrize("shape_f", [(1, 1), (2, 2), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("n_xi", [33, 201])
+    def test_psi_tables(self, rng, shape_f, n_xi):
+        f_poly = rng.standard_normal(shape_f)
+        lat = ChartLattice(n_xi)
+        got, ref = _psi_tables(f_poly, lat), polyval_psi_tables(f_poly, lat)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("shape_f", [(1, 1), (2, 2), (3, 2)])
+    def test_source_operator(self, rng, shape_f):
+        F = rng.standard_normal(shape_f)
+        m = 41
+        x = np.linspace(0.0, 1.0, m)
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        vals = np.where(yy <= xx, npoly.polyval2d(xx, np.minimum(yy, xx), F), 0.0)
+        ref = simulator.volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
+        assert np.array_equal(simulator._source_operator(F, m), ref)

@@ -26,6 +26,7 @@ from backstep.kernel import (
     series_oracle,
     solve_inverse_kernel,
     tail_bound,
+    warm_remainder_bound,
 )
 from backstep.verify import dump_kernel_csv
 
@@ -142,7 +143,7 @@ class TestLineSum:
         # the clip reads the last column past the lattice: give it distinct values
         H[:, -1] = 10.0 + np.arange(lat.n_eta)
         W = volterra_matrix(len(H[::stride]), stride * lat.delta)
-        assert np.array_equal(_line_sum(W, H, stride), gather_line_sum(W, H, stride))
+        assert np.array_equal(_line_sum(W, H[::stride], stride), gather_line_sum(W, H, stride))
 
 
 def per_power_phi(react, psi, WB, conv_sign, G, lat):
@@ -236,6 +237,22 @@ class TestTailBound:
             bound = remainder_bound(n, M, 2.0, 0.0)
             assert rest <= bound
             assert math.isinf(bound) == (2.0 * M >= n + 2)
+
+    @pytest.mark.parametrize("M", [0.0, 2.0, 3.0, 6.0])
+    def test_warm_remainder_bounds_the_sum(self, M):
+        e1 = 1e-8
+        for n in range(60):
+            rest = e1 * math.fsum(math.exp(k * math.log(2.0 * M) - math.lgamma(k + 1))
+                                  for k in range(n, n + 400)) if M else (e1 if n == 0 else 0.0)
+            bound = warm_remainder_bound(n, M, e1)
+            assert rest <= bound * (1.0 + 1e-12)
+            assert math.isinf(bound) == (2.0 * M >= n + 1)
+
+    def test_warm_invalid(self):
+        with pytest.raises(ValueError):
+            warm_remainder_bound(-1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            warm_remainder_bound(1, 1.0, -1.0)
 
 
 class TestBoundConstantM:
@@ -391,6 +408,66 @@ class TestPicard:
             picard_solve(prob, n_xi=31, tol=1e-10, max_iter=80)
         with pytest.raises(ValueError):
             picard_solve(prob, n_xi=65, tol=-1.0, max_iter=80)
+
+
+SPEC_SOURCE = ProblemSpec(
+    CoefficientFamily(c1_poly=(0.0, 0.0, 1.0), f_poly=((1.0, 0.0), (0.0, 1.0))), lambda0=3.0)
+NEST_TOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def nested_401(spec_rx2):
+    """(problem, grid) at n_xi = 401, which starts from its n_xi = 201 solution."""
+    return [(prob, picard_solve(prob, n_xi=401, tol=NEST_TOL, max_iter=80))
+            for prob in (GoursatProblem.direct(spec_rx2), GoursatProblem.direct(SPEC_SOURCE))]
+
+
+class TestNested:
+    def test_levels(self, spec_rx2, nested_401):
+        for _, grid in nested_401:
+            assert len(grid.level_sweeps) == 2
+            assert grid.level_sweeps[-1] == grid.iterations_used == len(grid.increments)
+            assert grid.iterations_used < grid.level_sweeps[0]
+        prob = GoursatProblem.direct(spec_rx2)
+        # 403 halves to the even 202; 801 nests twice (401, then 201)
+        assert len(picard_solve(prob, n_xi=403, tol=NEST_TOL, max_iter=80).level_sweeps) == 1
+        assert len(picard_solve(prob, n_xi=801, tol=NEST_TOL, max_iter=80).level_sweeps) == 3
+
+    def test_warm_increments_below_warm_bound(self, nested_401):
+        # mirrors test_increments_below_certified_bound: ||Phi^k|| <= (2M)^k / k!
+        for _, grid in nested_401:
+            e1, two_m = grid.increments[0], 2.0 * grid.bound_M
+            for k, inc in enumerate(grid.increments):
+                assert inc <= 1.1 * e1 * two_m ** k / math.factorial(k)
+
+    def test_warm_certified_stop(self, nested_401):
+        # the warm cap comes from the first increment, not from the cold remainder_bound
+        for _, grid in nested_401:
+            n, M, e1 = grid.n_certified, grid.bound_M, grid.increments[0]
+            assert warm_remainder_bound(n, M, e1) < NEST_TOL <= warm_remainder_bound(n - 1, M, e1)
+            assert grid.iterations_used <= n
+
+    def test_matches_cold_solve(self, nested_401):
+        for prob, grid in nested_401:
+            lat = grid.lattice
+            cold, increments, n_cert = kernel._sweeps(prob, lat, None, grid.bound_M, NEST_TOL, 80, "")
+            assert remainder_bound(n_cert, grid.bound_M, 2.0, 0.0) < NEST_TOL
+            assert len(increments) > grid.iterations_used
+            gap = np.max(np.abs((grid.values_xieta - cold)[lat.region_mask()]))
+            assert gap < 10 * NEST_TOL
+
+    def test_prolong_exact_for_cubics(self):
+        def cubic(xi, eta):
+            return 1.0 - 0.5 * xi + xi ** 3 - 2.0 * xi * eta ** 2 + 0.7 * eta ** 3
+
+        coarse, fine = ChartLattice(33), ChartLattice(65)
+        out = kernel._prolong(cubic(*coarse.mesh()), fine)
+        assert out.shape == (fine.n_eta, fine.npts)
+        assert np.max(np.abs(out - cubic(*fine.mesh()))) < 1e-12
+
+    def test_coarse_error_names_lattice(self, spec_rx2):
+        with pytest.raises(ConvergenceError, match="coarse lattice n_xi = 201"):
+            picard_solve(GoursatProblem.direct(spec_rx2), n_xi=401, tol=1e-12, max_iter=2)
 
 
 class TestDerivativeTrace:

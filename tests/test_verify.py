@@ -759,6 +759,23 @@ class TestCli:
         assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
         assert "rounding floor" in capsys.readouterr().err
 
+    def test_rounding_floor_on_coarse_lattice_exit(self, tmp_path, capsys):
+        # n_xi = 401 starts from the n_xi = 201 solve, which meets the rounding floor first
+        path = tmp_path / "s.ini"
+        text = ORACLE_INI.read_text()
+        assert "n_xi = 201" in text and "tol = 1e-10" in text
+        path.write_text(text.replace("n_xi = 201", "n_xi = 401").replace("tol = 1e-10", "tol = 1e-16"))
+        assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "rounding floor" in err and "coarse lattice n_xi = 201" in err
+
+    def test_kernel_report_sweeps_per_lattice(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(ORACLE_INI.read_text().replace("n_xi = 201", "n_xi = 401"))
+        assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        first = (tmp_path / "run" / "kernel_report.txt").read_text().splitlines()[0]
+        assert re.fullmatch(r"picard sweeps: direct \d+ -> \d+, inverse \d+ -> \d+", first)
+
     def test_bad_p_list_exit(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))

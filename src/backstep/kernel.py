@@ -14,7 +14,8 @@ quadrature in xi; the triple integrals add one line sum per power of z in f
 and one shared matrix product.  Picard iteration of this map converges
 factorially; each increment obeys the certified bound :func:`tail_bound`.
 A large lattice starts from the solution on its half lattice (nested
-iteration), and :func:`warm_remainder_bound` caps that warm solve.
+iteration), Richardson-extrapolated against the quarter lattice where there
+is one, and :func:`warm_remainder_bound` caps that warm solve.
 
 Discretisation: one uniform lattice with the same spacing ``delta`` in xi
 and eta.  On that lattice every integration limit that appears in the
@@ -41,8 +42,9 @@ from .coefficients import ProblemSpec, horner
 MIN_N_XI = 33
 _PAD = 8
 #: A lattice n_xi starts from its half lattice (n_xi + 1) // 2 while that is odd
-#: and at least this (a floor of 101 timed the same, with one more level).
-_NEST_FLOOR = 201
+#: and at least this, so that 401 has two coarser levels (201 and 101) and its
+#: start can be extrapolated; lattices below 201 start cold.
+_NEST_FLOOR = 101
 
 
 class ConvergenceError(RuntimeError):
@@ -246,7 +248,10 @@ def _apply_phi(react, psi, WB, conv_sign, G, lat):
 
 
 def tail_bound(n: int, M: float, xi: float, eta: float) -> float:
-    """Certified bound M^(n+2) (xi+eta)^(n+1) / (n+1)! on the n-th increment."""
+    """Certified bound M^(n+2) (xi+eta)^(n+1) / (n+1)! on the n-th increment.
+
+    Infinite where the bound passes the float range.
+    """
     if n < 0 or M < 0:
         raise ValueError("need n >= 0 and M >= 0")
     if M == 0.0:
@@ -255,7 +260,10 @@ def tail_bound(n: int, M: float, xi: float, eta: float) -> float:
     if s <= 0.0:
         return 0.0
     logb = (n + 2) * math.log(M) + (n + 1) * math.log(s) - math.lgamma(n + 2)
-    return math.exp(logb)
+    try:
+        return math.exp(logb)
+    except OverflowError:  # beyond the float range
+        return math.inf
 
 
 def remainder_bound(n: int, M: float, xi: float, eta: float) -> float:
@@ -603,8 +611,13 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     first).  Nested iteration: while the half lattice ``(n_xi + 1) // 2`` is
     odd and at least ``_NEST_FLOOR``, the same problem is solved there first
     (to the same ``tol`` and ``max_iter``, itself nested) and carried over by
-    the cubic midpoint rule as the start.  The coarsest lattice starts from
-    G0 and is capped by :func:`remainder_bound`; a warm start is capped by
+    the cubic midpoint rule as the start.  When the half lattice has a half
+    lattice of its own, the carried solution G_c is first extrapolated to
+    G_c + (G_c - G_cc) / 16, G_cc being the next coarser solution carried to
+    G_c's lattice: the solver is fourth order, so that removes the leading
+    O(h^4) difference between G_c and the solution on the lattice it starts.
+    The coarsest lattice starts from G0 and is capped by
+    :func:`remainder_bound`; a warm start, extrapolated or not, is capped by
     :func:`warm_remainder_bound`.  Raises ConvergenceError, naming a coarse
     lattice by its n_xi, when a sweep is still due after ``max_iter`` sweeps,
     or when the certified stop comes while the last increment is still
@@ -617,11 +630,20 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     while levels[-1].n_eta % 2 and levels[-1].n_eta >= _NEST_FLOOR:
         levels.append(ChartLattice(levels[-1].n_eta))
     M = bound_constant_M(problem.spec)
-    G = None
+    G = carried = None  # the last solution, and the one before it carried to its lattice
     level_sweeps = []
     for lat in reversed(levels):
         where = "" if lat is levels[0] else f" on the coarse lattice n_xi = {lat.n_xi}"
-        start = None if G is None else _prolong(G, lat)
+        if G is None:
+            start = None
+        elif carried is None:
+            start = carried = _prolong(G, lat)
+        else:
+            # a lattice of spacing h solves to G* + C h^4 + ...; with h that of lat,
+            # G = G* + 16 C h^4 and carried = G* + 256 C h^4, so lat's own solution
+            # G* + C h^4 is G + (G - carried) / 16 (the limit G* would take / 15)
+            start = _prolong(G + (G - carried) / 16.0, lat)
+            carried = None if lat is levels[0] else _prolong(G, lat)  # none past the finest
         G, increments, n_cert = _sweeps(problem, lat, start, M, tol, max_iter, where)
         level_sweeps.append(len(increments))
     return _build_grid(levels[0], G, M, increments, n_cert, level_sweeps)

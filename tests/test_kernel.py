@@ -230,6 +230,12 @@ class TestTailBound:
         with pytest.raises(ValueError):
             tail_bound(-1, 1.0, 1.0, 0.0)
 
+    def test_beyond_float_range_is_infinite(self):
+        # lambda0 = 1000 gives M = 500: the bound passes the float range near n = 340
+        assert tail_bound(340, 500.0, 2.0, 0.0) == math.inf
+        assert remainder_bound(340, 500.0, 2.0, 0.0) == math.inf
+        assert math.isfinite(tail_bound(335, 500.0, 2.0, 0.0))
+
     @pytest.mark.parametrize("M", [0.0, 2.0, 3.0, 6.0])
     def test_remainder_bounds_the_sum(self, M):
         for n in range(60):
@@ -417,7 +423,7 @@ NEST_TOL = 1e-10
 
 @pytest.fixture(scope="module")
 def nested_401(spec_rx2):
-    """(problem, grid) at n_xi = 401, which starts from its n_xi = 201 solution."""
+    """(problem, grid) at n_xi = 401, nested over its n_xi = 201 and 101 solutions."""
     return [(prob, picard_solve(prob, n_xi=401, tol=NEST_TOL, max_iter=80))
             for prob in (GoursatProblem.direct(spec_rx2), GoursatProblem.direct(SPEC_SOURCE))]
 
@@ -425,13 +431,13 @@ def nested_401(spec_rx2):
 class TestNested:
     def test_levels(self, spec_rx2, nested_401):
         for _, grid in nested_401:
-            assert len(grid.level_sweeps) == 2
+            assert len(grid.level_sweeps) == 3
             assert grid.level_sweeps[-1] == grid.iterations_used == len(grid.increments)
             assert grid.iterations_used < grid.level_sweeps[0]
         prob = GoursatProblem.direct(spec_rx2)
-        # 403 halves to the even 202; 801 nests twice (401, then 201)
+        # 403 halves to the even 202; 801 nests three times (401, 201, then 101)
         assert len(picard_solve(prob, n_xi=403, tol=NEST_TOL, max_iter=80).level_sweeps) == 1
-        assert len(picard_solve(prob, n_xi=801, tol=NEST_TOL, max_iter=80).level_sweeps) == 3
+        assert len(picard_solve(prob, n_xi=801, tol=NEST_TOL, max_iter=80).level_sweeps) == 4
 
     def test_warm_increments_below_warm_bound(self, nested_401):
         # mirrors test_increments_below_certified_bound: ||Phi^k|| <= (2M)^k / k!
@@ -456,6 +462,17 @@ class TestNested:
             gap = np.max(np.abs((grid.values_xieta - cold)[lat.region_mask()]))
             assert gap < 10 * NEST_TOL
 
+    def test_extrapolated_start_at_801(self, spec_rx2):
+        # 801 starts from its 401 solution extrapolated against the 201 one; the
+        # plain carried-over start took 5 (f = 0) and 3 (f = 1 + xy) fine sweeps
+        for spec in (spec_rx2, SPEC_SOURCE):
+            prob = GoursatProblem.direct(spec)
+            grid = picard_solve(prob, n_xi=801, tol=NEST_TOL, max_iter=80)
+            assert grid.level_sweeps[-1] == grid.iterations_used <= 2
+            lat = grid.lattice
+            cold, _, _ = kernel._sweeps(prob, lat, None, grid.bound_M, NEST_TOL, 80, "")
+            assert np.max(np.abs((grid.values_xieta - cold)[lat.region_mask()])) < 10 * NEST_TOL
+
     def test_prolong_exact_for_cubics(self):
         def cubic(xi, eta):
             return 1.0 - 0.5 * xi + xi ** 3 - 2.0 * xi * eta ** 2 + 0.7 * eta ** 3
@@ -466,7 +483,7 @@ class TestNested:
         assert np.max(np.abs(out - cubic(*fine.mesh()))) < 1e-12
 
     def test_coarse_error_names_lattice(self, spec_rx2):
-        with pytest.raises(ConvergenceError, match="coarse lattice n_xi = 201"):
+        with pytest.raises(ConvergenceError, match="coarse lattice n_xi = 101"):
             picard_solve(GoursatProblem.direct(spec_rx2), n_xi=401, tol=1e-12, max_iter=2)
 
 

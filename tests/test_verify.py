@@ -750,8 +750,9 @@ class TestCli:
         assert "error: stage constants: " in (tmp_path / "run" / "MANIFEST.txt").read_text()
 
     def test_rounding_floor_tol_exit(self, tmp_path, capsys):
-        # at n_xi = 201 the increments stagnate near 1e-15, so the certified stop
-        # (59 sweeps) comes with the last increment still above tol
+        # n_xi = 201 starts from its n_xi = 101 solve; there the increments stagnate
+        # near 1e-15, so the warm certified stop (50 sweeps) comes with the last
+        # increment still above tol
         path = tmp_path / "s.ini"
         text = ORACLE_INI.read_text()
         assert "tol = 1e-10" in text
@@ -769,12 +770,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "rounding floor" in err and "coarse lattice n_xi = 201" in err
 
+    def test_huge_lambda0_exit(self, tmp_path, capsys):
+        # the cold cap's bound passes the float range; the sweeps run out instead
+        path = tmp_path / "s.ini"
+        text = ORACLE_INI.read_text()
+        assert "lambda0 = 10.0" in text and "max_iter = 80" in text
+        path.write_text(text.replace("lambda0 = 10.0", "lambda0 = 1000"))
+        assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert "numerical failure: no convergence after 80 sweeps" in capsys.readouterr().err
+
     def test_kernel_report_sweeps_per_lattice(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(ORACLE_INI.read_text().replace("n_xi = 201", "n_xi = 401"))
         assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
         first = (tmp_path / "run" / "kernel_report.txt").read_text().splitlines()[0]
-        assert re.fullmatch(r"picard sweeps: direct \d+ -> \d+, inverse \d+ -> \d+", first)
+        assert re.fullmatch(r"picard sweeps: direct \d+ -> \d+ -> \d+, inverse \d+ -> \d+ -> \d+",
+                            first)
 
     def test_bad_p_list_exit(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -24,7 +24,6 @@ from .kernel import (
     residual,
     series_coefficients,
     series_oracle,
-    solve_inverse_kernel,
     tail_bound,
 )
 from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm

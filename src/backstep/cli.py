@@ -1,10 +1,11 @@
 """Command-line front end: kernel solves, simulations, verification runs.
 
 Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
-unwritable output directory and a failed artifact writer included, such
-as ``verify``'s ``closed_loop.csv`` child), 3 numerical failure (a float
-overflow and a Picard stop at a rounding floor included).  A failure
-inside ``verify`` names its pipeline stage.
+unwritable output directory, a failed artifact writer, such as
+``verify``'s ``closed_loop.csv`` child, and a grid too large for memory
+included), 3 numerical failure (a float overflow, a norm trace or
+envelope that is not finite and a Picard stop at a rounding floor
+included).  A failure inside ``verify`` names its pipeline stage.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError, OSError) as exc:
+    except (ConfigError, ValidationError, OSError, MemoryError) as exc:
         print(f"configuration error: {failure_text(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, DivergenceError, TransformError, OverflowError,

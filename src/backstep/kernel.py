@@ -89,10 +89,6 @@ class GoursatProblem:
         return cls("inverse", spec)
 
     @property
-    def lambda0(self) -> float:
-        return self.spec.lambda0
-
-    @property
     def conv_sign(self) -> float:
         return 1.0 if self.orientation == "direct" else -1.0
 
@@ -100,7 +96,7 @@ class GoursatProblem:
         """Reaction weight in characteristic coordinates (any real args)."""
         fam = self.spec.family
         sign = self.conv_sign
-        return sign * self.lambda0 - fam.c1((xi + eta) / 2.0) + fam.c1((xi - eta) / 2.0)
+        return sign * self.spec.lambda0 - fam.c1((xi + eta) / 2.0) + fam.c1((xi - eta) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,7 @@ def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     fam = problem.spec.family
     xi, eta = lat.xi, lat.eta[:, None]
     s = xi + eta
-    G0 = 0.25 * problem.lambda0 * s
+    G0 = 0.25 * problem.spec.lambda0 * s
     if not fam.f_is_zero:
         ftil = fam.f(s / 2.0, (xi - eta) / 2.0)
         G0 += _double_parts(cumquad(ftil, lat.delta, axis=0), lat)
@@ -419,13 +415,9 @@ class KernelGrid:
     level_sweeps: tuple
 
     @property
-    def n_eta(self) -> int:
-        return (self.n_xi + 1) // 2
-
-    @property
     def x_nodes(self) -> np.ndarray:
         """Triangle grid nodes shared by values_xy, trace_diag, trace_kx1."""
-        return np.arange(self.n_eta) * self.delta
+        return self.lattice.eta
 
     @property
     def lattice(self) -> ChartLattice:
@@ -469,7 +461,7 @@ class KernelGrid:
         idx = self.node_index(y)
         if idx is not None:
             return self.trace_kx1[idx]
-        b, w = _stencil(y / self.delta, self.n_eta)
+        b, w = _stencil(y / self.delta, self.lattice.n_eta)
         return sum(w[..., a] * self.trace_kx1[b + a] for a in range(4))
 
 
@@ -649,11 +641,6 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     return _build_grid(levels[0], G, M, increments, n_cert, level_sweeps)
 
 
-def solve_inverse_kernel(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int) -> KernelGrid:
-    """Inverse-kernel counterpart of :func:`picard_solve`."""
-    return picard_solve(GoursatProblem.inverse(spec), n_xi, tol, max_iter)
-
-
 # --------------------------------------------------------------------------
 # derived traces, constants, residuals
 # --------------------------------------------------------------------------
@@ -728,6 +715,6 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
         res -= fam.f((xi_i + eta_i) / 2.0, Ys[1:-1, st:-st]) + problem.conv_sign * conv[1:-1, st:-st]
     inside = lat.region_mask()[inner]
     slope = np.gradient(grid.trace_diag, d, edge_order=2)
-    bc_diag = float(np.max(np.abs(2.0 * slope - problem.lambda0)))
+    bc_diag = float(np.max(np.abs(2.0 * slope - problem.spec.lambda0)))
     return KernelResidual(float(np.max(np.abs(res[inside]))), bc_diag, float(abs(G[0, 0])),
                           st * d, int(np.count_nonzero(inside)))

@@ -90,9 +90,6 @@ class Trajectory:
     def x(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_m)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: float = 0.0,
                     row: np.ndarray | None = None, source: np.ndarray | None = None):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import _csvout
-from .coefficients import CoefficientFamily, ProblemSpec, lambda_lower
+from .coefficients import CoefficientFamily, ProblemSpec, horner, lambda_lower
 from .kernel import (
     MIN_N_XI,
     GoursatProblem,
@@ -26,7 +26,6 @@ from .kernel import (
     kernel_constants,
     picard_solve,
     series_oracle,
-    solve_inverse_kernel,
 )
 from .norms import NormTrace, _check_tau, alf, gronwall_bound, norm_trace, rho
 from .simulator import SimConfig, Trajectory, simulate_closed_loop, simulate_target
@@ -121,19 +120,22 @@ class BoundCheck:
     margin: float  # min over t of log(envelope/value), slack excluded
 
 
-def verify_theorem_bound(
-    trace: NormTrace,
-    C_bound: float,
-    lam: float,
-    initial_norm: float,
-    slack: float,
-) -> BoundCheck:
-    """Check values(t) <= slack * C_bound * exp(-lam t) * initial_norm."""
+def check_envelope(trace: NormTrace, envelope, slack: float) -> BoundCheck:
+    """Check values(t) <= slack * envelope(t), ``envelope`` sampled at the trace's times.
+
+    The one comparison behind every pass flag.  Raises OverflowError naming
+    the first time where a value or the envelope is not finite: no
+    comparison with an overflowed float decides a bound.
+    """
     if not (1.0 <= slack < math.inf):
         raise ValueError("slack must be finite and >= 1")
     t = np.asarray(trace.times, dtype=float)
     v = np.asarray(trace.values, dtype=float)
-    envelope = C_bound * initial_norm * np.exp(-lam * t)
+    finite = np.isfinite(v) & np.isfinite(envelope)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise OverflowError(f"a norm trace or its envelope is not finite at t = {t[i]:g} "
+                            f"(value {v[i]:g}, envelope {envelope[i]:g})")
     # a few ulps of headroom so exact-equality envelopes are not rejected
     # by rounding in the envelope evaluation itself
     ok = v <= slack * envelope * (1.0 + 8.0 * np.finfo(float).eps) + 1e-300
@@ -141,6 +143,18 @@ def verify_theorem_bound(
     tiny = max(np.max(v), 1.0) * 1e-250
     margin = float(np.min(np.log((envelope + tiny) / np.maximum(v, tiny))))
     return BoundCheck(bool(np.all(ok)), float(t[worst]), margin)
+
+
+def verify_theorem_bound(
+    trace: NormTrace,
+    C_bound: float,
+    lam: float,
+    initial_norm: float,
+    slack: float,
+) -> BoundCheck:
+    """:func:`check_envelope` of values(t) <= slack * C_bound * exp(-lam t) * initial_norm."""
+    t = np.asarray(trace.times, dtype=float)
+    return check_envelope(trace, C_bound * initial_norm * np.exp(-lam * t), slack)
 
 
 # --------------------------------------------------------------------------
@@ -203,9 +217,7 @@ class InitialData:
         elif self.family == "cosine":
             vals = float(p["a"]) * np.cos(int(p["modes"]) * np.pi * x)
         elif self.family == "polynomial":
-            from numpy.polynomial import polynomial as npoly
-
-            vals = npoly.polyval(x, np.asarray(p["coeffs"], dtype=float))
+            vals = horner(x, np.asarray(p["coeffs"], dtype=float))
         else:
             c, wd, hgt = (float(p[k]) for k in ("center", "width", "height"))
             r = np.abs(x - c) / wd
@@ -384,7 +396,7 @@ def solve_kernels(config: ScenarioConfig) -> tuple[KernelGrid, KernelGrid]:
     """The direct kernel k and the inverse kernel l at the config's kernel settings."""
     ks = config.kernel
     return (picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter),
-            solve_inverse_kernel(config.spec, ks.n_xi, ks.tol, ks.max_iter))
+            picard_solve(GoursatProblem.inverse(config.spec), ks.n_xi, ks.tol, ks.max_iter))
 
 
 def continuous_dependence_experiment(
@@ -433,7 +445,8 @@ def _alf_envelopes(config: ScenarioConfig, lam: float, traj: Trajectory) -> dict
         for p in finite:
             z, psi = alf(r, lam_xt, 1.0 / (traj.grid_m - 1), p)
             env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi, traj.times)
-            out[p, tau] = NormTrace(traj.times, z), bool(np.all(z <= config.slack * env + 1e-250))
+            tr = NormTrace(traj.times, z)
+            out[p, tau] = tr, check_envelope(tr, env, config.slack).passed
     return {(p, tau): out[p, tau] for p in finite for tau in config.tau_list}
 
 
@@ -455,11 +468,13 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     outdir = config.outputs
     artifacts: list[str] = []
     stage = "validate"
-    closed = _TrajectoryChild(os.path.join(outdir, "closed_loop.csv"))
+    closed = None
     try:
         os.makedirs(outdir, exist_ok=True)
         spec = config.spec
         lam = lambda_lower(spec)  # raises unless lambda0 > sup c
+        # started before the kernel stage, so that its start-up overlaps the solve
+        closed = _TrajectoryChild(os.path.join(outdir, "closed_loop.csv"))
 
         stage = "kernel"
         k, l = solve_kernels(config)
@@ -549,7 +564,8 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
             pass
         raise
     finally:
-        closed.close()
+        if closed is not None:
+            closed.close()
 
 
 def failure_text(exc: BaseException) -> str:
@@ -685,7 +701,8 @@ def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None)
 def oracle_comparison(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int):
     """Series-vs-Picard table for the closed-form family f = 0, c1 = r x^2.
 
-    Returns (rows, sup_error); each row is (xi, eta, picard, series, abs_err).
+    Returns (rows, sup_error): rows is an array of (xi, eta, picard, series, abs_err)
+    at every ``len // 200``-th region node.
     """
     c1 = np.asarray(spec.family.c1_poly)
     ok_family = spec.family.f_is_zero and len(c1) <= 3 and not np.any(c1[:2])
@@ -696,15 +713,10 @@ def oracle_comparison(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int):
         raise ConfigError("oracle comparison needs r >= 0")
     grid = picard_solve(GoursatProblem.direct(spec), n_xi, tol, max_iter)
     lat = grid.lattice
-    XI, ETA = lat.mesh()
     mask = lat.region_mask()
-    series = series_oracle(spec.lambda0, r, XI[mask], ETA[mask], 25)  # 25 series terms
+    xi, eta = (a[mask] for a in lat.mesh())
+    series = series_oracle(spec.lambda0, r, xi, eta, 25)  # 25 series terms
     picard = grid.values_xieta[mask]
     err = np.abs(picard - series)
-    sup = float(np.max(err))
     step = max(1, len(picard) // 200)
-    rows = [
-        (XI[mask][i], ETA[mask][i], picard[i], series[i], err[i])
-        for i in range(0, len(picard), step)
-    ]
-    return rows, sup
+    return np.column_stack((xi, eta, picard, series, err))[::step], float(np.max(err))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
-from backstep.kernel import GoursatProblem, picard_solve, solve_inverse_kernel
+from backstep.kernel import GoursatProblem, picard_solve
 from backstep.norms import alf, rho
 
 settings.register_profile(
@@ -43,14 +43,14 @@ def spec_rx2():
 @pytest.fixture(scope="session")
 def kernels_rx2_101(spec_rx2):
     k = picard_solve(GoursatProblem.direct(spec_rx2), n_xi=101, tol=1e-11, max_iter=80)
-    l = solve_inverse_kernel(spec_rx2, n_xi=101, tol=1e-11, max_iter=80)
+    l = picard_solve(GoursatProblem.inverse(spec_rx2), n_xi=101, tol=1e-11, max_iter=80)
     return k, l
 
 
 @pytest.fixture(scope="session")
 def kernels_rx2_201(spec_rx2):
     k = picard_solve(GoursatProblem.direct(spec_rx2), n_xi=201, tol=1e-11, max_iter=80)
-    l = solve_inverse_kernel(spec_rx2, n_xi=201, tol=1e-11, max_iter=80)
+    l = picard_solve(GoursatProblem.inverse(spec_rx2), n_xi=201, tol=1e-11, max_iter=80)
     return k, l
 
 

@@ -16,7 +16,6 @@ from backstep.kernel import (
     picard_solve,
     residual,
     series_oracle,
-    solve_inverse_kernel,
     tail_bound,
 )
 from backstep.norms import gronwall_bound, lp_norm, norm_trace, rho
@@ -67,7 +66,7 @@ def crit1_solve():
 @pytest.fixture(scope="module")
 def src_solves():
     k = picard_solve(GoursatProblem.direct(SPEC_SRC), n_xi=201, tol=1e-10, max_iter=80)
-    l = solve_inverse_kernel(SPEC_SRC, n_xi=201, tol=1e-10, max_iter=80)
+    l = picard_solve(GoursatProblem.inverse(SPEC_SRC), n_xi=201, tol=1e-10, max_iter=80)
     return k, l
 
 
@@ -79,7 +78,7 @@ def kernels_by_nxi():
         if n_xi not in cache:
             cache[n_xi] = (
                 picard_solve(GoursatProblem.direct(SPEC_RX2), n_xi=n_xi, tol=1e-11, max_iter=80),
-                solve_inverse_kernel(SPEC_RX2, n_xi=n_xi, tol=1e-11, max_iter=80),
+                picard_solve(GoursatProblem.inverse(SPEC_RX2), n_xi=n_xi, tol=1e-11, max_iter=80),
             )
         return cache[n_xi]
 
@@ -185,7 +184,7 @@ def test_criterion_6_decay_floor(target_decay_run):
 def test_criterion_7_theorem_envelope():
     start = time.perf_counter()
     k = picard_solve(GoursatProblem.direct(SPEC_DECAY), n_xi=401, tol=1e-10, max_iter=80)
-    l = solve_inverse_kernel(SPEC_DECAY, n_xi=401, tol=1e-10, max_iter=80)
+    l = picard_solve(GoursatProblem.inverse(SPEC_DECAY), n_xi=401, tol=1e-10, max_iter=80)
     con = kernel_constants(k, l)
     lam = lambda_lower(SPEC_DECAY)
     w0 = InitialData("bump", {"center": 0.5, "width": 0.3, "height": 1.0}).build(201)

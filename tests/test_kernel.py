@@ -24,7 +24,6 @@ from backstep.kernel import (
     residual,
     series_coefficients,
     series_oracle,
-    solve_inverse_kernel,
     tail_bound,
     warm_remainder_bound,
 )
@@ -337,7 +336,7 @@ class TestPicard:
 
     def test_bessel_oracle_inverse(self):
         spec = ProblemSpec(CoefficientFamily(), lambda0=10.0)
-        grid = solve_inverse_kernel(spec, n_xi=101, tol=1e-11, max_iter=80)
+        grid = picard_solve(GoursatProblem.inverse(spec), n_xi=101, tol=1e-11, max_iter=80)
         lat = grid.lattice
         XI, ETA = lat.mesh()
         reg = lat.region_mask()
@@ -507,7 +506,7 @@ class TestDerivativeTrace:
         d = k.delta
         gxi = np.gradient(g, d, axis=1, edge_order=2)
         geta = np.gradient(g, d, axis=0, edge_order=2)
-        n = k.n_eta
+        n = k.lattice.n_eta
         kx11 = (gxi + geta)[0, 2 * (n - 1)]
         ky11 = (gxi - geta)[0, 2 * (n - 1)]
         assert kx11 + ky11 == pytest.approx(spec_rx2.lambda0 / 2.0, abs=1e-3)
@@ -548,7 +547,7 @@ class TestResidual:
             arr = g.values_xieta
             gxi = np.gradient(arr, g.delta, axis=1, edge_order=2)
             geta = np.gradient(arr, g.delta, axis=0, edge_order=2)
-            m = np.arange(g.n_eta)
+            m = np.arange(g.lattice.n_eta)
             devs[n_xi] = np.max(np.abs((gxi - geta)[m, m]))
         assert devs[201] < devs[101]
         assert 2.0 < devs[101] / devs[201] < 8.0
@@ -584,7 +583,7 @@ class TestDump:
         dump_kernel_csv(path, k, l)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "x,y,k,l"
-        n = k.n_eta
+        n = k.lattice.n_eta
         assert len(rows) - 1 == n * (n + 1) // 2
         first = rows[1].split(",")
         assert float(first[0]) == 0.0 and float(first[2]) == 0.0

@@ -24,6 +24,7 @@ from backstep.verify import (
     InitialData,
     KernelSettings,
     ScenarioConfig,
+    check_envelope,
     constants_for_p,
     continuous_dependence_experiment,
     dump_kernel_csv,
@@ -169,6 +170,32 @@ class TestBound:
         assert not chk.passed
         assert chk.worst_t == pytest.approx(t[5])
         assert chk.margin < 0
+
+    def test_alf_envelope_edge(self, monkeypatch):
+        # a Gronwall envelope of z' <= -p lambda z + tau psi, as the ALF flags use
+        t = np.linspace(0, 2, 21)
+        env = gronwall_bound(0.3, np.full_like(t, -2.0), 0.01 * np.exp(-t), t)
+        slack = 1.05
+        assert check_envelope(NormTrace(t, slack * env), env, slack).passed
+        above = slack * env
+        above[7] += 1e-12
+        assert not check_envelope(NormTrace(t, above), env, slack).passed
+        # the exponential envelope checks go through the same function
+        calls = []
+        monkeypatch.setattr(verify, "check_envelope",
+                            lambda *args: calls.append(args) or check_envelope(*args))
+        assert verify_theorem_bound(NormTrace(t, slack * env), 1.0, 0.5, 1.0, slack).passed
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][1], np.exp(-0.5 * t))
+
+    @pytest.mark.parametrize("where", ["value", "envelope"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_not_finite_raises(self, where, bad):
+        t = np.linspace(0, 1, 11)
+        vals, env = np.exp(-t), 2.0 * np.exp(-t)
+        (vals if where == "value" else env)[6:] = bad
+        with pytest.raises(OverflowError, match="not finite at t = 0.6 "):
+            check_envelope(NormTrace(t, vals), env, 1.05)
 
     @pytest.mark.parametrize("slack", [0.5, math.inf, math.nan])
     def test_unusable_slack_rejected(self, slack):
@@ -371,12 +398,20 @@ class TestAlfStage:
                 tag = f"p{p:g}_tau{tau:g}"
                 tags.append(tag)
                 assert np.array_equal(got["traces"][f"u_alf_{tag}"].values, z)
-                assert report.pass_flags[f"alf_envelope_{tag}"] is bool(
-                    np.all(z <= cfg.slack * env + 1e-250))
+                assert report.pass_flags[f"alf_envelope_{tag}"] is check_envelope(
+                    NormTrace(traj.times, z), env, cfg.slack).passed
         # p outer and tau inner, after the L^p and W^{1,p} entries
         assert list(report.pass_flags)[-len(tags):] == [f"alf_envelope_{t}" for t in tags]
         assert list(got["traces"])[-len(tags):] == [f"u_alf_{t}" for t in tags]
         assert report.passed
+
+    def test_every_flag_through_one_check(self, tmp_path, monkeypatch):
+        calls = []
+        real = verify.check_envelope
+        monkeypatch.setattr(verify, "check_envelope",
+                            lambda *args: calls.append(args) or real(*args))
+        report = run_scenario(scenario(tmp_path / "out"))
+        assert len(calls) == len(report.pass_flags) == 16  # 12 exponential, 4 ALF
 
     def test_rho_once_per_tau(self, tmp_path, monkeypatch):
         calls = []
@@ -555,6 +590,14 @@ class TestInitialData:
         assert np.array_equal(InitialData("polynomial").build(m).values, np.ones(m))
         bump = InitialData("bump", {"center": 0.5, "width": 0.3, "height": 1.0})
         assert np.array_equal(InitialData().build(m).values, bump.build(m).values)
+
+    def test_polynomial_bits_equal_polyval(self):
+        from numpy.polynomial import polynomial as npoly
+
+        x = np.linspace(0, 1, 201)
+        for coeffs in ((0.7,), (1.0, -1.0), (0.3, -1.7, 2.2, 0.9, -4.1e-3)):
+            got = InitialData("polynomial", {"coeffs": coeffs}).build(201).values
+            assert np.array_equal(got, npoly.polyval(x, np.asarray(coeffs)))
 
     @pytest.mark.parametrize("family, params", [("cosine", {"modes": 1.5}),
                                                 ("cosine", {"modes": math.inf}),
@@ -749,6 +792,50 @@ class TestCli:
         assert "p = 400" in err
         assert "error: stage constants: " in (tmp_path / "run" / "MANIFEST.txt").read_text()
 
+    # numpy reports each overflow as a RuntimeWarning where it happens; the
+    # envelope check is what turns the overflowed numbers into exit 3
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("edits", [
+        {"height = 1.0": "height = 1e200"},  # trace_w_lp_p2 is inf throughout
+        {"height = 1.0": "height = 1e308"},  # the W^{1,p} norms overflow
+        # the ALF envelope of norms.gronwall_bound overflows from t = 355 on
+        {"dt = 2.5e-5": "dt = 1e-3", "t_end = 2.0": "t_end = 400",
+         "record_stride = 100": "record_stride = 1000"},
+    ], ids=["height_1e200", "height_1e308", "t_end_400"])
+    def test_non_finite_trace_exit(self, tmp_path, capsys, edits):
+        text = DEFAULT_INI.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        assert cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: stage verify: ")
+        assert "not finite at t = " in err[0]
+        manifest = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
+        assert manifest[0] == "INCOMPLETE"
+        assert manifest[1] == "error: " + err[0].removeprefix("numerical failure: ")
+
+    def test_out_of_memory_exit(self, tmp_path, capsys, monkeypatch):
+        # numpy's allocation failure is a MemoryError; no real oversized grid is built
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100001, 100001) and data type float64")
+
+        monkeypatch.setattr(verify, "simulate_closed_loop", no_memory)
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: stage simulate: Unable to allocate 74.5 GiB for "
+                       "an array with shape (100001, 100001) and data type float64"]
+        manifest = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
+        assert manifest[:2] == ["INCOMPLETE", "error: " + err[0].removeprefix(
+            "configuration error: ")]
+
     def test_rounding_floor_tol_exit(self, tmp_path, capsys):
         # n_xi = 201 starts from its n_xi = 101 solve; there the increments stagnate
         # near 1e-15, so the warm certified stop (50 sweeps) comes with the last
@@ -904,7 +991,8 @@ class TestClosedLoopWriter:
         assert len(err) == 1
         assert err[0].startswith("configuration error: stage artifacts: closed_loop.csv: ")
 
-    @pytest.mark.parametrize("case", ["pass", "writer", "kernel", "after_feed", "interrupt"])
+    @pytest.mark.parametrize("case", ["pass", "validate", "writer", "kernel", "after_feed",
+                                      "interrupt"])
     def test_no_child_outlives_a_call(self, tmp_path, capfd, monkeypatch, children, case):
         out = tmp_path / "run" / "closed_loop.csv"
         if case == "writer":
@@ -917,16 +1005,18 @@ class TestClosedLoopWriter:
                 raise error("injected")
 
             monkeypatch.setattr(verify, "simulate_target", fail)
-        old, new = ("max_iter = 60", "max_iter = 1") if case == "kernel" else ("", "")
+        old, new = {"kernel": ("max_iter = 60", "max_iter = 1"),
+                    # lambda0 <= sup c = 2 fails validation, before any child starts
+                    "validate": ("lambda0 = 3.0", "lambda0 = 1.0")}.get(case, ("", ""))
         path = self.config(tmp_path, old, new)
         if case == "interrupt":
             with pytest.raises(KeyboardInterrupt):
                 cli_main(["verify", "--config", str(path)])
         else:
-            expected = {"pass": 0, "writer": 2, "kernel": 3, "after_feed": 3}[case]
+            expected = {"pass": 0, "validate": 2, "writer": 2, "kernel": 3, "after_feed": 3}[case]
             assert cli_main(["verify", "--config", str(path)]) == expected
-        assert len(children) == 1
-        assert children[0].returncode is not None
+        assert len(children) == (case != "validate")
+        assert all(child.returncode is not None for child in children)
         assert out.is_file() == (case == "pass")
         assert "Traceback" not in capfd.readouterr().err
         if case == "kernel":

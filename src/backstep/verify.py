@@ -120,12 +120,13 @@ class BoundCheck:
     margin: float  # min over t of log(envelope/value), slack excluded
 
 
-def check_envelope(trace: NormTrace, envelope, slack: float) -> BoundCheck:
+def check_envelope(trace: NormTrace, envelope, slack: float, name: str = "") -> BoundCheck:
     """Check values(t) <= slack * envelope(t), ``envelope`` sampled at the trace's times.
 
-    The one comparison behind every pass flag.  Raises OverflowError naming
-    the first time where a value or the envelope is not finite: no
-    comparison with an overflowed float decides a bound.
+    The one comparison behind every pass flag.  Raises OverflowError, led
+    by ``name`` if given, naming the first time where a value or the
+    envelope is not finite: no comparison with an overflowed float decides
+    a bound.
     """
     if not (1.0 <= slack < math.inf):
         raise ValueError("slack must be finite and >= 1")
@@ -134,8 +135,8 @@ def check_envelope(trace: NormTrace, envelope, slack: float) -> BoundCheck:
     finite = np.isfinite(v) & np.isfinite(envelope)
     if not np.all(finite):
         i = int(np.argmin(finite))
-        raise OverflowError(f"a norm trace or its envelope is not finite at t = {t[i]:g} "
-                            f"(value {v[i]:g}, envelope {envelope[i]:g})")
+        raise OverflowError(f"{name}{': ' if name else ''}a norm trace or its envelope is not "
+                            f"finite at t = {t[i]:g} (value {v[i]:g}, envelope {envelope[i]:g})")
     # a few ulps of headroom so exact-equality envelopes are not rejected
     # by rounding in the envelope evaluation itself
     ok = v <= slack * envelope * (1.0 + 8.0 * np.finfo(float).eps) + 1e-300
@@ -151,10 +152,11 @@ def verify_theorem_bound(
     lam: float,
     initial_norm: float,
     slack: float,
+    name: str = "",
 ) -> BoundCheck:
     """:func:`check_envelope` of values(t) <= slack * C_bound * exp(-lam t) * initial_norm."""
     t = np.asarray(trace.times, dtype=float)
-    return check_envelope(trace, C_bound * initial_norm * np.exp(-lam * t), slack)
+    return check_envelope(trace, C_bound * initial_norm * np.exp(-lam * t), slack, name)
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +431,7 @@ def continuous_dependence_experiment(
 
 
 def _alf_envelopes(config: ScenarioConfig, lam: float, traj: Trajectory) -> dict:
-    """``{(p, tau): (trace, passed)}`` of the smoothed functional for finite p, p-major.
+    """``{"p2_tau0.1": (trace, passed), ...}`` of the smoothed functional, finite p, p-major.
 
     Evaluated tau-major, so rho(u, tau) is formed once per tau; lambda(x, t)
     is formed once.
@@ -439,15 +441,31 @@ def _alf_envelopes(config: ScenarioConfig, lam: float, traj: Trajectory) -> dict
         return {}
     fam = config.spec.family
     lam_xt = config.spec.lambda0 - fam.c1(traj.x) - fam.c2(traj.times)[:, None]
-    out = {}
+    tags = {(p, tau): f"{_ptag(p)}_tau{tau:g}" for p in finite for tau in config.tau_list}
+    out = dict.fromkeys(tags.values())  # p-major order, filled tau-major
     for tau in config.tau_list:
         r = rho(traj.fields, tau)
         for p in finite:
             z, psi = alf(r, lam_xt, 1.0 / (traj.grid_m - 1), p)
             env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi, traj.times)
-            tr = NormTrace(traj.times, z)
-            out[p, tau] = tr, check_envelope(tr, env, config.slack).passed
-    return {(p, tau): out[p, tau] for p in finite for tau in config.tau_list}
+            tr, tag = NormTrace(traj.times, z), tags[p, tau]
+            out[tag] = tr, check_envelope(tr, env, config.slack, f"alf_envelope_{tag}").passed
+    return out
+
+
+def _openblas_threads():
+    """``(get, set)`` of numpy's bundled OpenBLAS thread count; None without that library."""
+    import ctypes  # kept off the package's import path
+    import glob
+
+    found = glob.glob(os.path.join(np.__path__[0] + ".libs", "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(found[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
 
 
 def run_scenario(config: ScenarioConfig) -> DecayReport:
@@ -464,11 +482,21 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     that writer (spawn error, broken pipe, nonzero exit) raises OSError in
     stage ``artifacts``.  The child is reaped on every exit path, and a
     failed call leaves no ``closed_loop.csv`` of its own.
+
+    The call runs numpy's bundled OpenBLAS on one thread, so that no second
+    BLAS thread spins on the core the child formats on, and restores the
+    caller's count on every exit path.  Numpy's overflow and invalid
+    warnings are off in the norms and verify stages: :func:`check_envelope`
+    reports a non-finite value, with its flag.
     """
     outdir = config.outputs
     artifacts: list[str] = []
     stage = "validate"
     closed = None
+    blas = _openblas_threads()
+    if blas:
+        threads = blas[0]()
+        blas[1](1)
     try:
         os.makedirs(outdir, exist_ok=True)
         spec = config.spec
@@ -501,30 +529,33 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         u0 = initial_target_data(w0, k)
         traj_u = simulate_target(spec, u0, config.sim)
 
-        stage = "norms"
-        norms_w, norms_u = norm_trace(traj_w, config.p_list), norm_trace(traj_u, config.p_list)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stage = "norms"
+            norms_w, norms_u = norm_trace(traj_w, config.p_list), norm_trace(traj_u, config.p_list)
 
-        stage = "verify"
-        traces: dict[str, NormTrace] = {}
-        pass_flags: dict[str, bool] = {}
-        fits: dict[str, tuple] = {}
-        margins = []
-        for (p, kind), wtr in norms_w.items():
-            tag, utr = f"{kind}_{_ptag(p)}", norms_u[p, kind]
-            traces[f"w_{tag}"], traces[f"u_{tag}"] = wtr, utr
-            chk = verify_theorem_bound(wtr, per_p[p][kind], lam, wtr.values[0], config.slack)
-            pass_flags[f"envelope_w_{tag}"] = chk.passed
-            margins.append(chk.margin)
-            chk_u = verify_theorem_bound(utr, 1.0, lam, utr.values[0], config.slack)
-            pass_flags[f"floor_u_{tag}"] = chk_u.passed
-            for name, tr in ((f"w_{tag}", wtr), (f"u_{tag}", utr)):
-                try:
-                    fits[name] = fit_decay_rate(tr, config.skip_fraction)
-                except FitError:
-                    fits[name] = None
-        for (p, tau), (tr, ok) in _alf_envelopes(config, lam, traj_u).items():
-            pass_flags[f"alf_envelope_{_ptag(p)}_tau{tau:g}"] = ok
-            traces[f"u_alf_{_ptag(p)}_tau{tau:g}"] = tr
+            stage = "verify"
+            traces: dict[str, NormTrace] = {}
+            pass_flags: dict[str, bool] = {}
+            fits: dict[str, tuple] = {}
+            margins = []
+            for (p, kind), wtr in norms_w.items():
+                tag, utr = f"{kind}_{_ptag(p)}", norms_u[p, kind]
+                traces[f"w_{tag}"], traces[f"u_{tag}"] = wtr, utr
+                chk = verify_theorem_bound(wtr, per_p[p][kind], lam, wtr.values[0], config.slack,
+                                           f"envelope_w_{tag}")
+                pass_flags[f"envelope_w_{tag}"] = chk.passed
+                margins.append(chk.margin)
+                chk_u = verify_theorem_bound(utr, 1.0, lam, utr.values[0], config.slack,
+                                             f"floor_u_{tag}")
+                pass_flags[f"floor_u_{tag}"] = chk_u.passed
+                for name, tr in ((f"w_{tag}", wtr), (f"u_{tag}", utr)):
+                    try:
+                        fits[name] = fit_decay_rate(tr, config.skip_fraction)
+                    except FitError:
+                        fits[name] = None
+            for tag, (tr, ok) in _alf_envelopes(config, lam, traj_u).items():
+                pass_flags[f"alf_envelope_{tag}"] = ok
+                traces[f"u_alf_{tag}"] = tr
 
         headline = fits.get(f"w_lp_{_ptag(config.p_list[0])}")
         report = DecayReport(
@@ -566,6 +597,8 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     finally:
         if closed is not None:
             closed.close()
+        if blas:
+            blas[1](threads)
 
 
 def failure_text(exc: BaseException) -> str:

@@ -4,8 +4,11 @@ import dataclasses
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -792,28 +795,30 @@ class TestCli:
         assert "p = 400" in err
         assert "error: stage constants: " in (tmp_path / "run" / "MANIFEST.txt").read_text()
 
-    # numpy reports each overflow as a RuntimeWarning where it happens; the
-    # envelope check is what turns the overflowed numbers into exit 3
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("edits", [
-        {"height = 1.0": "height = 1e200"},  # trace_w_lp_p2 is inf throughout
-        {"height = 1.0": "height = 1e308"},  # the W^{1,p} norms overflow
+    # the envelope check, not a numpy RuntimeWarning, reports the overflow: the
+    # one stderr line names the first flag whose trace or envelope is not finite
+    @pytest.mark.parametrize("edits, flag", [
+        ({"height = 1.0": "height = 1e200"}, "envelope_w_lp_p2"),  # inf throughout
+        ({"height = 1.0": "height = 1e308"}, "envelope_w_lp_p1"),  # the L^1 norm overflows too
         # the ALF envelope of norms.gronwall_bound overflows from t = 355 on
-        {"dt = 2.5e-5": "dt = 1e-3", "t_end = 2.0": "t_end = 400",
-         "record_stride = 100": "record_stride = 1000"},
+        ({"dt = 2.5e-5": "dt = 1e-3", "t_end = 2.0": "t_end = 400",
+          "record_stride = 100": "record_stride = 1000"}, "alf_envelope_p2_tau0.1"),
     ], ids=["height_1e200", "height_1e308", "t_end_400"])
-    def test_non_finite_trace_exit(self, tmp_path, capsys, edits):
+    def test_non_finite_trace_exit(self, tmp_path, capsys, edits, flag):
         text = DEFAULT_INI.read_text()
         for old, new in edits.items():
             assert old in text
             text = text.replace(old, new)
         path = tmp_path / "s.ini"
         path.write_text(text)
-        assert cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("numerical failure: stage verify: ")
+        assert err[0].startswith(f"numerical failure: stage verify: {flag}: ")
         assert "not finite at t = " in err[0]
         manifest = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
         assert manifest[0] == "INCOMPLETE"
@@ -1022,6 +1027,110 @@ class TestClosedLoopWriter:
         if case == "kernel":
             # an unfed child reads an empty stdin and exits 0
             assert children[0].returncode == 0
+
+
+def artifact_digests(root) -> list[str]:
+    """The ``scripts/artifact_digest.py`` listing of one output directory."""
+    return runpy.run_path(str(REPO / "scripts" / "artifact_digest.py"),
+                          run_name="digest")["digests"](root)
+
+
+@pytest.fixture
+def openblas():
+    """``(get, set)`` of numpy's bundled OpenBLAS thread count, given back afterwards."""
+    found = verify._openblas_threads()
+    if found is None:
+        pytest.skip("this numpy has no bundled OpenBLAS thread-count symbols")
+    before = found[0]()
+    yield found
+    found[1](before)
+
+
+class TestBlasThreads:
+    """run_scenario runs OpenBLAS on one thread and gives the caller's count back."""
+
+    @pytest.mark.parametrize("caller", [1, 2])
+    def test_one_thread_in_every_stage(self, tmp_path, monkeypatch, openblas, caller):
+        get, put = openblas
+        seen = {}
+        for name in ("solve_kernels", "simulate_closed_loop", "norm_trace"):
+            def record(*args, _name=name, _real=getattr(verify, name), **kwargs):
+                seen.setdefault(_name, []).append(get())
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, record)
+        put(caller)
+        assert run_scenario(scenario(tmp_path / "out")).passed
+        assert seen == {"solve_kernels": [1], "simulate_closed_loop": [1], "norm_trace": [1, 1]}
+        assert get() == caller
+
+    @pytest.mark.parametrize("stage", ["validate", "kernel", "simulate", "verify", "artifacts",
+                                       "interrupt"])
+    def test_count_back_after_a_failure(self, tmp_path, monkeypatch, openblas, stage):
+        get, put = openblas
+        old, new = {"validate": ("lambda0 = 3.0", "lambda0 = 1.0"),  # lambda0 <= sup c = 2
+                    "kernel": ("max_iter = 60", "max_iter = 1"),
+                    "verify": ("\na = 1.0", "\na = 1e200"),  # the L^2 norm overflows
+                    }.get(stage, ("", ""))
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        assert old in text
+        path = tmp_path / "s.ini"
+        path.write_text(text.replace(old, new))
+        if stage == "artifacts":  # the closed_loop.csv writer cannot open its file
+            (tmp_path / "run" / "closed_loop.csv").mkdir(parents=True)
+        if stage in ("simulate", "interrupt"):
+            error = KeyboardInterrupt if stage == "interrupt" else simulator.DivergenceError
+
+            def fail(*args, **kwargs):
+                raise error("injected")
+
+            monkeypatch.setattr(verify, "simulate_target", fail)
+        put(2)
+        with pytest.raises(BaseException) as exc:
+            run_scenario(load_scenario(path))
+        assert getattr(exc.value, "stage", "interrupt") == stage
+        assert get() == 2
+
+    @pytest.mark.parametrize("lookup", ["no_library", "unloadable", "no_symbol"])
+    def test_without_the_library_runs_as_before(self, tmp_path, monkeypatch, lookup):
+        import ctypes
+        import glob
+
+        found = verify._openblas_threads()
+        before = found[0]() if found else None
+        try:
+            if found:  # the fallback runs at the caller's count: one thread, as the cap does
+                found[1](1)
+            reference = run_scenario(scenario(tmp_path / "ref")).to_json()
+            if lookup == "no_library":
+                monkeypatch.setattr(glob, "glob", lambda pattern: [])
+            elif lookup == "unloadable":
+                def unloadable(path):
+                    raise OSError(f"{path}: cannot open shared object file")
+
+                monkeypatch.setattr(ctypes, "CDLL", unloadable)
+            else:
+                monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+            assert verify._openblas_threads() is None
+            assert run_scenario(scenario(tmp_path / "out")).to_json() == reference
+            assert not found or found[0]() == 1
+        finally:
+            if found:
+                found[1](before)
+        assert artifact_digests(tmp_path / "out") == artifact_digests(tmp_path / "ref")
+
+    def test_artifacts_independent_of_thread_count(self, tmp_path, openblas):
+        listings = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "backstep.cli", "verify", "--config",
+                                   str(DEFAULT_INI), "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            listings.append(artifact_digests(out))
+        assert listings[0] == listings[1]
+        assert any(line.endswith("  closed_loop.csv") for line in listings[0])
 
 
 class TestRuntimeDependencies:

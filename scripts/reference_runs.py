@@ -8,9 +8,9 @@ runs, through ``backstep.cli.main`` and each into ``OUTDIR/<name>``:
 ``kernel`` on bench/source_xy.ini; ``simulate`` on default.ini (closed
 loop, ``--target`` and ``--open-loop``); and ``oracle --out`` on
 oracle_rx2.ini.  It exits 1 if any run exits non-zero.  Two builds write
-byte-identical artifacts when the ``artifact_digest.py OUTDIR`` listings
-of their runs are equal; ``artifact_diff.py OLD NEW`` measures how far
-apart they are when they are not.
+byte-identical artifacts when ``artifact_diff.py OLD NEW`` prints
+``identical`` for every file of their runs; otherwise it measures how
+far apart they are.
 """
 import sys
 import time

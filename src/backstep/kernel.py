@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -391,28 +392,33 @@ class KernelConstants(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelGrid:
-    """A converged kernel on the chart lattice and its triangle image.
+    """A converged kernel: what the solve produced, and every view derived from it.
 
-    ``values_xieta`` holds G on the padded lattice; ``values_xy`` the
-    kernel on the uniform triangle grid x_m = m delta (zero above the
-    diagonal); ``trace_diag`` is k(x, x) and ``trace_kx1`` is k_x(1, y).
-    ``level_sweeps`` counts the sweeps on each lattice of a nested solve,
-    coarse to fine; ``iterations_used``, ``increments`` and ``n_certified``
-    are those of the finest lattice, ``n_xi``.
+    Stored: the ``lattice``, the growth constant ``bound_M``, G on the padded
+    lattice (``values_xieta``), and the finest lattice's sweep ``increments``
+    and certified cap ``n_certified``; ``level_sweeps`` counts the sweeps on
+    each lattice of a nested solve, coarse to fine.  Derived from those, so
+    they always agree with ``values_xieta``: ``n_xi``, ``delta``, ``x_nodes``,
+    ``iterations_used`` and ``final_increment``; the kernel on the uniform
+    triangle grid x_m = m delta (``values_xy``, zero above the diagonal) and
+    its k_x (``kx_xy()``), each formed once, on first read, and read-only;
+    ``trace_diag``, k(x, x), and ``trace_kx1``, k_x(1, y).
     """
 
-    n_xi: int
-    delta: float
+    lattice: ChartLattice
     bound_M: float
     values_xieta: np.ndarray
-    values_xy: np.ndarray
-    trace_diag: np.ndarray
-    trace_kx1: np.ndarray
-    iterations_used: int
-    final_increment: float
     increments: tuple
     n_certified: int
     level_sweeps: tuple
+
+    @property
+    def n_xi(self) -> int:
+        return self.lattice.n_xi
+
+    @property
+    def delta(self) -> float:
+        return self.lattice.delta
 
     @property
     def x_nodes(self) -> np.ndarray:
@@ -420,12 +426,34 @@ class KernelGrid:
         return self.lattice.eta
 
     @property
-    def lattice(self) -> ChartLattice:
-        return ChartLattice(self.n_xi)
+    def iterations_used(self) -> int:
+        return len(self.increments)
+
+    @property
+    def final_increment(self) -> float:
+        return self.increments[-1] if self.increments else 0.0
+
+    @cached_property
+    def values_xy(self) -> np.ndarray:
+        return _read_only(_triangle(self.values_xieta))
+
+    @cached_property
+    def _kx_xy(self) -> np.ndarray:
+        return _read_only(_triangle(_kx_chart(self.values_xieta, self.delta)))
 
     def kx_xy(self) -> np.ndarray:
         """k_x on the values_xy grid via chain-rule lattice differences."""
-        return _triangle(_kx_chart(self.values_xieta, self.delta))
+        return self._kx_xy
+
+    @property
+    def trace_diag(self) -> np.ndarray:
+        """k(x, x): the bottom chart row at xi = 2 x, the diagonal of values_xy."""
+        return self.values_xieta[0, :self.n_xi:2]
+
+    @property
+    def trace_kx1(self) -> np.ndarray:
+        """k_x(1, y): the last row of kx_xy()."""
+        return self.kx_xy()[-1]
 
     def node_index(self, t) -> np.ndarray | None:
         """Indices t / delta of coordinates t on the delta-spaced lattice.
@@ -476,6 +504,12 @@ def _triangle(chart: np.ndarray) -> np.ndarray:
                                                     m[:, None] + m[None, :]], 0.0)
 
 
+def _read_only(A: np.ndarray) -> np.ndarray:
+    """A, locked against writes: a formed-once view is shared by every reader."""
+    A.flags.writeable = False
+    return A
+
+
 def _kx_chart(G: np.ndarray, delta: float) -> np.ndarray:
     """k_x = G_xi + G_eta on the chart lattice, second-order differences."""
     gxi = np.gradient(G, delta, axis=1, edge_order=2)
@@ -510,24 +544,6 @@ def _lagrange4_2d(G, u, v):
     return out
 
 
-def _build_grid(lat, G, M, increments, n_cert, level_sweeps) -> KernelGrid:
-    values_xy = _triangle(G)
-    return KernelGrid(
-        n_xi=lat.n_xi,
-        delta=lat.delta,
-        bound_M=M,
-        values_xieta=G,
-        values_xy=values_xy,
-        trace_diag=np.diag(values_xy).copy(),
-        trace_kx1=_triangle(_kx_chart(G, lat.delta))[-1].copy(),
-        iterations_used=len(increments),
-        final_increment=increments[-1] if increments else 0.0,
-        increments=tuple(increments),
-        n_certified=n_cert,
-        level_sweeps=tuple(level_sweeps),
-    )
-
-
 def _midpoints(A: np.ndarray) -> np.ndarray:
     """The rows of A with the cubic midpoint of each neighbouring pair between them.
 
@@ -557,7 +573,8 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
 
     Returns (G, increments, n_certified).  A cold solve is capped by
     :func:`remainder_bound`, a warm one by :func:`warm_remainder_bound` of
-    its first increment.  ``where`` names the lattice in an error message.
+    its first increment.  ``where`` names the lattice in an error message;
+    an increment that is not finite raises at once, naming its sweep.
     """
     react = problem.reaction_chart(lat.xi, lat.eta[:, None])
     fam = problem.spec.family
@@ -578,8 +595,14 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
                 "the grid is too coarse for this tolerance",
                 last_increment=increments[-1],
             )
-        G_next = G0 + _apply_phi(react, psi, WB, problem.conv_sign, G, lat)
-        increments.append(float(np.max(np.abs((G_next - G)[region]))))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by sweep
+            G_next = G0 + _apply_phi(react, psi, WB, problem.conv_sign, G, lat)
+            increments.append(float(np.max(np.abs((G_next - G)[region]))))
+        if not math.isfinite(increments[-1]):
+            raise ConvergenceError(
+                f"the increment of sweep {len(increments)} is {increments[-1]:g} on the "
+                f"{'coarse ' if where else ''}lattice n_xi = {lat.n_xi}: the iteration "
+                "overflowed a float", last_increment=increments[-1])
         G = G_next
         if n_cert == math.inf:
             e1 = increments[0]
@@ -612,9 +635,9 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     :func:`remainder_bound`; a warm start, extrapolated or not, is capped by
     :func:`warm_remainder_bound`.  Raises ConvergenceError, naming a coarse
     lattice by its n_xi, when a sweep is still due after ``max_iter`` sweeps,
-    or when the certified stop comes while the last increment is still
+    when the certified stop comes while the last increment is still
     >= ``tol`` (the increments have reached a rounding floor above the
-    tolerance).
+    tolerance), or when an increment is not finite (the iterate overflowed).
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -638,7 +661,7 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
             carried = None if lat is levels[0] else _prolong(G, lat)  # none past the finest
         G, increments, n_cert = _sweeps(problem, lat, start, M, tol, max_iter, where)
         level_sweeps.append(len(increments))
-    return _build_grid(levels[0], G, M, increments, n_cert, level_sweeps)
+    return KernelGrid(levels[0], M, G, tuple(increments), n_cert, tuple(level_sweeps))
 
 
 # --------------------------------------------------------------------------

@@ -413,7 +413,8 @@ def continuous_dependence_experiment(
     through one simulation; its third column, which must reproduce
     w1 - w2 to rounding, is the linearity cross-check.  Returns
     ``({"lp_p2": BoundCheck, ...}, linearity_gap)``, tags as in
-    :func:`run_scenario`'s ``envelope_w_*`` flags.
+    :func:`run_scenario`'s ``envelope_w_*`` flags; a trace or envelope that
+    is not finite raises OverflowError led by its tag.
     """
     if w01.grid_m != w02.grid_m:
         raise ValueError("both initial data must share a grid")
@@ -424,9 +425,12 @@ def continuous_dependence_experiment(
     traj = simulate_closed_loop(config.spec, k, block, config.sim)
     diff = traj.fields[..., 0] - traj.fields[..., 1]
     linearity_gap = float(np.max(np.abs(diff - traj.fields[..., 2])))
-    checks = {f"{kind}_{_ptag(p)}": verify_theorem_bound(tr, constants_for_p(p, con)[kind], lam,
-                                                         tr.values[0], config.slack)
-              for (p, kind), tr in norm_trace(Trajectory(traj.times, diff), config.p_list).items()}
+    checks = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # check_envelope names a non-finite flag
+        for (p, kind), tr in norm_trace(Trajectory(traj.times, diff), config.p_list).items():
+            tag = f"{kind}_{_ptag(p)}"
+            checks[tag] = verify_theorem_bound(tr, constants_for_p(p, con)[kind], lam,
+                                               tr.values[0], config.slack, tag)
     return checks, linearity_gap
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,70 @@ class TestDerivativeTrace:
         kx11 = (gxi + geta)[0, 2 * (n - 1)]
         ky11 = (gxi - geta)[0, 2 * (n - 1)]
         assert kx11 + ky11 == pytest.approx(spec_rx2.lambda0 / 2.0, abs=1e-3)
+
+
+def triangle_read(A: np.ndarray) -> np.ndarray:
+    """A chart array read onto the triangle grid: (x_m, y_n) is chart node (m - n, m + n)."""
+    out = np.zeros((A.shape[0], A.shape[0]))
+    for m in range(A.shape[0]):
+        for n in range(m + 1):
+            out[m, n] = A[m - n, m + n]
+    return out
+
+
+class TestKernelGrid:
+    """A grid stores what the solve produced; every other view is derived from it."""
+
+    def test_stored_fields(self):
+        assert [f.name for f in dataclasses.fields(kernel.KernelGrid)] == [
+            "lattice", "bound_M", "values_xieta", "increments", "n_certified", "level_sweeps"]
+
+    @pytest.mark.parametrize("values", ["solved", "replaced"])
+    def test_views_derive_from_values(self, kernels_rx2_101, rng, values):
+        k, _ = kernels_rx2_101
+        g = k if values == "solved" else dataclasses.replace(
+            k, values_xieta=rng.standard_normal(k.values_xieta.shape))
+        G, lat = g.values_xieta, ChartLattice(101)
+        kx = (np.gradient(G, lat.delta, axis=1, edge_order=2)
+              + np.gradient(G, lat.delta, axis=0, edge_order=2))
+        assert np.array_equal(g.values_xy, triangle_read(G))
+        assert np.array_equal(g.trace_diag, np.diag(triangle_read(G)))
+        assert np.array_equal(g.kx_xy(), triangle_read(kx))
+        assert np.array_equal(g.trace_kx1, triangle_read(kx)[-1])
+        assert (g.n_xi, g.delta) == (101, lat.delta)
+        assert np.array_equal(g.x_nodes, lat.eta)
+        assert g.iterations_used == len(k.increments) > 0
+        assert g.final_increment == k.increments[-1]
+        assert g.values_xy is g.values_xy and g.kx_xy() is g.kx_xy()  # formed once
+        assert not (g.values_xy.flags.writeable or g.kx_xy().flags.writeable)  # and shared
+
+    def test_chart_gradient_once_per_grid(self, spec_rx2, monkeypatch):
+        seen = []
+        real = kernel._kx_chart
+        monkeypatch.setattr(kernel, "_kx_chart", lambda G, d: seen.append(G) or real(G, d))
+        k = picard_solve(GoursatProblem.direct(spec_rx2), n_xi=101, tol=1e-10, max_iter=80)
+        l = picard_solve(GoursatProblem.inverse(spec_rx2), n_xi=101, tol=1e-10, max_iter=80)
+        kernel_constants(k, l)
+        k.kx1_at(np.linspace(0.0, 1.0, 7))
+        l.kx1_at(np.linspace(0.0, 1.0, 7))
+        assert [id(G) for G in seen] == [id(k.values_xieta), id(l.values_xieta)]
+
+    def test_solve_builds_no_triangle(self, spec_rx2, monkeypatch):
+        calls = []
+        real = kernel._triangle
+        monkeypatch.setattr(kernel, "_triangle", lambda A: calls.append(A) or real(A))
+        picard_solve(GoursatProblem.direct(spec_rx2), n_xi=201, tol=1e-10, max_iter=80)  # nested
+        assert calls == []
+
+    def test_overflow_raises_naming_the_sweep(self):
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 2.0)), lambda0=1e10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError, match="increment of sweep 43 is nan on the "
+                                                       "coarse lattice n_xi = 101") as exc:
+                picard_solve(GoursatProblem.direct(spec), n_xi=201, tol=1e-10, max_iter=80)
+        assert caught == []
+        assert math.isnan(exc.value.last_increment)
 
 
 class TestConstants:

@@ -1,5 +1,4 @@
 """Smoke tests of the scripts: they load against the package and run."""
-import hashlib
 import json
 import runpy
 from pathlib import Path
@@ -20,20 +19,6 @@ def test_roundtrip_study():
 def test_kernel_convergence_study_loads():
     study = load("kernel_convergence_study.py")
     assert callable(study["series_table"]) and callable(study["source_table"])
-
-
-def test_artifact_digest(tmp_path, capsys):
-    data = b"t,value\r\n0,1\r\n"
-    (tmp_path / "run" / "sub").mkdir(parents=True)
-    (tmp_path / "run" / "b.csv").write_bytes(data)
-    (tmp_path / "run" / "sub" / "a.txt").write_bytes(b"")
-    main = load("artifact_digest.py")["main"]
-    assert main([str(tmp_path / "run")]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        f"{hashlib.sha256(data).hexdigest()}  b.csv",
-        f"{hashlib.sha256(b'').hexdigest()}  sub/a.txt",
-    ]
-    assert main([str(tmp_path / "run" / "b.csv")]) == 2
 
 
 def write_tree(root, files: dict):

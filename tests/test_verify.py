@@ -4,7 +4,6 @@ import dataclasses
 import math
 import os
 import re
-import runpy
 import subprocess
 import sys
 import types
@@ -258,10 +257,12 @@ class TestCsvWriters:
         rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
         assert Path(path).read_bytes() == self.reference(ref, ["t", "value"], rows)
 
-        # a distinct value per cell, so a row or column mix-up changes the bytes
-        m, n = np.indices(null_kernel.values_xy.shape)
-        k = dataclasses.replace(null_kernel, values_xy=(m + n / 1000) / 3.0)
-        l = dataclasses.replace(null_kernel, values_xy=-1e-300 * (1 + m + n / 1000))
+        # a distinct value per cell, so a row or column mix-up changes the bytes;
+        # triangle node (x_m, y_n) is chart node (eta, xi) = (m - n, m + n)
+        j, i = np.indices(null_kernel.values_xieta.shape)
+        m, n = (i + j) // 2, (i - j) // 2
+        k = dataclasses.replace(null_kernel, values_xieta=(m + n / 1000) / 3.0)
+        l = dataclasses.replace(null_kernel, values_xieta=-1e-300 * (1 + m + n / 1000))
         path = dump_kernel_csv(str(tmp_path / "kernels.csv"), k, l)
         xs = k.x_nodes
         rows = [[f"{xs[m]:.12g}", f"{xs[n]:.12g}", f"{k.values_xy[m, n]:.15g}",
@@ -466,6 +467,21 @@ class TestContinuousDependence:
         checks, _ = continuous_dependence_experiment(cfg, w01, w02)
         assert not checks["lp_p2"].passed
         assert checks["w1p_p2"].passed
+
+    def test_non_finite_names_its_tag(self):
+        cfg = load_scenario(DEFAULT_INI)
+        m = cfg.sim.grid_m
+        x = np.linspace(0, 1, m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError) as exc:
+                continuous_dependence_experiment(cfg, Profile(m, 1e200 * np.sin(np.pi * x)),
+                                                 Profile(m, np.zeros(m)))
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        tags = {f"{kind}_{verify._ptag(p)}" for p in cfg.p_list for kind in ("lp", "w1p")}
+        tag, _, rest = str(exc.value).partition(": ")
+        assert tag in tags
+        assert rest.startswith("a norm trace or its envelope is not finite at t = ")
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -871,6 +887,22 @@ class TestCli:
         assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
         assert "numerical failure: no convergence after 80 sweeps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["kernel", "verify"])
+    def test_overflowing_sweep_exit(self, tmp_path, capsys, command):
+        # the coarse lattice's iterate overflows at sweep 43 and its increment is nan
+        path = tmp_path / "s.ini"
+        path.write_text(ORACLE_INI.read_text().replace("lambda0 = 10.0", "lambda0 = 1e10"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        stage = "stage kernel: " if command == "verify" else ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: {stage}the increment of sweep 43 is nan on the coarse lattice "
+            "n_xi = 101: the iteration overflowed a float"]
+        assert not (tmp_path / "run" / "kernels.csv").exists()
+
     def test_kernel_report_sweeps_per_lattice(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(ORACLE_INI.read_text().replace("n_xi = 201", "n_xi = 401"))
@@ -923,20 +955,19 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("case", ["no_trace", "degenerate_shift"])
-    def test_unusable_kernel_exit(self, tmp_path, monkeypatch, case):
+    def test_unusable_kernel_exit(self, tmp_path, monkeypatch, capsys, case):
         import backstep.cli
         from backstep.transforms import _flux_residual
 
         def broken(*args, **kwargs):
             k = picard_solve(*args, **kwargs)
             if case == "no_trace":
-                return dataclasses.replace(k, trace_kx1=np.empty(0))
-            # U = -k(1, 1) w(1) then cancels the edge slope of x^2/2 exactly
+                return dataclasses.replace(k, values_xieta=np.full_like(k.values_xieta, np.nan))
+            # a constant kernel has k_x = 0 (to rounding at the lattice edges), so
+            # U = -k(1, 1) w(1), which then cancels the edge slope of x^2/2
             slope = _flux_residual(Profile.from_function(lambda x: 0.5 * x ** 2, 101),
                                    np.zeros(101))
-            diag = k.trace_diag.copy()
-            diag[-1] = -2.0 * slope
-            return dataclasses.replace(k, trace_kx1=np.zeros_like(k.trace_kx1), trace_diag=diag)
+            return dataclasses.replace(k, values_xieta=np.full_like(k.values_xieta, -2.0 * slope))
 
         picard_solve = backstep.cli.picard_solve
         monkeypatch.setattr(backstep.cli, "picard_solve", broken)
@@ -944,6 +975,9 @@ class TestCli:
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
             "adjust_compatibility = false", "adjust_compatibility = true"))
         assert cli_main(["simulate", "--config", str(path)]) == 3
+        cause = {"no_trace": "kernel grid has no derivative trace",
+                 "degenerate_shift": "compatibility shift is degenerate"}[case]
+        assert cause in capsys.readouterr().err
 
 
 class TestClosedLoopWriter:
@@ -1029,10 +1063,10 @@ class TestClosedLoopWriter:
             assert children[0].returncode == 0
 
 
-def artifact_digests(root) -> list[str]:
-    """The ``scripts/artifact_digest.py`` listing of one output directory."""
-    return runpy.run_path(str(REPO / "scripts" / "artifact_digest.py"),
-                          run_name="digest")["digests"](root)
+def tree_bytes(root) -> dict:
+    """``{relative path: bytes}`` of every file under ``root``: equal for equal trees."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 @pytest.fixture
@@ -1117,10 +1151,10 @@ class TestBlasThreads:
         finally:
             if found:
                 found[1](before)
-        assert artifact_digests(tmp_path / "out") == artifact_digests(tmp_path / "ref")
+        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "ref")
 
     def test_artifacts_independent_of_thread_count(self, tmp_path, openblas):
-        listings = []
+        trees = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
@@ -1128,9 +1162,9 @@ class TestBlasThreads:
                                    str(DEFAULT_INI), "--out", str(out)],
                                   capture_output=True, text=True, env=env, timeout=120)
             assert done.returncode == 0, done.stderr
-            listings.append(artifact_digests(out))
-        assert listings[0] == listings[1]
-        assert any(line.endswith("  closed_loop.csv") for line in listings[0])
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        assert "closed_loop.csv" in trees[0]
 
 
 class TestRuntimeDependencies:

@@ -6,20 +6,25 @@ record is ``"%.12g," % t`` followed, for each node x, by the cell
 bytes of ``np.savetxt`` with these formats.
 
 The module imports only ``sys`` and ``array``, so it also runs as a child
-writer, ``python -S _csvout.py PATH``.  The child reads from stdin an
-int64 header ``(n_records, grid_m)`` and then the raw native float64
-values of ``times`` (n_records), ``x`` (grid_m) and ``fields``
-(n_records x grid_m, row-major), and writes the ``t,x,value`` CSV of that
-trajectory to PATH.  ``array('d').tolist()`` gives the same Python floats
-as ``ndarray.tolist()``, so the file has the same bytes as the in-process
-writer's.  An empty stdin writes no file and exits 0; a short feed or an
-unwritable PATH prints one line to stderr and exits 1.
+writer, ``python -S _csvout.py PATH...``, that writes its PATHs in order.
+For each PATH it reads from stdin an int64 header ``(kind, n, m)`` and
+then raw native float64 values: for ``TRAJECTORY`` the ``times`` (n),
+``x`` (m) and ``fields`` (n x m, row-major) of a ``t,x,value`` CSV; for
+``KERNELS`` the n nodes and the ``kl`` of :func:`write_kernels`.  It
+prints one line on stdout for each PATH it has written.
+``array('d').tolist()`` gives the same Python floats as
+``ndarray.tolist()``, so each file has the same bytes as the in-process
+writer's.  A stdin that ends before a header writes no further file and
+exits 0; a short feed or an unwritable PATH prints one line to stderr
+and exits 1.
 """
 import sys
 from array import array
 
 #: the tail of a coordinate cell that one value fills
 VALUE = ",%.15g\r\n"
+#: the feed kinds of the child's headers
+TRAJECTORY, KERNELS = range(2)
 
 
 def write_csv(path, header: str, groups) -> str:
@@ -49,6 +54,15 @@ def write_trajectory(path, times, x, rows) -> str:
                      (("%.12g," % t, row_cells, row) for t, row in zip(times, rows)))
 
 
+def write_kernels(path, nodes, kl) -> str:
+    """``x,y,k,l`` CSV on the triangle y <= x of ``nodes``, one x-row per ``%``; ``kl``
+    holds k and l interleaved, row-major, so x-row i is ``kl[i * (i + 1):(i + 1) * (i + 2)]``."""
+    row_cells = cells(nodes, ",%.15g,%.15g\r\n")
+    return write_csv(path, "x,y,k,l", (("%.12g," % x, row_cells[:i + 1],
+                                        kl[i * (i + 1):(i + 1) * (i + 2)])
+                                       for i, x in enumerate(nodes)))
+
+
 def _read(stream, n: int) -> list:
     values = array("d")
     values.fromfile(stream, n)
@@ -56,23 +70,28 @@ def _read(stream, n: int) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: python -S _csvout.py PATH < header and float64 values", file=sys.stderr)
+    if len(argv) < 2:
+        print("usage: python -S _csvout.py PATH... < headers and float64 values", file=sys.stderr)
         return 2
     stream = sys.stdin.buffer
-    head = stream.read(16)
-    if not head:
-        return 0
-    try:
-        n, m = array("q", head)
-        times, x, values = _read(stream, n), _read(stream, m), _read(stream, n * m)
-        write_trajectory(argv[1], times, x, (values[r * m:(r + 1) * m] for r in range(n)))
-    except (EOFError, ValueError) as exc:
-        print(f"short feed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    for path in argv[1:]:
+        head = stream.read(24)
+        if not head:
+            return 0
+        try:
+            kind, n, m = array("q", head)
+            if kind == KERNELS:
+                write_kernels(path, _read(stream, n), _read(stream, n * (n + 1)))
+            else:
+                times, x, values = _read(stream, n), _read(stream, m), _read(stream, n * m)
+                write_trajectory(path, times, x, (values[r * m:(r + 1) * m] for r in range(n)))
+        except (EOFError, ValueError) as exc:
+            print(f"short feed: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        print(flush=True)
     return 0
 
 

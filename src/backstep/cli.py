@@ -2,10 +2,11 @@
 
 Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
 unwritable output directory, a failed artifact writer, such as
-``verify``'s ``closed_loop.csv`` child, and a grid too large for memory
-included), 3 numerical failure (a float overflow, a norm trace or
-envelope that is not finite and a Picard stop at a rounding floor
-included).  A failure inside ``verify`` names its pipeline stage.
+``verify``'s child of ``kernels.csv`` and ``closed_loop.csv``, and a grid
+too large for memory included), 3 numerical failure (a float overflow,
+a norm trace or envelope that is not finite and a Picard stop at a
+rounding floor included).  A failure inside ``verify`` names its
+pipeline stage.  ``verify`` and ``simulate`` run on one OpenBLAS thread.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .verify import (
     dump_kernel_csv,
     failure_text,
     load_scenario,
+    one_blas_thread,
     oracle_comparison,
     run_scenario,
     solve_kernels,
@@ -89,6 +91,7 @@ def _cmd_kernel(args) -> int:
     return EXIT_PASS
 
 
+@one_blas_thread()
 def _cmd_simulate(args) -> int:
     config = _load(args)
     os.makedirs(config.outputs, exist_ok=True)

@@ -8,6 +8,7 @@ plus a JSON report and a MANIFEST.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -253,6 +254,12 @@ class ScenarioConfig:
             raise ConfigError(f"skip_fraction must lie in [0, 1), got {self.skip_fraction}")
         if not (1.0 <= self.slack < math.inf):
             raise ConfigError(f"slack must be finite and >= 1, got {self.slack}")
+        for name, tag in (("p_list", _ptag), ("tau_list", _tautag)):
+            seen = {}
+            for v in getattr(self, name):  # one tag per value: its flags, traces and constants
+                if tag(v) in seen:
+                    raise ConfigError(f"{name}: {seen[tag(v)]!r} and {v!r} share the tag {tag(v)}")
+                seen[tag(v)] = v
 
 
 def _floats(text: str) -> tuple:
@@ -445,7 +452,7 @@ def _alf_envelopes(config: ScenarioConfig, lam: float, traj: Trajectory) -> dict
         return {}
     fam = config.spec.family
     lam_xt = config.spec.lambda0 - fam.c1(traj.x) - fam.c2(traj.times)[:, None]
-    tags = {(p, tau): f"{_ptag(p)}_tau{tau:g}" for p in finite for tau in config.tau_list}
+    tags = {(p, tau): f"{_ptag(p)}_{_tautag(tau)}" for p in finite for tau in config.tau_list}
     out = dict.fromkeys(tags.values())  # p-major order, filled tau-major
     for tau in config.tau_list:
         r = rho(traj.fields, tau)
@@ -472,6 +479,20 @@ def _openblas_threads():
     return get, put
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread, so that the artifacts do not depend
+    on the caller's count, and give that count back; without the library, change nothing."""
+    get, put = _openblas_threads() or (int, lambda threads: None)
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+@one_blas_thread()
 def run_scenario(config: ScenarioConfig) -> DecayReport:
     """Full pipeline: validate, solve kernels, simulate, fit, check, write.
 
@@ -479,38 +500,34 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     propagates with its ``stage`` attribute set, after the MANIFEST has
     noted the incomplete stage (see :func:`failure_text`).
 
-    ``closed_loop.csv`` is formatted from the raw float64 values by a
-    stdlib-only ``python -S`` child of :mod:`._csvout`, with the bytes of
-    :func:`write_trajectory`, while this process simulates the target,
-    computes the norms and checks and writes the other files.  A failure of
-    that writer (spawn error, broken pipe, nonzero exit) raises OSError in
-    stage ``artifacts``.  The child is reaped on every exit path, and a
-    failed call leaves no ``closed_loop.csv`` of its own.
+    One stdlib-only ``python -S`` child of :mod:`._csvout` formats
+    ``kernels.csv``, fed once the kernels are solved, and then
+    ``closed_loop.csv``, fed after the target and then the closed loop are
+    simulated, so that each feed finds it reading.  A failure of that
+    writer (spawn error, broken pipe, nonzero exit) raises OSError in stage
+    ``artifacts``, led by the first file it did not write.  The child is
+    reaped on every exit path; a failed call leaves none of its files.
 
-    The call runs numpy's bundled OpenBLAS on one thread, so that no second
-    BLAS thread spins on the core the child formats on, and restores the
-    caller's count on every exit path.  Numpy's overflow and invalid
-    warnings are off in the norms and verify stages: :func:`check_envelope`
-    reports a non-finite value, with its flag.
+    The call runs under :func:`one_blas_thread`, so that no second BLAS
+    thread spins on the core the child formats on.  Numpy's overflow and
+    invalid warnings are off in the norms and verify stages:
+    :func:`check_envelope` reports a non-finite value, with its flag.
     """
     outdir = config.outputs
     artifacts: list[str] = []
     stage = "validate"
-    closed = None
-    blas = _openblas_threads()
-    if blas:
-        threads = blas[0]()
-        blas[1](1)
+    writer = None
     try:
         os.makedirs(outdir, exist_ok=True)
         spec = config.spec
         lam = lambda_lower(spec)  # raises unless lambda0 > sup c
         # started before the kernel stage, so that its start-up overlaps the solve
-        closed = _TrajectoryChild(os.path.join(outdir, "closed_loop.csv"))
+        writer = _WriterChild([os.path.join(outdir, name)
+                               for name in ("kernels.csv", "closed_loop.csv")])
 
         stage = "kernel"
         k, l = solve_kernels(config)
-        artifacts.append(dump_kernel_csv(os.path.join(outdir, "kernels.csv"), k, l))
+        writer.feed(_csvout.KERNELS, len(k.x_nodes), 0, k.x_nodes, _kernel_triangle(k, l))
 
         stage = "constants"
         con = kernel_constants(k, l)
@@ -528,10 +545,11 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         compat = check_compatibility(w0, k)
 
         stage = "simulate"
-        traj_w = simulate_closed_loop(spec, k, w0, config.sim)
-        closed.feed(traj_w)
         u0 = initial_target_data(w0, k)
         traj_u = simulate_target(spec, u0, config.sim)
+        traj_w = simulate_closed_loop(spec, k, w0, config.sim)
+        writer.feed(_csvout.TRAJECTORY, len(traj_w.times), traj_w.grid_m,
+                    traj_w.times, traj_w.x, traj_w.fields)
 
         with np.errstate(over="ignore", invalid="ignore"):
             stage = "norms"
@@ -580,10 +598,11 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
 
         stage = "artifacts"
         artifacts += _write_traces(outdir, traces)
-        at = len(artifacts)
         artifacts.append(write_controls(outdir, traj_w))
         artifacts.append(write_trajectory(outdir, "target.csv", traj_u))
-        artifacts.insert(at, closed.join())
+        kernels, closed = writer.join()
+        artifacts.insert(len(traces), closed)
+        artifacts.insert(0, kernels)
         rpath = os.path.join(outdir, "report.json")
         with open(rpath, "w") as fh:
             fh.write(report.to_json())
@@ -592,17 +611,13 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         return report
     except Exception as exc:
         exc.stage = stage
-        try:
+        with contextlib.suppress(OSError):
             os.makedirs(outdir, exist_ok=True)
             _write_manifest(outdir, artifacts, complete=False, error=failure_text(exc))
-        except OSError:
-            pass
         raise
     finally:
-        if closed is not None:
-            closed.close()
-        if blas:
-            blas[1](threads)
+        if writer is not None:
+            writer.close()
 
 
 def failure_text(exc: BaseException) -> str:
@@ -613,6 +628,9 @@ def failure_text(exc: BaseException) -> str:
 
 def _ptag(p: float) -> str:
     return "pinf" if np.isinf(p) else f"p{p:g}"
+
+
+_tautag = "tau{:g}".format
 
 
 def _write_traces(outdir, traces: dict) -> list[str]:
@@ -634,70 +652,69 @@ def write_trajectory(outdir, name, traj: Trajectory) -> str:
                                     traj.x.tolist(), (row.tolist() for row in traj.fields))
 
 
-class _TrajectoryChild:
-    """One trajectory CSV formatted by a ``python -S`` child running :mod:`._csvout`.
+class _WriterChild:
+    """CSV files formatted, in order, by one ``python -S`` child running :mod:`._csvout`.
 
     The child starts at construction.  :meth:`feed` sends it the raw
-    float64 values, :meth:`join` waits for the file, and :meth:`close`
-    reaps the child on every path.  A spawn error or a broken pipe is kept
-    and raised by :meth:`join`, so that it surfaces where the file is
-    collected, with the child's exit code and message when it failed.
+    float64 values of the next file, :meth:`join` waits for the files, and
+    :meth:`close` reaps the child on every path.  A spawn error or a broken
+    pipe is kept and raised by :meth:`join`, where the files are collected.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, paths: list):
         import subprocess  # kept off the package's import path
 
-        self.path, self.pending, self.error = path, False, None
+        self.paths, self.pending, self.error = paths, 0, None
         try:
-            self.proc = subprocess.Popen([sys.executable, "-S", _csvout.__file__, path],
-                                         stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+            self.proc = subprocess.Popen([sys.executable, "-S", _csvout.__file__, *paths],
+                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE)
         except OSError as exc:
             self.proc, self.error = None, exc
 
-    def feed(self, traj: Trajectory) -> None:
-        """Send the ``(n_records, grid_m)`` int64 header, then times, x and fields."""
+    def feed(self, kind: int, n: int, m: int, *arrays) -> None:
+        """Send the next file's int64 header ``(kind, n, m)``, then ``arrays`` as float64;
+        stdin closes after the last file."""
         if self.proc is None:
             return
-        self.pending = True
+        self.pending += 1
         try:
-            self.proc.stdin.write(np.array([len(traj.times), traj.grid_m], np.int64).tobytes())
-            for a in (traj.times, traj.x, traj.fields):
+            self.proc.stdin.write(np.array([kind, n, m], np.int64).tobytes())
+            for a in arrays:
                 self.proc.stdin.write(memoryview(np.ascontiguousarray(a, np.float64).reshape(-1)))
-            self.proc.stdin.close()
+            if self.pending == len(self.paths):
+                self.proc.stdin.close()
         except BrokenPipeError as exc:
             self.error = exc
 
-    def join(self) -> str:
-        """The written path, after the child exits; OSError naming the file and the cause."""
-        if self.error is None:
+    def join(self) -> list:
+        """The paths, once the child wrote them all; else OSError led by the first it did not."""
+        done = 0
+        if self.proc is not None:
+            done = self.proc.stdout.read().count(b"\n")  # one line per written file
             message = self.proc.stderr.read().decode(errors="replace").strip()
-            if self.proc.wait():
+            if self.proc.wait():  # the child's failure, not the broken pipe it left in feed
                 self.error = f"writer exited with code {self.proc.returncode}" + (
                     f": {message}" if message else "")
         if self.error is not None:
-            raise OSError(f"{os.path.basename(self.path)}: {self.error}")
-        self.pending = False
-        return self.path
+            raise OSError(f"{os.path.basename(self.paths[done])}: {self.error}")
+        self.pending = 0
+        return self.paths
 
     def close(self) -> None:
-        """Reap the child; a fed child whose file :meth:`join` never returned is
-        killed and what it wrote is removed."""
+        """Reap the child; a fed child whose files :meth:`join` never returned is
+        killed and every file it was fed is removed."""
         if self.proc is None:
             return
-        discard = self.pending
-        if discard:
+        if self.pending:
             self.proc.kill()
-        for pipe in (self.proc.stdin, self.proc.stderr):
-            try:
+        for pipe in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            with contextlib.suppress(BrokenPipeError):
                 pipe.close()  # an unfed child reads an empty stdin and exits 0
-            except BrokenPipeError:
-                pass
         self.proc.wait()
-        if discard:
-            try:
-                os.remove(self.path)
-            except OSError:
-                pass
+        for path in self.paths[:self.pending]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
 
 
 def write_controls(outdir, traj: Trajectory) -> str:
@@ -707,15 +724,14 @@ def write_controls(outdir, traj: Trajectory) -> str:
                                traj.controls.tolist())])
 
 
+def _kernel_triangle(k: KernelGrid, l: KernelGrid) -> np.ndarray:
+    """k and l interleaved on the triangle y <= x, row-major in x then y."""
+    return np.stack((k.values_xy, l.values_xy), axis=-1)[np.tri(len(k.x_nodes), dtype=bool)]
+
+
 def dump_kernel_csv(path, k: KernelGrid, l: KernelGrid) -> str:
     """CSV ``x,y,k,l`` on the triangle grid, row-major in x then y, one x-row per write."""
-    if k.values_xy.shape != l.values_xy.shape:
-        raise ValueError("kernel grids must share a lattice")
-    cells = _csvout.cells(k.x_nodes.tolist(), ",%.15g,%.15g\r\n")
-    kl = np.stack((k.values_xy, l.values_xy), axis=-1)
-    return _csvout.write_csv(path, "x,y,k,l",
-                             (("%.12g," % x, cells[:i + 1], kl[i, :i + 1].ravel().tolist())
-                              for i, x in enumerate(k.x_nodes.tolist())))
+    return _csvout.write_kernels(path, k.x_nodes.tolist(), _kernel_triangle(k, l).ravel().tolist())
 
 
 def write_oracle(path, rows) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from backstep.cli import main as cli_main
-from backstep import _csvout, simulator, verify
+from backstep import _csvout, cli, simulator, verify
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
 from backstep.kernel import KernelConstants
 from backstep.norms import NormTrace, gronwall_bound, rho
@@ -237,6 +237,15 @@ class TestCsvWriters:
                 writer.writerow(row)
         return path.read_bytes()
 
+    @staticmethod
+    def distinct_kernels(null_kernel) -> tuple:
+        """k and l with a distinct value per cell, so a row or column mix-up changes the bytes."""
+        # triangle node (x_m, y_n) is chart node (eta, xi) = (m - n, m + n)
+        j, i = np.indices(null_kernel.values_xieta.shape)
+        m, n = (i + j) // 2, (i - j) // 2
+        return (dataclasses.replace(null_kernel, values_xieta=(m + n / 1000) / 3.0),
+                dataclasses.replace(null_kernel, values_xieta=-1e-300 * (1 + m + n / 1000)))
+
     def test_bytes_match_csv_writer(self, tmp_path, null_kernel):
         fields = np.array([[0.0, -0.0, 1e-300], [1.0 / 3.0, -2.5e-17, 123456.78901234567]])
         traj = Trajectory(np.array([0.0, 0.1 + 0.2]), fields, np.array([-0.0, 1e-300]))
@@ -257,12 +266,7 @@ class TestCsvWriters:
         rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
         assert Path(path).read_bytes() == self.reference(ref, ["t", "value"], rows)
 
-        # a distinct value per cell, so a row or column mix-up changes the bytes;
-        # triangle node (x_m, y_n) is chart node (eta, xi) = (m - n, m + n)
-        j, i = np.indices(null_kernel.values_xieta.shape)
-        m, n = (i + j) // 2, (i - j) // 2
-        k = dataclasses.replace(null_kernel, values_xieta=(m + n / 1000) / 3.0)
-        l = dataclasses.replace(null_kernel, values_xieta=-1e-300 * (1 + m + n / 1000))
+        k, l = self.distinct_kernels(null_kernel)
         path = dump_kernel_csv(str(tmp_path / "kernels.csv"), k, l)
         xs = k.x_nodes
         rows = [[f"{xs[m]:.12g}", f"{xs[n]:.12g}", f"{k.values_xy[m, n]:.15g}",
@@ -290,16 +294,25 @@ class TestCsvWriters:
         return [Trajectory(np.array([0.0, 0.1 + 0.2]), fields),
                 Trajectory(np.array([0.0, 1.0 / 3.0, 2.0]), wide)]
 
-    def test_child_writes_same_bytes(self, tmp_path, rng):
-        for i, traj in enumerate(self.edge_trajectories(rng)):
-            child = verify._TrajectoryChild(str(tmp_path / f"child{i}.csv"))
-            try:
-                child.feed(traj)
-                path = child.join()
-            finally:
-                child.close()
-            assert child.proc.returncode == 0
-            ref = write_trajectory(str(tmp_path), f"ref{i}.csv", traj)
+    def test_child_writes_same_bytes(self, tmp_path, rng, null_kernel):
+        # one child writes a kernels.csv and then each edge trajectory, in order
+        k, l = self.distinct_kernels(null_kernel)
+        trajs = self.edge_trajectories(rng)
+        paths = [str(tmp_path / f"child{i}.csv") for i in range(1 + len(trajs))]
+        child = verify._WriterChild(paths)
+        try:
+            child.feed(_csvout.KERNELS, len(k.x_nodes), 0, k.x_nodes, verify._kernel_triangle(k, l))
+            for traj in trajs:
+                child.feed(_csvout.TRAJECTORY, len(traj.times), traj.grid_m,
+                           traj.times, traj.x, traj.fields)
+            assert child.join() == paths
+        finally:
+            child.close()
+        assert child.proc.returncode == 0
+        refs = [dump_kernel_csv(str(tmp_path / "ref0.csv"), k, l)]
+        refs += [write_trajectory(str(tmp_path), f"ref{i}.csv", traj)
+                 for i, traj in enumerate(trajs, 1)]
+        for path, ref in zip(paths, refs):
             assert Path(path).read_bytes() == Path(ref).read_bytes()
 
     def test_child_on_empty_stdin_writes_nothing(self, tmp_path):
@@ -367,6 +380,32 @@ class TestScenario:
             scenario(tmp_path, p_list=())
         with pytest.raises(ConfigError):
             scenario(tmp_path, p_list=(0.5,))
+
+    def test_kernels_csv_not_formatted_in_process(self, tmp_path, monkeypatch):
+        headers = []
+        real = _csvout.write_csv
+        monkeypatch.setattr(_csvout, "write_csv",
+                            lambda path, header, groups: headers.append(header)
+                            or real(path, header, groups))
+        cfg = scenario(tmp_path / "out")
+        assert run_scenario(cfg).passed
+        assert "x,y,k,l" not in headers and headers.count("t,x,value") == 1  # target.csv
+        ref = dump_kernel_csv(str(tmp_path / "ref.csv"), *verify.solve_kernels(cfg))
+        assert (tmp_path / "out" / "kernels.csv").read_bytes() == Path(ref).read_bytes()
+
+    def test_target_simulated_before_the_closed_loop_feed(self, tmp_path, monkeypatch):
+        # the closed-loop feed then finds the child done with kernels.csv
+        order = []
+        for owner, name in ((verify, "simulate_target"), (verify, "simulate_closed_loop"),
+                            (verify._WriterChild, "feed")):
+            def record(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                order.append(_name if _name != "feed" else ("feed", args[1]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, record)
+        assert run_scenario(scenario(tmp_path / "out")).passed
+        assert order == [("feed", _csvout.KERNELS), "simulate_target", "simulate_closed_loop",
+                         ("feed", _csvout.TRAJECTORY)]
 
 
 class TestAlfStage:
@@ -918,6 +957,19 @@ class TestCli:
             cli_main(["verify", "--config", str(path), "--p", "abc"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("old, new, flag, message", [
+        ("", "", "2,2.0000001", "p_list: 2.0 and 2.0000001 share the tag p2"),
+        ("p_list = 1 2 inf", "p_list = 2 2", None, "[verify] p_list: 2.0 and 2.0 share the tag p2"),
+        ("tau_list = 1e-1 1e-2", "tau_list = 1e-1 0.1", None,
+         "[verify] tau_list: 0.1 and 0.1 share the tag tau0.1")])
+    def test_values_sharing_a_tag_exit(self, tmp_path, capsys, old, new, flag, message):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(old, new))
+        argv = ["verify", "--config", str(path)] + (["--p", flag] if flag else [])
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "run").exists()  # rejected before any file is written
+
     @pytest.mark.parametrize("old, new", [("tol = 1e-9", "tol = 0"),
                                           ("max_iter = 60", "max_iter = 0"),
                                           ("n_xi = 101", "n_xi = 100"),
@@ -981,7 +1033,8 @@ class TestCli:
 
 
 class TestClosedLoopWriter:
-    """verify's closed_loop.csv child: its failures surface and it never outlives a call."""
+    """verify's writer child, of kernels.csv and then closed_loop.csv: its failures surface
+    and it never outlives a call."""
 
     @pytest.fixture
     def children(self, monkeypatch):
@@ -1003,11 +1056,14 @@ class TestClosedLoopWriter:
         path.write_text(text.replace(old, new))
         return path
 
-    @pytest.mark.parametrize("cause", ["directory", "spawn"])
-    def test_writer_failure_is_stage_artifacts(self, tmp_path, capsys, monkeypatch, cause):
+    @pytest.mark.parametrize("cause", ["directory", "spawn", "kernels_directory"])
+    def test_writer_failure_is_stage_artifacts(self, tmp_path, capsys, monkeypatch, children,
+                                               cause):
         path = self.config(tmp_path)
-        if cause == "directory":
-            (tmp_path / "run" / "closed_loop.csv").mkdir(parents=True)
+        # the message leads with the first file the writer did not write
+        name = "closed_loop.csv" if cause == "directory" else "kernels.csv"
+        if cause != "spawn":
+            (tmp_path / "run" / name).mkdir(parents=True)
             match = "exited with code 1: .*Is a directory"
         else:
             def no_spawn(*args, **kwargs):
@@ -1018,17 +1074,22 @@ class TestClosedLoopWriter:
         with pytest.raises(OSError, match=match) as exc:
             run_scenario(load_scenario(path))
         assert exc.value.stage == "artifacts"
-        assert "closed_loop.csv" in str(exc.value)
+        assert str(exc.value).startswith(f"{name}: ")
         manifest = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
         assert manifest[0] == "INCOMPLETE"
-        assert manifest[1].startswith("error: stage artifacts: closed_loop.csv: ")
-        assert "closed_loop.csv" not in manifest[2:]
+        assert manifest[1].startswith(f"error: stage artifacts: {name}: ")
+        # a failed writer leaves none of the files it was fed
+        assert not {"kernels.csv", "closed_loop.csv"} & set(manifest[2:])
+        assert not (tmp_path / "run" / "kernels.csv").is_file()
+        assert not (tmp_path / "run" / "closed_loop.csv").is_file()
         assert {"controls.csv", "target.csv", "trace_w_lp_p2.csv"} <= set(manifest[2:])
 
         assert cli_main(["verify", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("configuration error: stage artifacts: closed_loop.csv: ")
+        assert err[0].startswith(f"configuration error: stage artifacts: {name}: ")
+        assert len(children) == (0 if cause == "spawn" else 2)
+        assert all(child.returncode is not None for child in children)
 
     @pytest.mark.parametrize("case", ["pass", "validate", "writer", "kernel", "after_feed",
                                       "interrupt"])
@@ -1037,7 +1098,7 @@ class TestClosedLoopWriter:
         if case == "writer":
             out.mkdir(parents=True)
         if case in ("after_feed", "interrupt"):
-            # the child has the values and is writing when the call fails
+            # the child has the kernels and is writing them when the call fails
             error = KeyboardInterrupt if case == "interrupt" else simulator.DivergenceError
 
             def fail(*args, **kwargs):
@@ -1057,6 +1118,8 @@ class TestClosedLoopWriter:
         assert len(children) == (case != "validate")
         assert all(child.returncode is not None for child in children)
         assert out.is_file() == (case == "pass")
+        # a failed call leaves none of the child's files, kernels.csv included
+        assert (tmp_path / "run" / "kernels.csv").is_file() == (case == "pass")
         assert "Traceback" not in capfd.readouterr().err
         if case == "kernel":
             # an unfed child reads an empty stdin and exits 0
@@ -1152,6 +1215,38 @@ class TestBlasThreads:
             if found:
                 found[1](before)
         assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "ref")
+
+    @pytest.mark.parametrize("target", [False, True])
+    def test_simulate_on_one_thread(self, tmp_path, monkeypatch, openblas, target):
+        get, put = openblas
+        name = "simulate_target" if target else "simulate_closed_loop"
+        seen = []
+
+        def record(*args, _real=getattr(cli, name), **kwargs):
+            seen.append(get())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        put(2)
+        assert cli_main(["simulate", "--config", str(path)] + ["--target"] * target) == 0
+        assert seen == [1]
+        assert get() == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--target"]])
+    def test_simulate_artifacts_independent_of_thread_count(self, tmp_path, openblas, flags):
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "backstep.cli", "simulate", "--config",
+                                   str(DEFAULT_INI), "--out", str(out), *flags],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        assert ("target.csv" if flags else "closed_loop.csv") in trees[0]
 
     def test_artifacts_independent_of_thread_count(self, tmp_path, openblas):
         trees = []

@@ -11,7 +11,10 @@ where ``G0`` collects the boundary data and the source double integrals and
 ``Phi`` applies the reaction-weighted double integrals plus (for nonzero
 source f) two triple integrals.  Both share one table of s-integrals and one
 quadrature in xi; the triple integrals add one line sum per power of z in f
-and one shared matrix product.  Picard iteration of this map converges
+and one shared matrix product.  Their s-weights start with the fourth-order
+row (9, 19, -5, 1)/24 on [0, delta] (Brunner, *Collocation Methods for
+Volterra Integral Equations*, 2004), so the solve is fourth order with or
+without f.  Picard iteration of this map converges
 factorially; each increment obeys the certified bound :func:`tail_bound`.
 A large lattice starts from the solution on its half lattice (nested
 iteration), Richardson-extrapolated against the quarter lattice where there
@@ -21,6 +24,9 @@ Discretisation: one uniform lattice with the same spacing ``delta`` in xi
 and eta.  On that lattice every integration limit that appears in the
 equation (xi, eta, z + eta - s, 2 z - s, the diagonal) is itself a lattice
 node, so the sweeps reduce to cumulative quadrature without interpolation.
+(xi +- eta)/2 takes only the values k delta / 2, so each coefficient
+polynomial is evaluated once on those half nodes and read on the lattice
+through strided views.
 The lattice carries a few padding columns past xi = 2; the iterate extends
 smoothly there (coefficients are polynomials), which lets all derivative
 stencils on the closed region stay centered.  Values on the region are
@@ -99,6 +105,11 @@ class GoursatProblem:
         sign = self.conv_sign
         return sign * self.spec.lambda0 - fam.c1((xi + eta) / 2.0) + fam.c1((xi - eta) / 2.0)
 
+    def reaction_lattice(self, lat: "ChartLattice", at=np.s_[:, :]) -> np.ndarray:
+        """:meth:`reaction_chart` at the nodes ``at`` of ``lat``, from one c1 table on its half nodes."""
+        plus, minus = lat.chart_views(self.spec.family.c1(lat.half_nodes))
+        return self.conv_sign * self.spec.lambda0 - plus[at] + minus[at]
+
 
 @dataclass(frozen=True)
 class ChartLattice:
@@ -133,6 +144,16 @@ class ChartLattice:
     def mesh(self):
         return np.meshgrid(self.xi, self.eta)
 
+    @property
+    def half_nodes(self) -> np.ndarray:
+        """t_k = k delta / 2 for k = 1 - n_eta .. npts + n_eta - 2: every (xi +- eta) / 2."""
+        return np.arange(1 - self.n_eta, self.npts + self.n_eta - 1) * (self.delta / 2.0)
+
+    def chart_views(self, table: np.ndarray):
+        """(T[i + j], T[i - j]) at node (j, i) for a table T on ``half_nodes``: two strided views."""
+        V = sliding_window_view(table, self.npts)
+        return V[self.n_eta - 1:], V[self.n_eta - 1::-1]
+
     def region_mask(self) -> np.ndarray:
         """True on lattice nodes with eta <= xi <= 2 - eta."""
         i = np.arange(self.npts)[None, :]
@@ -161,22 +182,26 @@ def _double_parts(V: np.ndarray, lat: ChartLattice) -> np.ndarray:
     return out
 
 
+def _x_polys(f_poly, lat: ChartLattice) -> list[np.ndarray]:
+    """p_q = sum_p F[p, q] t^p on ``lat.half_nodes``, one table per power y^q of f(x, y)."""
+    t = lat.half_nodes
+    return [horner(t, col) for col in np.atleast_2d(np.asarray(f_poly, dtype=float)).T]
+
+
 def _psi_tables(f_poly: np.ndarray, lat: ChartLattice) -> list[np.ndarray]:
-    """Expand f((tau-s)/2, z-(tau+s)/2) = sum_r z^r * psi_r(tau, s) on the lattice."""
-    F = np.atleast_2d(np.asarray(f_poly, dtype=float))
-    xi, eta = lat.xi, lat.eta[:, None]
-    a = (xi - eta) / 2.0
-    bneg = -(xi + eta) / 2.0  # the z-free part of the second argument
-    n_q = F.shape[1]
-    a_polys = [horner(a, F[:, q]) for q in range(n_q)]
-    # each power once; the q = r term is a_polys[r] itself, since bneg ** 0 == 1
-    powers = [bneg ** k for k in range(1, n_q)]
+    """Expand f((tau-s)/2, z-(tau+s)/2) = sum_r z^r * psi_r(tau, s) on the lattice.
+
+    psi_r = sum_{q >= r} C(q, r) b^(q-r) p_q(a) with a = (tau-s)/2 and b = -(tau+s)/2;
+    p_q and each scaled power of b are tables on the half nodes, read as views.
+    """
+    t = lat.half_nodes
+    a_polys = [lat.chart_views(p)[1] for p in _x_polys(f_poly, lat)]
     tables = []
-    for r in range(n_q):
-        acc = np.zeros_like(a)
-        acc += a_polys[r]
-        for q in range(r + 1, n_q):
-            acc += math.comb(q, r) * powers[q - r - 1] * a_polys[q]
+    for r in range(len(a_polys)):
+        acc = np.zeros(a_polys[r].shape)
+        acc += a_polys[r]  # the q = r term, since b ** 0 == 1
+        for q in range(r + 1, len(a_polys)):
+            acc += lat.chart_views(math.comb(q, r) * (-t) ** (q - r))[0] * a_polys[q]
         tables.append(acc)
     return tables
 
@@ -186,11 +211,13 @@ def _line_sum(W: np.ndarray, Hs: np.ndarray, stride: int = 1) -> np.ndarray:
 
     ``Hs`` holds the lattice rows 0, stride, 2 stride, ... of a table H.
     Returns out[j, c] = sum_s W[j, s] Hs[s, c + (j - s)*stride] (columns
-    clipped to the lattice): skew the rows so each line becomes a column,
-    apply W once, read the skew back.  The skew is a strided view of one
-    padded copy of the rows: zeros on the left, read only where the
-    lower-triangular W is zero, and the edge column on the right, which is
-    the clip.
+    clipped to the lattice on the right): skew the rows so each line becomes
+    a column, apply W once, read the skew back.  The skew is a strided view
+    of one padded copy of the rows: the edge column on the right, which is
+    the clip; on the left, the two columns c = -1, -2 that a row of W
+    reaching two nodes past the diagonal reads (the starting row of
+    :func:`_source_weights`), each row's cubic through its columns 0..3,
+    and zeros beyond, read only where W is zero.
     """
     n, npts = Hs.shape
     pad = (n - 1) * stride
@@ -198,6 +225,8 @@ def _line_sum(W: np.ndarray, Hs: np.ndarray, stride: int = 1) -> np.ndarray:
     Hp = np.zeros((n, ncols + pad))
     Hp[:, pad:pad + npts] = Hs
     Hp[:, pad + npts:] = Hs[:, -1:]
+    Hp[:, pad - 1] = 4.0 * Hs[:, 0] - 6.0 * Hs[:, 1] + 4.0 * Hs[:, 2] - Hs[:, 3]
+    Hp[:, pad - 2] = 4.0 * Hp[:, pad - 1] - 6.0 * Hs[:, 0] + 4.0 * Hs[:, 1] - Hs[:, 2]
     skew = sliding_window_view(Hp.ravel(), ncols)[pad::ncols + pad - stride][:n]
     return sliding_window_view((W @ skew).ravel(), npts)[::ncols + stride]
 
@@ -210,6 +239,7 @@ def _source_table(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: Cha
     are differences of one cumulative table Cr per z-power of the expanded f, so
     S = sum_r xi^r _line_sum(WB, Cr) - WB @ sum_r xi^r Cr; xi^r scales each line
     sum after its read-back, so the clipped edge column is read unscaled.
+    ``WB`` is :func:`_source_weights`: its starting row makes S fourth order.
     """
     S = Csum = 0.0
     for r, ps in enumerate(psi):
@@ -220,13 +250,22 @@ def _source_table(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: Cha
     return S - WB @ Csum
 
 
+def _source_weights(lat: ChartLattice) -> np.ndarray:
+    """WB: :func:`volterra_matrix` with its row 1, the two-node trapezoid, replaced by
+    the fourth-order starting weights (9, 19, -5, 1)/24, which integrate cubics
+    over [0, delta] from the nodes 0..3."""
+    WB = volterra_matrix(lat.n_eta, lat.delta)
+    WB[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0 * lat.delta
+    return WB
+
+
 def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     fam = problem.spec.family
-    xi, eta = lat.xi, lat.eta[:, None]
-    s = xi + eta
-    G0 = 0.25 * problem.spec.lambda0 * s
+    G0 = 0.25 * problem.spec.lambda0 * (lat.xi + lat.eta[:, None])
     if not fam.f_is_zero:
-        ftil = fam.f(s / 2.0, (xi - eta) / 2.0)
+        # f((xi + eta)/2, (xi - eta)/2), Horner in y over the x-polynomials' tables
+        ftil = horner(lat.chart_views(lat.half_nodes)[1],
+                      [lat.chart_views(p)[0] for p in _x_polys(fam.f_poly, lat)])
         G0 += _double_parts(cumquad(ftil, lat.delta, axis=0), lat)
     return G0
 
@@ -574,12 +613,14 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
     Returns (G, increments, n_certified).  A cold solve is capped by
     :func:`remainder_bound`, a warm one by :func:`warm_remainder_bound` of
     its first increment.  ``where`` names the lattice in an error message;
-    an increment that is not finite raises at once, naming its sweep.
+    an increment that is not finite raises at once, naming its sweep.  The
+    reaction chart, G0 and the psi tables are read off tables on the half
+    nodes; the source's s-weights carry the fourth-order starting row.
     """
-    react = problem.reaction_chart(lat.xi, lat.eta[:, None])
+    react = problem.reaction_lattice(lat)
     fam = problem.spec.family
     psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-    WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
+    WB = None if fam.f_is_zero else _source_weights(lat)
     G0 = _g0_lattice(problem, lat)
     region = lat.region_mask()
     if start is None:
@@ -597,7 +638,7 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
             )
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by sweep
             G_next = G0 + _apply_phi(react, psi, WB, problem.conv_sign, G, lat)
-            increments.append(float(np.max(np.abs((G_next - G)[region]))))
+            increments.append(float(np.max(np.abs(G_next - G), where=region, initial=0.0)))
         if not math.isfinite(increments[-1]):
             raise ConvergenceError(
                 f"the increment of sweep {len(increments)} is {increments[-1]:g} on the "
@@ -703,6 +744,23 @@ class KernelResidual:
     n_points: int
 
 
+def _residual_source(problem: GoursatProblem, lat: ChartLattice, Gs: np.ndarray, st: int):
+    """f(x, y) + conv_sign int_y^x f(z, y) k(x, z) dz on :func:`residual`'s interior nodes.
+
+    ``Gs`` holds every ``st``-th lattice row; f(z, y) = sum_q y^q p_q(z) gives one
+    :func:`_line_sum` per q, with p_q, y^q and f read off tables on the half nodes.
+    """
+    t = lat.half_nodes
+    polys = _x_polys(problem.spec.family.f_poly, lat)
+    inner = np.s_[1:-1, st:-st]
+    W = volterra_matrix(len(Gs), st * lat.delta)
+    conv = sum(lat.chart_views(t ** q)[1][::st] * _line_sum(W, lat.chart_views(p)[1][::st] * Gs, st)
+               for q, p in enumerate(polys))
+    y = lat.chart_views(t)[1][::st][inner]
+    f = horner(y, [lat.chart_views(p)[0][::st][inner] for p in polys])
+    return f + problem.conv_sign * conv[inner]
+
+
 def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) -> KernelResidual:
     """Sup-norm residual of the kernel PDE at verification spacing ``h``.
 
@@ -727,15 +785,9 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     inner = (slice(st, lat.n_eta - st, st), slice(st, -st))
     gxe = (Gs[2:, 2 * st:] - Gs[2:, :-2 * st]
            - Gs[:-2, 2 * st:] + Gs[:-2, :-2 * st]) / (4.0 * (st * d) ** 2)
-    xi_i, eta_i = lat.xi[inner[1]], lat.eta[inner[0], None]
-    res = 4.0 * gxe - problem.reaction_chart(xi_i, eta_i) * G[inner]
+    res = 4.0 * gxe - problem.reaction_lattice(lat, inner) * G[inner]
     if not fam.f_is_zero:
-        Ys = (lat.xi - lat.eta[::st, None]) / 2.0  # y on the strided rows
-        F = np.asarray(fam.f_poly)
-        W = volterra_matrix(len(Gs), st * d)
-        conv = sum(Ys ** q * _line_sum(W, horner(Ys, F[:, q]) * Gs, st)
-                   for q in range(F.shape[1]))
-        res -= fam.f((xi_i + eta_i) / 2.0, Ys[1:-1, st:-st]) + problem.conv_sign * conv[1:-1, st:-st]
+        res -= _residual_source(problem, lat, Gs, st)
     inside = lat.region_mask()[inner]
     slope = np.gradient(grid.trace_diag, d, edge_order=2)
     bc_diag = float(np.max(np.abs(2.0 * slope - problem.spec.lambda0)))

@@ -95,7 +95,11 @@ def gronwall_bound(z0: float, q, h, times) -> np.ndarray:
     """Envelope of z' <= q(t) z + h(t): exp-integral form of the lemma.
 
     ``q`` and ``h`` are samples on ``times``; all inner integrals are
-    cumulative trapezoids, exact for the constant closed-form cases.
+    cumulative trapezoids, exact for the constant closed-form cases.  With
+    iq = int_0^t q, it is evaluated in blocks from a node b on, in which iq
+    moves by at most 600 from iq_b, as exp(iq - iq_b) (env_b + int_b^t
+    exp(iq_b - iq) h): no exponential overflows on a long run, and one block
+    makes the operations of exp(iq) (z0 + int_0^t exp(-iq) h).
     """
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
@@ -106,8 +110,15 @@ def gronwall_bound(z0: float, q, h, times) -> np.ndarray:
     h = np.broadcast_to(np.asarray(h, dtype=float), times.shape)
     dt = np.diff(times)
     iq = cumtrapz(q, dt)
-    inner = cumtrapz(np.exp(-iq) * h, dt)
-    return np.exp(iq) * (z0 + inner)
+    env, b, zb = np.empty_like(iq), 0, z0
+    while True:
+        far = np.flatnonzero(np.abs(iq[b:] - iq[b]) > 600.0)
+        e = b + max(far[0] - 1, 1) if far.size else len(iq) - 1  # the block's last node
+        d = iq[b:e + 1] - iq[b]
+        env[b:e + 1] = np.exp(d) * (zb + cumtrapz(np.exp(-d) * h[b:e + 1], dt[b:e]))
+        if e == len(iq) - 1:
+            return env
+        b, zb = e, env[e]
 
 
 @dataclass(frozen=True)

@@ -170,11 +170,16 @@ class TestValidate:
 
 
 def polyval_psi_tables(f_poly, lat):
-    """The psi tables with npoly.polyval on the meshgrid: the reference for Horner."""
+    """The psi tables with npoly.polyval on the lattice: the reference for Horner.
+
+    The arguments are gathered from the half nodes k delta / 2 that the sweep
+    tabulates, (xi - eta)/2 at k = i - j and (xi + eta)/2 at k = i + j.
+    """
     F = np.atleast_2d(np.asarray(f_poly, dtype=float))
-    XI, ETA = lat.mesh()
-    a = (XI - ETA) / 2.0
-    bneg = -(XI + ETA) / 2.0
+    i, j = np.arange(lat.npts)[None, :], np.arange(lat.n_eta)[:, None]
+    t = np.arange(1 - lat.n_eta, lat.npts + lat.n_eta - 1) * (lat.delta / 2.0)
+    a = t[i - j + lat.n_eta - 1]
+    bneg = -t[i + j + lat.n_eta - 1]
     n_q = F.shape[1]
     a_polys = [npoly.polyval(a, F[:, q]) for q in range(n_q)]
     tables = []

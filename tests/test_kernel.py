@@ -1,14 +1,16 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.special import iv, jv
 
 from backstep import kernel
 from backstep._quad import cumquad, volterra_matrix
-from backstep.coefficients import CoefficientFamily, ProblemSpec
+from backstep.coefficients import CoefficientFamily, ProblemSpec, horner
 from backstep.kernel import (
     ChartLattice,
     ConvergenceError,
@@ -18,6 +20,8 @@ from backstep.kernel import (
     _g0_lattice,
     _line_sum,
     _psi_tables,
+    _residual_source,
+    _source_weights,
     bound_constant_M,
     kernel_constants,
     picard_solve,
@@ -28,9 +32,11 @@ from backstep.kernel import (
     tail_bound,
     warm_remainder_bound,
 )
-from backstep.verify import dump_kernel_csv
+from backstep.verify import dump_kernel_csv, load_scenario
 
 from conftest import zero_spec
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def bessel_direct(lambda0, xi, eta):
@@ -47,12 +53,12 @@ def bessel_inverse(lambda0, xi, eta):
 
 
 def apply_phi(prob, values, n_xi):
-    """One application of the sweep operator Phi to lattice values."""
+    """One application of the sweep operator Phi to lattice values, with the sweep's operands."""
     lat = ChartLattice(n_xi)
     fam = prob.spec.family
     psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-    WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
-    return _apply_phi(prob.reaction_chart(*lat.mesh()), psi, WB, prob.conv_sign, values, lat)
+    WB = None if fam.f_is_zero else _source_weights(lat)
+    return _apply_phi(prob.reaction_lattice(lat), psi, WB, prob.conv_sign, values, lat)
 
 
 class TestGInitial:
@@ -122,16 +128,25 @@ class TestPhiOperator:
         assert self.source_error(((1.0,),), unit, 41) < 1e-13
         coarse = self.source_error(((0.0, 1.0),), linear_y, 41)
         assert coarse < 5e-6
-        assert self.source_error(((0.0, 1.0),), linear_y, 81) < coarse / 4
+        # fourth order: the starting row of WB (a trapezoid there dropped by 8)
+        fine = self.source_error(((0.0, 1.0),), linear_y, 81)
+        assert fine < coarse / 12
+        assert self.source_error(((0.0, 1.0),), linear_y, 161) < fine / 12
 
 
 def gather_line_sum(W, H, stride=1):
-    """The line sum by explicit index gathers: the skewed rows, clipped columns, read back."""
+    """The line sum by explicit index gathers: the skewed rows, clipped columns, read back.
+
+    Columns -2 and -1 hold each row's cubic extrapolation (npoly.polyfit through
+    columns 0..3); further left the gather clips to column -2, where W is zero.
+    """
     Hs = H[::stride]
     n, npts = Hs.shape
+    ext = npoly.polyval(np.array([-2.0, -1.0]), npoly.polyfit(np.arange(4.0), Hs[:, :4].T, 3))
+    He = np.hstack([ext, Hs])
     s = np.arange(n)[:, None]
-    skew = np.clip(np.arange(npts + (n - 1) * stride) - s * stride, 0, npts - 1)
-    return np.take_along_axis(W @ Hs[s, skew], np.arange(npts) + s * stride, axis=1)
+    skew = np.clip(np.arange(npts + (n - 1) * stride) - s * stride, -2, npts - 1) + 2
+    return np.take_along_axis(W @ He[s, skew], np.arange(npts) + s * stride, axis=1)
 
 
 class TestLineSum:
@@ -144,6 +159,21 @@ class TestLineSum:
         H[:, -1] = 10.0 + np.arange(lat.n_eta)
         W = volterra_matrix(len(H[::stride]), stride * lat.delta)
         assert np.array_equal(_line_sum(W, H[::stride], stride), gather_line_sum(W, H, stride))
+
+    @pytest.mark.parametrize("n_xi", [33, 201, 801])
+    def test_starting_row_reads_the_cubic_extension(self, rng, n_xi):
+        # row 1 of WB reaches s = 3, two columns left of the lattice at c = 0
+        lat = ChartLattice(n_xi)
+        H = rng.standard_normal((lat.n_eta, lat.npts))
+        WB = _source_weights(lat)
+        out, ref = _line_sum(WB, H), gather_line_sum(WB, H)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # where each row is a cubic in xi, the extension is that cubic at xi < 0
+        coef = rng.standard_normal((4, lat.n_eta))
+        cubics = npoly.polyval(lat.xi, coef)  # row s: the cubic of column s of coef
+        exact = [sum(WB[1, s] * npoly.polyval((c + 1 - s) * lat.delta, coef[:, s])
+                     for s in range(4)) for c in (0, 1)]
+        assert np.allclose(_line_sum(WB, cubics)[1, :2], exact, rtol=1e-13, atol=0.0)
 
 
 def per_power_phi(react, psi, WB, conv_sign, G, lat):
@@ -177,8 +207,8 @@ class TestFoldedSweep:
         lat = ChartLattice(n_xi)
         fam = spec.family
         psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-        WB = None if fam.f_is_zero else volterra_matrix(lat.n_eta, lat.delta)
-        return prob.reaction_chart(*lat.mesh()), psi, WB, prob.conv_sign, lat
+        WB = None if fam.f_is_zero else _source_weights(lat)
+        return prob.reaction_lattice(lat), psi, WB, prob.conv_sign, lat
 
     @pytest.mark.parametrize("n_xi", [33, 201])
     @pytest.mark.parametrize("orientation", ["direct", "inverse"])
@@ -473,6 +503,13 @@ class TestNested:
             cold, _, _ = kernel._sweeps(prob, lat, None, grid.bound_M, NEST_TOL, 80, "")
             assert np.max(np.abs((grid.values_xieta - cold)[lat.region_mask()])) < 10 * NEST_TOL
 
+    def test_source_xy_sweeps_at_801(self):
+        # the starting row of WB makes the f != 0 solve fourth order, as the /16
+        # extrapolation assumes: 8/5/3/2 sweeps with a trapezoid there
+        spec = load_scenario(REPO / "bench" / "source_xy.ini").spec
+        grid = picard_solve(GoursatProblem.direct(spec), n_xi=801, tol=NEST_TOL, max_iter=80)
+        assert grid.level_sweeps == (8, 5, 2, 1)
+
     def test_prolong_exact_for_cubics(self):
         def cubic(xi, eta):
             return 1.0 - 0.5 * xi + xi ** 3 - 2.0 * xi * eta ** 2 + 0.7 * eta ** 3
@@ -670,3 +707,94 @@ class TestValuesAt:
         y = np.array([0.212, 0.004, 0.899])
         series = series_oracle(10.0, 2.0, x + y, x - y, 25)
         assert np.max(np.abs(k.values_at(x, y) - series)) < 1e-6
+
+
+def meshgrid_psi_tables(f_poly, lat):
+    """The psi tables from the coordinates of the lattice meshgrid: the half-node tables' reference."""
+    F = np.atleast_2d(np.asarray(f_poly, dtype=float))
+    XI, ETA = lat.mesh()
+    a, bneg = (XI - ETA) / 2.0, -(XI + ETA) / 2.0
+    a_polys = [horner(a, F[:, q]) for q in range(F.shape[1])]
+    return [sum(math.comb(q, r) * bneg ** (q - r) * a_polys[q] for q in range(r, F.shape[1]))
+            for r in range(F.shape[1])]
+
+
+def meshgrid_residual_source(prob, lat, Gs, st):
+    """residual()'s f terms from the coordinates of the lattice: the half-node tables' reference."""
+    fam = prob.spec.family
+    xi_i, eta_i = lat.xi[st:-st], lat.eta[st:lat.n_eta - st:st, None]
+    Ys = (lat.xi - lat.eta[::st, None]) / 2.0
+    F = np.asarray(fam.f_poly)
+    W = volterra_matrix(len(Gs), st * lat.delta)
+    conv = sum(Ys ** q * _line_sum(W, horner(Ys, F[:, q]) * Gs, st) for q in range(F.shape[1]))
+    return fam.f((xi_i + eta_i) / 2.0, Ys[1:-1, st:-st]) + prob.conv_sign * conv[1:-1, st:-st]
+
+
+def assert_close_rel(got, ref, rel=1e-14):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestNodeTables:
+    """Coefficient tables on the half nodes k delta / 2 against the meshgrid formulas."""
+
+    SPEC = ProblemSpec(CoefficientFamily(c1_poly=(0.3, -1.2, 0.8, 0.5),
+                                         f_poly=((1.0, 0.2, -0.4), (0.3, 0.5, 0.1), (-0.2, 0.0, 0.7))),
+                       lambda0=4.0)
+
+    def test_half_nodes_and_views(self):
+        lat = ChartLattice(33)
+        plus, minus = lat.chart_views(lat.half_nodes)
+        XI, ETA = lat.mesh()
+        assert plus.shape == minus.shape == XI.shape
+        assert np.array_equal(plus * 2.0 / lat.delta, np.rint((XI + ETA) / lat.delta))
+        assert np.array_equal(minus * 2.0 / lat.delta, np.rint((XI - ETA) / lat.delta))
+        assert not plus.flags.writeable and np.shares_memory(plus, minus)
+
+    @pytest.mark.parametrize("n_xi", [33, 201, 801])
+    @pytest.mark.parametrize("orientation", ["direct", "inverse"])
+    def test_reaction(self, n_xi, orientation):
+        prob, lat = GoursatProblem(orientation, self.SPEC), ChartLattice(n_xi)
+        assert_close_rel(prob.reaction_lattice(lat), prob.reaction_chart(*lat.mesh()))
+        inner = np.s_[2:lat.n_eta - 2:2, 2:-2]
+        assert np.array_equal(prob.reaction_lattice(lat, inner), prob.reaction_lattice(lat)[inner])
+
+    @pytest.mark.parametrize("n_xi", [33, 201, 801])
+    def test_psi_tables(self, n_xi):
+        lat = ChartLattice(n_xi)
+        got, ref = _psi_tables(self.SPEC.family.f_poly, lat), meshgrid_psi_tables(
+            self.SPEC.family.f_poly, lat)
+        assert len(got) == len(ref) == 3
+        for g, r in zip(got, ref):
+            assert_close_rel(g, r)
+
+    @pytest.mark.parametrize("n_xi", [33, 201, 801])
+    def test_g0_source_table(self, n_xi):
+        prob, lat = GoursatProblem.direct(self.SPEC), ChartLattice(n_xi)
+        XI, ETA = lat.mesh()
+        s = XI + ETA
+        ref = 0.25 * self.SPEC.lambda0 * s + _double_parts(
+            cumquad(self.SPEC.family.f(s / 2.0, (XI - ETA) / 2.0), lat.delta, axis=0), lat)
+        assert_close_rel(_g0_lattice(prob, lat), ref)
+
+    @pytest.mark.parametrize("n_xi", [33, 201, 801])
+    @pytest.mark.parametrize("st", [1, 2])
+    @pytest.mark.parametrize("orientation", ["direct", "inverse"])
+    def test_residual_source(self, n_xi, st, orientation):
+        prob, lat = GoursatProblem(orientation, self.SPEC), ChartLattice(n_xi)
+        Gs = _g0_lattice(prob, lat)[::st]
+        assert_close_rel(_residual_source(prob, lat, Gs, st),
+                         meshgrid_residual_source(prob, lat, Gs, st))
+
+
+class TestSourceWeights:
+    def test_starting_row(self):
+        lat = ChartLattice(41)
+        WB, W = _source_weights(lat), volterra_matrix(lat.n_eta, lat.delta)
+        # only row 1 differs: it integrates cubics over [0, delta] from the nodes 0..3
+        assert np.array_equal(np.delete(WB, 1, axis=0), np.delete(W, 1, axis=0))
+        assert np.count_nonzero(WB[1]) == 4
+        for k in range(4):
+            assert WB[1] @ lat.eta ** k == pytest.approx(lat.delta ** (k + 1) / (k + 1), rel=1e-14)
+        # every other caller keeps the trapezoid row: the transforms read zeros above the diagonal
+        assert np.array_equal(W[1, :2], [0.5 * lat.delta] * 2) and not np.any(W[1, 2:])

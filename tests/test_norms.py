@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from backstep._quad import cumtrapz
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
 from backstep.simulator import SimConfig, Trajectory, simulate_target
@@ -171,6 +172,25 @@ class TestGronwall:
         iq = cumulative_trapezoid(q, t, initial=0.0)
         inner = cumulative_trapezoid(np.exp(-iq) * h, t, initial=0.0)
         assert np.array_equal(gronwall_bound(0.7, q, h, t), np.exp(iq) * (0.7 + inner))
+
+    def test_long_run_finite(self, rng):
+        # int q reaches -2000: exp(-iq) alone leaves the float range from -709 on
+        t = np.cumsum(rng.uniform(0.005, 0.015, 100000))
+        h = 1.0 + 0.5 * np.sin(t)
+        env = gronwall_bound(0.7, -2.0, h, t)
+        assert np.all(np.isfinite(env))
+        # where the one-block form is finite, the blocks agree with it
+        iq = cumtrapz(np.full_like(t, -2.0), np.diff(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_block = np.exp(iq) * (0.7 + cumtrapz(np.exp(-iq) * h, np.diff(t)))
+        ok = np.isfinite(one_block)
+        assert ok.sum() > 30000
+        assert np.max(np.abs(env[ok] - one_block[ok]) / one_block[ok]) < 1e-12
+        # bit-identical up to the first block end, the last node before int q passes -600
+        n = np.flatnonzero(iq < -600.0)[0]
+        assert np.array_equal(env[:n], gronwall_bound(0.7, -2.0, h[:n], t[:n]))
+        # late on, the envelope is forced by h in [0.5, 1.5]: it stays in [0.25, 0.75]
+        assert np.all((env[-1000:] > 0.25) & (env[-1000:] < 0.75))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -12,21 +12,17 @@ from .coefficients import (
     ProblemSpec,
     ValidationError,
     lambda_lower,
-    sup_c,
 )
 from .kernel import (
     ConvergenceError,
     GoursatProblem,
     KernelGrid,
-    bound_constant_M,
     kernel_constants,
     picard_solve,
     residual,
-    series_coefficients,
     series_oracle,
-    tail_bound,
 )
-from .norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
+from .norms import NormTrace, alf, gronwall_bound, norm_trace, rho
 from .simulator import (
     DivergenceError,
     SimConfig,

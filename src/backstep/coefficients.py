@@ -36,11 +36,6 @@ def horner(x, coeffs):
     return out
 
 
-def horner2d(x, y, F):
-    """sum F[i, j] x^i y^j: :func:`horner` in x per column, then in y (``npoly.polyval2d``'s order)."""
-    return horner(y, [horner(x, col) for col in np.asarray(F).T])
-
-
 class ValidationError(ValueError):
     """A problem specification violates an admissibility condition."""
 
@@ -115,7 +110,8 @@ class CoefficientFamily:
 
     def f(self, x, y):
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = horner2d(xb, yb, self.f_poly)
+        # horner in x per column of f_poly, then in y: npoly.polyval2d's order, to the bit
+        out = horner(yb, [horner(xb, col) for col in np.asarray(self.f_poly).T])
         return out if np.ndim(out) else float(out)
 
     @property

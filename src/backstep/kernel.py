@@ -99,14 +99,9 @@ class GoursatProblem:
     def conv_sign(self) -> float:
         return 1.0 if self.orientation == "direct" else -1.0
 
-    def reaction_chart(self, xi, eta):
-        """Reaction weight in characteristic coordinates (any real args)."""
-        fam = self.spec.family
-        sign = self.conv_sign
-        return sign * self.spec.lambda0 - fam.c1((xi + eta) / 2.0) + fam.c1((xi - eta) / 2.0)
-
     def reaction_lattice(self, lat: "ChartLattice", at=np.s_[:, :]) -> np.ndarray:
-        """:meth:`reaction_chart` at the nodes ``at`` of ``lat``, from one c1 table on its half nodes."""
+        """Reaction weight conv_sign lambda0 - c1((xi + eta)/2) + c1((xi - eta)/2) at the nodes
+        ``at`` of ``lat``, from one c1 table on its half nodes."""
         plus, minus = lat.chart_views(self.spec.family.c1(lat.half_nodes))
         return self.conv_sign * self.spec.lambda0 - plus[at] + minus[at]
 
@@ -154,11 +149,15 @@ class ChartLattice:
         V = sliding_window_view(table, self.npts)
         return V[self.n_eta - 1:], V[self.n_eta - 1::-1]
 
-    def region_mask(self) -> np.ndarray:
-        """True on lattice nodes with eta <= xi <= 2 - eta."""
+    @cached_property
+    def _region_mask(self) -> np.ndarray:
         i = np.arange(self.npts)[None, :]
         j = np.arange(self.n_eta)[:, None]
-        return (i >= j) & (i <= self.n_xi - 1 - j)
+        return _read_only((i >= j) & (i <= self.n_xi - 1 - j))
+
+    def region_mask(self) -> np.ndarray:
+        """True on lattice nodes with eta <= xi <= 2 - eta; formed once per lattice, read-only."""
+        return self._region_mask
 
 
 # --------------------------------------------------------------------------
@@ -259,14 +258,21 @@ def _source_weights(lat: ChartLattice) -> np.ndarray:
     return WB
 
 
+def _f_lattice(f_poly, lat: ChartLattice, at=np.s_[:, :]) -> np.ndarray:
+    """f((xi + eta)/2, (xi - eta)/2) at the nodes ``at`` of ``lat``.
+
+    Horner in y over the x-polynomials' tables on the half nodes, each view
+    sliced to ``at`` first.
+    """
+    return horner(lat.chart_views(lat.half_nodes)[1][at],
+                  [lat.chart_views(p)[0][at] for p in _x_polys(f_poly, lat)])
+
+
 def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     fam = problem.spec.family
     G0 = 0.25 * problem.spec.lambda0 * (lat.xi + lat.eta[:, None])
     if not fam.f_is_zero:
-        # f((xi + eta)/2, (xi - eta)/2), Horner in y over the x-polynomials' tables
-        ftil = horner(lat.chart_views(lat.half_nodes)[1],
-                      [lat.chart_views(p)[0] for p in _x_polys(fam.f_poly, lat)])
-        G0 += _double_parts(cumquad(ftil, lat.delta, axis=0), lat)
+        G0 += _double_parts(cumquad(_f_lattice(fam.f_poly, lat), lat.delta, axis=0), lat)
     return G0
 
 
@@ -744,21 +750,19 @@ class KernelResidual:
     n_points: int
 
 
-def _residual_source(problem: GoursatProblem, lat: ChartLattice, Gs: np.ndarray, st: int):
-    """f(x, y) + conv_sign int_y^x f(z, y) k(x, z) dz on :func:`residual`'s interior nodes.
+def _residual_source(problem: GoursatProblem, lat: ChartLattice, Gs: np.ndarray, st: int, inner):
+    """f(x, y) + conv_sign int_y^x f(z, y) k(x, z) dz on :func:`residual`'s interior nodes ``inner``.
 
-    ``Gs`` holds every ``st``-th lattice row; f(z, y) = sum_q y^q p_q(z) gives one
-    :func:`_line_sum` per q, with p_q, y^q and f read off tables on the half nodes.
+    ``Gs`` holds every ``st``-th lattice row, and the lattice index ``inner`` reads its
+    rows 1 .. -2; f(z, y) = sum_q y^q p_q(z) gives one :func:`_line_sum` per q, with p_q,
+    y^q and f read off tables on the half nodes.
     """
     t = lat.half_nodes
-    polys = _x_polys(problem.spec.family.f_poly, lat)
-    inner = np.s_[1:-1, st:-st]
+    f_poly = problem.spec.family.f_poly
     W = volterra_matrix(len(Gs), st * lat.delta)
     conv = sum(lat.chart_views(t ** q)[1][::st] * _line_sum(W, lat.chart_views(p)[1][::st] * Gs, st)
-               for q, p in enumerate(polys))
-    y = lat.chart_views(t)[1][::st][inner]
-    f = horner(y, [lat.chart_views(p)[0][::st][inner] for p in polys])
-    return f + problem.conv_sign * conv[inner]
+               for q, p in enumerate(_x_polys(f_poly, lat)))
+    return _f_lattice(f_poly, lat, inner) + problem.conv_sign * conv[1:-1, st:-st]
 
 
 def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) -> KernelResidual:
@@ -787,7 +791,7 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
            - Gs[:-2, 2 * st:] + Gs[:-2, :-2 * st]) / (4.0 * (st * d) ** 2)
     res = 4.0 * gxe - problem.reaction_lattice(lat, inner) * G[inner]
     if not fam.f_is_zero:
-        res -= _residual_source(problem, lat, Gs, st)
+        res -= _residual_source(problem, lat, Gs, st, inner)
     inside = lat.region_mask()[inner]
     slope = np.gradient(grid.trace_diag, d, edge_order=2)
     bc_diag = float(np.max(np.abs(2.0 * slope - problem.spec.lambda0)))

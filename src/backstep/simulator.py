@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import volterra_matrix
-from .coefficients import ProblemSpec, horner2d
+from .coefficients import CoefficientFamily, ProblemSpec
 from .kernel import KernelGrid
 from .transforms import Profile, feedback_row
 
@@ -178,14 +178,13 @@ def simulate_target(spec: ProblemSpec, u0: Profile, cfg: SimConfig) -> Trajector
     return Trajectory(*_crank_nicolson(spec, u0.values, cfg, shift=spec.lambda0))
 
 
-def _source_operator(f_poly, m: int) -> np.ndarray | None:
+def _source_operator(fam: CoefficientFamily, m: int) -> np.ndarray | None:
     """Matrix of w -> int_0^x w(y) f(x, y) dy by cumulative trapezoid; None if f = 0."""
-    F = np.atleast_2d(np.asarray(f_poly, dtype=float))
-    if not np.any(F):
+    if fam.f_is_zero:
         return None
     x = np.linspace(0.0, 1.0, m)
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    vals = np.where(yy <= xx, horner2d(xx, np.minimum(yy, xx), F), 0.0)
+    vals = np.where(yy <= xx, fam.f(xx, np.minimum(yy, xx)), 0.0)
     return volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
 
 
@@ -209,7 +208,7 @@ def simulate_closed_loop(
     the initial sup-norm (of the whole block).
     """
     row = None if open_loop else feedback_row(k, cfg.grid_m)
-    source = _source_operator(spec.family.f_poly, cfg.grid_m)
+    source = _source_operator(spec.family, cfg.grid_m)
     values = w0.values if isinstance(w0, Profile) else w0
     times, fields = _crank_nicolson(spec, values, cfg, row=row, source=source)
     controls = np.zeros(fields.shape[:1] + fields.shape[2:]) if row is None else (

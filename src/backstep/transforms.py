@@ -136,9 +136,9 @@ def check_compatibility(w0: Profile, k: KernelGrid) -> CompatibilityReport:
     just pollutes a short transient.
     """
     v, h = w0.values, w0.h
-    left = abs((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
+    left = abs(float((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)))
     right = abs(_flux_residual(w0, feedback_row(k, w0.grid_m)))
-    return CompatibilityReport(left < 1e-3 and right < 1e-3, float(left), float(right))
+    return CompatibilityReport(left < 1e-3 and right < 1e-3, left, right)
 
 
 def _flux_residual(p: Profile, r: np.ndarray) -> float:

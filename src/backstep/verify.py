@@ -385,15 +385,7 @@ class DecayReport:
     def to_json(self) -> str:
         payload = asdict(self)
         payload["passed"] = self.passed
-
-        def default(o):
-            if isinstance(o, (np.floating, np.integer)):
-                return float(o)
-            if isinstance(o, np.bool_):
-                return bool(o)
-            raise TypeError(type(o).__name__)
-
-        return json.dumps(payload, indent=2, default=default)
+        return json.dumps(payload, indent=2)
 
 
 # --------------------------------------------------------------------------

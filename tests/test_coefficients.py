@@ -27,14 +27,20 @@ def c_of(spec, x, t):
     return spec.family.c1(x) + spec.family.c2(t)
 
 
+def reaction_of(spec, conv_sign, x, y):
+    """Reaction weight conv_sign lambda0 - c1((xi + eta)/2) + c1((xi - eta)/2), xi = x + y, eta = x - y."""
+    xi, eta = x + y, x - y
+    return conv_sign * spec.lambda0 - spec.family.c1((xi + eta) / 2.0) + spec.family.c1((xi - eta) / 2.0)
+
+
 def mu_of(spec, x, y):
     """Direct-kernel reaction weight lambda0 - c1(x) + c1(y) at (x, y)."""
-    return GoursatProblem.direct(spec).reaction_chart(x + y, x - y)
+    return reaction_of(spec, GoursatProblem.direct(spec).conv_sign, x, y)
 
 
 def phi_of(spec, x, y):
     """Inverse-kernel reaction weight -lambda0 - c1(x) + c1(y) at (x, y)."""
-    return GoursatProblem.inverse(spec).reaction_chart(x + y, x - y)
+    return reaction_of(spec, GoursatProblem.inverse(spec).conv_sign, x, y)
 
 
 class TestC2Integral:
@@ -250,4 +256,4 @@ class TestHorner:
         xx, yy = np.meshgrid(x, x, indexing="ij")
         vals = np.where(yy <= xx, npoly.polyval2d(xx, np.minimum(yy, xx), F), 0.0)
         ref = simulator.volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
-        assert np.array_equal(simulator._source_operator(F, m), ref)
+        assert np.array_equal(simulator._source_operator(CoefficientFamily(f_poly=F), m), ref)

@@ -755,9 +755,27 @@ class TestNodeTables:
     @pytest.mark.parametrize("orientation", ["direct", "inverse"])
     def test_reaction(self, n_xi, orientation):
         prob, lat = GoursatProblem(orientation, self.SPEC), ChartLattice(n_xi)
-        assert_close_rel(prob.reaction_lattice(lat), prob.reaction_chart(*lat.mesh()))
+        XI, ETA = lat.mesh()
+        c1 = self.SPEC.family.c1
+        ref = prob.conv_sign * self.SPEC.lambda0 - c1((XI + ETA) / 2.0) + c1((XI - ETA) / 2.0)
+        assert_close_rel(prob.reaction_lattice(lat), ref)
         inner = np.s_[2:lat.n_eta - 2:2, 2:-2]
         assert np.array_equal(prob.reaction_lattice(lat, inner), prob.reaction_lattice(lat)[inner])
+
+    @pytest.mark.parametrize("n_xi", [33, 201])
+    def test_region_mask_once_per_lattice(self, n_xi):
+        lat = ChartLattice(n_xi)
+        mask = lat.region_mask()
+        assert mask is lat.region_mask() and not mask.flags.writeable
+        XI, ETA = lat.mesh()
+        assert np.array_equal(mask, (XI - ETA > -lat.delta / 2) & (XI + ETA < 2.0 + lat.delta / 2))
+        assert ChartLattice(n_xi).region_mask() is not mask  # a new lattice forms its own
+
+    def test_residual_reads_the_solve_mask(self):
+        grid = picard_solve(GoursatProblem.direct(self.SPEC), n_xi=65, tol=1e-10, max_iter=80)
+        mask = vars(grid.lattice)["_region_mask"]  # formed by the sweeps
+        residual(grid, GoursatProblem.direct(self.SPEC))
+        assert grid.lattice.region_mask() is mask
 
     @pytest.mark.parametrize("n_xi", [33, 201, 801])
     def test_psi_tables(self, n_xi):
@@ -783,7 +801,8 @@ class TestNodeTables:
     def test_residual_source(self, n_xi, st, orientation):
         prob, lat = GoursatProblem(orientation, self.SPEC), ChartLattice(n_xi)
         Gs = _g0_lattice(prob, lat)[::st]
-        assert_close_rel(_residual_source(prob, lat, Gs, st),
+        inner = np.s_[st:lat.n_eta - st:st, st:-st]
+        assert_close_rel(_residual_source(prob, lat, Gs, st, inner),
                          meshgrid_residual_source(prob, lat, Gs, st))
 
 

@@ -1,4 +1,5 @@
 """Smoke tests of the scripts: they load against the package and run."""
+import ast
 import json
 import runpy
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+BENCH = SCRIPTS.parent / "bench"
 
 
 def load(name: str) -> dict:
@@ -88,3 +90,23 @@ def test_reference_runs(tmp_path):
     assert refs["run"]("oracle_rx2", tmp_path) == 0
     assert (tmp_path / "oracle_rx2" / "oracle.csv").stat().st_size > 0
     assert refs["main"]([]) == 2
+
+
+def test_public_surface():
+    """backstep exports every name the benchmark imports, and none that only tests reach."""
+    import backstep
+    from backstep import verify
+
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "backstep"
+                for alias in node.names}
+    assert imported and all(hasattr(backstep, name) for name in imported)
+    # the names the benchmark's tracer wraps in backstep.verify
+    for name in ("picard_solve", "dump_kernel_csv", "make_compatible", "check_compatibility",
+                 "initial_target_data", "simulate_closed_loop", "simulate_target",
+                 "norm_trace", "alf", "rho", "gronwall_bound"):
+        assert callable(getattr(verify, name)), name
+    for name in ("sup_c", "bound_constant_M", "series_coefficients", "tail_bound",
+                 "lp_norm", "w1p_norm"):
+        assert not hasattr(backstep, name), name

@@ -409,6 +409,19 @@ class TestScenario:
                          ("feed", _csvout.TRAJECTORY)]
 
 
+    def test_incompatible_datum_reports_ok_false(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(DEFAULT_INI.read_text().replace(
+            "family = bump\ncenter = 0.5\nwidth = 0.3\nheight = 1.0\nadjust_compatibility = true",
+            "family = polynomial\ncoeffs = 1 1\nadjust_compatibility = false"))
+        cfg = dataclasses.replace(load_scenario(path), outputs=str(tmp_path / "out"))
+        run_scenario(cfg)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["compatibility"]["ok"] is False
+        assert report["compatibility"]["residual_left"] == pytest.approx(1.0)
+        assert (tmp_path / "out" / "MANIFEST.txt").read_text().startswith("complete")
+
+
 class TestAlfStage:
     """The ALF checks of run_scenario equal a per-(p, tau) reference evaluation."""
 
@@ -747,6 +760,23 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(path), "--open-loop",
                          "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "closed_loop.csv").exists()
+
+    def test_refine_two_doubles_the_grids(self):
+        base = load_scenario(DEFAULT_INI)
+        cfg = cli._load(cli.build_parser().parse_args(
+            ["verify", "--config", str(DEFAULT_INI), "--refine", "2"]))
+        assert (cfg.kernel.n_xi, cfg.sim.grid_m, cfg.sim.dt, cfg.sim.record_stride) == (
+            801, 401, 6.25e-6, 400)
+        assert dataclasses.replace(cfg.kernel, n_xi=base.kernel.n_xi) == base.kernel
+        assert dataclasses.replace(cfg.sim, grid_m=base.sim.grid_m, dt=base.sim.dt,
+                                   record_stride=base.sim.record_stride) == base.sim
+        assert dataclasses.replace(cfg, kernel=base.kernel, sim=base.sim) == base
+
+    def test_refine_one_keeps_the_config(self):
+        base = load_scenario(DEFAULT_INI)
+        assert cli._refine(base, 1) is base
+        assert cli._load(cli.build_parser().parse_args(
+            ["verify", "--config", str(DEFAULT_INI), "--refine", "1"])) == base
 
     def test_refine_below_one_exit(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -11,8 +11,12 @@ file, and the decimal numbers (with a point or an exponent) in any other
 text file.  The relative difference of a CSV column is its largest
 absolute difference over the largest magnitude in either column, so a
 near-zero entry is measured on the scale of its column; that of a JSON
-leaf or a number in text is |a - b| / max(|a|, |b|).  A nan differs from
-any number by inf and equals another nan.  Every other field
+leaf or a number in text is |a - b| / max(|a|, |b|), and it is ranked only
+if max(|a|, |b|) is at least 1e-9 of the largest magnitude in the file, so
+that a rounding move of a near-zero residual does not hide the real
+moves.  The smaller numbers that moved are counted on the line instead, as
+``(N smaller moved)``.  A nan differs from any number by inf and equals
+another nan.  Every other field
 must be equal: a CSV header, a non-numeric column, a JSON key, string,
 bool or integer, the text around the numbers.  Exits 1 if a file is
 missing from either tree or a non-float field differs, and 2 on a usage
@@ -29,6 +33,10 @@ from pathlib import Path
 # a decimal number with a point or an exponent; an integer is matched whole
 # (and compared as text) so that its digits are not read as a float
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|\d+)")
+
+
+#: a JSON leaf or a number in text below this fraction of the file's largest is not ranked
+SMALL = 1e-9
 
 
 class Mismatch(Exception):
@@ -94,32 +102,39 @@ def _text_groups(old: str, new: str):
     if _NUMBER.split(old) != _NUMBER.split(new):
         raise Mismatch("text differs")
     for k, (a, b) in enumerate(zip(_NUMBER.findall(old), _NUMBER.findall(new))):
-        if a != b:
-            if not any(c in a + b for c in ".eE"):
-                raise Mismatch(f"integer {a} != {b}")
+        if any(c in a + b for c in ".eE"):
             yield f"number {k}", [float(a)], [float(b)]
+        elif a != b:
+            raise Mismatch(f"integer {a} != {b}")
 
 
-def compare(old: Path, new: Path) -> tuple[float, float, str]:
+def compare(old: Path, new: Path) -> tuple[float, float, str, int]:
     """Max absolute and relative difference of the float fields of two files,
-    and the field of the largest relative one.
+    the field of the largest relative one, and how many numbers below
+    ``SMALL`` of the file's largest magnitude moved (none in a CSV).
 
     Raises Mismatch if any other field differs.
     """
     a, b = old.read_text(), new.read_text()
     if old.suffix == ".csv":
-        groups = _csv_groups(a, b)
+        groups = list(_csv_groups(a, b))
     elif old.suffix == ".json":
-        groups = _json_groups(json.loads(a), json.loads(b))
+        groups = list(_json_groups(json.loads(a), json.loads(b)))
     else:
-        groups = _text_groups(a, b)
-    dabs, drel, where = 0.0, 0.0, ""
+        groups = list(_text_groups(a, b))
+    floor = 0.0
+    if old.suffix != ".csv":
+        floor = SMALL * max((abs(v) for _, x, y in groups for v in x + y if math.isfinite(v)),
+                            default=0.0)
+    dabs, drel, where, small = 0.0, 0.0, "", 0
     for field, x, y in groups:
         d = _group_diff(x, y)
         dabs = max(dabs, d[0])
-        if d[1] > drel:
+        if max(map(abs, x + y)) < floor:
+            small += d[0] > 0.0
+        elif d[1] > drel:
             drel, where = d[1], field
-    return dabs, drel, where
+    return dabs, drel, where, small
 
 
 def _files(root: Path) -> set:
@@ -142,12 +157,13 @@ def main(argv=None) -> int:
             print(f"identical  {rel}")
         else:
             try:
-                dabs, drel, where = compare(po, pn)
+                dabs, drel, where, small = compare(po, pn)
             except Mismatch as exc:
                 print(f"{rel}  unequal: {exc}")
                 status = 1
             else:
-                print(f"{rel}  max abs {dabs:.3e}  max rel {drel:.3e} at {where}")
+                print(f"{rel}  max abs {dabs:.3e}  max rel {drel:.3e} at {where or '-'}"
+                      + (f"  ({small} smaller moved)" if small else ""))
     return status
 
 

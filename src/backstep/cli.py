@@ -6,7 +6,8 @@ unwritable output directory, a failed artifact writer, such as
 too large for memory included), 3 numerical failure (a float overflow,
 a norm trace or envelope that is not finite and a Picard stop at a
 rounding floor included).  A failure inside ``verify`` names its
-pipeline stage.  ``verify`` and ``simulate`` run on one OpenBLAS thread.
+pipeline stage.  Every command runs on one OpenBLAS thread, so that its
+artifacts do not depend on the caller's thread count.
 """
 from __future__ import annotations
 
@@ -64,6 +65,7 @@ def _load(args) -> ScenarioConfig:
     return _refine(config, args.refine)
 
 
+@one_blas_thread()
 def _cmd_kernel(args) -> int:
     config = _load(args)
     os.makedirs(config.outputs, exist_ok=True)
@@ -127,6 +129,7 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_BOUND
 
 
+@one_blas_thread()
 def _cmd_oracle(args) -> int:
     config = _load(args)
     if args.out:

@@ -173,11 +173,9 @@ def _double_parts(V: np.ndarray, lat: ChartLattice) -> np.ndarray:
     """
     d = lat.delta
     rows = np.arange(lat.n_eta)
-    Q = cumquad(V[rows, rows], d)
-    out = cumquad(V, d, axis=1)
-    out -= out[rows, rows][:, None]  # P, in place
-    out *= 0.25
-    out += 0.5 * Q[:, None]
+    out = cumquad(V, 0.25 * d, axis=1)  # 0.25 P, once the diagonal is subtracted
+    out -= out[rows, rows][:, None]
+    out += cumquad(V[rows, rows], 0.5 * d)[:, None]
     return out
 
 
@@ -205,48 +203,37 @@ def _psi_tables(f_poly: np.ndarray, lat: ChartLattice) -> list[np.ndarray]:
     return tables
 
 
-def _line_sum(W: np.ndarray, Hs: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Quadrature along the lattice lines xi + eta = const.
+class _LineSum:
+    """Quadrature along the lattice lines xi + eta = const, its buffers formed once.
 
-    ``Hs`` holds the lattice rows 0, stride, 2 stride, ... of a table H.
-    Returns out[j, c] = sum_s W[j, s] Hs[s, c + (j - s)*stride] (columns
-    clipped to the lattice on the right): skew the rows so each line becomes
-    a column, apply W once, read the skew back.  The skew is a strided view
-    of one padded copy of the rows: the edge column on the right, which is
-    the clip; on the left, the two columns c = -1, -2 that a row of W
-    reaching two nodes past the diagonal reads (the starting row of
-    :func:`_source_weights`), each row's cubic through its columns 0..3,
-    and zeros beyond, read only where W is zero.
+    Called on ``Hs``, the lattice rows 0, stride, 2 stride, ... of a table H, it
+    returns out[j, c] = sum_s W[j, s] Hs[s, c + (j - s)*stride] (columns clipped
+    to the lattice on the right): skew the rows so each line becomes a column,
+    apply W once, read the skew back.  The skew is a strided view of one padded
+    row buffer: the edge column on the right, which is the clip; on the left,
+    the two columns c = -1, -2 that a row of W reaching two nodes past the
+    diagonal reads (the starting row of :func:`_source_weights`), each row's
+    cubic through its columns 0..3, and zeros beyond, read only where W is
+    zero.  The result is a view of one product buffer, valid until the next call.
     """
-    n, npts = Hs.shape
-    pad = (n - 1) * stride
-    ncols = npts + pad
-    Hp = np.zeros((n, ncols + pad))
-    Hp[:, pad:pad + npts] = Hs
-    Hp[:, pad + npts:] = Hs[:, -1:]
-    Hp[:, pad - 1] = 4.0 * Hs[:, 0] - 6.0 * Hs[:, 1] + 4.0 * Hs[:, 2] - Hs[:, 3]
-    Hp[:, pad - 2] = 4.0 * Hp[:, pad - 1] - 6.0 * Hs[:, 0] + 4.0 * Hs[:, 1] - Hs[:, 2]
-    skew = sliding_window_view(Hp.ravel(), ncols)[pad::ncols + pad - stride][:n]
-    return sliding_window_view((W @ skew).ravel(), npts)[::ncols + stride]
 
+    def __init__(self, W: np.ndarray, npts: int, stride: int = 1):
+        n, pad = len(W), (len(W) - 1) * stride
+        ncols = npts + pad
+        self.W, Hp, self._prod = W, np.zeros((n, ncols + pad)), np.empty((n, ncols))
+        self._rows, self._right = Hp[:, pad:pad + npts], Hp[:, pad + npts:]
+        self._left = Hp[:, pad - 2:pad]
+        self._skew = sliding_window_view(Hp.ravel(), ncols)[pad::ncols + pad - stride][:n]
+        self._back = sliding_window_view(self._prod.ravel(), npts, writeable=True)[::ncols + stride]
 
-def _source_table(G: np.ndarray, psi: list[np.ndarray], WB: np.ndarray, lat: ChartLattice):
-    """S[j,i] = int_0^{eta_j} ds int_z^{z+eta_j-s} H(tau,s,z) dtau at z = xi_i.
-
-    H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s).  The xi-quadrature of S
-    (:func:`_double_parts`) is both source triple integrals.  The tau-integrals
-    are differences of one cumulative table Cr per z-power of the expanded f, so
-    S = sum_r xi^r _line_sum(WB, Cr) - WB @ sum_r xi^r Cr; xi^r scales each line
-    sum after its read-back, so the clipped edge column is read unscaled.
-    ``WB`` is :func:`_source_weights`: its starting row makes S fourth order.
-    """
-    S = Csum = 0.0
-    for r, ps in enumerate(psi):
-        Cr = cumquad(ps * G, lat.delta, axis=1)
-        xr = lat.xi ** r
-        S = S + xr * _line_sum(WB, Cr)
-        Csum = Csum + xr * Cr
-    return S - WB @ Csum
+    def __call__(self, Hs: np.ndarray) -> np.ndarray:
+        H, left = self._rows, self._left
+        H[...] = Hs
+        self._right[...] = H[:, -1:]
+        left[:, 1] = 4.0 * H[:, 0] - 6.0 * H[:, 1] + 4.0 * H[:, 2] - H[:, 3]
+        left[:, 0] = 4.0 * left[:, 1] - 6.0 * H[:, 0] + 4.0 * H[:, 1] - H[:, 2]
+        np.matmul(self.W, self._skew, out=self._prod)
+        return self._back
 
 
 def _source_weights(lat: ChartLattice) -> np.ndarray:
@@ -276,12 +263,49 @@ def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
     return G0
 
 
-def _apply_phi(react, psi, WB, conv_sign, G, lat):
-    """Phi(G): one xi-quadrature of V = int_0^{eta_j} react G ds plus, for f != 0, +-S."""
-    V = cumquad(react * G, lat.delta, axis=0)
-    if psi is not None:
-        V += conv_sign * _source_table(G, psi, WB, lat)
-    return _double_parts(V, lat)
+class _SweepOperator:
+    """Everything a Picard sweep on ``lat`` reads except G, formed once per lattice.
+
+    ``g0``, the reaction chart and, for f != 0, the psi tables, the x^r rows and
+    one :class:`_LineSum` of :func:`_source_weights`, whose buffers every z-power
+    shares.  A sweep is ``g0 + phi(G)``.
+    """
+
+    def __init__(self, problem: GoursatProblem, lat: ChartLattice):
+        fam = problem.spec.family
+        self.lat, self.sign = lat, problem.conv_sign
+        self.g0 = _g0_lattice(problem, lat)
+        self.react = problem.reaction_lattice(lat)
+        self.psi = [] if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
+        self.xr = [lat.xi ** r for r in range(len(self.psi))]
+        if self.psi:
+            self.lines = _LineSum(_source_weights(lat), lat.npts)
+
+    def phi(self, G: np.ndarray) -> np.ndarray:
+        """Phi(G) = :func:`_double_parts` of V = int_0^{eta_j} react G ds + conv_sign S.
+
+        S[j,i] = int_0^{eta_j} ds int_z^{z+eta_j-s} H(tau,s,z) dtau at z = xi_i, for
+        f != 0, with H(tau,s,z) = f((tau-s)/2, z-(tau+s)/2) G(tau,s): both source
+        triple integrals.  The tau-integrals are differences of one cumulative table
+        Cr per z-power of the expanded f, so S = sum_r xi^r lines(Cr) - WB @ sum_r
+        xi^r Cr; xi^r scales each line sum after its read-back, so the clipped edge
+        column is read unscaled.
+        """
+        V = cumquad(self.react * G, self.lat.delta, axis=0)
+        add, sub = (np.add, np.subtract) if self.sign > 0 else (np.subtract, np.add)
+        for r, (ps, xr) in enumerate(zip(self.psi, self.xr)):
+            Cr = cumquad(ps * G, self.lat.delta, axis=1)
+            line = self.lines(Cr)
+            if r:  # xi^0 = 1 scales nothing
+                line *= xr
+                Cr *= xr
+                Csum += Cr
+            else:
+                Csum = Cr
+            add(V, line, out=V)
+        if self.psi:
+            sub(V, self.lines.W @ Csum, out=V)
+        return _double_parts(V, self.lat)
 
 
 # --------------------------------------------------------------------------
@@ -619,18 +643,13 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
     Returns (G, increments, n_certified).  A cold solve is capped by
     :func:`remainder_bound`, a warm one by :func:`warm_remainder_bound` of
     its first increment.  ``where`` names the lattice in an error message;
-    an increment that is not finite raises at once, naming its sweep.  The
-    reaction chart, G0 and the psi tables are read off tables on the half
-    nodes; the source's s-weights carry the fourth-order starting row.
+    an increment that is not finite raises at once, naming its sweep.  One
+    :class:`_SweepOperator` holds what every sweep on ``lat`` reads but G.
     """
-    react = problem.reaction_lattice(lat)
-    fam = problem.spec.family
-    psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-    WB = None if fam.f_is_zero else _source_weights(lat)
-    G0 = _g0_lattice(problem, lat)
+    op = _SweepOperator(problem, lat)
     region = lat.region_mask()
     if start is None:
-        G, n_cert = G0, _certified_sweeps(lambda n: remainder_bound(n, M, 2.0, 0.0), 0, tol)
+        G, n_cert = op.g0, _certified_sweeps(lambda n: remainder_bound(n, M, 2.0, 0.0), 0, tol)
     else:
         G, n_cert = start, math.inf  # until the first increment fixes the warm cap
     increments: list[float] = []
@@ -643,7 +662,8 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
                 last_increment=increments[-1],
             )
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by sweep
-            G_next = G0 + _apply_phi(react, psi, WB, problem.conv_sign, G, lat)
+            G_next = op.phi(G)
+            G_next += op.g0
             increments.append(float(np.max(np.abs(G_next - G), where=region, initial=0.0)))
         if not math.isfinite(increments[-1]):
             raise ConvergenceError(
@@ -754,13 +774,13 @@ def _residual_source(problem: GoursatProblem, lat: ChartLattice, Gs: np.ndarray,
     """f(x, y) + conv_sign int_y^x f(z, y) k(x, z) dz on :func:`residual`'s interior nodes ``inner``.
 
     ``Gs`` holds every ``st``-th lattice row, and the lattice index ``inner`` reads its
-    rows 1 .. -2; f(z, y) = sum_q y^q p_q(z) gives one :func:`_line_sum` per q, with p_q,
+    rows 1 .. -2; f(z, y) = sum_q y^q p_q(z) gives one :class:`_LineSum` call per q, with p_q,
     y^q and f read off tables on the half nodes.
     """
     t = lat.half_nodes
     f_poly = problem.spec.family.f_poly
-    W = volterra_matrix(len(Gs), st * lat.delta)
-    conv = sum(lat.chart_views(t ** q)[1][::st] * _line_sum(W, lat.chart_views(p)[1][::st] * Gs, st)
+    lines = _LineSum(volterra_matrix(len(Gs), st * lat.delta), lat.npts, st)
+    conv = sum(lat.chart_views(t ** q)[1][::st] * lines(lat.chart_views(p)[1][::st] * Gs)
                for q, p in enumerate(_x_polys(f_poly, lat)))
     return _f_lattice(f_poly, lat, inner) + problem.conv_sign * conv[1:-1, st:-st]
 
@@ -771,7 +791,7 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     ``h`` must be a lattice multiple; the stencil strides the lattice so
     kernel values enter exactly.  For nonzero f the convolution
     int_y^x f(z, y) k(x, z) dz runs along the strided lines xi + eta = const,
-    one :func:`_line_sum` per y-power of f(z, y) = sum_q y^q sum_p F[p, q] z^p.
+    one :class:`_LineSum` call per y-power of f(z, y) = sum_q y^q sum_p F[p, q] z^p.
     """
     lat = grid.lattice
     d = lat.delta

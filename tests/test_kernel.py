@@ -15,13 +15,13 @@ from backstep.kernel import (
     ChartLattice,
     ConvergenceError,
     GoursatProblem,
-    _apply_phi,
     _double_parts,
     _g0_lattice,
-    _line_sum,
+    _LineSum,
     _psi_tables,
     _residual_source,
     _source_weights,
+    _SweepOperator,
     bound_constant_M,
     kernel_constants,
     picard_solve,
@@ -32,7 +32,7 @@ from backstep.kernel import (
     tail_bound,
     warm_remainder_bound,
 )
-from backstep.verify import dump_kernel_csv, load_scenario
+from backstep.verify import dump_kernel_csv, load_scenario, solve_kernels
 
 from conftest import zero_spec
 
@@ -53,12 +53,8 @@ def bessel_inverse(lambda0, xi, eta):
 
 
 def apply_phi(prob, values, n_xi):
-    """One application of the sweep operator Phi to lattice values, with the sweep's operands."""
-    lat = ChartLattice(n_xi)
-    fam = prob.spec.family
-    psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
-    WB = None if fam.f_is_zero else _source_weights(lat)
-    return _apply_phi(prob.reaction_lattice(lat), psi, WB, prob.conv_sign, values, lat)
+    """One application of Phi to lattice values, by the sweep operator of the lattice."""
+    return _SweepOperator(prob, ChartLattice(n_xi)).phi(values)
 
 
 class TestGInitial:
@@ -158,7 +154,7 @@ class TestLineSum:
         # the clip reads the last column past the lattice: give it distinct values
         H[:, -1] = 10.0 + np.arange(lat.n_eta)
         W = volterra_matrix(len(H[::stride]), stride * lat.delta)
-        assert np.array_equal(_line_sum(W, H[::stride], stride), gather_line_sum(W, H, stride))
+        assert np.array_equal(_LineSum(W, lat.npts, stride)(H[::stride]), gather_line_sum(W, H, stride))
 
     @pytest.mark.parametrize("n_xi", [33, 201, 801])
     def test_starting_row_reads_the_cubic_extension(self, rng, n_xi):
@@ -166,14 +162,27 @@ class TestLineSum:
         lat = ChartLattice(n_xi)
         H = rng.standard_normal((lat.n_eta, lat.npts))
         WB = _source_weights(lat)
-        out, ref = _line_sum(WB, H), gather_line_sum(WB, H)
+        lines = _LineSum(WB, lat.npts)
+        out, ref = lines(H), gather_line_sum(WB, H)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         # where each row is a cubic in xi, the extension is that cubic at xi < 0
         coef = rng.standard_normal((4, lat.n_eta))
         cubics = npoly.polyval(lat.xi, coef)  # row s: the cubic of column s of coef
         exact = [sum(WB[1, s] * npoly.polyval((c + 1 - s) * lat.delta, coef[:, s])
                      for s in range(4)) for c in (0, 1)]
-        assert np.allclose(_line_sum(WB, cubics)[1, :2], exact, rtol=1e-13, atol=0.0)
+        assert np.allclose(lines(cubics)[1, :2], exact, rtol=1e-13, atol=0.0)
+
+
+    def test_buffers_carry_nothing_between_calls(self, rng):
+        # one padded row buffer and one product buffer serve every call
+        lat = ChartLattice(65)
+        WB = _source_weights(lat)
+        lines = _LineSum(WB, lat.npts)
+        for shift in (10.0, -3.0):
+            H = rng.standard_normal((lat.n_eta, lat.npts))
+            H[:, -1] = shift + np.arange(lat.n_eta)
+            ref = gather_line_sum(WB, H)
+            assert np.max(np.abs(lines(H) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def per_power_phi(react, psi, WB, conv_sign, G, lat):
@@ -202,32 +211,42 @@ class TestFoldedSweep:
 
     @staticmethod
     def operands(f_poly, orientation, n_xi):
+        """The sweep operator, and the per-power composition's operands formed apart from it."""
         spec = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.3, -0.2), f_poly=f_poly), 2.0)
         prob = GoursatProblem(orientation, spec)
         lat = ChartLattice(n_xi)
         fam = spec.family
         psi = None if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
         WB = None if fam.f_is_zero else _source_weights(lat)
-        return prob.reaction_lattice(lat), psi, WB, prob.conv_sign, lat
+        return _SweepOperator(prob, lat), prob.reaction_lattice(lat), psi, WB, prob.conv_sign, lat
 
     @pytest.mark.parametrize("n_xi", [33, 201])
     @pytest.mark.parametrize("orientation", ["direct", "inverse"])
     @pytest.mark.parametrize("f_poly", [((0.5, 0.2), (0.1, -0.3)),
                                         ((1.0, 0.2, -0.4), (0.3, 0.5, 0.1), (-0.2, 0.0, 0.7))])
     def test_agrees_with_per_power_composition(self, rng, n_xi, orientation, f_poly):
-        react, psi, WB, sign, lat = self.operands(f_poly, orientation, n_xi)
+        op, react, psi, WB, sign, lat = self.operands(f_poly, orientation, n_xi)
         G = rng.standard_normal((lat.n_eta, lat.npts))
         ref = per_power_phi(react, psi, WB, sign, G, lat)[lat.region_mask()]
-        out = _apply_phi(react, psi, WB, sign, G, lat)[lat.region_mask()]
+        out = op.phi(G)[lat.region_mask()]
         assert np.max(np.abs(out - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("orientation", ["direct", "inverse"])
     def test_f0_bit_equal_to_double_parts(self, rng, orientation):
-        react, psi, WB, sign, lat = self.operands(((0.0,),), orientation, 201)
+        op, react, psi, WB, sign, lat = self.operands(((0.0,),), orientation, 201)
         G = rng.standard_normal((lat.n_eta, lat.npts))
-        out = _apply_phi(react, psi, WB, sign, G, lat)
+        out = op.phi(G)
         assert np.array_equal(out, per_power_phi(react, psi, WB, sign, G, lat))
         assert np.array_equal(out, _double_parts(cumquad(react * G, lat.delta, axis=0), lat))
+
+    @pytest.mark.parametrize("orientation", ["direct", "inverse"])
+    def test_operator_carries_nothing_between_sweeps(self, rng, orientation):
+        f_poly = ((1.0, 0.2, -0.4), (0.3, 0.5, 0.1), (-0.2, 0.0, 0.7))
+        op, *_, lat = self.operands(f_poly, orientation, 33)
+        G1, G2 = rng.standard_normal((2, lat.n_eta, lat.npts))
+        first = op.phi(G1)
+        assert np.array_equal(op.phi(G2), self.operands(f_poly, orientation, 33)[0].phi(G2))
+        assert np.array_equal(first, op.phi(G1))
 
     @pytest.mark.parametrize("n_xi", [33, 41, 201, 401, 801, 1601])
     def test_diagonal_nodes_bit_equal(self, n_xi):
@@ -237,10 +256,10 @@ class TestFoldedSweep:
 
     def test_cumquad_calls_per_sweep(self, rng, monkeypatch):
         f_poly = ((1.0, 0.2, -0.4), (0.3, 0.5, 0.1), (-0.2, 0.0, 0.7))
-        react, psi, WB, sign, lat = self.operands(f_poly, "direct", 33)
+        op, react, psi, WB, sign, lat = self.operands(f_poly, "direct", 33)
         calls = []
         monkeypatch.setattr(kernel, "cumquad", lambda *a, **k: calls.append(1) or cumquad(*a, **k))
-        _apply_phi(react, psi, WB, sign, rng.standard_normal((lat.n_eta, lat.npts)), lat)
+        op.phi(rng.standard_normal((lat.n_eta, lat.npts)))
         assert len(psi) == 3 and len(calls) == len(psi) + 3
 
 
@@ -510,6 +529,23 @@ class TestNested:
         grid = picard_solve(GoursatProblem.direct(spec), n_xi=801, tol=NEST_TOL, max_iter=80)
         assert grid.level_sweeps == (8, 5, 2, 1)
 
+    @pytest.mark.parametrize("config, sweeps", [("scripts/configs/default.ini", (8, 3, 2, 1)),
+                                                ("scripts/configs/oracle_rx2.ini", (11, 7, 5, 2))])
+    def test_direct_sweeps_at_801(self, config, sweeps):
+        # pinned, so that a rounding move in a sweep cannot change a count unseen
+        spec = load_scenario(REPO / config).spec
+        grid = picard_solve(GoursatProblem.direct(spec), n_xi=801, tol=NEST_TOL, max_iter=80)
+        assert grid.level_sweeps == sweeps
+
+    @pytest.mark.parametrize("config, k_sweeps, l_sweeps", [
+        ("scripts/configs/default.ini", (8, 3, 2), (8, 4, 2)),
+        ("bench/source_xy.ini", (8, 5, 2), (8, 5, 2)),
+        ("scripts/configs/oracle_rx2.ini", (11, 7), (11, 7)),
+    ])
+    def test_reference_sweeps(self, config, k_sweeps, l_sweeps):
+        k, l = solve_kernels(load_scenario(REPO / config))
+        assert (k.level_sweeps, l.level_sweeps) == (k_sweeps, l_sweeps)
+
     def test_prolong_exact_for_cubics(self):
         def cubic(xi, eta):
             return 1.0 - 0.5 * xi + xi ** 3 - 2.0 * xi * eta ** 2 + 0.7 * eta ** 3
@@ -726,7 +762,8 @@ def meshgrid_residual_source(prob, lat, Gs, st):
     Ys = (lat.xi - lat.eta[::st, None]) / 2.0
     F = np.asarray(fam.f_poly)
     W = volterra_matrix(len(Gs), st * lat.delta)
-    conv = sum(Ys ** q * _line_sum(W, horner(Ys, F[:, q]) * Gs, st) for q in range(F.shape[1]))
+    lines = _LineSum(W, lat.npts, st)
+    conv = sum(Ys ** q * lines(horner(Ys, F[:, q]) * Gs) for q in range(F.shape[1]))
     return fam.f((xi_i + eta_i) / 2.0, Ys[1:-1, st:-st]) + prob.conv_sign * conv[1:-1, st:-st]
 
 

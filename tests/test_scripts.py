@@ -55,6 +55,23 @@ def test_artifact_diff(tmp_path, capsys):
     ]
 
 
+def test_artifact_diff_ranks_on_the_file_scale(tmp_path, capsys):
+    # a near-zero residual that moves by most of itself must not hide the real move
+    old = write_tree(tmp_path / "old", {
+        "log.txt": "residual 5.9e-15, k 1.0 of 100.0\n",
+        "report.json": json.dumps({"residual": 5.9e-15, "k": 1.0, "norm": 100.0}),
+    })
+    new = write_tree(tmp_path / "new", {
+        "log.txt": "residual 2.8e-16, k 1.0000000000001 of 100.0\n",
+        "report.json": json.dumps({"residual": 2.8e-16, "k": 1.0000000000001, "norm": 100.0}),
+    })
+    assert load("artifact_diff.py")["main"]([old, new]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "log.txt  max abs 9.992e-14  max rel 9.992e-14 at number 1  (1 smaller moved)",
+        "report.json  max abs 9.992e-14  max rel 9.992e-14 at $.k  (1 smaller moved)",
+    ]
+
+
 @pytest.mark.parametrize("rel, text", [
     ("a.csv", "t,name,value\n0,r,1e-20\n0.5,q,2.0\n"),  # a non-numeric column
     ("a.csv", "t,value\n0,1e-20\n"),  # the header

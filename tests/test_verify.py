@@ -720,6 +720,21 @@ class TestCli:
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    def test_bound_violation_exit(self, tmp_path, capsys, monkeypatch):
+        # a zero kernel in the closed loop leaves the plant uncontrolled: exactly
+        # its two L^p envelopes fail, and the run still writes every artifact
+        def zero_kernel(spec, k, *args, _real=verify.simulate_closed_loop):
+            return _real(spec, dataclasses.replace(k, values_xieta=np.zeros_like(k.values_xieta)),
+                         *args)
+
+        monkeypatch.setattr(verify, "simulate_closed_loop", zero_kernel)
+        out = tmp_path / "run"
+        assert cli_main(["verify", "--config", str(DEFAULT_INI), "--out", str(out)]) == 1
+        failed = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
+                  if "[FAIL]" in line]
+        assert failed == ["envelope_w_lp_p1", "envelope_w_lp_p2"]
+        assert (out / "MANIFEST.txt").read_text().splitlines()[0] == "complete"
+
     def test_config_error_exit(self, tmp_path, capsys):
         code = cli_main(["verify", "--config", str(tmp_path / "missing.ini")])
         assert code == 2
@@ -1281,6 +1296,23 @@ class TestBlasThreads:
         put(2)
         assert cli_main(["simulate", "--config", str(path)] + ["--target"] * target) == 0
         assert seen == [1]
+        assert get() == 2
+
+    @pytest.mark.parametrize("command", ["kernel", "oracle"])
+    def test_kernel_and_oracle_on_one_thread(self, tmp_path, monkeypatch, openblas, command):
+        get, put = openblas
+        seen = []
+
+        def record(*args, _real=verify.picard_solve, **kwargs):
+            seen.append(get())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "picard_solve", record)
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        put(2)
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert seen == ([1, 1] if command == "kernel" else [1])
         assert get() == 2
 
     @pytest.mark.parametrize("flags", [[], ["--target"]])

@@ -65,7 +65,6 @@ def _load(args) -> ScenarioConfig:
     return _refine(config, args.refine)
 
 
-@one_blas_thread()
 def _cmd_kernel(args) -> int:
     config = _load(args)
     os.makedirs(config.outputs, exist_ok=True)
@@ -93,7 +92,6 @@ def _cmd_kernel(args) -> int:
     return EXIT_PASS
 
 
-@one_blas_thread()
 def _cmd_simulate(args) -> int:
     config = _load(args)
     os.makedirs(config.outputs, exist_ok=True)
@@ -129,7 +127,6 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_BOUND
 
 
-@one_blas_thread()
 def _cmd_oracle(args) -> int:
     config = _load(args)
     if args.out:
@@ -184,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with one_blas_thread():
+            return args.fn(args)
     except (ConfigError, ValidationError, OSError, MemoryError) as exc:
         print(f"configuration error: {failure_text(exc)}", file=sys.stderr)
         return EXIT_CONFIG

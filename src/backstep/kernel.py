@@ -470,8 +470,10 @@ class KernelGrid:
     they always agree with ``values_xieta``: ``n_xi``, ``delta``, ``x_nodes``,
     ``iterations_used`` and ``final_increment``; the kernel on the uniform
     triangle grid x_m = m delta (``values_xy``, zero above the diagonal) and
-    its k_x (``kx_xy()``), each formed once, on first read, and read-only;
-    ``trace_diag``, k(x, x), and ``trace_kx1``, k_x(1, y).
+    its k_x (``kx_xy``), each formed once, on first read, and read-only;
+    ``trace_diag``, k(x, x), and ``trace_kx1``, k_x(1, y).  These images are
+    the one exact read: a profile grid on the lattice takes strided views of
+    them.  ``values_at`` and ``kx1_at`` interpolate at arbitrary points.
     """
 
     lattice: ChartLattice
@@ -507,12 +509,9 @@ class KernelGrid:
         return _read_only(_triangle(self.values_xieta))
 
     @cached_property
-    def _kx_xy(self) -> np.ndarray:
-        return _read_only(_triangle(_kx_chart(self.values_xieta, self.delta)))
-
     def kx_xy(self) -> np.ndarray:
         """k_x on the values_xy grid via chain-rule lattice differences."""
-        return self._kx_xy
+        return _read_only(_triangle(_kx_chart(self.values_xieta, self.delta)))
 
     @property
     def trace_diag(self) -> np.ndarray:
@@ -521,44 +520,20 @@ class KernelGrid:
 
     @property
     def trace_kx1(self) -> np.ndarray:
-        """k_x(1, y): the last row of kx_xy()."""
-        return self.kx_xy()[-1]
-
-    def node_index(self, t) -> np.ndarray | None:
-        """Indices t / delta of coordinates t on the delta-spaced lattice.
-
-        None unless every coordinate is within 1e-9 of a lattice node: the
-        one test of whether a read is exact or interpolated.
-        """
-        s = np.asarray(t, dtype=float) / self.delta
-        i = np.rint(s).astype(int)
-        return i if np.all(np.abs(s - i) < 1e-9) else None
+        """k_x(1, y): the last row of kx_xy."""
+        return self.kx_xy[-1]
 
     def values_at(self, x, y) -> np.ndarray:
-        """Kernel values at arbitrary triangle points.
-
-        Exact lattice reads when the points sit on the chart lattice;
-        otherwise separable cubic Lagrange interpolation.
-        """
+        """Kernel values at arbitrary triangle points, by separable cubic Lagrange
+        interpolation of the chart lattice (exact to rounding at its nodes)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        iu = self.node_index(x + y)
-        iv = self.node_index(x - y)
-        if iu is not None and iv is not None:
-            return self.values_xieta[iv, iu]
         return _lagrange4_2d(self.values_xieta, (x + y) / self.delta, (x - y) / self.delta)
 
     def kx1_at(self, y) -> np.ndarray:
-        """Derivative trace k_x(1, y) at arbitrary y in [0, 1].
-
-        Exact reads of ``trace_kx1`` when every y sits on the lattice;
-        otherwise cubic Lagrange interpolation along the trace.
-        """
-        y = np.asarray(y, dtype=float)
-        idx = self.node_index(y)
-        if idx is not None:
-            return self.trace_kx1[idx]
-        b, w = _stencil(y / self.delta, self.lattice.n_eta)
+        """k_x(1, y) at arbitrary y in [0, 1], by cubic Lagrange interpolation
+        along ``trace_kx1`` (exact to rounding at its nodes)."""
+        b, w = _stencil(np.asarray(y, dtype=float) / self.delta, self.lattice.n_eta)
         return sum(w[..., a] * self.trace_kx1[b + a] for a in range(4))
 
 
@@ -746,7 +721,7 @@ def kernel_constants(k: KernelGrid, l: KernelGrid) -> KernelConstants:
         return (
             float(np.max(np.abs(g.values_xy))),
             float(np.max(np.abs(g.trace_diag))),
-            float(np.max(np.abs(g.kx_xy()))),
+            float(np.max(np.abs(g.kx_xy))),
         )
 
     a1, a2, a3 = three(k)

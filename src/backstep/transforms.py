@@ -3,10 +3,11 @@
 The forward map adds a lower-triangular integral of the kernel k, the
 inverse map subtracts the analogous l-integral; composing the two is the
 identity in the continuum.  Profiles live on uniform grids of [0, 1].
-Kernel values and the trace k_x(1, y) are exact lattice reads when the
-profile nodes sit on the kernel's lattice (``KernelGrid.node_index``);
-otherwise they are cubic Lagrange interpolants (``KernelGrid.values_at``,
-``KernelGrid.kx1_at``).
+When ``grid_m - 1`` divides ``n_eta - 1`` the profile nodes are every s-th
+node of the kernel's lattice, and the kernel and the trace k_x(1, y) are
+read-only strided views of the images ``KernelGrid.values_xy`` and
+``KernelGrid.trace_kx1``; otherwise they are cubic Lagrange interpolants
+(``KernelGrid.values_at``, ``KernelGrid.kx1_at``).
 """
 from __future__ import annotations
 
@@ -51,10 +52,18 @@ class Profile:
 
 
 def kernel_matrix(k: KernelGrid, grid_m: int) -> np.ndarray:
-    """Kernel values k(x_i, y_j) on a profile grid, zero above the diagonal."""
+    """Kernel values k(x_i, y_j) on a profile grid, zero above the diagonal.
+
+    On the lattice a read-only view of ``k.values_xy``; otherwise a new array.
+    """
+    s, r = divmod(k.lattice.n_eta - 1, grid_m - 1)  # r == 0: every s-th lattice node
+    if r == 0:
+        return k.values_xy[::s, ::s]
     x = np.linspace(0.0, 1.0, grid_m)
-    ii, jj = np.meshgrid(x, x, indexing="ij")
-    return np.where(jj <= ii, k.values_at(ii, np.minimum(jj, ii)), 0.0)
+    i, j = np.tril_indices(grid_m)
+    K = np.zeros((grid_m, grid_m))
+    K[i, j] = k.values_at(x[i], x[j])
+    return K
 
 
 def forward_transform(w: Profile, k: KernelGrid, order: int = 4) -> Profile:
@@ -86,10 +95,11 @@ def initial_target_data(w0: Profile, k: KernelGrid) -> Profile:
 
 
 def kx1_on_grid(k: KernelGrid, grid_m: int) -> np.ndarray:
-    """Trace k_x(1, y) resampled onto a profile grid."""
-    if np.size(k.trace_kx1) == 0 or not np.all(np.isfinite(k.trace_kx1)):
+    """Trace k_x(1, y) on a profile grid: on the lattice a read-only view of ``k.trace_kx1``."""
+    if not np.all(np.isfinite(k.trace_kx1)):
         raise TransformError("kernel grid has no derivative trace")
-    return k.kx1_at(np.linspace(0.0, 1.0, grid_m))
+    s, r = divmod(k.lattice.n_eta - 1, grid_m - 1)
+    return k.trace_kx1[::s] if r == 0 else k.kx1_at(np.linspace(0.0, 1.0, grid_m))
 
 
 def feedback_row(k: KernelGrid, grid_m: int) -> np.ndarray:

@@ -577,7 +577,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
             fitted_C=None if headline is None else headline[0],
             fitted_sigma=None if headline is None else headline[1],
             fit_residual=None if headline is None else headline[2],
-            bound_margin=float(min(margins)) if margins else 0.0,
+            bound_margin=float(min(margins)),
             constants=constants,
             pass_flags=pass_flags,
             compatibility=compat,

@@ -612,14 +612,14 @@ class TestKernelGrid:
               + np.gradient(G, lat.delta, axis=0, edge_order=2))
         assert np.array_equal(g.values_xy, triangle_read(G))
         assert np.array_equal(g.trace_diag, np.diag(triangle_read(G)))
-        assert np.array_equal(g.kx_xy(), triangle_read(kx))
+        assert np.array_equal(g.kx_xy, triangle_read(kx))
         assert np.array_equal(g.trace_kx1, triangle_read(kx)[-1])
         assert (g.n_xi, g.delta) == (101, lat.delta)
         assert np.array_equal(g.x_nodes, lat.eta)
         assert g.iterations_used == len(k.increments) > 0
         assert g.final_increment == k.increments[-1]
-        assert g.values_xy is g.values_xy and g.kx_xy() is g.kx_xy()  # formed once
-        assert not (g.values_xy.flags.writeable or g.kx_xy().flags.writeable)  # and shared
+        assert g.values_xy is g.values_xy and g.kx_xy is g.kx_xy  # formed once
+        assert not (g.values_xy.flags.writeable or g.kx_xy.flags.writeable)  # and shared
 
     def test_chart_gradient_once_per_grid(self, spec_rx2, monkeypatch):
         seen = []

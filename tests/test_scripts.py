@@ -1,6 +1,12 @@
-"""Smoke tests of the scripts: they load against the package and run."""
+"""Smoke tests of the scripts, which load against the package and run, and a check
+that the README's references to the package and to the tests resolve."""
 import ast
+import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
+import re
 import runpy
 from pathlib import Path
 
@@ -127,3 +133,47 @@ def test_public_surface():
     for name in ("sup_c", "bound_constant_M", "series_coefficients", "tail_bound",
                  "lp_norm", "w1p_norm"):
         assert not hasattr(backstep, name), name
+
+
+def test_readme_names_resolve():
+    """Every backstep name and test the README cites in backticks exists."""
+    import backstep
+
+    root = SCRIPTS.parent
+    text = re.sub(r"```.*?```", "", (root / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    modules = {m.name: importlib.import_module(f"backstep.{m.name}")
+               for m in pkgutil.iter_modules(backstep.__path__)}
+    classes = {name: obj for mod in modules.values() for name, obj in vars(mod).items()
+               if inspect.isclass(obj) and obj.__module__.startswith("backstep")}
+
+    def resolves(dotted: str) -> bool:
+        head, *attrs = dotted.split(".")
+        obj = modules.get(head, classes.get(head))
+        for attr in attrs:
+            if hasattr(obj, attr):
+                obj = getattr(obj, attr)
+            else:  # a dataclass field without a default is no class attribute
+                return dataclasses.is_dataclass(obj) and attr == attrs[-1] and attr in {
+                    f.name for f in dataclasses.fields(obj)}
+        return True
+
+    dotted = [d for span in spans
+              for d in re.findall(r"(?<![\w./])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", span)
+              if d.split(".")[0] in modules or d.split(".")[0] in classes]
+    assert len(dotted) >= 10
+    assert [d for d in dotted if not resolves(d)] == []
+
+    def cited_test_exists(ref: str) -> bool:
+        path, *scope = ref.split("::")
+        body = ast.parse((root / path).read_text()).body
+        for name in scope:
+            found = [node for node in body if getattr(node, "name", None) == name]
+            if not found:
+                return False
+            body = getattr(found[0], "body", [])
+        return True
+
+    tests = [ref for span in spans for ref in re.findall(r"tests/\w+\.py(?:::\w+)+", span)]
+    assert len(tests) >= 3
+    assert [ref for ref in tests if not cited_test_exists(ref)] == []

@@ -85,13 +85,36 @@ class TestForward:
 
 
 class TestKernelRead:
-    """Profile nodes on the kernel lattice read it exactly; others interpolate."""
+    """Profile grids on the kernel lattice are views of its images; others interpolate."""
 
-    @pytest.mark.parametrize("m, step", [(101, 1), (51, 2)])
+    @pytest.mark.parametrize("m, step", [(101, 1), (51, 2), (26, 4), (11, 10)])
     def test_on_lattice_grid_is_strided_triangle(self, kernels_rx2_201, m, step):
         for grid in kernels_rx2_201:
-            assert np.array_equal(kernel_matrix(grid, m), grid.values_xy[::step, ::step])
-            assert np.array_equal(kx1_on_grid(grid, m), grid.kx_xy()[-1][::step])
+            K, kx1 = kernel_matrix(grid, m), kx1_on_grid(grid, m)
+            assert np.array_equal(K, grid.values_xy[::step, ::step])
+            assert np.array_equal(kx1, grid.kx_xy[-1][::step])
+            assert np.shares_memory(K, grid.values_xy) and np.shares_memory(kx1, grid.kx_xy)
+
+    @pytest.mark.parametrize("m", [81, 201])
+    def test_off_lattice_grid_is_meshgrid_formula(self, kernels_rx2_201, m):
+        # the lower triangle alone, the same operations per point as the full meshgrid
+        x = np.linspace(0.0, 1.0, m)
+        ii, jj = np.meshgrid(x, x, indexing="ij")
+        for grid in kernels_rx2_201:
+            K = kernel_matrix(grid, m)
+            full = np.where(jj <= ii, grid.values_at(ii, np.minimum(jj, ii)), 0.0)
+            assert np.array_equal(K, full)
+            assert not np.shares_memory(K, grid.values_xy)
+
+    def test_interpolants_reproduce_the_nodes(self, kernels_rx2_201):
+        eps = np.finfo(float).eps
+        for grid in kernels_rx2_201:
+            xs = grid.x_nodes
+            i, j = np.tril_indices(len(xs))
+            err = np.max(np.abs(grid.values_at(xs[i], xs[j]) - grid.values_xy[i, j]))
+            assert err <= 4 * eps * np.max(np.abs(grid.values_xy))
+            err = np.max(np.abs(grid.kx1_at(xs) - grid.trace_kx1))
+            assert err <= 4 * eps * np.max(np.abs(grid.trace_kx1))
 
     def test_off_lattice_grid_interpolates(self, kernels_rx2_201):
         # grid_m = 81 on n_eta = 101: every 4th profile node is every 5th lattice node
@@ -110,13 +133,13 @@ class TestKernelRead:
         k, _ = kernels_rx2_201
         lattice_err = np.max(np.abs(k.trace_kx1 - exact(k.x_nodes)))
         y = np.linspace(0.0, 1.0, 201)
-        assert k.node_index(y) is None
+        assert (k.lattice.n_eta - 1) % (len(y) - 1) != 0  # interpolated
         read_err = np.max(np.abs(kx1_on_grid(k, 201) - exact(y)))
         assert read_err <= 1.01 * lattice_err
 
     def test_traces_are_triangle_rows(self, kernels_rx2_201):
         for grid in kernels_rx2_201:
-            assert np.array_equal(grid.trace_kx1, grid.kx_xy()[-1])
+            assert np.array_equal(grid.trace_kx1, grid.kx_xy[-1])
             assert np.array_equal(grid.trace_diag, np.diag(grid.values_xy))
 
 

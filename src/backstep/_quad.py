@@ -1,15 +1,16 @@
 """Composite and cumulative quadrature rules.
 
-Shared by the kernel solver, the Volterra transforms and the Gronwall
-envelope (the one non-uniform grid).  The weight tables take one of two
-orders:
+Shared by the kernel solver, the Volterra transforms, the spatial norms
+and the Gronwall envelope (the one non-uniform grid).  The weight tables
+take one of two orders:
 
 * ``order=2``: composite trapezoid.
 * ``order=4``: trapezoid with Euler-Maclaurin endpoint corrections
   (Gregory-type weights), exact for cubics.
 
-The kernel solver's cumulative integrals (:func:`cumquad`) are fourth order
-only: the corrected trapezoid, written as one stencil and one running sum.
+The norms integrate with :func:`trapezoid`, one weighted dot per line.  The
+kernel solver's cumulative integrals (:func:`cumquad`) are fourth order only:
+the corrected trapezoid, written as one stencil and one running sum.
 """
 from __future__ import annotations
 
@@ -48,6 +49,15 @@ def composite_weights(n_nodes: int, order: int = 4) -> np.ndarray:
         raise ValueError(f"unsupported quadrature order {order}")
     w.flags.writeable = False
     return w
+
+
+def trapezoid(g: np.ndarray, h: float) -> np.ndarray:
+    """Composite trapezoid along the last axis, as one weighted dot per line.
+
+    ``np.vecdot`` gives a line the same bits alone or in a batch and at any
+    memory offset, but strided input can differ: hence the contiguous copy.
+    """
+    return np.vecdot(np.ascontiguousarray(g), h * composite_weights(g.shape[-1], 2))
 
 
 def _along(g: np.ndarray, axis: int, index) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import cumtrapz
+from ._quad import cumtrapz, trapezoid
 from .transforms import Profile
 
 
@@ -41,7 +41,7 @@ def _lp(a: np.ndarray, h: float, p: float) -> np.ndarray:
     """L^p norm along the last axis of the samples ``a >= 0`` (max for p = inf)."""
     if np.isinf(p):
         return np.max(a, axis=-1)
-    return np.trapezoid(a ** p, dx=h, axis=-1) ** (1.0 / p)
+    return trapezoid(a ** p, h) ** (1.0 / p)
 
 
 def _norms(values: np.ndarray, h: float, p_list) -> dict:
@@ -67,15 +67,16 @@ def w1p_norm(v: Profile, p: float) -> float:
 
 
 def rho(s, tau: float):
-    """Smoothed absolute value: |s| outside |s| < tau, quartic inside."""
+    """Smoothed absolute value: |s| outside |s| < tau, quartic inside.
+
+    Only the samples with |s| < tau evaluate the quartic; NaN and inf give |s|.
+    """
     tau = _check_tau(tau)
     s = np.asarray(s, dtype=float)
-    # the quartic on s clipped to [-tau, tau], so no sample overflows it; the
-    # clip keeps the sign, as numpy's vectorised s ** 4 can differ with it
-    c = np.clip(s, -tau, tau)
-    inner = -(c ** 4) / (8 * tau ** 3) + 3 * c ** 2 / (4 * tau) + 3 * tau / 8
-    del c  # not held through the select, which makes three more arrays of this size
-    out = np.where(np.abs(s) >= tau, np.abs(s), inner)
+    out = np.abs(s, out=np.empty(s.shape))
+    inside = out < tau
+    c = s[inside]  # signed: numpy's vectorised c ** 4 can differ with the sign
+    out[inside] = -(c ** 4) / (8 * tau ** 3) + 3 * c ** 2 / (4 * tau) + 3 * tau / 8
     return out if out.ndim else float(out)
 
 
@@ -87,8 +88,7 @@ def alf(r: np.ndarray, lam, h: float, p: float):
     """
     if np.isinf(_check_p(p)):
         raise ValueError("the smoothed functional is defined for finite p")
-    return (np.trapezoid(r ** p, dx=h, axis=-1),
-            0.375 * p * np.trapezoid(lam * r ** (p - 1), dx=h, axis=-1))
+    return trapezoid(r ** p, h), 0.375 * p * trapezoid(lam * r ** (p - 1), h)
 
 
 def gronwall_bound(z0: float, q, h, times) -> np.ndarray:

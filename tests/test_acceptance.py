@@ -3,8 +3,10 @@
 Every tolerance is pinned here; shared fixtures cache the expensive
 solves so the suite stays in the minutes range.
 """
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from backstep.verify import (
     constants_for_p,
     continuous_dependence_experiment,
     fit_decay_rate,
+    load_scenario,
+    run_scenario,
     verify_theorem_bound,
 )
 
@@ -292,3 +296,16 @@ def test_criterion_10_gronwall_checker(target_decay_run):
            f"closed forms to {max(e1, e2):.2e} (<=1e-10); "
            f"decay-inequality envelope dominates the smoothed-functional trace "
            f"(min env/trace {min(margins):.3f}, slack 1.05)")
+
+
+def test_criterion_11_every_p_on_default(tmp_path):
+    """The paper's p in [1, inf], fractional p included, on the default scenario."""
+    p_list = (1.0, 1.1, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 8.0, 16.0, math.inf)
+    base = load_scenario(Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.ini")
+    rep = run_scenario(dataclasses.replace(base, p_list=p_list, outputs=str(tmp_path / "out")))
+    failed = [tag for tag, ok in rep.pass_flags.items() if not ok]
+    # 2 kinds x 2 checks per p, and one ALF flag per finite p and tau
+    n_flags = 4 * len(p_list) + (len(p_list) - 1) * len(base.tau_list)
+    report(11, "every p on default.ini", len(rep.pass_flags) == n_flags == 74 and not failed,
+           f"{len(rep.pass_flags) - len(failed)}/{len(rep.pass_flags)} flags pass "
+           f"at p = {' '.join(f'{p:g}' for p in p_list)}; failed: {failed or 'none'}")

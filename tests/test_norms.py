@@ -124,6 +124,29 @@ class TestRho:
             quartic = -(s ** 4) / (8 * tau ** 3) + 3 * s ** 2 / (4 * tau) + 3 * tau / 8
             assert np.array_equal(rho(s, tau), np.where(np.abs(s) >= tau, np.abs(s), quartic))
 
+    @pytest.mark.parametrize("tau", [1e-3, 0.7, 1.15e77])
+    def test_equal_to_clip_formula(self, rng, tau):
+        """The quartic inside tau alone gives the bits of the clip-and-select formula."""
+        special = [tau, -tau, 0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+        for shape in ((4105,), (41, 201)):
+            s = rng.uniform(-2 * tau, 2 * tau, shape)
+            s.flat[rng.choice(s.size, len(special), replace=False)] = special
+            got, want = rho(s, tau), _rho_clip(s, tau)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got[~np.isnan(got)].view(np.int64),
+                                  want[~np.isnan(want)].view(np.int64))  # -0.0 is not 0.0
+        for x in special:
+            got, want = rho(x, tau), float(_rho_clip(np.array(x), tau))
+            assert type(got) is float
+            assert got == want or np.isnan(got) and np.isnan(want)
+
+
+def _rho_clip(s, tau):
+    """``rho`` as one select between |s| and the quartic on s clipped to [-tau, tau]."""
+    c = np.clip(s, -tau, tau)
+    inner = -(c ** 4) / (8 * tau ** 3) + 3 * c ** 2 / (4 * tau) + 3 * tau / 8
+    return np.where(np.abs(s) >= tau, np.abs(s), inner)
+
 
 class TestAlf:
     def test_zero_field(self):
@@ -250,15 +273,18 @@ class TestNormTrace:
         # the p under test shares its pass with other p
         traces = norm_trace(traj, (1.0, p, np.inf))
         for kind, norm in (("lp", lp_norm), ("w1p", w1p_norm)):
-            np.testing.assert_allclose(traces[p, kind].values, [norm(v, p) for v in rows],
-                                       rtol=4 * np.finfo(float).eps, atol=0)
+            assert np.array_equal(traces[p, kind].values, [norm(v, p) for v in rows])
+        # the same bits from a copy 8 bytes into its buffer
+        shifted = np.empty(traj.fields.size + 1)[1:].reshape(traj.fields.shape)
+        shifted[...] = traj.fields
+        for key, tr in norm_trace(Trajectory(traj.times, shifted), (1.0, p, np.inf)).items():
+            assert np.array_equal(tr.values, traces[key].values)
         if not np.isinf(p):
             lam = rng.uniform(1.0, 2.0, size=traj.fields.shape)
             got = alf(rho(traj.fields, 0.3), lam, 1 / 40, p)
             for i, row in enumerate(traj.fields):
                 want = alf(rho(row, 0.3), lam[i], 1 / 40, p)
-                np.testing.assert_allclose([g[i] for g in got], want,
-                                           rtol=4 * np.finfo(float).eps, atol=0)
+                assert [g[i] for g in got] == list(want)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

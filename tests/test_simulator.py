@@ -174,21 +174,49 @@ class TestClosedLoop:
         # exp(30 * 0.45) = 7.3e5 stays below the 1e6 threshold: no error,
         # but the bound K exp(C2) sup|v| cannot rule a crossing out, so the
         # last records are advanced one checked step at a time
-        stepped = []
+        stepped, powers = [], []
 
         def spy(A, v, growth, start, n, limit, dt):
-            stepped.append(n)
+            stepped.append(start)
             return step_checked(A, v, growth, start, n, limit, dt)
 
-        step_checked = simulator._step_checked
+        step_checked, real_powers = simulator._step_checked, simulator._powers
         monkeypatch.setattr(simulator, "_step_checked", spy)
+        monkeypatch.setattr(simulator, "_powers",
+                            lambda *args: powers.append(real_powers(*args)) or powers[-1])
         spec = ProblemSpec(CoefficientFamily(c2_kind="constant", c2_a=30.0), lambda0=31.0)
-        cfg = SimConfig(grid_m=101, dt=1e-3, t_end=0.45, record_stride=100)
-        traj = simulate_closed_loop(spec, null_kernel, Profile(101, np.ones(101)), cfg,
-                                    open_loop=True)
-        assert stepped
+        w0 = Profile(101, np.ones(101))
+
+        def run(t_end):
+            cfg = SimConfig(grid_m=101, dt=1e-3, t_end=t_end, record_stride=10)
+            return simulate_closed_loop(spec, null_kernel, w0, cfg, open_loop=True)
+
+        traj = run(0.45)
         exact = np.exp(30.0 * traj.times)
         assert np.max(np.abs(traj.fields / exact[:, None] - 1.0)) < 1e-4
+        # record r clears when K exp(C2(t_r)) sup|v(t_(r-1))| <= 1e6 sup|w0|, C2
+        # increasing; only the records that fail it are stepped, from their start
+        bound = powers[0][2] * exact[1:] * np.max(np.abs(traj.fields[:-1]), axis=1) / exact[:-1]
+        failing = np.flatnonzero(bound > 1e6) + 1
+        assert failing[0] > 1 and list(failing) == list(range(failing[0], len(traj.times)))
+        assert stepped == [round(traj.times[r - 1] / 1e-3) for r in failing]
+        # the records before the first one stepped are those of the shorter run
+        stepped.clear()
+        before = run(traj.times[failing[0] - 1])
+        assert not stepped
+        assert np.array_equal(before.times, traj.times[:failing[0]])
+        assert np.array_equal(before.fields, traj.fields[:failing[0]])
+
+    def test_overflowing_state_names_the_first_crossing(self, null_kernel):
+        # open loop with c = 800: v grows by (1 + 0.4) / (1 - 0.4) per step and
+        # overflows float near step 840, long before the horizon; the records
+        # past the crossing are redone step by step, silently
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(800.0,)), lambda0=801.0)
+        for stride in (10, 100):
+            cfg = SimConfig(grid_m=51, dt=1e-3, t_end=1.0, record_stride=stride)
+            with pytest.raises(DivergenceError, match=r"reached 1\.801e\+06 at t = 0\.017 "):
+                simulate_closed_loop(spec, null_kernel, Profile(51, np.ones(51)), cfg,
+                                     open_loop=True)
 
     @pytest.mark.parametrize("f_poly", [((0.0,),), ((1.0, 0.0), (0.0, 1.0))],
                              ids=["f0", "f1+xy"])

@@ -16,6 +16,7 @@ import pytest
 
 from backstep.cli import main as cli_main
 from backstep import _csvout, cli, simulator, verify
+from backstep._quad import composite_weights
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
 from backstep.kernel import KernelConstants
 from backstep.norms import NormTrace, gronwall_bound, rho
@@ -443,14 +444,14 @@ class TestAlfStage:
         report = run_scenario(cfg)
         traj, spec = got["u"], cfg.spec
         h, lam = 1.0 / (traj.grid_m - 1), lambda_lower(spec)
+        weights = h * composite_weights(traj.grid_m, 2)  # the trapezoid as one weighted dot
         tags = []
         for p in (1.0, 2.0):
             for tau in cfg.tau_list:
                 # rho formed afresh for each (p, tau) and each integral
-                z = np.trapezoid(rho(traj.fields, tau) ** p, dx=h, axis=-1)
+                z = np.vecdot(rho(traj.fields, tau) ** p, weights)
                 lam_xt = spec.lambda0 - spec.family.c1(traj.x) - spec.family.c2(traj.times)[:, None]
-                psi1 = 0.375 * p * np.trapezoid(
-                    lam_xt * rho(traj.fields, tau) ** (p - 1), dx=h, axis=1)
+                psi1 = 0.375 * p * np.vecdot(lam_xt * rho(traj.fields, tau) ** (p - 1), weights)
                 env = gronwall_bound(z[0], np.full_like(z, -lam * p), tau * psi1, traj.times)
                 tag = f"p{p:g}_tau{tau:g}"
                 tags.append(tag)

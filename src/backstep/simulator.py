@@ -13,13 +13,12 @@ no loop over steps.
 
 Divergence is still checked at every step: K, the product of
 max(1, ||A^(2^i)||_inf) over the squarings, bounds every power up to the
-stride.  The records are computed first and certified in one pass; from
-the first one that the bound cannot clear, a record is cleared alone or
-redone one checked step at a time.  The squarings cost O(m^3 log stride)
-once and a record O(m^2), against O(m) per step for a banded stepper:
-this pays at every stride on the default grid_m = 201, but at
-grid_m = 801 not once records are closer than about 4 steps apart
-(README).
+stride.  The records are computed first and certified in one pass; the
+ones the bound cannot clear are redone, in order, one checked step at a
+time.  The squarings cost O(m^3 log stride) once and a record O(m^2),
+against O(m) per step for a banded stepper: this pays at every stride on
+the default grid_m = 201, but at grid_m = 801 not once records are
+closer than about 4 steps apart (README).
 """
 from __future__ import annotations
 
@@ -106,9 +105,9 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
     whole block, is not finite or exceeds ``BLOWUP_FACTOR`` times the
     initial one.
 
-    The records are computed with warnings off and certified in one pass;
-    from the first record the bound fails (NaN included) the per-record loop
-    redoes the rest, so no product past a crossing, which may overflow, is kept.
+    Powers, records and their one-pass certificate run with overflow
+    ignored; each record the bound fails (NaN and overflow included) is
+    redone in order from the one before it, so the first crossing raises.
     """
     m, h, dt = cfg.grid_m, cfg.h, cfg.dt
     if w0.shape[0] != m:
@@ -125,25 +124,20 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
         L += source
     eye = np.eye(m)
     A = np.linalg.solve(eye - (0.5 * dt) * L, eye + (0.5 * dt) * L)
-    P, Q, K = _powers(A, stride, n_steps % stride)
-    growth = np.exp(spec.family.c2_integral(np.arange(n_steps + 1) * dt))
-
     steps = np.minimum(np.arange(-(-n_steps // stride) + 1) * stride, n_steps)
     V = np.empty((len(steps),) + w0.shape)
     V[0] = w0
     limit = BLOWUP_FACTOR * max(float(np.max(np.abs(w0))), 1e-12)
-    with np.errstate(over="ignore", invalid="ignore"):  # records past a crossing are redone
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
+        P, Q, K = _powers(A, stride, n_steps % stride)
+        growth = np.exp(spec.family.c2_integral(np.arange(n_steps + 1) * dt))
         for r in range(1, len(steps)):
             np.matmul(P if steps[r] - steps[r - 1] == stride else Q, V[r - 1], out=V[r])
         sup = np.abs(V[:-1]).reshape(len(steps) - 1, -1).max(axis=1)
         ok = K * np.maximum.reduceat(growth[1:], steps[:-1]) * sup <= limit
-    failed = np.flatnonzero(~ok)  # from the first record the bound cannot clear, redo the rest
-    for r in range(failed[0] + 1 if failed.size else len(steps), len(steps)):
-        step, j = steps[r - 1], steps[r] - steps[r - 1]
-        if K * growth[step + 1:step + j + 1].max() * np.abs(V[r - 1]).max() <= limit:
-            np.matmul(P if j == stride else Q, V[r - 1], out=V[r])
-        else:  # a crossing inside this record is possible, or it starts from NaN
-            V[r] = _step_checked(A, V[r - 1], growth, step, j, limit, dt)
+        for r in np.flatnonzero(~ok) + 1:  # in order: a crossing raises from its own record
+            V[r] = _step_checked(A, V[r - 1], growth, steps[r - 1], steps[r] - steps[r - 1],
+                                 limit, dt)
     V[1:] *= growth[steps[1:]].reshape((-1,) + (1,) * w0.ndim)
     return steps * dt, V
 

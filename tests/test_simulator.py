@@ -212,11 +212,48 @@ class TestClosedLoop:
         # overflows float near step 840, long before the horizon; the records
         # past the crossing are redone step by step, silently
         spec = ProblemSpec(CoefficientFamily(c1_poly=(800.0,)), lambda0=801.0)
-        for stride in (10, 100):
+        for stride in (10, 100, 2000):  # 2000: the squarings themselves overflow
             cfg = SimConfig(grid_m=51, dt=1e-3, t_end=1.0, record_stride=stride)
             with pytest.raises(DivergenceError, match=r"reached 1\.801e\+06 at t = 0\.017 "):
                 simulate_closed_loop(spec, null_kernel, Profile(51, np.ones(51)), cfg,
                                      open_loop=True)
+
+    def test_overflowing_growth_names_the_first_crossing(self, null_kernel):
+        # c2 = 800: exp(C2) = e^{800 t} passes the float range at t = 0.89, and the
+        # overflowed factors fail the certificate like any record past a crossing
+        spec = ProblemSpec(CoefficientFamily(c2_kind="constant", c2_a=800.0), lambda0=801.0)
+        for stride in (10, 100, 2000):
+            cfg = SimConfig(grid_m=51, dt=1e-3, t_end=1.0, record_stride=stride)
+            with pytest.raises(DivergenceError, match=r"reached 1\.794e\+06 at t = 0\.018 "):
+                simulate_closed_loop(spec, null_kernel, Profile(51, np.ones(51)), cfg,
+                                     open_loop=True)
+
+    def test_only_uncleared_records_are_stepped(self, null_kernel, monkeypatch):
+        # c = -3 + 34 e^{-2t}: the field peaks near 1.4e5 at t = 1.2 and decays, with no
+        # crossing; the bound K exp(C2) sup|v| fails on the records around the peak
+        # alone, and every other record is the product chain's, bit for bit
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(-3.0,), c2_kind="exp_decay", c2_a=34.0,
+                                             c2_b=2.0), lambda0=0.0)
+        cfg = SimConfig(grid_m=101, dt=1e-3, t_end=3.0, record_stride=10)
+        w0 = Profile(101, np.ones(101))
+        stepped = []
+
+        def spy(A, v, growth, start, n, limit, dt):
+            stepped.append(start // cfg.record_stride + 1)
+            return step_checked(A, v, growth, start, n, limit, dt)
+
+        step_checked = simulator._step_checked
+        monkeypatch.setattr(simulator, "_step_checked", spy)
+        traj = simulate_closed_loop(spec, null_kernel, w0, cfg, open_loop=True)
+        monkeypatch.setattr(simulator, "BLOWUP_FACTOR", np.inf)  # every record clears
+        chain = simulate_closed_loop(spec, null_kernel, w0, cfg, open_loop=True)
+        assert stepped == sorted(set(stepped)) and stepped[0] > 1
+        assert stepped[-1] < len(traj.times) - 1  # cleared records follow the stepped ones
+        unequal = np.flatnonzero(np.any(traj.fields != chain.fields, axis=1))
+        assert list(unequal) == stepped
+        scale = np.max(np.abs(chain.fields[stepped]), axis=1)
+        assert np.all(np.max(np.abs(traj.fields[stepped] - chain.fields[stepped]), axis=1)
+                      <= 1e-12 * scale)
 
     @pytest.mark.parametrize("f_poly", [((0.0,),), ((1.0, 0.0), (0.0, 1.0))],
                              ids=["f0", "f1+xy"])

@@ -860,8 +860,12 @@ class TestCli:
         ("dt = 2e-4", "dt = 1e-20", "[sim] invalid simulation configuration: t_end / dt"),
         ("dt = 2e-4", "dt = 1e-300", "[sim] invalid simulation configuration: t_end / dt"),
         ("dt = 2e-4", "dt = 5e-324", "[sim] invalid simulation configuration: t_end / dt"),
+        ("horizon = 2.0", "horizon = 2.0\nsup_tolerance = 0",
+         "[problem] sup_tolerance must be positive"),
+        ("c1_poly = 0 0 1", "c1_poly =", "[problem] c1_poly must be non-empty"),
     ], ids=["c2_b", "t_end", "horizon", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
-            "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324"])
+            "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324",
+            "sup_tolerance_0", "c1_poly_empty"])
     def test_admissibility_error_named(self, tmp_path, capsys, old, new, named):
         path = tmp_path / "s.ini"
         text = CONFIG_TEXT.format(out=tmp_path / "run")
@@ -869,6 +873,27 @@ class TestCli:
         path.write_text(text.replace(old, new))
         assert cli_main(["kernel", "--config", str(path)]) == 2
         assert f"configuration error: {named}" in capsys.readouterr().err
+
+    def test_oracle_negative_r_exit(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        text = ORACLE_INI.read_text()
+        assert "c1_poly = 0 0 2" in text
+        path.write_text(text.replace("c1_poly = 0 0 2", "c1_poly = 0 0 -2"))
+        assert cli_main(["oracle", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert "configuration error: oracle comparison needs r >= 0" in capsys.readouterr().err
+
+    def test_p_inf_alone(self, tmp_path):
+        # the smoothed ALF functional is checked at finite p only: no alf_envelope flag
+        out = tmp_path / "run"
+        assert cli_main(["verify", "--config", str(DEFAULT_INI), "--p", "inf",
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["pass_flags"]) == ["envelope_w_lp_pinf", "envelope_w_w1p_pinf",
+                                                "floor_u_lp_pinf", "floor_u_w1p_pinf"]
+        assert all(report["pass_flags"].values())
+        manifest = (out / "MANIFEST.txt").read_text().splitlines()
+        assert manifest[0] == "complete"
+        assert {"report.json", "kernels.csv", "closed_loop.csv"} <= set(manifest[1:])
 
     @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
     def test_unwritable_out_exit(self, tmp_path, capsys, monkeypatch, command):
@@ -922,6 +947,30 @@ class TestCli:
         manifest = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
         assert manifest[0] == "INCOMPLETE"
         assert manifest[1] == "error: " + err[0].removeprefix("numerical failure: ")
+
+    def test_overflowing_open_loop_exit(self, tmp_path):
+        # c = 800 with one record for the whole run: the squarings of the step matrix
+        # overflow a float, and the crossing at t = 0.017 still ends the run, with no
+        # warning even where warnings are errors
+        text = DEFAULT_INI.read_text()
+        for old, new in {"c1_poly = 0 0 1": "c1_poly = 800", "c2_a = 1.0": "c2_a = 0",
+                         "lambda0 = 3.0": "lambda0 = 801", "grid_m = 201": "grid_m = 51",
+                         "dt = 2.5e-5": "dt = 1e-3", "t_end = 2.0": "t_end = 1",
+                         "record_stride = 100": "record_stride = 2000",
+                         "n_xi = 401": "n_xi = 101"}.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", "simulate",
+                               "--open-loop", "--config", str(path), "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: field reached ")
+        assert " at t = 0.017 " in err[0]
 
     def test_long_run_decides_the_alf_flags(self, tmp_path, capsys):
         # lambda_lower p t passes 709 at t = 355: a gronwall_bound formed with exp(-iq)
@@ -1155,6 +1204,28 @@ class TestClosedLoopWriter:
         assert err[0].startswith(f"configuration error: stage artifacts: {name}: ")
         assert len(children) == (0 if cause == "spawn" else 2)
         assert all(child.returncode is not None for child in children)
+
+    def test_killed_writer_is_stage_artifacts(self, tmp_path, capsys, monkeypatch):
+        # the child dies before it reads a byte: feeding it breaks the pipe, and its
+        # exit code, not the broken pipe, names the failure
+        class Killed(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.kill()
+                self.wait()
+
+        monkeypatch.setattr(subprocess, "Popen", Killed)
+        path = self.config(tmp_path)
+        with pytest.raises(OSError) as exc:
+            run_scenario(load_scenario(path))
+        assert exc.value.stage == "artifacts"
+        assert str(exc.value).startswith("kernels.csv: writer exited with code ")
+        assert (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()[0] == "INCOMPLETE"
+        assert not (tmp_path / "run" / "kernels.csv").exists()
+        assert not (tmp_path / "run" / "closed_loop.csv").exists()
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: stage artifacts: kernels.csv: writer exited with code ")
 
     @pytest.mark.parametrize("case", ["pass", "validate", "writer", "kernel", "after_feed",
                                       "interrupt"])

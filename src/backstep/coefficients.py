@@ -91,7 +91,8 @@ class CoefficientFamily:
         if self.c2_kind == "constant":
             out = np.full_like(t, self.c2_a, dtype=float)
         elif self.c2_kind == "exp_decay":
-            out = self.c2_a * np.exp(-self.c2_b * t)
+            with np.errstate(over="ignore"):  # -b t = -inf gives exp = 0, the exact limit
+                out = self.c2_a * np.exp(-self.c2_b * t)
         else:
             out = self.c2_a * np.sin(self.c2_b * t) * np.exp(-t)
         return out if out.ndim else float(out)

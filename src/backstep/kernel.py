@@ -621,7 +621,8 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
     an increment that is not finite raises at once, naming its sweep.  One
     :class:`_SweepOperator` holds what every sweep on ``lat`` reads but G.
     """
-    op = _SweepOperator(problem, lat)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed G0 shows in sweep 1
+        op = _SweepOperator(problem, lat)
     region = lat.region_mask()
     if start is None:
         G, n_cert = op.g0, _certified_sweeps(lambda n: remainder_bound(n, M, 2.0, 0.0), 0, tol)

@@ -56,16 +56,6 @@ def _norms(values: np.ndarray, h: float, p_list) -> dict:
     return out
 
 
-def lp_norm(v: Profile, p: float) -> float:
-    """L^p norm on (0,1): trapezoid integral for finite p, max for p = inf."""
-    return float(_lp(np.abs(v.values), v.h, _check_p(p)))
-
-
-def w1p_norm(v: Profile, p: float) -> float:
-    """Discrete W^{1,p} norm with the centered-difference derivative."""
-    return float(_norms(v.values, v.h, (p,))[p, "w1p"])
-
-
 def rho(s, tau: float):
     """Smoothed absolute value: |s| outside |s| < tau, quartic inside.
 

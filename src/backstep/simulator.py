@@ -1,15 +1,15 @@
 """Crank-Nicolson time integration of the plant and the target system.
 
 One propagator serves both.  The reaction is c(x, t) = c1(x) + c2(t)
-with c2 independent of x, so the integrating factor w = exp(C2(t)) v,
-C2 = int_0^t c2, is exact and v solves the autonomous system v_t = L v.
-L is one dense m x m matrix: the centered Laplacian with second-order
-Neumann ghost nodes, c1 on the diagonal, the boundary feedback
-U = r . w as a rank-one last row through the ghost node at x = 1, and
-the plant's Volterra source.  Crank-Nicolson advances v by the constant
-matrix A = (I - dt/2 L)^{-1} (I + dt/2 L), every term implicit, and a
-record is one product with A^stride from repeated squaring; there is
-no loop over steps.
+with c2 independent of x, so the integrating factor is exact: from s to
+t, w(t) = exp(C2(t) - C2(s)) e^{(t - s) L} w(s), C2 = int_0^t c2.  L is
+one dense m x m matrix: the centered Laplacian with second-order Neumann
+ghost nodes, c1 on the diagonal, the boundary feedback U = r . w as a
+rank-one last row through the ghost node at x = 1, and the plant's
+Volterra source.  Crank-Nicolson takes e^{dt L} as the constant matrix
+A = (I - dt/2 L)^{-1} (I + dt/2 L), every term implicit, and a record is
+w: one product with A^stride from repeated squaring, times the record's
+own factor exp(C2(t_r) - C2(t_(r-1))); there is no loop over steps.
 
 Divergence is still checked at every step: K, the product of
 max(1, ||A^(2^i)||_inf) over the squarings, bounds every power up to the
@@ -105,8 +105,10 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
     whole block, is not finite or exceeds ``BLOWUP_FACTOR`` times the
     initial one.
 
-    Powers, records and their one-pass certificate run with overflow
-    ignored; each record the bound fails (NaN and overflow included) is
+    Record r is exp(C2(t_r) - C2(t_(r-1))) A^j w(t_(r-1)) and c2 <= sup c2, so none
+    of its steps crosses the threshold if K exp(max(sup c2, 0) stride dt) sup|w(t_(r-1))|
+    does not.  Powers, factors, records and this one-pass certificate run with
+    overflow ignored; each record the bound fails (NaN and overflow included) is
     redone in order from the one before it, so the first crossing raises.
     """
     m, h, dt = cfg.grid_m, cfg.h, cfg.dt
@@ -114,7 +116,8 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
         raise ValueError("initial datum must live on the configured grid")
     n_steps = cfg.n_steps
     stride = max(1, min(cfg.record_stride, n_steps))
-    L = np.diag(spec.family.c1(np.linspace(0.0, 1.0, m)) - shift - 2.0 / (h * h))
+    fam = spec.family
+    L = np.diag(fam.c1(np.linspace(0.0, 1.0, m)) - shift - 2.0 / (h * h))
     off = np.full(m - 1, 1.0 / (h * h))
     off[0] = 2.0 / (h * h)  # ghost node at x = 0
     L += np.diag(off, 1) + np.diag(off[::-1], -1)
@@ -130,15 +133,15 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
     limit = BLOWUP_FACTOR * max(float(np.max(np.abs(w0))), 1e-12)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
         P, Q, K = _powers(A, stride, n_steps % stride)
-        growth = np.exp(spec.family.c2_integral(np.arange(n_steps + 1) * dt))
+        factor = np.exp(np.diff(fam.c2_integral(steps * dt)))
         for r in range(1, len(steps)):
             np.matmul(P if steps[r] - steps[r - 1] == stride else Q, V[r - 1], out=V[r])
+            V[r] *= factor[r - 1]
         sup = np.abs(V[:-1]).reshape(len(steps) - 1, -1).max(axis=1)
-        ok = K * np.maximum.reduceat(growth[1:], steps[:-1]) * sup <= limit
+        ok = K * np.exp(max(fam.c2_sup(), 0.0) * stride * dt) * sup <= limit
         for r in np.flatnonzero(~ok) + 1:  # in order: a crossing raises from its own record
-            V[r] = _step_checked(A, V[r - 1], growth, steps[r - 1], steps[r] - steps[r - 1],
+            V[r] = _step_checked(A, V[r - 1], fam, steps[r - 1], steps[r] - steps[r - 1],
                                  limit, dt)
-    V[1:] *= growth[steps[1:]].reshape((-1,) + (1,) * w0.ndim)
     return steps * dt, V
 
 
@@ -164,17 +167,20 @@ def _powers(A: np.ndarray, stride: int, rem: int):
     return P, Q, K
 
 
-def _step_checked(A, v, growth, start: int, n: int, limit: float, dt: float) -> np.ndarray:
-    """Advance v by n single steps of A, checking the sup of w = growth v at each."""
-    for step in range(start + 1, start + n + 1):
-        v = A @ v
-        sup = growth[step] * np.abs(v).max()
+def _step_checked(A, w, fam: CoefficientFamily, start: int, n: int, limit: float,
+                  dt: float) -> np.ndarray:
+    """Advance w by n single steps w <- exp(C2(t + dt) - C2(t)) A w, checking sup|w| at each."""
+    steps = np.arange(start, start + n + 1)
+    for step, g in zip(steps[1:], np.exp(np.diff(fam.c2_integral(steps * dt)))):
+        w = A @ w
+        w *= g
+        sup = np.abs(w).max()
         if not sup <= limit:  # NaN fails this test too
             raise DivergenceError(
                 f"field reached {sup:.3e} at t = {step * dt:g} "
                 f"(blow-up threshold {BLOWUP_FACTOR:g} x initial sup)"
             )
-    return v
+    return w
 
 
 def simulate_target(spec: ProblemSpec, u0: Profile, cfg: SimConfig) -> Trajectory:

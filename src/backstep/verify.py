@@ -223,10 +223,10 @@ class InitialData:
             vals = horner(x, np.asarray(p["coeffs"], dtype=float))
         else:
             c, wd, hgt = (float(p[k]) for k in ("center", "width", "height"))
-            r = np.abs(x - c) / wd
+            d = np.abs(x - c)
             vals = np.zeros(grid_m)
-            inside = r < 1.0
-            vals[inside] = hgt * np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
+            inside = d < wd  # so d / wd < 1 cannot overflow
+            vals[inside] = hgt * np.exp(1.0 - 1.0 / (1.0 - (d[inside] / wd) ** 2))
         return Profile(grid_m, vals)
 
 

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.kernel import GoursatProblem, picard_solve
-from backstep.norms import alf, rho
+from backstep.norms import _norms, alf, rho
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -15,6 +15,13 @@ settings.load_profile("ci")
 def zero_spec(lambda0=0.0):
     """Null plant: c = 0, f = 0 (kernel identically zero when lambda0 = 0)."""
     return ProblemSpec(CoefficientFamily(), lambda0=lambda0)
+
+
+def profile_norm(v, p, kind="lp"):
+    """The L^p (``kind`` "lp") or W^{1,p} ("w1p") norm of the Profile ``v``, as
+    ``norms.norm_trace`` takes it: trapezoid for finite p, max for p = inf, and the
+    centered-difference derivative."""
+    return float(_norms(v.values, v.h, (p,))[p, kind])
 
 
 def rho_prime(s, tau):

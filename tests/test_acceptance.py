@@ -20,7 +20,7 @@ from backstep.kernel import (
     series_oracle,
     tail_bound,
 )
-from backstep.norms import gronwall_bound, lp_norm, norm_trace, rho
+from backstep.norms import gronwall_bound, norm_trace, rho
 from backstep.simulator import SimConfig, simulate_closed_loop, simulate_target
 from backstep.transforms import (
     Profile,
@@ -41,7 +41,7 @@ from backstep.verify import (
     verify_theorem_bound,
 )
 
-from conftest import alf_functional, rho_prime, rho_second
+from conftest import alf_functional, profile_norm, rho_prime, rho_second
 
 SPEC_RX2 = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 2.0)), lambda0=10.0)
 SPEC_SRC = ProblemSpec(
@@ -259,7 +259,7 @@ def test_criterion_9_rho_property_suite():
     for p in (1.0, 1.5, 2.0, 3.0):
         gaps = []
         for t in (1e-1, 1e-2, 1e-3):
-            gap = abs(alf_functional(v.values, v.h, p, t) - lp_norm(v, p) ** p)
+            gap = abs(alf_functional(v.values, v.h, p, t) - profile_norm(v, p) ** p)
             gap_ok = gap_ok and gap <= 0.375 * p * t * (sup + 0.375 * t) ** (p - 1) + 1e-15
             gaps.append(gap)
         gap_ok = gap_ok and gaps[0] > gaps[1] > gaps[2]

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from backstep._quad import cumtrapz
 from backstep.coefficients import CoefficientFamily, ProblemSpec
-from backstep.norms import NormTrace, alf, gronwall_bound, lp_norm, norm_trace, rho, w1p_norm
+from backstep.norms import NormTrace, alf, gronwall_bound, norm_trace, rho
 from backstep.simulator import SimConfig, Trajectory, simulate_target
 from backstep.transforms import Profile
 
-from conftest import alf_functional, rho_prime, rho_second
+from conftest import alf_functional, profile_norm, rho_prime, rho_second
 
 taus = st.floats(1e-4, 1.0)
 svals = st.floats(-10.0, 10.0)
@@ -25,35 +25,37 @@ class TestLp:
     def test_unit_constant(self):
         v = prof(lambda x: np.ones_like(x))
         for p in (1.0, 2.0, 3.5, np.inf):
-            assert lp_norm(v, p) == pytest.approx(1.0, abs=1e-13)
+            assert profile_norm(v, p) == pytest.approx(1.0, abs=1e-13)
 
     def test_linear_sup(self):
-        assert lp_norm(prof(lambda x: x), np.inf) == 1.0
+        assert profile_norm(prof(lambda x: x), np.inf) == 1.0
 
     def test_linear_l2(self):
-        assert lp_norm(prof(lambda x: x, 401), 2.0) == pytest.approx(1 / np.sqrt(3), rel=1e-5)
+        v = prof(lambda x: x, 401)
+        assert profile_norm(v, 2.0) == pytest.approx(1 / np.sqrt(3), rel=1e-5)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
-            lp_norm(prof(lambda x: x), 0.5)
+            profile_norm(prof(lambda x: x), 0.5)
 
     def test_power_mean_monotone_to_sup(self, rng):
         vals = rng.normal(size=201)
         v = Profile(201, vals)
-        norms = [lp_norm(v, p) for p in (8.0, 16.0, 32.0, 64.0)]
+        norms = [profile_norm(v, p) for p in (8.0, 16.0, 32.0, 64.0)]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
-        assert norms[-1] <= lp_norm(v, np.inf) + 1e-12
+        assert norms[-1] <= profile_norm(v, np.inf) + 1e-12
 
 
 class TestW1p:
     def test_constant(self):
-        assert w1p_norm(prof(lambda x: np.ones_like(x)), 2.0) == pytest.approx(1.0, abs=1e-13)
+        v = prof(lambda x: np.ones_like(x))
+        assert profile_norm(v, 2.0, "w1p") == pytest.approx(1.0, abs=1e-13)
 
     def test_linear_l1(self):
-        assert w1p_norm(prof(lambda x: x), 1.0) == pytest.approx(1.5, abs=1e-12)
+        assert profile_norm(prof(lambda x: x), 1.0, "w1p") == pytest.approx(1.5, abs=1e-12)
 
     def test_zero(self):
-        assert w1p_norm(prof(lambda x: 0 * x), 7.0) == 0.0
+        assert profile_norm(prof(lambda x: 0 * x), 7.0, "w1p") == 0.0
 
 
 class TestRho:
@@ -160,7 +162,7 @@ class TestAlf:
         tau = 0.5
         for p in (1.0, 2.0, 3.0):
             z = alf_functional(v.values, v.h, p, tau)
-            assert z == pytest.approx(lp_norm(v, p) ** p, abs=1e-14)
+            assert z == pytest.approx(profile_norm(v, p) ** p, abs=1e-14)
 
     def test_gap_linear_envelope(self, rng):
         vals = rng.normal(size=301)
@@ -169,7 +171,7 @@ class TestAlf:
         for p in (1.0, 1.5, 2.0, 3.0):
             gaps = []
             for tau in (1e-1, 1e-2, 1e-3):
-                gap = abs(alf_functional(v.values, v.h, p, tau) - lp_norm(v, p) ** p)
+                gap = abs(alf_functional(v.values, v.h, p, tau) - profile_norm(v, p) ** p)
                 assert gap <= 0.375 * p * tau * (sup + 0.375 * tau) ** (p - 1) + 1e-15
                 gaps.append(gap)
             assert gaps[0] > gaps[1] > gaps[2]
@@ -272,8 +274,8 @@ class TestNormTrace:
         rows = [Profile(41, row) for row in traj.fields]
         # the p under test shares its pass with other p
         traces = norm_trace(traj, (1.0, p, np.inf))
-        for kind, norm in (("lp", lp_norm), ("w1p", w1p_norm)):
-            assert np.array_equal(traces[p, kind].values, [norm(v, p) for v in rows])
+        for kind in ("lp", "w1p"):
+            assert np.array_equal(traces[p, kind].values, [profile_norm(v, p, kind) for v in rows])
         # the same bits from a copy 8 bytes into its buffer
         shifted = np.empty(traj.fields.size + 1)[1:].reshape(traj.fields.shape)
         shifted[...] = traj.fields

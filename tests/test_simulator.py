@@ -5,7 +5,6 @@ import pytest
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep import simulator
-from backstep.norms import lp_norm
 from backstep.simulator import (
     DivergenceError,
     SimConfig,
@@ -18,6 +17,8 @@ from backstep.transforms import (
     forward_transform,
     initial_target_data,
 )
+
+from conftest import profile_norm
 
 
 def const_lambda_spec(level):
@@ -52,7 +53,7 @@ class TestTarget:
         cfg = SimConfig(grid_m=201, dt=1e-4, t_end=0.5, record_stride=20)
         traj = simulate_target(const_lambda_spec(3.0),
                                Profile.from_function(lambda x: np.cos(np.pi * x), 201), cfg)
-        norms = np.array([lp_norm(Profile(traj.grid_m, row), 2.0) for row in traj.fields])
+        norms = np.array([profile_norm(Profile(traj.grid_m, row), 2.0) for row in traj.fields])
         slope = np.polyfit(traj.times, np.log(norms), 1)[0]
         assert -slope == pytest.approx(np.pi ** 2 + 3.0, rel=2e-2)
 
@@ -172,13 +173,13 @@ class TestClosedLoop:
 
     def test_near_threshold_steps_through(self, null_kernel, monkeypatch):
         # exp(30 * 0.45) = 7.3e5 stays below the 1e6 threshold: no error,
-        # but the bound K exp(C2) sup|v| cannot rule a crossing out, so the
+        # but the bound K exp(30 stride dt) sup|w| cannot rule a crossing out, so the
         # last records are advanced one checked step at a time
         stepped, powers = [], []
 
-        def spy(A, v, growth, start, n, limit, dt):
+        def spy(A, w, fam, start, n, limit, dt):
             stepped.append(start)
-            return step_checked(A, v, growth, start, n, limit, dt)
+            return step_checked(A, w, fam, start, n, limit, dt)
 
         step_checked, real_powers = simulator._step_checked, simulator._powers
         monkeypatch.setattr(simulator, "_step_checked", spy)
@@ -194,8 +195,8 @@ class TestClosedLoop:
         traj = run(0.45)
         exact = np.exp(30.0 * traj.times)
         assert np.max(np.abs(traj.fields / exact[:, None] - 1.0)) < 1e-4
-        # record r clears when K exp(C2(t_r)) sup|v(t_(r-1))| <= 1e6 sup|w0|, C2
-        # increasing; only the records that fail it are stepped, from their start
+        # record r clears when K exp(C2(t_r) - C2(t_(r-1))) sup|w(t_(r-1))| <= 1e6 sup|w0|,
+        # c2 constant; only the records that fail it are stepped, from their start
         bound = powers[0][2] * exact[1:] * np.max(np.abs(traj.fields[:-1]), axis=1) / exact[:-1]
         failing = np.flatnonzero(bound > 1e6) + 1
         assert failing[0] > 1 and list(failing) == list(range(failing[0], len(traj.times)))
@@ -219,8 +220,9 @@ class TestClosedLoop:
                                      open_loop=True)
 
     def test_overflowing_growth_names_the_first_crossing(self, null_kernel):
-        # c2 = 800: exp(C2) = e^{800 t} passes the float range at t = 0.89, and the
-        # overflowed factors fail the certificate like any record past a crossing
+        # c2 = 800: at stride 2000 the one record's factor exp(C2(1)) = e^{800} passes the
+        # float range, and the overflowed factor fails the certificate like any record
+        # past a crossing
         spec = ProblemSpec(CoefficientFamily(c2_kind="constant", c2_a=800.0), lambda0=801.0)
         for stride in (10, 100, 2000):
             cfg = SimConfig(grid_m=51, dt=1e-3, t_end=1.0, record_stride=stride)
@@ -230,7 +232,7 @@ class TestClosedLoop:
 
     def test_only_uncleared_records_are_stepped(self, null_kernel, monkeypatch):
         # c = -3 + 34 e^{-2t}: the field peaks near 1.4e5 at t = 1.2 and decays, with no
-        # crossing; the bound K exp(C2) sup|v| fails on the records around the peak
+        # crossing; the bound K exp(34 stride dt) sup|w| fails on the records around the peak
         # alone, and every other record is the product chain's, bit for bit
         spec = ProblemSpec(CoefficientFamily(c1_poly=(-3.0,), c2_kind="exp_decay", c2_a=34.0,
                                              c2_b=2.0), lambda0=0.0)
@@ -238,9 +240,9 @@ class TestClosedLoop:
         w0 = Profile(101, np.ones(101))
         stepped = []
 
-        def spy(A, v, growth, start, n, limit, dt):
+        def spy(A, w, fam, start, n, limit, dt):
             stepped.append(start // cfg.record_stride + 1)
-            return step_checked(A, v, growth, start, n, limit, dt)
+            return step_checked(A, w, fam, start, n, limit, dt)
 
         step_checked = simulator._step_checked
         monkeypatch.setattr(simulator, "_step_checked", spy)
@@ -254,6 +256,21 @@ class TestClosedLoop:
         scale = np.max(np.abs(chain.fields[stepped]), axis=1)
         assert np.all(np.max(np.abs(traj.fields[stepped] - chain.fields[stepped]), axis=1)
                       <= 1e-12 * scale)
+
+    def test_integrating_factor_is_record_local(self, null_kernel, monkeypatch):
+        # C2 is read at the record times, and in a redone record at its own steps;
+        # no call spans the run's steps
+        sizes = []
+        c2_integral = CoefficientFamily.c2_integral
+        monkeypatch.setattr(CoefficientFamily, "c2_integral",
+                            lambda self, t: sizes.append(np.size(t)) or c2_integral(self, t))
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(-3.0,), c2_kind="exp_decay", c2_a=34.0,
+                                             c2_b=2.0), lambda0=0.0)
+        cfg = SimConfig(grid_m=101, dt=1e-3, t_end=3.0, record_stride=10)
+        traj = simulate_closed_loop(spec, null_kernel, Profile(101, np.ones(101)), cfg,
+                                    open_loop=True)
+        assert cfg.record_stride + 1 in sizes  # some record was redone
+        assert max(sizes) <= max(len(traj.times), cfg.record_stride + 1)
 
     @pytest.mark.parametrize("f_poly", [((0.0,),), ((1.0, 0.0), (0.0, 1.0))],
                              ids=["f0", "f1+xy"])

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from backstep.kernel import kernel_constants, series_oracle
-from backstep.norms import lp_norm
 from backstep.transforms import (
     Profile,
     check_compatibility,
@@ -16,6 +15,8 @@ from backstep.transforms import (
     kx1_on_grid,
     make_compatible,
 )
+
+from conftest import profile_norm
 
 
 def smooth_profile(m=201):
@@ -201,11 +202,11 @@ class TestNormChains:
                          + coef[3] * x ** 2)
             u0 = initial_target_data(w0, k)
             if np.isinf(p):
-                bound = 2.0 * max(1.0, con.alpha1) * lp_norm(w0, p)
-                assert lp_norm(u0, p) <= bound * (1 + 1e-9)
+                bound = 2.0 * max(1.0, con.alpha1) * profile_norm(w0, p)
+                assert profile_norm(u0, p) <= bound * (1 + 1e-9)
             else:
-                bound = 2 ** (p - 1) * (1 + con.alpha1 ** p) * lp_norm(w0, p) ** p
-                assert lp_norm(u0, p) ** p <= bound * (1 + 1e-9)
+                bound = 2 ** (p - 1) * (1 + con.alpha1 ** p) * profile_norm(w0, p) ** p
+                assert profile_norm(u0, p) ** p <= bound * (1 + 1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_inverse_chain(self, p, kernels_rx2_201, rng):
@@ -215,8 +216,8 @@ class TestNormChains:
         x = np.linspace(0, 1, m)
         u = Profile(m, 0.3 + np.sin(3 * x) * (1 - x))
         w = inverse_transform(u, l)
-        bound = 2 ** (p - 1) * (1 + con.beta1 ** p) * lp_norm(u, p) ** p
-        assert lp_norm(w, p) ** p <= bound * (1 + 1e-9)
+        bound = 2 ** (p - 1) * (1 + con.beta1 ** p) * profile_norm(u, p) ** p
+        assert profile_norm(w, p) ** p <= bound * (1 + 1e-9)
 
 
 class TestMakeCompatible:

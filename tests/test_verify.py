@@ -972,6 +972,39 @@ class TestCli:
         assert err[0].startswith("numerical failure: field reached ")
         assert " at t = 0.017 " in err[0]
 
+    SMALL = {"n_xi = 401": "n_xi = 101", "grid_m = 201": "grid_m = 51",
+             "dt = 2.5e-5": "dt = 1e-3", "t_end = 2.0": "t_end = 0.5"}
+
+    # extreme but finite values exit by their code with at most one stderr line and no
+    # warning where warnings are errors; the long run (c2 = 2, t_end = 400) decays while
+    # exp(C2) = e^{2t} passes the float range near t = 355
+    @pytest.mark.parametrize("edits, code, named", [
+        ({**SMALL, "f_poly = 0": "f_poly = 1e308"}, 3,
+         "numerical failure: stage kernel: the increment of sweep 1 is nan"),
+        ({**SMALL, "c2_b = 1.0": "c2_b = 1e308"}, 0, None),
+        ({**SMALL, "center = 0.5": "center = 1e308"}, 0, None),  # a zero datum is allowed
+        ({"c2_kind = exp_decay": "c2_kind = constant", "c2_a = 1.0": "c2_a = 2.0",
+          "lambda0 = 3.0": "lambda0 = 3.5", "t_end = 2.0": "t_end = 400",
+          "dt = 2.5e-5": "dt = 1e-3", "record_stride = 100": "record_stride = 1000"}, 0, None),
+    ], ids=["f_poly_1e308", "c2_b_1e308", "center_1e308", "long_run"])
+    def test_extreme_value_exit(self, tmp_path, capsys, edits, code, named):
+        text = DEFAULT_INI.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert got == code and len(err) <= 1, err
+        if named:
+            assert err[0].startswith(named)
+        else:
+            report = json.loads((tmp_path / "run" / "report.json").read_text())
+            assert all(report["pass_flags"].values())
+
     def test_long_run_decides_the_alf_flags(self, tmp_path, capsys):
         # lambda_lower p t passes 709 at t = 355: a gronwall_bound formed with exp(-iq)
         # overflowed there, and the run exited 3 naming alf_envelope_p2_tau0.1

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Every key of a small scenario set to each value of a fixed list, through three commands.
+
+    python3 scripts/config_sweep.py [KEY ...]
+
+The scenario is ``scripts/configs/default.ini`` with ``n_xi`` 101, ``grid_m``
+51, ``dt`` 1e-3 and ``t_end`` 0.5, writing to ``out``.  Each of its keys (or
+only each ``KEY`` named) is set in turn to each of ``VALUES``, and ``verify``,
+``simulate --open-loop`` and ``kernel`` run on the file in-process through
+``backstep.cli.main``, inside one temporary working directory and with every
+warning raised as an error.  A case is flagged when
+
+* its exit code is outside {0, 1, 2, 3}, or is 1 while no flag failed (1
+  means a bound violation, and only ``verify`` checks bounds);
+* it prints more than one line to stderr;
+* an exception escapes ``cli.main``: a warning, or a traceback exit.
+
+Prints one line per flagged case and a count of the cases per exit code;
+exits 1 if any case is flagged, 2 on an unknown ``KEY``.  The whole sweep
+(25 keys, 12 values, 3 commands) takes a few minutes on a 2-core Xeon VM.
+"""
+import configparser
+import contextlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+from backstep.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT = ROOT / "scripts" / "configs" / "default.ini"
+
+#: the small scenario: these keys of default.ini changed
+SMALL = {("kernel", "n_xi"): "101", ("sim", "grid_m"): "51", ("sim", "dt"): "1e-3",
+         ("sim", "t_end"): "0.5", ("outputs", "directory"): "out"}
+VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "abc", "2", "1 2", "3;4")
+COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",))
+
+
+def scenario() -> configparser.ConfigParser:
+    """The small scenario, as parsed from default.ini with the ``SMALL`` edits."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read(DEFAULT)
+    for (section, key), value in SMALL.items():
+        cp[section][key] = value
+    return cp
+
+
+def keys() -> list:
+    """Every (section, key) the small scenario sets, in file order."""
+    cp = scenario()
+    return [(section, key) for section in cp.sections() for key in cp[section]]
+
+
+def run_case(section: str, key: str, value: str, command: tuple):
+    """(exit code or None, stdout, stderr, escaped exception or None) of one case.
+
+    Runs in the current working directory, where the scenario file and the
+    outputs go.
+    """
+    cp = scenario()
+    cp[section][key] = value
+    with open("case.ini", "w") as fh:
+        cp.write(fh)
+    out, err = io.StringIO(), io.StringIO()
+    code = escaped = None
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli_main([*command, "--config", "case.ini"])
+        except BaseException as exc:  # noqa: BLE001 - an escape is what the sweep looks for
+            escaped = exc
+    return code, out.getvalue(), err.getvalue(), escaped
+
+
+def problems(code, stdout: str, stderr: str, escaped) -> list:
+    """What is wrong with one case's outcome; empty when nothing is."""
+    found = []
+    if escaped is not None:
+        found.append(f"{type(escaped).__name__} escaped: {' '.join(str(escaped).split())}")
+    elif code not in (0, 1, 2, 3):
+        found.append(f"exit {code}")
+    elif code == 1 and "[FAIL]" not in stdout:
+        found.append("exit 1 with no failed flag")
+    if len(stderr.splitlines()) > 1:
+        found.append(f"{len(stderr.splitlines())} stderr lines")
+    return found
+
+
+def sweep(selected) -> tuple:
+    """(flagged lines, Counter of exit codes) over every case of the ``selected`` keys."""
+    flagged, codes = [], Counter()
+    with tempfile.TemporaryDirectory() as work:
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            for section, key in selected:
+                for value in VALUES:
+                    for command in COMMANDS:
+                        code, stdout, stderr, escaped = run_case(section, key, value, command)
+                        codes[code] += 1
+                        for problem in problems(code, stdout, stderr, escaped):
+                            flagged.append(f"[{section}] {key} = {value!r}, "
+                                           f"{' '.join(command)}: {problem}")
+        finally:
+            os.chdir(cwd)
+    return flagged, codes
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    every = keys()
+    unknown = sorted(set(names) - {key for _, key in every})
+    if unknown:
+        print(f"unknown key {', '.join(unknown)}; the keys are "
+              f"{' '.join(key for _, key in every)}", file=sys.stderr)
+        return 2
+    flagged, codes = sweep([(s, k) for s, k in every if not names or k in names])
+    for line in flagged:
+        print(line)
+    print(f"{sum(codes.values())} cases, exit codes "
+          f"{', '.join(f'{c}: {n}' for c, n in sorted(codes.items(), key=str))}; "
+          f"{len(flagged)} flagged")
+    return 1 if flagged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,8 @@ SPEC = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 2.0)), lambda0=10.0)
 def roundtrip_error(grid_m, n_xi, order):
     k = picard_solve(GoursatProblem.direct(SPEC), n_xi=n_xi, tol=1e-12, max_iter=80)
     l = picard_solve(GoursatProblem.inverse(SPEC), n_xi=n_xi, tol=1e-12, max_iter=80)
-    w = Profile.from_function(lambda x: np.cos(np.pi * x) + 0.3 * x ** 2, grid_m)
+    x = np.linspace(0.0, 1.0, grid_m)
+    w = Profile(grid_m, np.cos(np.pi * x) + 0.3 * x ** 2)
     back = inverse_transform(forward_transform(w, k, order), l, order)
     return float(np.max(np.abs(back.values - w.values)))
 

@@ -31,22 +31,19 @@ _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 @lru_cache(maxsize=None)
 def composite_weights(n_nodes: int, order: int = 4) -> np.ndarray:
     """Weights (unit spacing) integrating over ``n_nodes`` uniform nodes."""
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if order == 2 or n_nodes <= 2:
+    if n_nodes < 2:
+        raise ValueError("need at least two nodes")
+    if order not in (2, 4):
+        raise ValueError(f"unsupported quadrature order {order}")
+    if order == 2 or n_nodes == 2:
         w = np.ones(n_nodes)
         w[0] = w[-1] = 0.5
-        if n_nodes == 1:
-            w[0] = 0.0
-    elif order == 4:
-        if n_nodes <= 5:
-            w = _SHORT_RULES[n_nodes - 1].copy()
-        else:
-            w = np.ones(n_nodes)
-            w[:3] = _GREGORY_EDGE
-            w[-3:] = _GREGORY_EDGE[::-1]
+    elif n_nodes <= 5:
+        w = _SHORT_RULES[n_nodes - 1].copy()
     else:
-        raise ValueError(f"unsupported quadrature order {order}")
+        w = np.ones(n_nodes)
+        w[:3] = _GREGORY_EDGE
+        w[-3:] = _GREGORY_EDGE[::-1]
     w.flags.writeable = False
     return w
 

@@ -19,6 +19,8 @@ C2_KINDS = ("constant", "exp_decay", "damped_osc")
 #: c1(x) + c2(t) is separable so sampling each axis is equivalent to the
 #: full 2001 x 2001 product grid).
 _CONFIRM_NODES = 2001
+#: slack of that cross-check: a sampled sup above the closed form by more is an error
+_SUP_TOLERANCE = 1e-9
 
 
 def horner(x, coeffs):
@@ -159,15 +161,11 @@ class ProblemSpec:
     family: CoefficientFamily = field(default_factory=CoefficientFamily)
     lambda0: float = 1.0
     horizon: float = 2.0
-    sup_tolerance: float = 1e-9
 
     def __post_init__(self):
-        _check_finite(lambda0=self.lambda0, horizon=self.horizon,
-                      sup_tolerance=self.sup_tolerance)
+        _check_finite(lambda0=self.lambda0, horizon=self.horizon)
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
-        if self.sup_tolerance <= 0:
-            raise ValidationError("sup_tolerance must be positive")
 
 
 def sup_c(spec: ProblemSpec) -> float:
@@ -181,7 +179,7 @@ def sup_c(spec: ProblemSpec) -> float:
     xs = np.linspace(0.0, 1.0, _CONFIRM_NODES)
     ts = np.linspace(0.0, spec.horizon, _CONFIRM_NODES)
     sampled = float(np.max(fam.c1(xs)) + np.max(fam.c2(ts)))
-    if sampled > analytic + spec.sup_tolerance:
+    if sampled > analytic + _SUP_TOLERANCE:
         raise ValidationError(
             f"sampled sup of c ({sampled:.12g}) exceeds the closed form "
             f"({analytic:.12g}); coefficient family is inconsistent"

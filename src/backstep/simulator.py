@@ -34,6 +34,9 @@ from .kernel import KernelGrid
 from .transforms import Profile, feedback_row
 
 BLOWUP_FACTOR = 1e6
+#: entries of A, and of its squarings and their products, below this are zeroed
+#: (all below 1.5e-154), so that no product of two kept entries is subnormal
+_FLUSH_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
 class DivergenceError(RuntimeError):
@@ -103,7 +106,9 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
     the recorded (times, fields), fields of shape (n_records,) + w0.shape.
     Raises DivergenceError on the first step whose sup-norm, over the
     whole block, is not finite or exceeds ``BLOWUP_FACTOR`` times the
-    initial one.
+    initial one, and before any step when 0.5 dt ||source||_inf >= 1: the
+    amplification (1 + z)/(1 - z) of a growth rate mu, z = dt mu / 2, is
+    singular at z = 1 and tends to -1 beyond, so a huge source would look bounded.
 
     Record r is exp(C2(t_r) - C2(t_(r-1))) A^j w(t_(r-1)) and c2 <= sup c2, so none
     of its steps crosses the threshold if K exp(max(sup c2, 0) stride dt) sup|w(t_(r-1))|
@@ -124,9 +129,14 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
     if row is not None:
         L[-1] += (2.0 / h) * row
     if source is not None:
+        with np.errstate(over="ignore"):  # an infinite norm fails the test below
+            z = 0.5 * dt * np.linalg.norm(source, np.inf)
+        if not z < 1.0:  # NaN fails this test too
+            raise DivergenceError(f"the source is too strong for Crank-Nicolson at dt = {dt:g}: "
+                                  f"0.5 dt ||source||_inf = {z:.3e} >= 1")
         L += source
     eye = np.eye(m)
-    A = np.linalg.solve(eye - (0.5 * dt) * L, eye + (0.5 * dt) * L)
+    A = _flush(np.linalg.solve(eye - (0.5 * dt) * L, eye + (0.5 * dt) * L))
     steps = np.minimum(np.arange(-(-n_steps // stride) + 1) * stride, n_steps)
     V = np.empty((len(steps),) + w0.shape)
     V[0] = w0
@@ -151,20 +161,34 @@ def _powers(A: np.ndarray, stride: int, rem: int):
     A^j is the product of the squarings A^(2^i) over the set bits of j, so
     by submultiplicativity K = prod_i max(1, ||A^(2^i)||_inf) bounds
     ||A^j||_inf for every 1 <= j <= stride.  Only the current squaring and
-    the two products are held.
+    the two products are held.  Each squaring and product is flushed
+    (:func:`_flush`), so K bounds the flushed powers, which are the ones
+    the records apply; a flushed power differs from the exact one by less
+    than the flushed entries, each below 1.5e-154.
     """
     P = Q = None
     K = 1.0
     S = A
     for i in range(stride.bit_length()):
         if i:
-            S = S @ S
+            S = _flush(S @ S)
         K *= max(1.0, np.linalg.norm(S, np.inf))
         if stride >> i & 1:
-            P = S if P is None else P @ S
+            P = S if P is None else _flush(P @ S)
         if rem >> i & 1:
-            Q = S if Q is None else Q @ S
+            Q = S if Q is None else _flush(Q @ S)
     return P, Q, K
+
+
+def _flush(M: np.ndarray) -> np.ndarray:
+    """Zero, in place, the entries of M below ``_FLUSH_FLOOR`` in magnitude; returns M.
+
+    The entries of A's powers decay fast away from the diagonal, and from
+    grid_m = 401 on their products fall into the subnormal range, where each
+    multiply-add is many times slower.  NaN and inf entries are kept.
+    """
+    M[np.abs(M) < _FLUSH_FLOOR] = 0.0
+    return M
 
 
 def _step_checked(A, w, fam: CoefficientFamily, start: int, n: int, limit: float,

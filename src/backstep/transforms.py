@@ -38,10 +38,6 @@ class Profile:
             raise ValueError(f"values must have shape ({self.grid_m},)")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_function(cls, fn, grid_m: int) -> "Profile":
-        return cls(grid_m, np.asarray(fn(np.linspace(0.0, 1.0, grid_m)), dtype=float))
-
     @property
     def h(self) -> float:
         return 1.0 / (self.grid_m - 1)

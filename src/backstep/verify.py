@@ -290,7 +290,7 @@ def _scheme(text: str) -> str:
 #: default of the dataclass field it fills, so no default is written here.
 _SCHEMA = {
     "problem": {"c1_poly": _floats, "c2_kind": str, "c2_a": float, "c2_b": float,
-                "f_poly": _matrix, "lambda0": float, "horizon": float, "sup_tolerance": float},
+                "f_poly": _matrix, "lambda0": float, "horizon": float},
     "kernel": {"n_xi": int, "tol": float, "max_iter": int},
     "sim": {"grid_m": int, "dt": float, "t_end": float, "record_stride": int, "scheme": _scheme},
     "initial_data": {"family": str, "adjust_compatibility": _boolean,
@@ -355,7 +355,8 @@ def load_scenario(path) -> ScenarioConfig:
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"bad scenario file {path}: {exc}") from exc
+        # configparser's messages span lines; the one stderr line holds them collapsed
+        raise ConfigError(f"bad scenario file {path}: {' '.join(str(exc).split())}") from exc
 
 
 # --------------------------------------------------------------------------

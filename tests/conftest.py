@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 from backstep.coefficients import CoefficientFamily, ProblemSpec
 from backstep.kernel import GoursatProblem, picard_solve
 from backstep.norms import _norms, alf, rho
+from backstep.transforms import Profile
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -15,6 +16,11 @@ settings.load_profile("ci")
 def zero_spec(lambda0=0.0):
     """Null plant: c = 0, f = 0 (kernel identically zero when lambda0 = 0)."""
     return ProblemSpec(CoefficientFamily(), lambda0=lambda0)
+
+
+def profile_of(fn, m):
+    """The Profile of ``fn`` sampled on the ``m`` uniform nodes of [0, 1]."""
+    return Profile(m, fn(np.linspace(0.0, 1.0, m)))
 
 
 def profile_norm(v, p, kind="lp"):

@@ -41,7 +41,7 @@ from backstep.verify import (
     verify_theorem_bound,
 )
 
-from conftest import alf_functional, profile_norm, rho_prime, rho_second
+from conftest import alf_functional, profile_norm, profile_of, rho_prime, rho_second
 
 SPEC_RX2 = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 2.0)), lambda0=10.0)
 SPEC_SRC = ProblemSpec(
@@ -139,7 +139,7 @@ def test_criterion_3_picard_certified_convergence(crit1_solve, src_solves):
 def test_criterion_4_transform_round_trip(kernels_by_nxi):
     def rt_error(grid_m, n_xi, order):
         k, l = kernels_by_nxi(n_xi)
-        w = Profile.from_function(lambda x: np.cos(np.pi * x) + 0.3 * x ** 2, grid_m)
+        w = profile_of(lambda x: np.cos(np.pi * x) + 0.3 * x ** 2, grid_m)
         back = inverse_transform(forward_transform(w, k, order), l, order)
         return float(np.max(np.abs(back.values - w.values)))
 
@@ -157,7 +157,7 @@ def test_criterion_5_target_exact_solutions():
     traj = simulate_target(spec, Profile(201, np.ones(201)), DEFAULT_SIM)
     err_const = float(np.max(np.abs(traj.fields - np.exp(-3.0 * traj.times)[:, None])))
     traj_cos = simulate_target(
-        spec, Profile.from_function(lambda x: np.cos(np.pi * x), 201), DEFAULT_SIM
+        spec, profile_of(lambda x: np.cos(np.pi * x), 201), DEFAULT_SIM
     )
     _, sigma, _ = fit_decay_rate(norm_trace(traj_cos, (2.0,))[2.0, "lp"], 0.1)
     rate = np.pi ** 2 + 3.0

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from backstep import simulator
+from backstep import coefficients, simulator
 from backstep.coefficients import (
     CoefficientFamily,
     ProblemSpec,
@@ -117,7 +117,7 @@ class TestLambda:
         xs = np.linspace(0, 1, 101)
         ts = np.linspace(0, 2, 101)
         vals = np.array([s.lambda0 - c_of(s, xs, t) for t in ts])
-        assert np.all(vals >= floor - s.sup_tolerance)
+        assert np.all(vals >= floor - coefficients._SUP_TOLERANCE)
 
 
 class TestSup:
@@ -136,7 +136,15 @@ class TestSup:
         s = spec_of(kind="exp_decay", a=-2.0, b=0.5)
         assert sup_c(s) == 0.0
 
-    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-1.5, 3.0), (2.0, 0.7), (0.5, -4.0)])
+    def test_inconsistent_closed_form_rejected(self, monkeypatch):
+        # a closed form below the sampled maximum (1 at t = 0) by more than the slack
+        s = spec_of(kind="exp_decay", a=1.0, b=1.0)
+        monkeypatch.setattr(CoefficientFamily, "c2_sup", lambda self: 1.0 - 1e-6)
+        with pytest.raises(ValidationError, match="exceeds the closed form"):
+            sup_c(s)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-1.5, 3.0), (2.0, 0.7), (0.5, -4.0),
+                                     (0.0, 2.0), (1.0, 0.0)])
     def test_damped_osc_matches_dense_grid(self, a, b):
         s = spec_of(kind="damped_osc", a=a, b=b, horizon=50.0)
         ts = np.linspace(0, 50, 400001)

@@ -351,6 +351,8 @@ class TestSeriesCoefficients:
             series_coefficients(0, 1.0)
         with pytest.raises(ValueError):
             series_coefficients(3, -1.0)
+        with pytest.raises(ValueError, match="n_trunc must be >= 1"):
+            series_oracle(10.0, 2.0, 1.0, 0.5, 0)
 
 
 class TestSeriesOracle:
@@ -463,6 +465,8 @@ class TestPicard:
             picard_solve(prob, n_xi=31, tol=1e-10, max_iter=80)
         with pytest.raises(ValueError):
             picard_solve(prob, n_xi=65, tol=-1.0, max_iter=80)
+        with pytest.raises(ValueError, match="orientation must be"):
+            GoursatProblem("sideways", spec_rx2)
 
 
 SPEC_SOURCE = ProblemSpec(
@@ -712,6 +716,8 @@ class TestResidual:
         k, _ = kernels_rx2_101
         with pytest.raises(ValueError):
             residual(k, GoursatProblem.direct(spec_rx2), h=1.5 * k.delta)
+        with pytest.raises(ValueError, match="too large for the lattice padding"):
+            residual(k, GoursatProblem.direct(spec_rx2), h=5 * k.delta)
 
 
 class TestDump:

@@ -11,14 +11,14 @@ from backstep.norms import NormTrace, alf, gronwall_bound, norm_trace, rho
 from backstep.simulator import SimConfig, Trajectory, simulate_target
 from backstep.transforms import Profile
 
-from conftest import alf_functional, profile_norm, rho_prime, rho_second
+from conftest import alf_functional, profile_norm, profile_of, rho_prime, rho_second
 
 taus = st.floats(1e-4, 1.0)
 svals = st.floats(-10.0, 10.0)
 
 
 def prof(fn, m=201):
-    return Profile.from_function(fn, m)
+    return profile_of(fn, m)
 
 
 class TestLp:
@@ -156,6 +156,8 @@ class TestAlf:
         v = prof(lambda x: 0 * x)
         for p in (1.0, 1.5, 2.0):
             assert alf_functional(v.values, v.h, p, tau) == pytest.approx((3 * tau / 8) ** p)
+        with pytest.raises(ValueError, match="defined for finite p"):
+            alf(rho(v.values, tau), 0.0, v.h, np.inf)
 
     def test_exact_outside_seam(self):
         v = prof(lambda x: 1.0 + x)  # |v| >= 1 > tau everywhere

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from backstep._quad import cumquad
+from backstep._quad import composite_weights, cumquad
 
 
 def scipy_cumquad(g, h, axis):
@@ -65,3 +65,19 @@ class TestCumquad:
             errs.append(np.max(np.abs(cumquad(np.sin(x), x[1]) - (1.0 - np.cos(x)))))
         ratios = np.array(errs[:-1]) / np.array(errs[1:])
         assert np.all(ratios >= 14.0), ratios
+
+
+class TestCompositeWeights:
+    @pytest.mark.parametrize("n_nodes, order, message", [
+        (1, 4, "need at least two nodes"),
+        (0, 2, "need at least two nodes"),
+        (5, 3, "unsupported quadrature order 3"),
+        (2, 3, "unsupported quadrature order 3"),
+    ])
+    def test_rejects(self, n_nodes, order, message):
+        with pytest.raises(ValueError, match=message):
+            composite_weights(n_nodes, order)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_two_nodes_take_the_trapezoid(self, order):
+        assert composite_weights(2, order).tolist() == [0.5, 0.5]

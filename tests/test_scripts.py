@@ -115,6 +115,41 @@ def test_reference_runs(tmp_path):
     assert refs["main"]([]) == 2
 
 
+def test_config_sweep(tmp_path, monkeypatch):
+    """The keys the sweep once flagged, and one case of each exit code, come out clean."""
+    import numpy as np
+    from backstep import verify
+
+    sweep = load("config_sweep.py")
+    run_case, problems = sweep["run_case"], sweep["problems"]
+    assert len(sweep["keys"]()) == 25
+    monkeypatch.chdir(tmp_path)
+    codes = {}
+    for section, key, value in (("problem", "c2_b", "1e308"), ("problem", "f_poly", "1e308"),
+                                ("initial_data", "center", "1e308"), ("sim", "dt", "abc")):
+        for command in sweep["COMMANDS"]:
+            code, stdout, stderr, escaped = run_case(section, key, value, command)
+            assert problems(code, stdout, stderr, escaped) == [], (key, value, command)
+            codes.setdefault(code, (key, command))
+    assert sorted(codes) == [0, 2, 3]
+
+    # exit 1: a zero kernel in the closed loop fails two envelope flags
+    def zero_kernel(spec, k, *args, _real=verify.simulate_closed_loop):
+        return _real(spec, dataclasses.replace(k, values_xieta=np.zeros_like(k.values_xieta)),
+                     *args)
+
+    monkeypatch.setattr(verify, "simulate_closed_loop", zero_kernel)
+    code, stdout, stderr, escaped = run_case("sim", "t_end", "2", ("verify",))
+    assert code == 1 and problems(code, stdout, stderr, escaped) == []
+    # and what the sweep flags
+    assert problems(1, "", "", None) == ["exit 1 with no failed flag"]
+    assert problems(0, "", "one\ntwo\n", None) == ["2 stderr lines"]
+    assert problems(None, "", "", RuntimeWarning("overflow\nin power")) == [
+        "RuntimeWarning escaped: overflow in power"]
+    assert problems(4, "", "", None) == ["exit 4"]
+    assert sweep["main"](["no_such_key"]) == 2
+
+
 def test_public_surface():
     """backstep exports every name the benchmark imports, and none that only tests reach."""
     import backstep

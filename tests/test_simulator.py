@@ -18,7 +18,7 @@ from backstep.transforms import (
     initial_target_data,
 )
 
-from conftest import profile_norm
+from conftest import profile_norm, profile_of
 
 
 def const_lambda_spec(level):
@@ -52,7 +52,7 @@ class TestTarget:
     def test_cosine_mode_rate(self):
         cfg = SimConfig(grid_m=201, dt=1e-4, t_end=0.5, record_stride=20)
         traj = simulate_target(const_lambda_spec(3.0),
-                               Profile.from_function(lambda x: np.cos(np.pi * x), 201), cfg)
+                               profile_of(lambda x: np.cos(np.pi * x), 201), cfg)
         norms = np.array([profile_norm(Profile(traj.grid_m, row), 2.0) for row in traj.fields])
         slope = np.polyfit(traj.times, np.log(norms), 1)[0]
         assert -slope == pytest.approx(np.pi ** 2 + 3.0, rel=2e-2)
@@ -81,12 +81,12 @@ class TestCompatibility:
         assert rep.ok is True and rep.residual_left == 0.0 and rep.residual_right == 0.0
 
     def test_cosine_ok(self, null_kernel):
-        w0 = Profile.from_function(lambda x: np.cos(np.pi * x), 201)
+        w0 = profile_of(lambda x: np.cos(np.pi * x), 201)
         rep = check_compatibility(w0, null_kernel)
         assert rep.ok
 
     def test_linear_warns(self, null_kernel):
-        rep = check_compatibility(Profile.from_function(lambda x: x, 101), null_kernel)
+        rep = check_compatibility(profile_of(lambda x: x, 101), null_kernel)
         # a Python bool also when the left residual fails first: report.json has no conversion hook
         assert rep.ok is False
         assert type(rep.residual_left) is float and type(rep.residual_right) is float
@@ -103,7 +103,7 @@ class TestVolterraSource:
         assert np.max(np.abs(out - w.x)) < 1e-13
 
     def test_unit_kernel_linear_state(self):
-        w = Profile.from_function(lambda x: x, 101)
+        w = profile_of(lambda x: x, 101)
         out = simulator._source_operator(CoefficientFamily(f_poly=((1.0,),)), 101) @ w.values
         assert np.max(np.abs(out - w.x ** 2 / 2)) < 1e-13
 
@@ -123,7 +123,7 @@ class TestClosedLoop:
         spec = ProblemSpec(CoefficientFamily(), lambda0=1.0)
         k = picard_solve(GoursatProblem.direct(spec), n_xi=101, tol=1e-10, max_iter=40)
         cfg = SimConfig(grid_m=101, dt=1e-4, t_end=1.0, record_stride=100)
-        w0 = Profile.from_function(lambda x: np.cos(np.pi * x) ** 2, 101)
+        w0 = profile_of(lambda x: np.cos(np.pi * x) ** 2, 101)
         traj = simulate_closed_loop(spec, k, w0, cfg)
         sup = np.max(np.abs(traj.fields), axis=1)
         tail = sup[len(sup) // 5:]
@@ -141,7 +141,7 @@ class TestClosedLoop:
         )
         k = picard_solve(GoursatProblem.direct(spec_unstable), n_xi=101,
                          tol=1e-10, max_iter=60)
-        w0 = Profile.from_function(lambda x: 0.5 + 0.1 * np.cos(np.pi * x), 101)
+        w0 = profile_of(lambda x: 0.5 + 0.1 * np.cos(np.pi * x), 101)
         cfg_open = SimConfig(grid_m=101, dt=1e-4, t_end=0.6, record_stride=100)
         open_traj = simulate_closed_loop(spec_unstable, k, w0, cfg_open, open_loop=True)
         sup_open = np.max(np.abs(open_traj.fields), axis=1)
@@ -284,7 +284,7 @@ class TestClosedLoop:
             lambda0=3.0,
         )
         k = picard_solve(GoursatProblem.direct(spec), n_xi=101, tol=1e-10, max_iter=80)
-        w0 = Profile.from_function(lambda x: np.cos(np.pi * x), 101)
+        w0 = profile_of(lambda x: np.cos(np.pi * x), 101)
         every, *sparse = [
             simulate_closed_loop(spec, k, w0, SimConfig(grid_m=101, dt=1e-4, t_end=0.1,
                                                         record_stride=stride))
@@ -323,7 +323,7 @@ class TestClosedLoop:
         # forward transform of the closed-loop run tracks the target run
         k, _ = kernels_rx2_101
         spec = ProblemSpec(CoefficientFamily(c1_poly=(0, 0, 2.0)), lambda0=10.0)
-        w0 = Profile.from_function(lambda x: np.cos(np.pi * x), 101)
+        w0 = profile_of(lambda x: np.cos(np.pi * x), 101)
 
         def discrepancy(m, dt):
             cfg = SimConfig(grid_m=m, dt=dt, t_end=0.2,
@@ -371,6 +371,41 @@ class TestClosedLoop:
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert min(ratios) >= 3.8, ratios
 
+
+class TestFlush:
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_no_kept_entry_below_the_floor(self, monkeypatch, refine):
+        # the default plant at --refine 1 and 2 (grid_m 201 and 401, stride 100 and 400):
+        # at 401, A and its squarings reach the subnormal range, at 201 nothing is
+        # flushed; no flushed matrix keeps an entry below the floor, and K bounds the
+        # flushed power the records apply
+        flushed, below, powers = [], [], []
+
+        def spy(M):
+            below.append(int(np.count_nonzero((M != 0) & (np.abs(M) < simulator._FLUSH_FLOOR))))
+            flushed.append(flush(M))
+            return flushed[-1]
+
+        flush, real_powers = simulator._flush, simulator._powers
+        monkeypatch.setattr(simulator, "_flush", spy)
+        monkeypatch.setattr(simulator, "_powers",
+                            lambda *args: powers.append(real_powers(*args)) or powers[-1])
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(0.0, 0.0, 1.0), c2_kind="exp_decay",
+                                             c2_a=1.0, c2_b=1.0), lambda0=3.0)
+        m, stride = 200 * refine + 1, 100 * refine ** 2
+        cfg = SimConfig(grid_m=m, dt=2.5e-5 / refine ** 2, t_end=0.005, record_stride=stride)
+        simulate_target(spec, profile_of(lambda x: np.cos(np.pi * x), m), cfg)
+        # A, its squarings and the products of A^stride
+        assert len(flushed) == stride.bit_length() + stride.bit_count() - 1
+        if refine == 1:
+            assert sum(below) == 0
+        else:
+            assert below[0] > 0 and below[1] > 0  # A and its first squaring
+        for M in flushed:
+            assert np.all(np.abs(M[M != 0]) >= simulator._FLUSH_FLOOR)
+        (P, Q, K), = powers
+        assert P is flushed[-1] and Q is None
+        assert np.linalg.norm(P, np.inf) <= K
 
 def _resample(p: Profile, m: int) -> Profile:
     x = np.linspace(0, 1, m)

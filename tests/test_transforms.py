@@ -16,11 +16,11 @@ from backstep.transforms import (
     make_compatible,
 )
 
-from conftest import profile_norm
+from conftest import profile_norm, profile_of
 
 
 def smooth_profile(m=201):
-    return Profile.from_function(lambda x: np.cos(np.pi * x) + 0.3 * x ** 2, m)
+    return profile_of(lambda x: np.cos(np.pi * x) + 0.3 * x ** 2, m)
 
 
 class TestProfile:

@@ -42,6 +42,8 @@ from backstep.verify import (
 )
 from backstep.verify import _INITIAL_FAMILIES, _SCHEMA, _write_traces
 
+from conftest import profile_of
+
 
 class TestC1:
     def test_examples(self):
@@ -506,6 +508,8 @@ class TestContinuousDependence:
         # a zero envelope passes only a difference that is zero at every record
         assert all(chk.passed for chk in checks.values())
         assert linearity_gap == 0.0
+        with pytest.raises(ValueError, match="both initial data must share a grid"):
+            continuous_dependence_experiment(cfg, w0, Profile(m + 2, np.ones(m + 2)))
 
     def test_constant_below_measured_ratio_fails(self, tmp_path, monkeypatch):
         cfg = scenario(tmp_path / "dep", p_list=(2.0,), tau_list=(1e-2,))
@@ -861,7 +865,7 @@ class TestCli:
         ("dt = 2e-4", "dt = 1e-300", "[sim] invalid simulation configuration: t_end / dt"),
         ("dt = 2e-4", "dt = 5e-324", "[sim] invalid simulation configuration: t_end / dt"),
         ("horizon = 2.0", "horizon = 2.0\nsup_tolerance = 0",
-         "[problem] sup_tolerance must be positive"),
+         "unknown key sup_tolerance in [problem]"),
         ("c1_poly = 0 0 1", "c1_poly =", "[problem] c1_poly must be non-empty"),
     ], ids=["c2_b", "t_end", "horizon", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
             "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324",
@@ -948,6 +952,25 @@ class TestCli:
         assert manifest[0] == "INCOMPLETE"
         assert manifest[1] == "error: " + err[0].removeprefix("numerical failure: ")
 
+    # configparser's messages span lines; the wrap collapses them onto the one line
+    @pytest.mark.parametrize("text, named", [
+        ("lambda0 = 3\n[problem]\n", "File contains no section headers. file: "),
+        ("[problem]\nlambda0\n", "Source contains parsing errors: "),
+        ("[problem]\nlambda0 = 3\n[problem]\n", "section 'problem' already exists"),
+    ], ids=["no_header", "no_equals", "duplicate_section"])
+    def test_malformed_file_exit(self, tmp_path, text, named):
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", "kernel",
+                               "--config", str(path), "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"configuration error: bad scenario file {path}: ")
+        assert named in err[0]
+
     def test_overflowing_open_loop_exit(self, tmp_path):
         # c = 800 with one record for the whole run: the squarings of the step matrix
         # overflow a float, and the crossing at t = 0.017 still ends the run, with no
@@ -974,6 +997,33 @@ class TestCli:
 
     SMALL = {"n_xi = 401": "n_xi = 101", "grid_m = 201": "grid_m = 51",
              "dt = 2.5e-5": "dt = 1e-3", "t_end = 2.0": "t_end = 0.5"}
+
+    # Crank-Nicolson's amplification (1 + z)/(1 - z), z = dt mu / 2, is singular at
+    # z = 1 and tends to -1 beyond: a source with 0.5 dt ||source||_inf >= 1 stops
+    # before the first step (f = 1e308 exited 0 with a bounded field), one below it
+    # runs to its crossing, with no warning where warnings are errors
+    @pytest.mark.parametrize("f_poly, message", [
+        ("1e308", "the source is too strong for Crank-Nicolson at dt = 0.001: "
+                  "0.5 dt ||source||_inf = 5.000e+304 >= 1"),
+        ("1e6", "the source is too strong for Crank-Nicolson at dt = 0.001: "
+                "0.5 dt ||source||_inf = 5.000e+02 >= 1"),
+        ("1e3", "field reached 1.023e+06 at t = 0.066 "),
+    ])
+    def test_unresolved_source_exit(self, tmp_path, f_poly, message):
+        text = DEFAULT_INI.read_text()
+        for old, new in {**self.SMALL, "f_poly = 0": f"f_poly = {f_poly}"}.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", "simulate",
+                               "--open-loop", "--config", str(path), "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: " + message)
 
     # extreme but finite values exit by their code with at most one stderr line and no
     # warning where warnings are errors; the long run (c2 = 2, t_end = 400) decays while
@@ -1164,7 +1214,7 @@ class TestCli:
                 return dataclasses.replace(k, values_xieta=np.full_like(k.values_xieta, np.nan))
             # a constant kernel has k_x = 0 (to rounding at the lattice edges), so
             # U = -k(1, 1) w(1), which then cancels the edge slope of x^2/2
-            slope = _flux_residual(Profile.from_function(lambda x: 0.5 * x ** 2, 101),
+            slope = _flux_residual(profile_of(lambda x: 0.5 * x ** 2, 101),
                                    np.zeros(101))
             return dataclasses.replace(k, values_xieta=np.full_like(k.values_xieta, -2.0 * slope))
 

@@ -13,12 +13,14 @@ own factor exp(C2(t_r) - C2(t_(r-1))); there is no loop over steps.
 
 Divergence is still checked at every step: K, the product of
 max(1, ||A^(2^i)||_inf) over the squarings, bounds every power up to the
-stride.  The records are computed first and certified in one pass; the
-ones the bound cannot clear are redone, in order, one checked step at a
-time.  The squarings cost O(m^3 log stride) once and a record O(m^2),
-against O(m) per step for a banded stepper: this pays at every stride on
-the default grid_m = 201, but at grid_m = 801 not once records are
-closer than about 4 steps apart (README).
+stride.  A and every squaring and product are flushed (entries below
+sqrt(tiny) zeroed), so no product is subnormal, and K bounds the flushed
+powers the records apply.  The records are computed first and certified
+in one pass; the ones the bound cannot clear are redone, in order, one
+checked step at a time.  The squarings cost O(m^3 log stride) once and a
+record O(m^2), against O(m) per step for a banded stepper: this pays at
+every stride on the default grid_m = 201, but at grid_m = 801 not once
+records are closer than about 4 steps apart (README).
 """
 from __future__ import annotations
 
@@ -162,9 +164,8 @@ def _powers(A: np.ndarray, stride: int, rem: int):
     by submultiplicativity K = prod_i max(1, ||A^(2^i)||_inf) bounds
     ||A^j||_inf for every 1 <= j <= stride.  Only the current squaring and
     the two products are held.  Each squaring and product is flushed
-    (:func:`_flush`), so K bounds the flushed powers, which are the ones
-    the records apply; a flushed power differs from the exact one by less
-    than the flushed entries, each below 1.5e-154.
+    (:func:`_flush`) before K reads it, so K bounds the flushed powers,
+    which are the ones the records apply.
     """
     P = Q = None
     K = 1.0

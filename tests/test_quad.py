@@ -77,7 +77,3 @@ class TestCompositeWeights:
     def test_rejects(self, n_nodes, order, message):
         with pytest.raises(ValueError, match=message):
             composite_weights(n_nodes, order)
-
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_two_nodes_take_the_trapezoid(self, order):
-        assert composite_weights(2, order).tolist() == [0.5, 0.5]

@@ -36,8 +36,7 @@ from .kernel import KernelGrid
 from .transforms import Profile, feedback_row
 
 BLOWUP_FACTOR = 1e6
-#: entries of A, and of its squarings and their products, below this are zeroed
-#: (all below 1.5e-154), so that no product of two kept entries is subnormal
+#: :func:`_flush` zeroes the entries below this, about 1.5e-154
 _FLUSH_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
@@ -163,9 +162,9 @@ def _powers(A: np.ndarray, stride: int, rem: int):
     A^j is the product of the squarings A^(2^i) over the set bits of j, so
     by submultiplicativity K = prod_i max(1, ||A^(2^i)||_inf) bounds
     ||A^j||_inf for every 1 <= j <= stride.  Only the current squaring and
-    the two products are held.  Each squaring and product is flushed
-    (:func:`_flush`) before K reads it, so K bounds the flushed powers,
-    which are the ones the records apply.
+    the two products are held.  Every squaring and product is flushed
+    (:func:`_flush`) and K reads the flushed squarings, so it bounds the
+    flushed powers, which are the ones the records apply.
     """
     P = Q = None
     K = 1.0
@@ -186,7 +185,8 @@ def _flush(M: np.ndarray) -> np.ndarray:
 
     The entries of A's powers decay fast away from the diagonal, and from
     grid_m = 401 on their products fall into the subnormal range, where each
-    multiply-add is many times slower.  NaN and inf entries are kept.
+    multiply-add is many times slower.  With the flush no product of two
+    kept entries is subnormal.  NaN and inf entries are kept.
     """
     M[np.abs(M) < _FLUSH_FLOOR] = 0.0
     return M

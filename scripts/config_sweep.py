@@ -17,7 +17,7 @@ warning raised as an error.  A case is flagged when
 
 Prints one line per flagged case and a count of the cases per exit code;
 exits 1 if any case is flagged, 2 on an unknown ``KEY``.  The whole sweep
-(25 keys, 12 values, 3 commands) takes a few minutes on a 2-core Xeon VM.
+(25 keys, 13 values, 3 commands: 975 cases) takes about 8 s on a 2-core Xeon VM.
 """
 import configparser
 import contextlib
@@ -37,7 +37,7 @@ DEFAULT = ROOT / "scripts" / "configs" / "default.ini"
 #: the small scenario: these keys of default.ini changed
 SMALL = {("kernel", "n_xi"): "101", ("sim", "grid_m"): "51", ("sim", "dt"): "1e-3",
          ("sim", "t_end"): "0.5", ("outputs", "directory"): "out"}
-VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "abc", "2", "1 2", "3;4")
+VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "0.1", "abc", "2", "1 2", "3;4")
 COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",))
 
 

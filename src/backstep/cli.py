@@ -60,7 +60,7 @@ def _load(args) -> ScenarioConfig:
     config = load_scenario(args.config)
     if args.out:
         config = dataclasses.replace(config, outputs=args.out)
-    if args.p:
+    if getattr(args, "p", None):
         config = dataclasses.replace(config, p_list=args.p)
     return _refine(config, args.refine)
 
@@ -98,7 +98,7 @@ def _cmd_simulate(args) -> int:
     lambda_lower(config.spec)
     ks = config.kernel
     k = None
-    if args.target or not args.open_loop:
+    if not args.open_loop:
         k = picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
     w0 = config.initial_data.build(config.sim.grid_m)
     if config.initial_data.adjust_compatibility and not args.open_loop:
@@ -147,6 +147,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _directory(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty directory name")
+    return text
+
+
 def _p_list(text: str) -> tuple:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -168,13 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", required=True, help="scenario file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--p", type=_p_list, default=None, help="comma-separated p list override")
+        p.add_argument("--out", type=_directory, default=None, help="output directory override")
         p.add_argument("--refine", type=_positive_int, default=1, help="grid refinement factor")
         p.set_defaults(fn=fn)
+        if name == "verify":
+            p.add_argument("--p", type=_p_list, default=None, help="comma-separated p list override")
         if name == "simulate":
-            p.add_argument("--target", action="store_true", help="run the target system")
-            p.add_argument("--open-loop", action="store_true", help="force U = 0")
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--target", action="store_true", help="run the target system")
+            mode.add_argument("--open-loop", action="store_true", help="force U = 0")
     return parser
 
 

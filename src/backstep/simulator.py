@@ -25,7 +25,6 @@ records are closer than about 4 steps apart (README).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +63,6 @@ class SimConfig:
         if self.n_steps < 1:
             raise ValueError(f"invalid simulation configuration: t_end = {self.t_end!r} rounds to "
                              f"0 steps of dt = {self.dt!r}; t_end must exceed dt/2")
-        if self.dt > 0.5 * self.h:
-            warnings.warn(
-                f"dt = {self.dt:g} exceeds the accuracy guideline 0.5 h = {0.5 * self.h:g}",
-                stacklevel=2,
-            )
 
     @property
     def h(self) -> float:

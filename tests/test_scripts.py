@@ -126,7 +126,8 @@ def test_config_sweep(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     codes = set()
     for section, key, value in (("problem", "c2_b", "1e308"), ("problem", "f_poly", "1e308"),
-                                ("initial_data", "center", "1e308"), ("sim", "dt", "abc")):
+                                ("initial_data", "center", "1e308"), ("sim", "dt", "abc"),
+                                ("sim", "dt", "0.1")):  # dt = 5 h: no warning
         for command in sweep["COMMANDS"]:
             code, stdout, stderr, escaped = run_case(section, key, value, command)
             assert problems(code, stdout, stderr, escaped) == [], (key, value, command)

@@ -36,10 +36,6 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"t_end = 1e-06 .* dt = 2\.5e-05"):
             SimConfig(dt=2.5e-5, t_end=1e-6)
 
-    def test_timestep_warning(self):
-        with pytest.warns(UserWarning):
-            SimConfig(grid_m=11, dt=0.2, t_end=1.0)
-
 
 class TestTarget:
     def test_constant_reaction_exact(self):

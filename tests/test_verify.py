@@ -716,6 +716,14 @@ class TestOracleComparison:
         assert len(rows) > 10
 
 
+def run_strict(*argv):
+    """(exit code, stderr lines) of ``python -W error -m backstep.cli ARGV``."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stderr.splitlines()
+
+
 class TestCli:
     def test_verify_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "s.ini"
@@ -961,13 +969,8 @@ class TestCli:
     def test_malformed_file_exit(self, tmp_path, text, named):
         path = tmp_path / "s.ini"
         path.write_text(text)
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", "kernel",
-                               "--config", str(path), "--out", str(tmp_path / "run")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 2, done.stderr
-        err = done.stderr.splitlines()
-        assert len(err) == 1, err
+        code, err = run_strict("kernel", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 2 and len(err) == 1, err
         assert err[0].startswith(f"configuration error: bad scenario file {path}: ")
         assert named in err[0]
 
@@ -985,13 +988,9 @@ class TestCli:
             text = text.replace(old, new)
         path = tmp_path / "s.ini"
         path.write_text(text)
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", "simulate",
-                               "--open-loop", "--config", str(path), "--out", str(tmp_path / "run")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 3, done.stderr
-        err = done.stderr.splitlines()
-        assert len(err) == 1
+        code, err = run_strict("simulate", "--open-loop", "--config", str(path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 3 and len(err) == 1, err
         assert err[0].startswith("numerical failure: field reached ")
         assert " at t = 0.017 " in err[0]
 
@@ -1016,14 +1015,24 @@ class TestCli:
             text = text.replace(old, new)
         path = tmp_path / "s.ini"
         path.write_text(text)
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run([sys.executable, "-W", "error", "-m", "backstep.cli", "simulate",
-                               "--open-loop", "--config", str(path), "--out", str(tmp_path / "run")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 3, done.stderr
-        err = done.stderr.splitlines()
-        assert len(err) == 1
+        code, err = run_strict("simulate", "--open-loop", "--config", str(path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 3 and len(err) == 1, err
         assert err[0].startswith("numerical failure: " + message)
+
+    # dt = h = 1e-3 on grid_m = 1001 (dt/h^2 = 1000): a coarse time step is the user's
+    # choice, and no command warns about it, not even where warnings are errors
+    @pytest.mark.parametrize("command", [["kernel"], ["oracle"], ["simulate", "--open-loop"]],
+                             ids=["kernel", "oracle", "simulate_open_loop"])
+    def test_coarse_time_step_exit(self, tmp_path, command):
+        text = DEFAULT_INI.read_text()
+        for old, new in {"grid_m = 201": "grid_m = 1001", "dt = 2.5e-5": "dt = 1e-3",
+                         "t_end = 2.0": "t_end = 0.01"}.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        assert run_strict(*command, "--config", str(path), "--out", str(tmp_path / "run")) == (0, [])
 
     # extreme but finite values exit by their code with at most one stderr line and no
     # warning where warnings are errors; the long run (c2 = 2, t_end = 400) decays while
@@ -1036,7 +1045,8 @@ class TestCli:
         ({"c2_kind = exp_decay": "c2_kind = constant", "c2_a = 1.0": "c2_a = 2.0",
           "lambda0 = 3.0": "lambda0 = 3.5", "t_end = 2.0": "t_end = 400",
           "dt = 2.5e-5": "dt = 1e-3", "record_stride = 100": "record_stride = 1000"}, 0, None),
-    ], ids=["f_poly_1e308", "c2_b_1e308", "center_1e308", "long_run"])
+        ({**SMALL, "dt = 2.5e-5": "dt = 0.1"}, 0, None),  # dt = 5 h, five steps
+    ], ids=["f_poly_1e308", "c2_b_1e308", "center_1e308", "long_run", "dt_0.1"])
     def test_extreme_value_exit(self, tmp_path, capsys, edits, code, named):
         text = DEFAULT_INI.read_text()
         for old, new in edits.items():
@@ -1153,6 +1163,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["verify", "--config", str(path), "--p", "abc"])
         assert exc.value.code == 2
+
+    # a flag the command does not read, the two simulate modes at once, or an
+    # empty --out is a usage error, not a silent fallback
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--target", "--open-loop"],
+        *([command, "--p", "2"] for command in ("kernel", "simulate", "oracle")),
+        *([command, "--out", ""] for command in ("kernel", "simulate", "verify", "oracle")),
+    ], ids=lambda argv: "_".join(arg.lstrip("-") or "empty" for arg in argv))
+    def test_usage_error_exit(self, tmp_path, capsys, argv):
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--config", str(path)])
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("old, new, flag, message", [
         ("", "", "2,2.0000001", "p_list: 2.0 and 2.0000001 share the tag p2"),

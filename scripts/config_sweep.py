@@ -4,8 +4,9 @@
     python3 scripts/config_sweep.py [KEY ...]
 
 The scenario is ``scripts/configs/default.ini`` with ``n_xi`` 101, ``grid_m``
-51, ``dt`` 1e-3 and ``t_end`` 0.5, writing to ``out``.  Each of its keys (or
-only each ``KEY`` named) is set in turn to each of ``VALUES``, and ``verify``,
+51, ``dt`` 1e-3 and ``t_end`` 0.5, writing to ``out``.  Each of its keys, and
+each key of ``SWITCHED`` with the family that reads it switched on (or only
+each ``KEY`` named), is set in turn to each of ``VALUES``, and ``verify``,
 ``simulate --open-loop`` and ``kernel`` run on the file in-process through
 ``backstep.cli.main``, inside one temporary working directory and with every
 warning raised as an error.  A case is flagged when
@@ -17,7 +18,7 @@ warning raised as an error.  A case is flagged when
 
 Prints one line per flagged case and a count of the cases per exit code;
 exits 1 if any case is flagged, 2 on an unknown ``KEY``.  The whole sweep
-(25 keys, 13 values, 3 commands: 975 cases) takes about 8 s on a 2-core Xeon VM.
+(32 keys, 14 values, 3 commands: 1344 cases) takes about 8 s on a 2-core Xeon VM.
 """
 import configparser
 import contextlib
@@ -37,7 +38,18 @@ DEFAULT = ROOT / "scripts" / "configs" / "default.ini"
 #: the small scenario: these keys of default.ini changed
 SMALL = {("kernel", "n_xi"): "101", ("sim", "grid_m"): "51", ("sim", "dt"): "1e-3",
          ("sim", "t_end"): "0.5", ("outputs", "directory"): "out"}
-VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "0.1", "abc", "2", "1 2", "3;4")
+VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e308 1e308", "1e-308", "0.1", "abc", "2",
+          "1 2", "3;4")
+#: keys the small scenario leaves unset, each with the switch ``{key: value}`` of its section
+#: that makes the run read it; switching the initial-data family drops the bump's keys
+SWITCHED = (("initial_data", "a", {"family": "constant"}),
+            ("initial_data", "a", {"family": "cosine"}),
+            ("initial_data", "modes", {"family": "cosine"}),
+            ("initial_data", "coeffs", {"family": "polynomial"}),
+            ("problem", "c2_a", {"c2_kind": "constant"}),
+            ("problem", "c2_a", {"c2_kind": "damped_osc"}),
+            ("problem", "c2_b", {"c2_kind": "damped_osc"}))
+BUMP = ("center", "width", "height")
 COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",))
 
 
@@ -51,18 +63,24 @@ def scenario() -> configparser.ConfigParser:
 
 
 def keys() -> list:
-    """Every (section, key) the small scenario sets, in file order."""
+    """Every (section, key, switch) swept: the small scenario's keys in file order, with
+    no switch, then ``SWITCHED``."""
     cp = scenario()
-    return [(section, key) for section in cp.sections() for key in cp[section]]
+    return [(section, key, {}) for section in cp.sections() for key in cp[section]] + list(SWITCHED)
 
 
-def run_case(section: str, key: str, value: str, command: tuple):
+def run_case(section: str, key: str, value: str, command: tuple, switch=None):
     """(exit code or None, stdout, stderr, escaped exception or None) of one case.
 
     Runs in the current working directory, where the scenario file and the
     outputs go.
     """
     cp = scenario()
+    for name, text in (switch or {}).items():
+        cp[section][name] = text
+        if name == "family":
+            for bump_key in BUMP:
+                cp.remove_option(section, bump_key)
     cp[section][key] = value
     with open("case.ini", "w") as fh:
         cp.write(fh)
@@ -99,13 +117,15 @@ def sweep(selected) -> tuple:
         cwd = os.getcwd()
         os.chdir(work)
         try:
-            for section, key in selected:
+            for section, key, switch in selected:
+                label = "".join(f" ({name} = {text})" for name, text in switch.items())
                 for value in VALUES:
                     for command in COMMANDS:
-                        code, stdout, stderr, escaped = run_case(section, key, value, command)
+                        code, stdout, stderr, escaped = run_case(section, key, value, command,
+                                                                 switch)
                         codes[code] += 1
                         for problem in problems(code, stdout, stderr, escaped):
-                            flagged.append(f"[{section}] {key} = {value!r}, "
+                            flagged.append(f"[{section}] {key} = {value!r}{label}, "
                                            f"{' '.join(command)}: {problem}")
         finally:
             os.chdir(cwd)
@@ -115,12 +135,12 @@ def sweep(selected) -> tuple:
 def main(argv=None) -> int:
     names = sys.argv[1:] if argv is None else argv
     every = keys()
-    unknown = sorted(set(names) - {key for _, key in every})
+    unknown = sorted(set(names) - {key for _, key, _ in every})
     if unknown:
         print(f"unknown key {', '.join(unknown)}; the keys are "
-              f"{' '.join(key for _, key in every)}", file=sys.stderr)
+              f"{' '.join(dict.fromkeys(key for _, key, _ in every))}", file=sys.stderr)
         return 2
-    flagged, codes = sweep([(s, k) for s, k in every if not names or k in names])
+    flagged, codes = sweep([case for case in every if not names or case[1] in names])
     for line in flagged:
         print(line)
     print(f"{sum(codes.values())} cases, exit codes "

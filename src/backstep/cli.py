@@ -5,9 +5,11 @@ unwritable output directory, a failed artifact writer, such as
 ``verify``'s child of ``kernels.csv`` and ``closed_loop.csv``, and a grid
 too large for memory included), 3 numerical failure (a float overflow,
 a norm trace or envelope that is not finite and a Picard stop at a
-rounding floor included).  A failure inside ``verify`` names its
-pipeline stage.  Every command runs on one OpenBLAS thread, so that its
-artifacts do not depend on the caller's thread count.
+rounding floor and any numpy float error no stage handles included).  A
+failure inside ``verify`` names its pipeline stage.  Every command runs in
+:func:`~backstep.verify.run_scope`: on one OpenBLAS thread, so that its
+artifacts do not depend on the caller's thread count, and with numpy's
+float errors raised, so that none prints a warning.
 """
 from __future__ import annotations
 
@@ -28,9 +30,9 @@ from .verify import (
     dump_kernel_csv,
     failure_text,
     load_scenario,
-    one_blas_thread,
     oracle_comparison,
     run_scenario,
+    run_scope,
     solve_kernels,
     write_controls,
     write_oracle,
@@ -189,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with one_blas_thread():
+        with run_scope():
             return args.fn(args)
     except (ConfigError, ValidationError, OSError, MemoryError) as exc:
         print(f"configuration error: {failure_text(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, DivergenceError, TransformError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+            FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {failure_text(exc)}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -147,7 +147,8 @@ class CoefficientFamily:
             return 0.0
         if b < 0:
             a, b = -a, -b
-        s = b / math.sqrt(1.0 + b * b)  # sin at the first critical point
+        # sin at the first critical point, and its limit 1 once b * b overflows
+        s = b / math.sqrt(1.0 + b * b) if b * b < math.inf else 1.0
         if a > 0:
             # first local max of sin(bt)e^{-t}; later maxima shrink by e^{-2pi/b}
             return a * s * math.exp(-math.atan(b) / b)
@@ -179,9 +180,9 @@ def sup_c(spec: ProblemSpec) -> float:
     xs = np.linspace(0.0, 1.0, _CONFIRM_NODES)
     ts = np.linspace(0.0, spec.horizon, _CONFIRM_NODES)
     sampled = float(np.max(fam.c1(xs)) + np.max(fam.c2(ts)))
-    if sampled > analytic + _SUP_TOLERANCE:
+    if not sampled <= analytic + _SUP_TOLERANCE:  # a NaN sample fails too
         raise ValidationError(
-            f"sampled sup of c ({sampled:.12g}) exceeds the closed form "
+            f"sampled sup of c ({sampled:.12g}) is not at most the closed form "
             f"({analytic:.12g}); coefficient family is inconsistent"
         )
     return analytic
@@ -191,7 +192,7 @@ def lambda_lower(spec: ProblemSpec) -> float:
     """Decay floor: inf over (0,1) x (0, inf) of lambda0 - c(x, t)."""
     sup = sup_c(spec)
     lam = spec.lambda0 - sup
-    if lam <= 0:
+    if not lam > 0:
         raise ValidationError(
             f"lambda0 must exceed the supremum of c(x, t): "
             f"lambda0 = {spec.lambda0:.12g}, sup c = {sup:.12g}"

@@ -473,19 +473,21 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
-def one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread, so that the artifacts do not depend
-    on the caller's count, and give that count back; without the library, change nothing."""
+def run_scope():
+    """Run numpy's bundled OpenBLAS on one thread (if found), so that the artifacts do not
+    depend on the caller's count, and make numpy raise on overflow, divide and invalid,
+    ignoring underflow; give the caller's count and float-error settings back."""
     get, put = _openblas_threads() or (int, lambda threads: None)
     threads = get()
     put(1)
     try:
-        yield
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            yield
     finally:
         put(threads)
 
 
-@one_blas_thread()
+@run_scope()
 def run_scenario(config: ScenarioConfig) -> DecayReport:
     """Full pipeline: validate, solve kernels, simulate, fit, check, write.
 
@@ -501,10 +503,11 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     ``artifacts``, led by the first file it did not write.  The child is
     reaped on every exit path; a failed call leaves none of its files.
 
-    The call runs under :func:`one_blas_thread`, so that no second BLAS
-    thread spins on the core the child formats on.  Numpy's overflow and
-    invalid warnings are off in the norms and verify stages:
-    :func:`check_envelope` reports a non-finite value, with its flag.
+    The call runs under :func:`run_scope`: no second BLAS thread spins on
+    the core the child formats on, and a float error raises
+    FloatingPointError in its stage.  The norms and verify stages ignore
+    overflow and invalid operations: :func:`check_envelope` reports a
+    non-finite value, with its flag.
     """
     outdir = config.outputs
     artifacts: list[str] = []
@@ -528,7 +531,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         constants = {
             "alpha": (con.alpha1, con.alpha2, con.alpha3),
             "beta": (con.beta1, con.beta2, con.beta3),
-            "per_p": {("inf" if np.isinf(p) else f"{p:g}"): cm for p, cm in per_p.items()},
+            "per_p": {f"{p:g}": cm for p, cm in per_p.items()},
         }
 
         stage = "compatibility"
@@ -590,7 +593,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         )
 
         stage = "artifacts"
-        artifacts += _write_traces(outdir, traces)
+        artifacts += _write_traces(outdir, traj_w.times, traces)
         artifacts.append(write_controls(outdir, traj_w))
         artifacts.append(write_trajectory(outdir, "target.csv", traj_u))
         kernels, closed = writer.join()
@@ -600,13 +603,13 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         with open(rpath, "w") as fh:
             fh.write(report.to_json())
         artifacts.append(rpath)
-        _write_manifest(outdir, artifacts, complete=True)
+        _write_manifest(outdir, artifacts)
         return report
     except Exception as exc:
         exc.stage = stage
         with contextlib.suppress(OSError):
             os.makedirs(outdir, exist_ok=True)
-            _write_manifest(outdir, artifacts, complete=False, error=failure_text(exc))
+            _write_manifest(outdir, artifacts, failure_text(exc))
         raise
     finally:
         if writer is not None:
@@ -619,24 +622,16 @@ def failure_text(exc: BaseException) -> str:
     return str(exc) if stage is None else f"stage {stage}: {exc}"
 
 
-def _ptag(p: float) -> str:
-    return "pinf" if np.isinf(p) else f"p{p:g}"
-
-
+_ptag = "p{:g}".format
 _tautag = "tau{:g}".format
 
 
-def _write_traces(outdir, traces: dict) -> list[str]:
-    """One ``t,value`` CSV per trace; each distinct ``times`` array is formatted once."""
-    cells: dict[bytes, list[str]] = {}
-    paths = []
-    for name, tr in traces.items():
-        key = tr.times.tobytes()
-        if key not in cells:
-            cells[key] = _csvout.cells(tr.times.tolist(), _csvout.VALUE)
-        paths.append(_csvout.write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
-                                       [("", cells[key], tr.values.tolist())]))
-    return paths
+def _write_traces(outdir, times, traces: dict) -> list[str]:
+    """One ``t,value`` CSV per trace, each sampled at the run's record ``times``, formatted once."""
+    cells = _csvout.cells(times.tolist(), _csvout.VALUE)
+    return [_csvout.write_csv(os.path.join(outdir, f"trace_{name}.csv"), "t,value",
+                              [("", cells, tr.values.tolist())])
+            for name, tr in traces.items()]
 
 
 def write_trajectory(outdir, name, traj: Trajectory) -> str:
@@ -734,12 +729,10 @@ def write_oracle(path, rows) -> str:
                                np.ravel(rows).tolist())])
 
 
-def _write_manifest(outdir, artifacts, complete: bool, error: str | None = None):
+def _write_manifest(outdir, artifacts, error: str | None = None):
     path = os.path.join(outdir, "MANIFEST.txt")
     with open(path, "w") as fh:
-        fh.write("complete\n" if complete else "INCOMPLETE\n")
-        if error:
-            fh.write(f"error: {error}\n")
+        fh.write("complete\n" if error is None else f"INCOMPLETE\nerror: {error}\n")
         for a in artifacts:
             fh.write(os.path.basename(a) + "\n")
 

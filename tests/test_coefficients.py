@@ -140,18 +140,34 @@ class TestSup:
         # a closed form below the sampled maximum (1 at t = 0) by more than the slack
         s = spec_of(kind="exp_decay", a=1.0, b=1.0)
         monkeypatch.setattr(CoefficientFamily, "c2_sup", lambda self: 1.0 - 1e-6)
-        with pytest.raises(ValidationError, match="exceeds the closed form"):
+        with pytest.raises(ValidationError, match="is not at most the closed form"):
             sup_c(s)
 
+    def test_nan_rejected(self, monkeypatch):
+        # b t passes the float range for t > 1.8, where sin(inf) is NaN: a NaN sample fails
+        # the closed form's cross-check, and a NaN sup of c fails lambda0 > sup c
+        s = spec_of(c1=(0, 0, 1.0), kind="damped_osc", a=1.0, b=1e308, lambda0=3.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match=r"sampled sup of c \(nan\)"):
+            sup_c(s)
+        monkeypatch.setattr(coefficients, "sup_c", lambda spec: math.nan)
+        with pytest.raises(ValidationError, match="sup c = nan"):
+            lambda_lower(s)
+
+    # the grid spans 50 / max(1, |b|): some 8 periods of sin(b t) when |b| > 1, so that it
+    # resolves the first peak, which is near t = 0 for b beyond 1e154, where b * b overflows
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-1.5, 3.0), (2.0, 0.7), (0.5, -4.0),
-                                     (0.0, 2.0), (1.0, 0.0)])
+                                     (0.0, 2.0), (1.0, 0.0), (1.0, 1e155), (1.0, 1e200),
+                                     (1.0, 1e300)])
     def test_damped_osc_matches_dense_grid(self, a, b):
         s = spec_of(kind="damped_osc", a=a, b=b, horizon=50.0)
-        ts = np.linspace(0, 50, 400001)
+        ts = np.linspace(0, 50, 400001) / max(1.0, abs(b))
         grid_max = np.max(a * np.sin(b * ts) * np.exp(-ts))
         analytic = s.family.c2_sup()
         assert analytic >= grid_max - 1e-9
         assert analytic <= grid_max + 1e-6
+        if abs(b) > 1e154:
+            assert analytic == 1.0
 
 
 class TestValidate:

@@ -116,21 +116,30 @@ def test_reference_runs(tmp_path):
 
 
 def test_config_sweep(tmp_path, monkeypatch):
-    """The keys the sweep once flagged, and one case of each exit code, come out clean."""
+    """The cases the sweep once flagged, and one case of each exit code, come out clean."""
     import numpy as np
     from backstep import verify
 
     sweep = load("config_sweep.py")
     run_case, problems = sweep["run_case"], sweep["problems"]
-    assert len(sweep["keys"]()) == 25
+    assert len(sweep["keys"]()) == 32
     monkeypatch.chdir(tmp_path)
     codes = set()
-    for section, key, value in (("problem", "c2_b", "1e308"), ("problem", "f_poly", "1e308"),
-                                ("initial_data", "center", "1e308"), ("sim", "dt", "abc"),
-                                ("sim", "dt", "0.1")):  # dt = 5 h: no warning
+    constant, cosine = {"family": "constant"}, {"family": "cosine"}
+    polynomial, damped = {"family": "polynomial"}, {"c2_kind": "damped_osc"}
+    for section, key, value, switch in (
+            ("problem", "c2_b", "1e308", {}), ("problem", "f_poly", "1e308", {}),
+            ("initial_data", "center", "1e308", {}), ("sim", "dt", "abc", {}),
+            ("sim", "dt", "0.1", {}),  # dt = 5 h: no warning
+            # float errors that reached numpy's warning before every command raised them
+            ("problem", "c1_poly", "1e308 1e308", {}), ("problem", "f_poly", "1e308 1e308", {}),
+            ("problem", "c2_b", "1e308", damped), ("initial_data", "a", "1e308", constant),
+            ("initial_data", "a", "1e308", cosine), ("initial_data", "modes", "1e308", cosine),
+            ("initial_data", "coeffs", "1e308", polynomial),
+            ("initial_data", "coeffs", "1e308 1e308", polynomial)):
         for command in sweep["COMMANDS"]:
-            code, stdout, stderr, escaped = run_case(section, key, value, command)
-            assert problems(code, stdout, stderr, escaped) == [], (key, value, command)
+            code, stdout, stderr, escaped = run_case(section, key, value, command, switch)
+            assert problems(code, stdout, stderr, escaped) == [], (key, value, switch, command)
             codes.add(code)
     assert codes == {0, 2, 3}
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from backstep.cli import main as cli_main
-from backstep import _csvout, cli, simulator, verify
+from backstep import _csvout, cli, coefficients, simulator, verify
 from backstep._quad import composite_weights
 from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
 from backstep.kernel import KernelConstants
@@ -265,7 +265,7 @@ class TestCsvWriters:
         rows = [[f"{t:.12g}", f"{u:.15g}"] for t, u in zip(traj.times, traj.controls)]
         assert Path(path).read_bytes() == self.reference(ref, ["t", "U"], rows)
 
-        (path,) = _write_traces(str(tmp_path), {"w_lp_p2": trace})
+        (path,) = _write_traces(str(tmp_path), trace.times, {"w_lp_p2": trace})
         assert os.path.basename(path) == "trace_w_lp_p2.csv"
         rows = [[f"{t:.12g}", f"{v:.15g}"] for t, v in zip(trace.times, trace.values)]
         assert Path(path).read_bytes() == self.reference(ref, ["t", "value"], rows)
@@ -436,9 +436,9 @@ class TestAlfStage:
             got["u"] = target(*args, **kwargs)
             return got["u"]
 
-        def keep_traces(outdir, traces):
+        def keep_traces(outdir, times, traces):
             got["traces"] = traces
-            return write(outdir, traces)
+            return write(outdir, times, traces)
 
         monkeypatch.setattr(verify, "simulate_target", keep_target)
         monkeypatch.setattr(verify, "_write_traces", keep_traces)
@@ -1036,32 +1036,57 @@ class TestCli:
 
     # extreme but finite values exit by their code with at most one stderr line and no
     # warning where warnings are errors; the long run (c2 = 2, t_end = 400) decays while
-    # exp(C2) = e^{2t} passes the float range near t = 355
-    @pytest.mark.parametrize("edits, code, named", [
-        ({**SMALL, "f_poly = 0": "f_poly = 1e308"}, 3,
+    # exp(C2) = e^{2t} passes the float range near t = 355.  A float error that no stage
+    # handles exits 3 from every command that reads the value (kernel reads no initial
+    # data), and verify's line names the stage
+    KERNEL, OPEN_LOOP, VERIFY = ("kernel",), ("simulate", "--open-loop"), ("verify",)
+    BUMP = "center = 0.5\nwidth = 0.3\nheight = 1.0"
+
+    @pytest.mark.parametrize("edits, codes, named", [
+        ({**SMALL, "f_poly = 0": "f_poly = 1e308"}, {VERIFY: 3},
          "numerical failure: stage kernel: the increment of sweep 1 is nan"),
-        ({**SMALL, "c2_b = 1.0": "c2_b = 1e308"}, 0, None),
-        ({**SMALL, "center = 0.5": "center = 1e308"}, 0, None),  # a zero datum is allowed
+        ({**SMALL, "c2_b = 1.0": "c2_b = 1e308"}, {VERIFY: 0}, None),
+        ({**SMALL, "center = 0.5": "center = 1e308"}, {VERIFY: 0}, None),  # a zero datum
         ({"c2_kind = exp_decay": "c2_kind = constant", "c2_a = 1.0": "c2_a = 2.0",
           "lambda0 = 3.0": "lambda0 = 3.5", "t_end = 2.0": "t_end = 400",
-          "dt = 2.5e-5": "dt = 1e-3", "record_stride = 100": "record_stride = 1000"}, 0, None),
-        ({**SMALL, "dt = 2.5e-5": "dt = 0.1"}, 0, None),  # dt = 5 h, five steps
-    ], ids=["f_poly_1e308", "c2_b_1e308", "center_1e308", "long_run", "dt_0.1"])
-    def test_extreme_value_exit(self, tmp_path, capsys, edits, code, named):
+          "dt = 2.5e-5": "dt = 1e-3", "record_stride = 100": "record_stride = 1000"},
+         {VERIFY: 0}, None),
+        ({**SMALL, "dt = 2.5e-5": "dt = 0.1"}, {VERIFY: 0}, None),  # dt = 5 h, five steps
+        ({**SMALL, "family = bump": "family = constant", BUMP: "a = 1e308"},
+         {KERNEL: 0, OPEN_LOOP: 0, VERIFY: 3},
+         "numerical failure: stage compatibility: overflow encountered in scalar multiply"),
+        ({**SMALL, "family = bump": "family = cosine", BUMP: "modes = 1e308"},
+         {KERNEL: 0, OPEN_LOOP: 3, VERIFY: 3},
+         "numerical failure: stage compatibility: invalid value encountered in multiply"),
+        ({**SMALL, "c1_poly = 0 0 1": "c1_poly = 1e308 1e308"},
+         {KERNEL: 3, OPEN_LOOP: 3, VERIFY: 3},
+         "numerical failure: stage validate: overflow encountered in add"),
+        ({**SMALL, "f_poly = 0": "f_poly = 1e308 1e308"}, {KERNEL: 3, OPEN_LOOP: 3, VERIFY: 3},
+         "numerical failure: stage kernel: overflow encountered in reduce"),
+        ({**SMALL, "c2_kind = exp_decay": "c2_kind = damped_osc", "c2_b = 1.0": "c2_b = 1e308"},
+         {KERNEL: 3, OPEN_LOOP: 3, VERIFY: 3},
+         "numerical failure: stage validate: overflow encountered in multiply"),
+    ], ids=["f_poly_1e308", "c2_b_1e308", "center_1e308", "long_run", "dt_0.1",
+            "constant_a_1e308", "cosine_modes_1e308", "c1_poly_1e308_1e308",
+            "f_poly_1e308_1e308", "damped_osc_c2_b_1e308"])
+    def test_extreme_value_exit(self, tmp_path, capsys, edits, codes, named):
         text = DEFAULT_INI.read_text()
         for old, new in edits.items():
             assert old in text
             text = text.replace(old, new)
         path = tmp_path / "s.ini"
         path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "run")])
-        err = capsys.readouterr().err.splitlines()
-        assert got == code and len(err) <= 1, err
-        if named:
-            assert err[0].startswith(named)
-        else:
+        for command, code in codes.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cli_main([*command, "--config", str(path), "--out", str(tmp_path / "run")])
+            err = capsys.readouterr().err.splitlines()
+            assert got == code and len(err) == (code != 0), (command, err)
+            if command == self.VERIFY and named:
+                assert err[0].startswith(named)
+            elif code:
+                assert err[0].startswith("numerical failure: ") and "stage" not in err[0]
+        if not named:
             report = json.loads((tmp_path / "run" / "report.json").read_text())
             assert all(report["pass_flags"].values())
 
@@ -1389,7 +1414,31 @@ def openblas():
 
 
 class TestBlasThreads:
-    """run_scenario runs OpenBLAS on one thread and gives the caller's count back."""
+    """run_scenario and the commands run OpenBLAS on one thread, with numpy raising on
+    float errors, and give the caller's settings back."""
+
+    @pytest.mark.parametrize("c1_poly", ["0 0 1", "1e308 1e308"], ids=["success", "overflow"])
+    @pytest.mark.parametrize("call", ["run_scenario", "verify", "kernel"])
+    def test_float_errors_raise_inside_only(self, tmp_path, monkeypatch, c1_poly, call):
+        seen = []
+        real = coefficients.sup_c
+        monkeypatch.setattr(coefficients, "sup_c", lambda spec: seen.append(np.geterr()) or
+                            real(spec))
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
+            "c1_poly = 0 0 1", f"c1_poly = {c1_poly}"))
+        caller = {"divide": "warn", "over": "ignore", "under": "raise", "invalid": "print"}
+        with np.errstate(**caller):
+            if call != "run_scenario":
+                assert cli_main([call, "--config", str(path)]) == (0 if c1_poly == "0 0 1" else 3)
+            elif c1_poly == "0 0 1":
+                assert run_scenario(load_scenario(path)).passed
+            else:
+                with pytest.raises(FloatingPointError, match="overflow") as exc:
+                    run_scenario(load_scenario(path))
+                assert exc.value.stage == "validate"
+            assert np.geterr() == caller
+        assert seen == [{"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}]
 
     @pytest.mark.parametrize("caller", [1, 2])
     def test_one_thread_in_every_stage(self, tmp_path, monkeypatch, openblas, caller):

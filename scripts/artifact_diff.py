@@ -15,8 +15,8 @@ leaf or a number in text is |a - b| / max(|a|, |b|), and it is ranked only
 if max(|a|, |b|) is at least 1e-9 of the largest magnitude in the file, so
 that a rounding move of a near-zero residual does not hide the real
 moves.  The smaller numbers that moved are counted on the line instead, as
-``(N smaller moved)``.  A nan differs from any number by inf and equals
-another nan.  Every other field
+``(N smaller moved)``.  A nan differs from any number by inf, absolute
+and relative, is always ranked, and equals another nan.  Every other field
 must be equal: a CSV header, a non-numeric column, a JSON key, string,
 bool or integer, the text around the numbers.  Exits 1 if a file is
 missing from either tree or a non-float field differs, and 2 on a usage
@@ -55,7 +55,8 @@ def _group_diff(a: list, b: list) -> tuple[float, float]:
     d = max(map(_gap, a, b), default=0.0)
     if d == 0.0:
         return 0.0, 0.0
-    return d, d / max(abs(x) for x in a + b if not math.isnan(x))
+    scale = max(abs(x) for x in a + b if not math.isnan(x))
+    return d, d / scale if scale else math.inf  # scale 0: a nan met zeros
 
 
 def _as_float(text: str):
@@ -130,7 +131,7 @@ def compare(old: Path, new: Path) -> tuple[float, float, str, int]:
     for field, x, y in groups:
         d = _group_diff(x, y)
         dabs = max(dabs, d[0])
-        if max(map(abs, x + y)) < floor:
+        if all(abs(v) < floor for v in x + y):  # a nan is never small
             small += d[0] > 0.0
         elif d[1] > drel:
             drel, where = d[1], field

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Every key of a small scenario set to each value of a fixed list, through three commands.
+"""Every key of a small scenario, and every value-taking flag, set to each value of a list.
 
     python3 scripts/config_sweep.py [KEY ...]
 
 The scenario is ``scripts/configs/default.ini`` with ``n_xi`` 101, ``grid_m``
 51, ``dt`` 1e-3 and ``t_end`` 0.5, writing to ``out``.  Each of its keys, and
-each key of ``SWITCHED`` with the family that reads it switched on (or only
-each ``KEY`` named), is set in turn to each of ``VALUES``, and ``verify``,
-``simulate --open-loop`` and ``kernel`` run on the file in-process through
-``backstep.cli.main``, inside one temporary working directory and with every
-warning raised as an error.  A case is flagged when
+each key of ``SWITCHED`` with the family that reads it switched on, is set in
+turn to each of ``VALUES``, and ``verify``, ``simulate --open-loop`` and
+``kernel`` run on the file; then each flag of ``FLAGS`` is given each of its
+values on the unchanged file, on the commands that take it.  Given ``KEY``
+arguments, keys or flags such as ``--refine``, the sweep runs only those.
+Every case runs in-process through ``backstep.cli.main``, inside one
+temporary working directory and with every warning raised as an error;
+argparse's rejection of a flag value counts as its exit 2, and its usage
+lines are dropped from stderr, leaving the one error line.  A case is
+flagged when
 
 * its exit code is outside {0, 1, 2, 3}, or is 1 while no flag failed (1
   means a bound violation, and only ``verify`` checks bounds);
@@ -18,7 +23,9 @@ warning raised as an error.  A case is flagged when
 
 Prints one line per flagged case and a count of the cases per exit code;
 exits 1 if any case is flagged, 2 on an unknown ``KEY``.  The whole sweep
-(32 keys, 14 values, 3 commands: 1344 cases) takes about 8 s on a 2-core Xeon VM.
+(32 keys, 14 values, 3 commands: 1344 cases; then 6 ``--refine`` values on 3
+commands and 8 ``--p`` values on ``verify``: 26 cases) takes about 7 s on a
+2-core Xeon VM.
 """
 import configparser
 import contextlib
@@ -51,6 +58,9 @@ SWITCHED = (("initial_data", "a", {"family": "constant"}),
             ("problem", "c2_b", {"c2_kind": "damped_osc"}))
 BUMP = ("center", "width", "height")
 COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",))
+#: (flag, its values, the commands that take it)
+FLAGS = (("--refine", ("2", "200000000", "0", "-1", "abc", "1e308"), COMMANDS),
+         ("--p", ("1", "inf", "1e308", "0.5", "nan", "2,2.0000001", "abc", ""), (("verify",),)))
 
 
 def scenario() -> configparser.ConfigParser:
@@ -70,7 +80,7 @@ def keys() -> list:
 
 
 def run_case(section: str, key: str, value: str, command: tuple, switch=None):
-    """(exit code or None, stdout, stderr, escaped exception or None) of one case.
+    """(exit code or None, stdout, stderr, escaped exception or None) of one key's case.
 
     Runs in the current working directory, where the scenario file and the
     outputs go.
@@ -82,6 +92,15 @@ def run_case(section: str, key: str, value: str, command: tuple, switch=None):
             for bump_key in BUMP:
                 cp.remove_option(section, bump_key)
     cp[section][key] = value
+    return _run(cp, command)
+
+
+def run_flag(flag: str, value: str, command: tuple):
+    """:func:`run_case`'s outcome of the small scenario run with ``flag value``."""
+    return _run(scenario(), (*command, flag, value))
+
+
+def _run(cp: configparser.ConfigParser, command: tuple):
     with open("case.ini", "w") as fh:
         cp.write(fh)
     out, err = io.StringIO(), io.StringIO()
@@ -91,6 +110,9 @@ def run_case(section: str, key: str, value: str, command: tuple, switch=None):
         warnings.simplefilter("error")
         try:
             code = cli_main([*command, "--config", "case.ini"])
+        except SystemExit as exc:  # argparse rejected a flag: usage lines, then one error line
+            code = exc.code
+            err = io.StringIO(err.getvalue().splitlines(keepends=True)[-1])
         except BaseException as exc:  # noqa: BLE001 - an escape is what the sweep looks for
             escaped = exc
     return code, out.getvalue(), err.getvalue(), escaped
@@ -110,9 +132,16 @@ def problems(code, stdout: str, stderr: str, escaped) -> list:
     return found
 
 
-def sweep(selected) -> tuple:
-    """(flagged lines, Counter of exit codes) over every case of the ``selected`` keys."""
+def sweep(selected, flags) -> tuple:
+    """(flagged lines, Counter of exit codes) over every case of the ``selected`` keys
+    and of the ``flags``, entries of ``FLAGS``."""
     flagged, codes = [], Counter()
+
+    def record(label, command, outcome):
+        codes[outcome[0]] += 1
+        for problem in problems(*outcome):
+            flagged.append(f"{label}, {' '.join(command)}: {problem}")
+
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
         os.chdir(work)
@@ -121,12 +150,12 @@ def sweep(selected) -> tuple:
                 label = "".join(f" ({name} = {text})" for name, text in switch.items())
                 for value in VALUES:
                     for command in COMMANDS:
-                        code, stdout, stderr, escaped = run_case(section, key, value, command,
-                                                                 switch)
-                        codes[code] += 1
-                        for problem in problems(code, stdout, stderr, escaped):
-                            flagged.append(f"[{section}] {key} = {value!r}{label}, "
-                                           f"{' '.join(command)}: {problem}")
+                        record(f"[{section}] {key} = {value!r}{label}", command,
+                               run_case(section, key, value, command, switch))
+            for flag, values, commands in flags:
+                for value in values:
+                    for command in commands:
+                        record(f"{flag} {value!r}", command, run_flag(flag, value, command))
         finally:
             os.chdir(cwd)
     return flagged, codes
@@ -134,13 +163,15 @@ def sweep(selected) -> tuple:
 
 def main(argv=None) -> int:
     names = sys.argv[1:] if argv is None else argv
-    every = keys()
-    unknown = sorted(set(names) - {key for _, key, _ in every})
+    every, flags = keys(), [flag for flag, _, _ in FLAGS]
+    unknown = sorted(set(names) - {key for _, key, _ in every} - set(flags))
     if unknown:
         print(f"unknown key {', '.join(unknown)}; the keys are "
-              f"{' '.join(dict.fromkeys(key for _, key, _ in every))}", file=sys.stderr)
+              f"{' '.join(dict.fromkeys(key for _, key, _ in every))} {' '.join(flags)}",
+              file=sys.stderr)
         return 2
-    flagged, codes = sweep([case for case in every if not names or case[1] in names])
+    flagged, codes = sweep([case for case in every if not names or case[1] in names],
+                           [entry for entry in FLAGS if not names or entry[0] in names])
     for line in flagged:
         print(line)
     print(f"{sum(codes.values())} cases, exit codes "

@@ -99,18 +99,17 @@ def _cmd_simulate(args) -> int:
     os.makedirs(config.outputs, exist_ok=True)
     lambda_lower(config.spec)
     ks = config.kernel
-    k = None
-    if not args.open_loop:
-        k = picard_solve(GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
+    k = None if args.open_loop else picard_solve(
+        GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
     w0 = config.initial_data.build(config.sim.grid_m)
-    if config.initial_data.adjust_compatibility and not args.open_loop:
-        w0, _ = make_compatible(w0, k)
+    if config.initial_data.adjust_compatibility and k is not None:
+        w0 = make_compatible(w0, k)
     if args.target:
         u0 = initial_target_data(w0, k)
         traj = simulate_target(config.spec, u0, config.sim)
         path = write_trajectory(config.outputs, "target.csv", traj)
     else:
-        traj = simulate_closed_loop(config.spec, k, w0, config.sim, open_loop=args.open_loop)
+        traj = simulate_closed_loop(config.spec, k, w0, config.sim)
         path = write_trajectory(config.outputs, "closed_loop.csv", traj)
         write_controls(config.outputs, traj)
     final = float(np.max(np.abs(traj.fields[-1])))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import volterra_matrix
-from .coefficients import CoefficientFamily, ProblemSpec
+from .coefficients import CoefficientFamily, ProblemSpec, ValidationError
 from .kernel import KernelGrid
 from .transforms import Profile, feedback_row
 
@@ -51,18 +51,19 @@ class SimConfig:
     record_stride: int = 100
 
     def __post_init__(self):
+        bad = "invalid simulation configuration: "
         for name, ok in (("grid_m", self.grid_m >= 3),
                          ("dt", 0 < self.dt < math.inf),
                          ("t_end", 0 < self.t_end < math.inf),
                          ("record_stride", self.record_stride >= 1)):
             if not ok:
-                raise ValueError(f"invalid simulation configuration: {name} = {getattr(self, name)!r}")
+                raise ValidationError(f"{bad}{name} = {getattr(self, name)!r}")
         if not self.t_end / self.dt < np.iinfo(np.intp).max:
-            raise ValueError(f"invalid simulation configuration: t_end / dt = "
-                             f"{self.t_end / self.dt:g} steps exceed the largest array index")
+            raise ValidationError(f"{bad}t_end / dt = {self.t_end / self.dt:g} steps exceed "
+                                  "the largest array index")
         if self.n_steps < 1:
-            raise ValueError(f"invalid simulation configuration: t_end = {self.t_end!r} rounds to "
-                             f"0 steps of dt = {self.dt!r}; t_end must exceed dt/2")
+            raise ValidationError(f"{bad}t_end = {self.t_end!r} rounds to 0 steps of "
+                                  f"dt = {self.dt!r}; t_end must exceed dt/2")
 
     @property
     def h(self) -> float:
@@ -219,24 +220,23 @@ def _source_operator(fam: CoefficientFamily, m: int) -> np.ndarray | None:
 
 def simulate_closed_loop(
     spec: ProblemSpec,
-    k: KernelGrid,
+    k: KernelGrid | None,
     w0: Profile | np.ndarray,
     cfg: SimConfig,
-    open_loop: bool = False,
 ) -> Trajectory:
     """Integrate the plant under the backstepping boundary feedback.
 
     Diffusion, the local reaction c(x, t), the nonlocal source and the
     feedback U = r . w are all implicit: the feedback row and the source
     matrix sit inside the constant Crank-Nicolson matrix.
-    ``open_loop=True`` forces U = 0 (for instability contrast runs).
+    ``k = None`` is the uncontrolled plant, U = 0 (for instability contrast runs).
     ``w0`` is one Profile or an (m, n) block of n data, one per column;
     a block shares the one matrix and its powers, and its Trajectory has
     fields of shape (n_records, m, n) and controls (n_records, n).
     Raises DivergenceError if the field grows by ``BLOWUP_FACTOR`` over
     the initial sup-norm (of the whole block).
     """
-    row = None if open_loop else feedback_row(k, cfg.grid_m)
+    row = None if k is None else feedback_row(k, cfg.grid_m)
     source = _source_operator(spec.family, cfg.grid_m)
     values = w0.values if isinstance(w0, Profile) else w0
     times, fields = _crank_nicolson(spec, values, cfg, row=row, source=source)

@@ -109,13 +109,13 @@ def feedback_row(k: KernelGrid, grid_m: int) -> np.ndarray:
     return r
 
 
-def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
+def make_compatible(w0: Profile, k: KernelGrid) -> Profile:
     """Shift w0 by a multiple of x^2/2 so the flux condition holds at x = 1.
 
     Solves the one-parameter equation matching the one-sided boundary
-    derivative of the adjusted datum to its own feedback value; returns
-    the adjusted profile and the shift amplitude.  Leaves the derivative
-    at x = 0 untouched (the shift function is flat there).
+    derivative of the adjusted datum to its own feedback value and
+    returns the adjusted profile.  Leaves the derivative at x = 0
+    untouched (the shift function is flat there).
     """
     s = Profile(w0.grid_m, 0.5 * w0.x ** 2)
     r = feedback_row(k, w0.grid_m)
@@ -124,8 +124,7 @@ def make_compatible(w0: Profile, k: KernelGrid) -> tuple[Profile, float]:
     if abs(rs) < 1e-14:
         raise TransformError("compatibility shift is degenerate for this kernel")
     gamma = -r0 / rs
-    adjusted = Profile(w0.grid_m, w0.values + gamma * s.values)
-    return adjusted, gamma
+    return Profile(w0.grid_m, w0.values + gamma * s.values)
 
 
 @dataclass(frozen=True)

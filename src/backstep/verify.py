@@ -148,16 +148,15 @@ def check_envelope(trace: NormTrace, envelope, slack: float, name: str = "") -> 
 
 
 def verify_theorem_bound(
-    trace: NormTrace,
-    C_bound: float,
-    lam: float,
-    initial_norm: float,
-    slack: float,
-    name: str = "",
+    trace: NormTrace, C_bound: float, lam: float, slack: float, name: str = ""
 ) -> BoundCheck:
-    """:func:`check_envelope` of values(t) <= slack * C_bound * exp(-lam t) * initial_norm."""
+    """:func:`check_envelope` of values(t) <= slack * C_bound * exp(-lam t) * values(0).
+
+    The trace's first record is the initial norm ||w0|| of the theorem's
+    ``||w(t)|| <= C e^{-lambda t} ||w0||``: the records start at t = 0.
+    """
     t = np.asarray(trace.times, dtype=float)
-    return check_envelope(trace, C_bound * initial_norm * np.exp(-lam * t), slack, name)
+    return check_envelope(trace, C_bound * trace.values[0] * np.exp(-lam * t), slack, name)
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +429,7 @@ def continuous_dependence_experiment(
         for (p, kind), tr in norm_trace(Trajectory(traj.times, diff), config.p_list).items():
             tag = f"{kind}_{_ptag(p)}"
             checks[tag] = verify_theorem_bound(tr, constants_for_p(p, con)[kind], lam,
-                                               tr.values[0], config.slack, tag)
+                                               config.slack, tag)
     return checks, linearity_gap
 
 
@@ -537,7 +536,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         stage = "compatibility"
         w0 = config.initial_data.build(config.sim.grid_m)
         if config.initial_data.adjust_compatibility:
-            w0, _ = make_compatible(w0, k)
+            w0 = make_compatible(w0, k)
         compat = check_compatibility(w0, k)
 
         stage = "simulate"
@@ -557,16 +556,16 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
             fits: dict[str, tuple] = {}
             margins = []
             for (p, kind), wtr in norms_w.items():
-                tag, utr = f"{kind}_{_ptag(p)}", norms_u[p, kind]
-                traces[f"w_{tag}"], traces[f"u_{tag}"] = wtr, utr
-                chk = verify_theorem_bound(wtr, per_p[p][kind], lam, wtr.values[0], config.slack,
-                                           f"envelope_w_{tag}")
-                pass_flags[f"envelope_w_{tag}"] = chk.passed
-                margins.append(chk.margin)
-                chk_u = verify_theorem_bound(utr, 1.0, lam, utr.values[0], config.slack,
-                                             f"floor_u_{tag}")
-                pass_flags[f"floor_u_{tag}"] = chk_u.passed
-                for name, tr in ((f"w_{tag}", wtr), (f"u_{tag}", utr)):
+                tag = f"{kind}_{_ptag(p)}"
+                # the plant against C, the target against the floor 1
+                for check, side, tr, C in (("envelope", "w", wtr, per_p[p][kind]),
+                                           ("floor", "u", norms_u[p, kind], 1.0)):
+                    name, flag = f"{side}_{tag}", f"{check}_{side}_{tag}"
+                    traces[name] = tr
+                    chk = verify_theorem_bound(tr, C, lam, config.slack, flag)
+                    pass_flags[flag] = chk.passed
+                    if check == "envelope":
+                        margins.append(chk.margin)
                     try:
                         fits[name] = fit_decay_rate(tr, config.skip_fraction)
                     except FitError:

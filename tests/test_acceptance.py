@@ -192,7 +192,7 @@ def test_criterion_7_theorem_envelope():
     con = kernel_constants(k, l)
     lam = lambda_lower(SPEC_DECAY)
     w0 = InitialData("bump", {"center": 0.5, "width": 0.3, "height": 1.0}).build(201)
-    w0, _ = make_compatible(w0, k)
+    w0 = make_compatible(w0, k)
     compat = check_compatibility(w0, k)
     traj = simulate_closed_loop(SPEC_DECAY, k, w0, DEFAULT_SIM)
     ok = compat.ok
@@ -202,7 +202,7 @@ def test_criterion_7_theorem_envelope():
         cm = constants_for_p(p, con)
         for kind in ("lp", "w1p"):
             tr = traces[p, kind]
-            chk = verify_theorem_bound(tr, cm[kind], lam, tr.values[0], slack=1.05)
+            chk = verify_theorem_bound(tr, cm[kind], lam, slack=1.05)
             ok = ok and chk.passed
             details.append(f"{kind} p={p:g}: C={cm[kind]:.2f} margin={chk.margin:+.2f}")
     elapsed = time.perf_counter() - start

@@ -1,13 +1,17 @@
-"""Smoke tests of the scripts, which load against the package and run, and a check
-that the README's references to the package and to the tests resolve."""
+"""Smoke tests of the scripts, which load against the package and run, a check that
+the README's references to the package and to the tests resolve, and one of the
+test settings in pyproject.toml."""
 import ast
 import dataclasses
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,21 +44,29 @@ def test_artifact_diff(tmp_path, capsys):
     report = {"fit": [0.5, 2.0], "flags": {"ok": True}, "sweeps": 8, "note": "x"}
     old = write_tree(tmp_path / "old", {
         "a.csv": "t,name,value\n0,p,1e-20\n0.5,q,2.0\n",
+        "nan.csv": "t,value\n0,nan\n0.5,0\n",
+        "nan.json": json.dumps({"fit": math.nan, "g": 0.0, "k": 2.0}),
         "report.json": json.dumps(report),
         "same.txt": "sweeps 8\n",
         "sub/log.txt": "residual 1.0e-05 after 8 sweeps\n",
     })
     new = write_tree(tmp_path / "new", {
         "a.csv": "t,name,value\n0,p,3e-20\n0.5,q,2.000000000000004\n",
+        "nan.csv": "t,value\n0,0\n0.5,0\n",
+        "nan.json": json.dumps({"fit": 0.0, "g": math.nan, "k": 2.0}),
         "report.json": json.dumps({**report, "fit": [0.5, 2.5]}),
         "same.txt": "sweeps 8\n",
         "sub/log.txt": "residual 1.5e-05 after 8 sweeps\n",
     })
     main = load("artifact_diff.py")["main"]
     assert main([old, new]) == 0
-    # the near-zero entry is measured on its column's scale: 2e-20 / 2.000000000000004
+    # the near-zero entry is measured on its column's scale: 2e-20 / 2.000000000000004;
+    # a nan that meets a 0 differs by inf, on a zero scale as on any other, and is never
+    # one of the smaller numbers that moved
     assert capsys.readouterr().out.splitlines() == [
         "a.csv  max abs 3.997e-15  max rel 1.998e-15 at value",
+        "nan.csv  max abs inf  max rel inf at value",
+        "nan.json  max abs inf  max rel inf at $.fit",
         "report.json  max abs 5.000e-01  max rel 2.000e-01 at $.fit[1]",
         "identical  same.txt",
         "sub/log.txt  max abs 5.000e-06  max rel 3.333e-01 at number 0",
@@ -142,6 +154,14 @@ def test_config_sweep(tmp_path, monkeypatch):
             assert problems(code, stdout, stderr, escaped) == [], (key, value, switch, command)
             codes.add(code)
     assert codes == {0, 2, 3}
+    # --refine past the largest array index once escaped as ValueError on every command
+    for command in sweep["COMMANDS"]:
+        code, stdout, stderr, escaped = sweep["run_flag"]("--refine", "200000000", command)
+        assert code == 2 and problems(code, stdout, stderr, escaped) == [], command
+    # argparse's rejection is exit 2, with its one error line and no usage lines
+    code, stdout, stderr, escaped = sweep["run_flag"]("--refine", "abc", ("kernel",))
+    assert (code, escaped) == (2, None) and stderr.startswith("backstep kernel: error: ")
+    assert problems(code, stdout, stderr, escaped) == []
 
     # exit 1: a zero kernel in the closed loop fails two envelope flags
     def zero_kernel(spec, k, *args, _real=verify.simulate_closed_loop):
@@ -158,6 +178,22 @@ def test_config_sweep(tmp_path, monkeypatch):
         "RuntimeWarning escaped: overflow in power"]
     assert problems(4, "", "", None) == ["exit 4"]
     assert sweep["main"](["no_such_key"]) == 2
+
+
+def test_failing_hypothesis_test_fails_alone(tmp_path):
+    """Under the project's warning filters a failing ``@given`` test is one failure:
+    the tests after it still run, and no INTERNALERROR ends the session."""
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    pyproject = SCRIPTS.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject),
+                          "-p", "no:cacheprovider", "-q", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert re.search(r"^1 failed, 1 passed in ", run.stdout, re.M), run.stdout[-2000:]
 
 
 def test_public_surface():

@@ -139,10 +139,10 @@ class TestClosedLoop:
                          tol=1e-10, max_iter=60)
         w0 = profile_of(lambda x: 0.5 + 0.1 * np.cos(np.pi * x), 101)
         cfg_open = SimConfig(grid_m=101, dt=1e-4, t_end=0.6, record_stride=100)
-        open_traj = simulate_closed_loop(spec_unstable, k, w0, cfg_open, open_loop=True)
+        open_traj = simulate_closed_loop(spec_unstable, None, w0, cfg_open)
         sup_open = np.max(np.abs(open_traj.fields), axis=1)
         assert sup_open[-1] > 100.0 * sup_open[0]
-        w0c, _ = make_compatible(w0, k)
+        w0c = make_compatible(w0, k)
         cfg_closed = SimConfig(grid_m=101, dt=1e-4, t_end=1.5, record_stride=100)
         closed_traj = simulate_closed_loop(spec_unstable, k, w0c, cfg_closed)
         sup_closed = np.max(np.abs(closed_traj.fields), axis=1)
@@ -150,10 +150,6 @@ class TestClosedLoop:
 
     def test_blowup_detection(self):
         spec = ProblemSpec(CoefficientFamily(c2_kind="constant", c2_a=30.0), lambda0=31.0)
-        from backstep.kernel import GoursatProblem, picard_solve
-
-        k = picard_solve(GoursatProblem.direct(ProblemSpec(CoefficientFamily(), lambda0=0.0)),
-                         n_xi=65, tol=1e-10, max_iter=5)
         # every step is checked, not only the recorded ones: at a stride
         # of 100 and with a stride beyond the horizon the error names the
         # first crossing, t = ln(1e6) / 30 = 0.46052 -> step 4606; a block
@@ -163,11 +159,11 @@ class TestClosedLoop:
             cfg = SimConfig(grid_m=51, dt=1e-4, t_end=1.0, record_stride=stride)
             for w0 in (Profile(51, np.ones(51)), block):
                 with pytest.raises(DivergenceError, match=r"at t = ") as err:
-                    simulate_closed_loop(spec, k, w0, cfg, open_loop=True)
+                    simulate_closed_loop(spec, None, w0, cfg)
                 t_hit = float(re.search(r"at t = (\S+) ", str(err.value)).group(1))
                 assert t_hit == 0.4606, stride
 
-    def test_near_threshold_steps_through(self, null_kernel, monkeypatch):
+    def test_near_threshold_steps_through(self, monkeypatch):
         # exp(30 * 0.45) = 7.3e5 stays below the 1e6 threshold: no error,
         # but the bound K exp(30 stride dt) sup|w| cannot rule a crossing out, so the
         # last records are advanced one checked step at a time
@@ -186,7 +182,7 @@ class TestClosedLoop:
 
         def run(t_end):
             cfg = SimConfig(grid_m=101, dt=1e-3, t_end=t_end, record_stride=10)
-            return simulate_closed_loop(spec, null_kernel, w0, cfg, open_loop=True)
+            return simulate_closed_loop(spec, None, w0, cfg)
 
         traj = run(0.45)
         exact = np.exp(30.0 * traj.times)
@@ -204,7 +200,7 @@ class TestClosedLoop:
         assert np.array_equal(before.times, traj.times[:failing[0]])
         assert np.array_equal(before.fields, traj.fields[:failing[0]])
 
-    def test_overflowing_state_names_the_first_crossing(self, null_kernel):
+    def test_overflowing_state_names_the_first_crossing(self):
         # open loop with c = 800: v grows by (1 + 0.4) / (1 - 0.4) per step and
         # overflows float near step 840, long before the horizon; the records
         # past the crossing are redone step by step, silently
@@ -212,10 +208,9 @@ class TestClosedLoop:
         for stride in (10, 100, 2000):  # 2000: the squarings themselves overflow
             cfg = SimConfig(grid_m=51, dt=1e-3, t_end=1.0, record_stride=stride)
             with pytest.raises(DivergenceError, match=r"reached 1\.801e\+06 at t = 0\.017 "):
-                simulate_closed_loop(spec, null_kernel, Profile(51, np.ones(51)), cfg,
-                                     open_loop=True)
+                simulate_closed_loop(spec, None, Profile(51, np.ones(51)), cfg)
 
-    def test_overflowing_growth_names_the_first_crossing(self, null_kernel):
+    def test_overflowing_growth_names_the_first_crossing(self):
         # c2 = 800: at stride 2000 the one record's factor exp(C2(1)) = e^{800} passes the
         # float range, and the overflowed factor fails the certificate like any record
         # past a crossing
@@ -223,10 +218,9 @@ class TestClosedLoop:
         for stride in (10, 100, 2000):
             cfg = SimConfig(grid_m=51, dt=1e-3, t_end=1.0, record_stride=stride)
             with pytest.raises(DivergenceError, match=r"reached 1\.794e\+06 at t = 0\.018 "):
-                simulate_closed_loop(spec, null_kernel, Profile(51, np.ones(51)), cfg,
-                                     open_loop=True)
+                simulate_closed_loop(spec, None, Profile(51, np.ones(51)), cfg)
 
-    def test_only_uncleared_records_are_stepped(self, null_kernel, monkeypatch):
+    def test_only_uncleared_records_are_stepped(self, monkeypatch):
         # c = -3 + 34 e^{-2t}: the field peaks near 1.4e5 at t = 1.2 and decays, with no
         # crossing; the bound K exp(34 stride dt) sup|w| fails on the records around the peak
         # alone, and every other record is the product chain's, bit for bit
@@ -242,9 +236,9 @@ class TestClosedLoop:
 
         step_checked = simulator._step_checked
         monkeypatch.setattr(simulator, "_step_checked", spy)
-        traj = simulate_closed_loop(spec, null_kernel, w0, cfg, open_loop=True)
+        traj = simulate_closed_loop(spec, None, w0, cfg)
         monkeypatch.setattr(simulator, "BLOWUP_FACTOR", np.inf)  # every record clears
-        chain = simulate_closed_loop(spec, null_kernel, w0, cfg, open_loop=True)
+        chain = simulate_closed_loop(spec, None, w0, cfg)
         assert stepped == sorted(set(stepped)) and stepped[0] > 1
         assert stepped[-1] < len(traj.times) - 1  # cleared records follow the stepped ones
         unequal = np.flatnonzero(np.any(traj.fields != chain.fields, axis=1))
@@ -253,7 +247,7 @@ class TestClosedLoop:
         assert np.all(np.max(np.abs(traj.fields[stepped] - chain.fields[stepped]), axis=1)
                       <= 1e-12 * scale)
 
-    def test_integrating_factor_is_record_local(self, null_kernel, monkeypatch):
+    def test_integrating_factor_is_record_local(self, monkeypatch):
         # C2 is read at the record times, and in a redone record at its own steps;
         # no call spans the run's steps
         sizes = []
@@ -263,8 +257,7 @@ class TestClosedLoop:
         spec = ProblemSpec(CoefficientFamily(c1_poly=(-3.0,), c2_kind="exp_decay", c2_a=34.0,
                                              c2_b=2.0), lambda0=0.0)
         cfg = SimConfig(grid_m=101, dt=1e-3, t_end=3.0, record_stride=10)
-        traj = simulate_closed_loop(spec, null_kernel, Profile(101, np.ones(101)), cfg,
-                                    open_loop=True)
+        traj = simulate_closed_loop(spec, None, Profile(101, np.ones(101)), cfg)
         assert cfg.record_stride + 1 in sizes  # some record was redone
         assert max(sizes) <= max(len(traj.times), cfg.record_stride + 1)
 
@@ -356,7 +349,7 @@ class TestClosedLoop:
             lambda0=3.0,
         )
         k = picard_solve(GoursatProblem.direct(spec), n_xi=201, tol=1e-10, max_iter=80)
-        w0, _ = make_compatible(InitialData("bump").build(101), k)
+        w0 = make_compatible(InitialData("bump").build(101), k)
 
         def final(dt):
             cfg = SimConfig(grid_m=101, dt=dt, t_end=0.2, record_stride=10 ** 9)

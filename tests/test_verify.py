@@ -158,21 +158,20 @@ class TestFit:
 class TestBound:
     def test_zero_trace_passes(self):
         t = np.linspace(0, 1, 11)
-        chk = verify_theorem_bound(NormTrace(t, np.zeros_like(t)),
-                                   1.0, 1.0, 0.0, slack=1.05)
+        chk = verify_theorem_bound(NormTrace(t, np.zeros_like(t)), 1.0, 1.0, slack=1.05)
         assert chk.passed
 
     def test_exact_envelope_equality(self):
         t = np.linspace(0, 1, 11)
-        vals = 3.0 * np.exp(-2.0 * t) * 0.7
-        chk = verify_theorem_bound(NormTrace(t, vals), 3.0, 2.0, 0.7, slack=1.0)
+        vals = 0.7 * np.exp(-2.0 * t)  # C = 1: the envelope is the trace, bit for bit
+        chk = verify_theorem_bound(NormTrace(t, vals), 1.0, 2.0, slack=1.0)
         assert chk.passed
 
     def test_violation_reports_worst_time(self):
         t = np.linspace(0, 1, 11)
         vals = np.exp(-1.0 * t)
         vals[5] = 2.0
-        chk = verify_theorem_bound(NormTrace(t, vals), 1.0, 1.0, 1.0, slack=1.05)
+        chk = verify_theorem_bound(NormTrace(t, vals), 1.0, 1.0, slack=1.05)
         assert not chk.passed
         assert chk.worst_t == pytest.approx(t[5])
         assert chk.margin < 0
@@ -190,9 +189,9 @@ class TestBound:
         calls = []
         monkeypatch.setattr(verify, "check_envelope",
                             lambda *args: calls.append(args) or check_envelope(*args))
-        assert verify_theorem_bound(NormTrace(t, slack * env), 1.0, 0.5, 1.0, slack).passed
+        assert verify_theorem_bound(NormTrace(t, slack * env), 1.0, 0.5, slack).passed
         assert len(calls) == 1
-        assert np.array_equal(calls[0][1], np.exp(-0.5 * t))
+        assert np.array_equal(calls[0][1], slack * env[0] * np.exp(-0.5 * t))
 
     @pytest.mark.parametrize("where", ["value", "envelope"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -208,7 +207,7 @@ class TestBound:
         # an infinite slack would pass any trace, a growing one included
         t = np.linspace(0, 1, 11)
         with pytest.raises(ValueError, match="slack must be finite and >= 1"):
-            verify_theorem_bound(NormTrace(t, np.exp(t)), 1.0, 1.0, 1.0, slack)
+            verify_theorem_bound(NormTrace(t, np.exp(t)), 1.0, 1.0, slack)
 
 
 def scenario(tmpdir, **overrides) -> ScenarioConfig:
@@ -812,6 +811,19 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["kernel", "--config", str(path), "--refine", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["kernel"], ["simulate"], ["verify"]])
+    def test_refine_past_the_array_index_exit(self, tmp_path, capsys, command):
+        # 2.0 / (2.5e-5 / 2e7 ** 2) = 3.2e19 steps: a factor that fails while the
+        # config loads, before any grid is allocated
+        with pytest.raises(ValidationError, match="exceed the largest array index"):
+            cli._refine(load_scenario(DEFAULT_INI), 20000000)
+        out = tmp_path / "run"
+        assert cli_main([*command, "--config", str(DEFAULT_INI), "--refine", "20000000",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: invalid simulation")
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new", [("[kernel]", "[kernal]"),
                                           ("n_xi = 101", "n_x1 = 101"),

@@ -6,10 +6,11 @@
 The scenario is ``scripts/configs/default.ini`` with ``n_xi`` 101, ``grid_m``
 51, ``dt`` 1e-3 and ``t_end`` 0.5, writing to ``out``.  Each of its keys, and
 each key of ``SWITCHED`` with the family that reads it switched on, is set in
-turn to each of ``VALUES``, and ``verify``, ``simulate --open-loop`` and
-``kernel`` run on the file; then each flag of ``FLAGS`` is given each of its
-values on the unchanged file, on the commands that take it.  Given ``KEY``
-arguments, keys or flags such as ``--refine``, the sweep runs only those.
+turn to each of ``VALUES``, and ``verify``, ``simulate --open-loop``,
+``kernel``, ``oracle`` and ``oracle --out out`` run on the file; then each
+flag of ``FLAGS`` is given each of its values on the unchanged file, on the
+commands that take it.  Given ``KEY`` arguments, keys or flags such as
+``--refine``, the sweep runs only those.
 Every case runs in-process through ``backstep.cli.main``, inside one
 temporary working directory and with every warning raised as an error;
 argparse's rejection of a flag value counts as its exit 2, and its usage
@@ -21,11 +22,11 @@ flagged when
 * it prints more than one line to stderr;
 * an exception escapes ``cli.main``: a warning, or a traceback exit.
 
-Prints one line per flagged case and a count of the cases per exit code;
-exits 1 if any case is flagged, 2 on an unknown ``KEY``.  The whole sweep
-(32 keys, 14 values, 3 commands: 1344 cases; then 6 ``--refine`` values on 3
-commands and 8 ``--p`` values on ``verify``: 26 cases) takes about 7 s on a
-2-core Xeon VM.
+Prints one line per flagged case, a count of the cases per exit code for
+each command, and the total; exits 1 if any case is flagged, 2 on an unknown
+``KEY``.  The whole sweep (32 keys, 14 values, 5 commands: 2240 cases; then
+6 ``--refine`` values on 5 commands and 8 ``--p`` values on ``verify``: 38
+cases) takes about 14 s on a 2-core Xeon VM.
 """
 import configparser
 import contextlib
@@ -57,7 +58,8 @@ SWITCHED = (("initial_data", "a", {"family": "constant"}),
             ("problem", "c2_a", {"c2_kind": "damped_osc"}),
             ("problem", "c2_b", {"c2_kind": "damped_osc"}))
 BUMP = ("center", "width", "height")
-COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",))
+COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",), ("oracle",),
+            ("oracle", "--out", "out"))
 #: (flag, its values, the commands that take it)
 FLAGS = (("--refine", ("2", "200000000", "0", "-1", "abc", "1e308"), COMMANDS),
          ("--p", ("1", "inf", "1e308", "0.5", "nan", "2,2.0000001", "abc", ""), (("verify",),)))
@@ -133,12 +135,12 @@ def problems(code, stdout: str, stderr: str, escaped) -> list:
 
 
 def sweep(selected, flags) -> tuple:
-    """(flagged lines, Counter of exit codes) over every case of the ``selected`` keys
-    and of the ``flags``, entries of ``FLAGS``."""
-    flagged, codes = [], Counter()
+    """(flagged lines, {command: Counter of exit codes}) over every case of the
+    ``selected`` keys and of the ``flags``, entries of ``FLAGS``."""
+    flagged, codes = [], {}
 
     def record(label, command, outcome):
-        codes[outcome[0]] += 1
+        codes.setdefault(" ".join(command), Counter())[outcome[0]] += 1
         for problem in problems(*outcome):
             flagged.append(f"{label}, {' '.join(command)}: {problem}")
 
@@ -174,9 +176,14 @@ def main(argv=None) -> int:
                            [entry for entry in FLAGS if not names or entry[0] in names])
     for line in flagged:
         print(line)
-    print(f"{sum(codes.values())} cases, exit codes "
-          f"{', '.join(f'{c}: {n}' for c, n in sorted(codes.items(), key=str))}; "
-          f"{len(flagged)} flagged")
+
+    def tally(counts: Counter) -> str:
+        return (f"{sum(counts.values())} cases, exit codes "
+                f"{', '.join(f'{c}: {n}' for c, n in sorted(counts.items(), key=str))}")
+
+    for command, counts in codes.items():
+        print(f"{command}: {tally(counts)}")
+    print(f"{tally(sum(codes.values(), Counter()))}; {len(flagged)} flagged")
     return 1 if flagged else 0
 
 

@@ -9,8 +9,8 @@ functionals.
 
 from .coefficients import (
     CoefficientFamily,
+    ConfigError,
     ProblemSpec,
-    ValidationError,
     lambda_lower,
 )
 from .kernel import (
@@ -39,7 +39,6 @@ from .transforms import (
     make_compatible,
 )
 from .verify import (
-    ConfigError,
     DecayReport,
     ScenarioConfig,
     continuous_dependence_experiment,

@@ -1,15 +1,15 @@
 """Command-line front end: kernel solves, simulations, verification runs.
 
-Exit codes: 0 pass, 1 bound violation, 2 configuration error (an
-unwritable output directory, a failed artifact writer, such as
-``verify``'s child of ``kernels.csv`` and ``closed_loop.csv``, and a grid
-too large for memory included), 3 numerical failure (a float overflow,
-a norm trace or envelope that is not finite and a Picard stop at a
-rounding floor and any numpy float error no stage handles included).  A
-failure inside ``verify`` names its pipeline stage.  Every command runs in
-:func:`~backstep.verify.run_scope`: on one OpenBLAS thread, so that its
-artifacts do not depend on the caller's thread count, and with numpy's
-float errors raised, so that none prints a warning.
+Exit codes: 0 pass, 1 bound violation, 2 configuration error, 3 numerical
+failure, decided by the error's type.  A ConfigError, an OSError (an
+unwritable output directory, a failed artifact writer) or a MemoryError (a
+grid too large for memory) exits 2.  An ArithmeticError exits 3: every
+numerical failure the package raises derives from it, as do a float
+overflow and numpy's float errors.  numpy's LinAlgError, a ValueError,
+exits 3 too.  A failure inside ``verify`` names its pipeline stage.  Every
+command runs in :func:`~backstep.verify.run_scope`: on one OpenBLAS thread,
+so that its artifacts do not depend on the caller's thread count, and with
+numpy's float errors raised, so that none prints a warning.
 """
 from __future__ import annotations
 
@@ -20,12 +20,11 @@ import sys
 
 import numpy as np
 
-from .coefficients import ValidationError, lambda_lower
-from .kernel import ConvergenceError, GoursatProblem, picard_solve, residual
-from .simulator import DivergenceError, simulate_closed_loop, simulate_target
-from .transforms import TransformError, initial_target_data, make_compatible
+from .coefficients import ConfigError, lambda_lower
+from .kernel import GoursatProblem, picard_solve, residual
+from .simulator import simulate_closed_loop, simulate_target
+from .transforms import initial_target_data, make_compatible
 from .verify import (
-    ConfigError,
     ScenarioConfig,
     dump_kernel_csv,
     failure_text,
@@ -192,11 +191,10 @@ def main(argv=None) -> int:
     try:
         with run_scope():
             return args.fn(args)
-    except (ConfigError, ValidationError, OSError, MemoryError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"configuration error: {failure_text(exc)}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, DivergenceError, TransformError, OverflowError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {failure_text(exc)}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -38,15 +38,17 @@ def horner(x, coeffs):
     return out
 
 
-class ValidationError(ValueError):
-    """A problem specification violates an admissibility condition."""
+class ConfigError(ValueError):
+    """A scenario that does not parse or is inadmissible: the command line exits 2.
+
+    Every numerical failure is an ArithmeticError instead, and exits 3."""
 
 
 def _check_finite(**values):
-    """Raise ValidationError naming the first of ``values`` with a NaN or infinite entry."""
+    """Raise ConfigError naming the first of ``values`` with a NaN or infinite entry."""
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
-            raise ValidationError(f"{name} must be finite, got {value}")
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,15 @@ class CoefficientFamily:
 
     def __post_init__(self):
         if self.c2_kind not in C2_KINDS:
-            raise ValidationError(f"unknown c2 family {self.c2_kind!r}")
+            raise ConfigError(f"unknown c2 family {self.c2_kind!r}")
         c1 = tuple(float(c) for c in np.atleast_1d(self.c1_poly))
-        if len(c1) == 0:
-            raise ValidationError("c1_poly must be non-empty")
         fp = np.atleast_2d(np.asarray(self.f_poly, dtype=float))
+        for name, value in (("c1_poly", c1), ("f_poly", fp)):
+            if np.size(value) == 0:
+                raise ConfigError(f"{name} must be non-empty")
         _check_finite(c1_poly=c1, c2_a=self.c2_a, c2_b=self.c2_b, f_poly=fp)
         if self.c2_kind == "exp_decay" and self.c2_b <= 0:
-            raise ValidationError("exp_decay requires b > 0")
+            raise ConfigError("exp_decay requires b > 0")
         object.__setattr__(self, "c1_poly", c1)
         object.__setattr__(self, "f_poly", tuple(tuple(row) for row in fp))
 
@@ -166,7 +169,7 @@ class ProblemSpec:
     def __post_init__(self):
         _check_finite(lambda0=self.lambda0, horizon=self.horizon)
         if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
+            raise ConfigError("horizon must be positive")
 
 
 def sup_c(spec: ProblemSpec) -> float:
@@ -181,7 +184,7 @@ def sup_c(spec: ProblemSpec) -> float:
     ts = np.linspace(0.0, spec.horizon, _CONFIRM_NODES)
     sampled = float(np.max(fam.c1(xs)) + np.max(fam.c2(ts)))
     if not sampled <= analytic + _SUP_TOLERANCE:  # a NaN sample fails too
-        raise ValidationError(
+        raise ConfigError(
             f"sampled sup of c ({sampled:.12g}) is not at most the closed form "
             f"({analytic:.12g}); coefficient family is inconsistent"
         )
@@ -193,7 +196,7 @@ def lambda_lower(spec: ProblemSpec) -> float:
     sup = sup_c(spec)
     lam = spec.lambda0 - sup
     if not lam > 0:
-        raise ValidationError(
+        raise ConfigError(
             f"lambda0 must exceed the supremum of c(x, t): "
             f"lambda0 = {spec.lambda0:.12g}, sup c = {sup:.12g}"
         )

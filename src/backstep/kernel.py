@@ -54,7 +54,7 @@ _PAD = 8
 _NEST_FLOOR = 101
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """Picard iteration stopped with the increment above tolerance.
 
     Either ``max_iter`` ran out, or the certified stop came while the

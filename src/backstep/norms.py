@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import cumtrapz, trapezoid
-from .transforms import Profile
 
 
 def _check_p(p: float) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import volterra_matrix
-from .coefficients import CoefficientFamily, ProblemSpec, ValidationError
+from .coefficients import CoefficientFamily, ConfigError, ProblemSpec
 from .kernel import KernelGrid
 from .transforms import Profile, feedback_row
 
@@ -39,7 +39,7 @@ BLOWUP_FACTOR = 1e6
 _FLUSH_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(ArithmeticError):
     """The simulated field exceeded the blow-up threshold."""
 
 
@@ -57,13 +57,13 @@ class SimConfig:
                          ("t_end", 0 < self.t_end < math.inf),
                          ("record_stride", self.record_stride >= 1)):
             if not ok:
-                raise ValidationError(f"{bad}{name} = {getattr(self, name)!r}")
+                raise ConfigError(f"{bad}{name} = {getattr(self, name)!r}")
         if not self.t_end / self.dt < np.iinfo(np.intp).max:
-            raise ValidationError(f"{bad}t_end / dt = {self.t_end / self.dt:g} steps exceed "
-                                  "the largest array index")
+            raise ConfigError(f"{bad}t_end / dt = {self.t_end / self.dt:g} steps exceed "
+                              "the largest array index")
         if self.n_steps < 1:
-            raise ValidationError(f"{bad}t_end = {self.t_end!r} rounds to 0 steps of "
-                                  f"dt = {self.dt!r}; t_end must exceed dt/2")
+            raise ConfigError(f"{bad}t_end = {self.t_end!r} rounds to 0 steps of "
+                              f"dt = {self.dt!r}; t_end must exceed dt/2")
 
     @property
     def h(self) -> float:

@@ -19,7 +19,7 @@ from ._quad import composite_weights, volterra_matrix
 from .kernel import KernelGrid
 
 
-class TransformError(RuntimeError):
+class TransformError(ArithmeticError):
     """A kernel grid cannot supply the feedback row or the compatibility shift."""
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import _csvout
-from .coefficients import CoefficientFamily, ProblemSpec, horner, lambda_lower
+from .coefficients import CoefficientFamily, ConfigError, ProblemSpec, horner, lambda_lower
 from .kernel import (
     MIN_N_XI,
     GoursatProblem,
@@ -39,11 +39,7 @@ from .transforms import (
 )
 
 
-class ConfigError(ValueError):
-    """Scenario configuration failed to parse or validate."""
-
-
-class FitError(RuntimeError):
+class FitError(ArithmeticError):
     """Log-linear fit window holds fewer than two samples or a nonpositive value."""
 
 
@@ -499,8 +495,9 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     ``closed_loop.csv``, fed after the target and then the closed loop are
     simulated, so that each feed finds it reading.  A failure of that
     writer (spawn error, broken pipe, nonzero exit) raises OSError in stage
-    ``artifacts``, led by the first file it did not write.  The child is
-    reaped on every exit path; a failed call leaves none of its files.
+    ``artifacts``, led by the first file it did not write (the last, if it
+    wrote both and still failed).  The child is reaped on every exit path;
+    a failed call leaves none of its files.
 
     The call runs under :func:`run_scope`: no second BLAS thread spins on
     the core the child formats on, and a float error raises
@@ -675,7 +672,8 @@ class _WriterChild:
             self.error = exc
 
     def join(self) -> list:
-        """The paths, once the child wrote them all; else OSError led by the first it did not."""
+        """The paths, once the child wrote them all; else OSError led by the first it did
+        not, or by the last when it reported every file and still failed."""
         done = 0
         if self.proc is not None:
             done = self.proc.stdout.read().count(b"\n")  # one line per written file
@@ -684,7 +682,8 @@ class _WriterChild:
                 self.error = f"writer exited with code {self.proc.returncode}" + (
                     f": {message}" if message else "")
         if self.error is not None:
-            raise OSError(f"{os.path.basename(self.paths[done])}: {self.error}")
+            failed = self.paths[min(done, len(self.paths) - 1)]
+            raise OSError(f"{os.path.basename(failed)}: {self.error}")
         self.pending = 0
         return self.paths
 

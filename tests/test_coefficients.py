@@ -9,8 +9,8 @@ from numpy.polynomial import polynomial as npoly
 from backstep import coefficients, simulator
 from backstep.coefficients import (
     CoefficientFamily,
+    ConfigError,
     ProblemSpec,
-    ValidationError,
     lambda_lower,
     sup_c,
 )
@@ -140,7 +140,7 @@ class TestSup:
         # a closed form below the sampled maximum (1 at t = 0) by more than the slack
         s = spec_of(kind="exp_decay", a=1.0, b=1.0)
         monkeypatch.setattr(CoefficientFamily, "c2_sup", lambda self: 1.0 - 1e-6)
-        with pytest.raises(ValidationError, match="is not at most the closed form"):
+        with pytest.raises(ConfigError, match="is not at most the closed form"):
             sup_c(s)
 
     def test_nan_rejected(self, monkeypatch):
@@ -148,10 +148,10 @@ class TestSup:
         # the closed form's cross-check, and a NaN sup of c fails lambda0 > sup c
         s = spec_of(c1=(0, 0, 1.0), kind="damped_osc", a=1.0, b=1e308, lambda0=3.0)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValidationError, match=r"sampled sup of c \(nan\)"):
+                pytest.raises(ConfigError, match=r"sampled sup of c \(nan\)"):
             sup_c(s)
         monkeypatch.setattr(coefficients, "sup_c", lambda spec: math.nan)
-        with pytest.raises(ValidationError, match="sup c = nan"):
+        with pytest.raises(ConfigError, match="sup c = nan"):
             lambda_lower(s)
 
     # the grid spans 50 / max(1, |b|): some 8 periods of sin(b t) when |b| > 1, so that it
@@ -176,7 +176,7 @@ class TestValidate:
 
     def test_equality_rejected(self):
         s = spec_of(c1=(0, 0, 1.0), kind="exp_decay", a=1.0, b=1.0, lambda0=2.0)
-        with pytest.raises(ValidationError, match="lambda0"):
+        with pytest.raises(ConfigError, match="lambda0"):
             lambda_lower(s)
 
     def test_strictly_above_ok(self):
@@ -191,11 +191,11 @@ class TestValidate:
         assert lambda_lower(s) == pytest.approx(0.5, abs=1e-12)
 
     def test_exp_decay_needs_positive_rate(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             CoefficientFamily(c2_kind="exp_decay", c2_a=1.0, c2_b=0.0)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             CoefficientFamily(c2_kind="sawtooth")
 
 

@@ -135,6 +135,8 @@ def test_config_sweep(tmp_path, monkeypatch):
     sweep = load("config_sweep.py")
     run_case, problems = sweep["run_case"], sweep["problems"]
     assert len(sweep["keys"]()) == 32
+    assert [command[0] for command in sweep["COMMANDS"]] == [
+        "verify", "simulate", "kernel", "oracle", "oracle"]
     monkeypatch.chdir(tmp_path)
     codes = set()
     constant, cosine = {"family": "constant"}, {"family": "cosine"}
@@ -214,6 +216,25 @@ def test_public_surface():
     for name in ("sup_c", "bound_constant_M", "series_coefficients", "tail_bound",
                  "lp_norm", "w1p_norm"):
         assert not hasattr(backstep, name), name
+
+
+def test_no_unused_imports():
+    """Every name a backstep module imports is read in that module; the re-exports of
+    ``__init__.py`` are exempt."""
+    modules = sorted((SCRIPTS.parent / "src" / "backstep").glob("*.py"))
+    assert len(modules) > 5
+    unused = []
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []
 
 
 def test_readme_names_resolve():

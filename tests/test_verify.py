@@ -1,9 +1,12 @@
 import configparser
 import csv
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,11 +20,11 @@ import pytest
 from backstep.cli import main as cli_main
 from backstep import _csvout, cli, coefficients, simulator, verify
 from backstep._quad import composite_weights
-from backstep.coefficients import CoefficientFamily, ProblemSpec, ValidationError, lambda_lower
-from backstep.kernel import KernelConstants
+from backstep.coefficients import CoefficientFamily, ProblemSpec, lambda_lower
+from backstep.kernel import ConvergenceError, KernelConstants
 from backstep.norms import NormTrace, gronwall_bound, rho
 from backstep.simulator import SimConfig, Trajectory
-from backstep.transforms import Profile
+from backstep.transforms import Profile, TransformError
 from backstep.verify import (
     ConfigError,
     FitError,
@@ -372,7 +375,7 @@ class TestScenario:
             CoefficientFamily(c1_poly=(0, 0, 1.0), c2_kind="exp_decay", c2_a=1.0, c2_b=1.0),
             lambda0=2.0,
         ))
-        with pytest.raises(ValidationError, match="lambda0"):
+        with pytest.raises(ConfigError, match="lambda0"):
             run_scenario(cfg)
         manifest = (tmp_path / "bad" / "MANIFEST.txt").read_text()
         assert manifest.startswith("INCOMPLETE")
@@ -816,7 +819,7 @@ class TestCli:
     def test_refine_past_the_array_index_exit(self, tmp_path, capsys, command):
         # 2.0 / (2.5e-5 / 2e7 ** 2) = 3.2e19 steps: a factor that fails while the
         # config loads, before any grid is allocated
-        with pytest.raises(ValidationError, match="exceed the largest array index"):
+        with pytest.raises(ConfigError, match="exceed the largest array index"):
             cli._refine(load_scenario(DEFAULT_INI), 20000000)
         out = tmp_path / "run"
         assert cli_main([*command, "--config", str(DEFAULT_INI), "--refine", "20000000",
@@ -887,9 +890,11 @@ class TestCli:
         ("horizon = 2.0", "horizon = 2.0\nsup_tolerance = 0",
          "unknown key sup_tolerance in [problem]"),
         ("c1_poly = 0 0 1", "c1_poly =", "[problem] c1_poly must be non-empty"),
+        ("f_poly = 0", "f_poly =", "[problem] f_poly must be non-empty"),
+        ("f_poly = 0", "f_poly = ;", "[problem] f_poly must be non-empty"),
     ], ids=["c2_b", "t_end", "horizon", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
             "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324",
-            "sup_tolerance_0", "c1_poly_empty"])
+            "sup_tolerance_0", "c1_poly_empty", "f_poly_empty", "f_poly_empty_rows"])
     def test_admissibility_error_named(self, tmp_path, capsys, old, new, named):
         path = tmp_path / "s.ini"
         text = CONFIG_TEXT.format(out=tmp_path / "run")
@@ -897,6 +902,36 @@ class TestCli:
         path.write_text(text.replace(old, new))
         assert cli_main(["kernel", "--config", str(path)]) == 2
         assert f"configuration error: {named}" in capsys.readouterr().err
+
+    def test_every_error_class_has_an_exit_base(self):
+        # cli.main names the two bases, so a new error class must take one of them
+        import backstep
+
+        errors = {obj for info in pkgutil.iter_modules(backstep.__path__)
+                  for obj in vars(importlib.import_module(f"backstep.{info.name}")).values()
+                  if inspect.isclass(obj) and issubclass(obj, BaseException)
+                  and obj.__module__.startswith("backstep")}
+        assert {e.__name__ for e in errors} == {"ConfigError", "ConvergenceError",
+                                                "DivergenceError", "TransformError", "FitError"}
+        assert [e for e in errors if not issubclass(e, (ConfigError, ArithmeticError))] == []
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("injected"), 2), (OSError("injected"), 2), (MemoryError("injected"), 2),
+        (ConvergenceError("injected", 1.0), 3), (simulator.DivergenceError("injected"), 3),
+        (TransformError("injected"), 3), (FitError("injected"), 3), (OverflowError("injected"), 3),
+        (FloatingPointError("injected"), 3), (ZeroDivisionError("injected"), 3),
+        (np.linalg.LinAlgError("injected"), 3)],
+        ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+    def test_exit_code_by_type(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_kernels", fail)
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        assert cli_main(["kernel", "--config", str(path)]) == code
+        lead = "configuration error" if code == 2 else "numerical failure"
+        assert capsys.readouterr().err.splitlines() == [f"{lead}: injected"]
 
     def test_oracle_negative_r_exit(self, tmp_path, capsys):
         path = tmp_path / "s.ini"
@@ -1292,6 +1327,16 @@ class TestCli:
         assert cause in capsys.readouterr().err
 
 
+#: a writer child that reads its stdin, writes and reports each file, then exits 1
+AFTER_BOTH = """import sys
+sys.stdin.buffer.read()
+for path in sys.argv[1:]:
+    open(path, "w").close()
+    print(path)
+sys.exit(1)
+"""
+
+
 class TestClosedLoopWriter:
     """verify's writer child, of kernels.csv and then closed_loop.csv: its failures surface
     and it never outlives a call."""
@@ -1316,13 +1361,21 @@ class TestClosedLoopWriter:
         path.write_text(text.replace(old, new))
         return path
 
-    @pytest.mark.parametrize("cause", ["directory", "spawn", "kernels_directory"])
+    @pytest.mark.parametrize("cause", ["directory", "spawn", "kernels_directory", "after_both"])
     def test_writer_failure_is_stage_artifacts(self, tmp_path, capsys, monkeypatch, children,
                                                cause):
         path = self.config(tmp_path)
         # the message leads with the first file the writer did not write
-        name = "closed_loop.csv" if cause == "directory" else "kernels.csv"
-        if cause != "spawn":
+        name = "closed_loop.csv" if cause in ("directory", "after_both") else "kernels.csv"
+        if cause == "after_both":
+            # the child writes and reports both files, then exits 1: the last file is named
+            class AfterBoth(subprocess.Popen):
+                def __init__(self, args, **kwargs):
+                    super().__init__([sys.executable, "-c", AFTER_BOTH, *args[3:]], **kwargs)
+
+            monkeypatch.setattr(subprocess, "Popen", AfterBoth)
+            match = "writer exited with code 1$"
+        elif cause != "spawn":
             (tmp_path / "run" / name).mkdir(parents=True)
             match = "exited with code 1: .*Is a directory"
         else:

@@ -7,7 +7,7 @@ The scenario is ``scripts/configs/default.ini`` with ``n_xi`` 101, ``grid_m``
 51, ``dt`` 1e-3 and ``t_end`` 0.5, writing to ``out``.  Each of its keys, and
 each key of ``SWITCHED`` with the family that reads it switched on, is set in
 turn to each of ``VALUES``, and ``verify``, ``simulate --open-loop``,
-``kernel``, ``oracle`` and ``oracle --out out`` run on the file; then each
+``kernel`` and ``oracle`` run on the file; then each
 flag of ``FLAGS`` is given each of its values on the unchanged file, on the
 commands that take it.  Given ``KEY`` arguments, keys or flags such as
 ``--refine``, the sweep runs only those.
@@ -24,9 +24,9 @@ flagged when
 
 Prints one line per flagged case, a count of the cases per exit code for
 each command, and the total; exits 1 if any case is flagged, 2 on an unknown
-``KEY``.  The whole sweep (32 keys, 14 values, 5 commands: 2240 cases; then
-6 ``--refine`` values on 5 commands and 8 ``--p`` values on ``verify``: 38
-cases) takes about 14 s on a 2-core Xeon VM.
+``KEY``.  The whole sweep (32 keys, 14 values, 4 commands: 1792 cases; then
+6 ``--refine`` values on 4 commands and 8 ``--p`` values on ``verify``: 32
+cases) takes about 13 s on a 2-core Xeon VM.
 """
 import configparser
 import contextlib
@@ -58,8 +58,7 @@ SWITCHED = (("initial_data", "a", {"family": "constant"}),
             ("problem", "c2_a", {"c2_kind": "damped_osc"}),
             ("problem", "c2_b", {"c2_kind": "damped_osc"}))
 BUMP = ("center", "width", "height")
-COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",), ("oracle",),
-            ("oracle", "--out", "out"))
+COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",), ("oracle",))
 #: (flag, its values, the commands that take it)
 FLAGS = (("--refine", ("2", "200000000", "0", "-1", "abc", "1e308"), COMMANDS),
          ("--p", ("1", "inf", "1e308", "0.5", "nan", "2,2.0000001", "abc", ""), (("verify",),)))

@@ -6,7 +6,7 @@
 runs, through ``backstep.cli.main`` and each into ``OUTDIR/<name>``:
 ``verify`` on default.ini, bench/source_xy.ini and oracle_rx2.ini;
 ``kernel`` on bench/source_xy.ini; ``simulate`` on default.ini (closed
-loop, ``--target`` and ``--open-loop``); and ``oracle --out`` on
+loop, ``--target`` and ``--open-loop``); and ``oracle`` on
 oracle_rx2.ini.  It exits 1 if any run exits non-zero.  Two builds write
 byte-identical artifacts when ``artifact_diff.py OLD NEW`` prints
 ``identical`` for every file of their runs; otherwise it measures how

@@ -23,7 +23,7 @@ import numpy as np
 from .coefficients import ConfigError, lambda_lower
 from .kernel import GoursatProblem, picard_solve, residual
 from .simulator import simulate_closed_loop, simulate_target
-from .transforms import initial_target_data, make_compatible
+from .transforms import initial_target_data
 from .verify import (
     ScenarioConfig,
     dump_kernel_csv,
@@ -45,8 +45,6 @@ EXIT_NUMERIC = 3
 
 
 def _refine(config: ScenarioConfig, factor: int) -> ScenarioConfig:
-    if factor == 1:
-        return config
     kernel = dataclasses.replace(config.kernel, n_xi=(config.kernel.n_xi - 1) * factor + 1)
     sim = dataclasses.replace(
         config.sim,
@@ -100,9 +98,7 @@ def _cmd_simulate(args) -> int:
     ks = config.kernel
     k = None if args.open_loop else picard_solve(
         GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
-    w0 = config.initial_data.build(config.sim.grid_m)
-    if config.initial_data.adjust_compatibility and k is not None:
-        w0 = make_compatible(w0, k)
+    w0 = config.initial_data.build(config.sim.grid_m, k)
     if args.target:
         u0 = initial_target_data(w0, k)
         traj = simulate_target(config.spec, u0, config.sim)
@@ -129,14 +125,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
-    if args.out:
-        os.makedirs(config.outputs, exist_ok=True)
+    os.makedirs(config.outputs, exist_ok=True)
     ks = config.kernel
     rows, sup = oracle_comparison(config.spec, ks.n_xi, ks.tol, ks.max_iter)
     print(f"sup |picard - series| over the region: {sup:.6e}")
-    if args.out:
-        path = write_oracle(os.path.join(config.outputs, "oracle.csv"), rows)
-        print(f"table written to {path}")
+    path = write_oracle(os.path.join(config.outputs, "oracle.csv"), rows)
+    print(f"table written to {path}")
     return EXIT_PASS
 
 

@@ -38,6 +38,25 @@ def horner(x, coeffs):
     return out
 
 
+def poly_range(coeffs) -> tuple[float, float]:
+    """(min, max) on [0, 1] of the polynomial with ascending ``coeffs``.
+
+    Taken at the ends and at the derivative's real roots in [0, 1].  The
+    derivative's leading coefficients at or below eps times its largest are
+    dropped first: on [0, 1] they move it by a rounding error only, and the
+    root solver divides by the leading one, so a negligible one would lose
+    roots or overflow.  The full polynomial is evaluated at the candidates.
+    """
+    deriv = npoly.polyder(coeffs)
+    deriv = npoly.polytrim(deriv, np.finfo(float).eps * np.max(np.abs(deriv)))
+    candidates = [0.0, 1.0]
+    for r in npoly.polyroots(deriv):
+        if abs(r.imag) < 1e-12 and -1e-12 <= r.real <= 1 + 1e-12:
+            candidates.append(min(max(r.real, 0.0), 1.0))
+    vals = horner(np.asarray(candidates), coeffs)
+    return float(np.min(vals)), float(np.max(vals))
+
+
 class ConfigError(ValueError):
     """A scenario that does not parse or is inadmissible: the command line exits 2.
 
@@ -127,16 +146,13 @@ class CoefficientFamily:
     # -- closed-form extrema --------------------------------------------------
 
     def c1_range(self) -> tuple[float, float]:
-        """(min, max) of c1 on [0, 1], via the derivative's real roots."""
-        coeffs = np.asarray(self.c1_poly)
-        candidates = [0.0, 1.0]
-        if len(coeffs) > 1:
-            roots = npoly.polyroots(npoly.polyder(coeffs))
-            for r in roots:
-                if abs(r.imag) < 1e-12 and -1e-12 <= r.real <= 1 + 1e-12:
-                    candidates.append(min(max(r.real, 0.0), 1.0))
-        vals = self.c1(np.asarray(candidates))
-        return float(np.min(vals)), float(np.max(vals))
+        """(min, max) of c1 on [0, 1], by :func:`poly_range`."""
+        return poly_range(self.c1_poly)
+
+    def c1_slope(self) -> float:
+        """max |c1'| on [0, 1], by :func:`poly_range` of the derivative."""
+        lo, hi = poly_range(npoly.polyder(self.c1_poly))
+        return max(abs(lo), abs(hi))
 
     def c2_sup(self) -> float:
         """Supremum of c2 over t > 0 (closed form per family)."""

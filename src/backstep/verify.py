@@ -144,12 +144,13 @@ def check_envelope(trace: NormTrace, envelope, slack: float, name: str = "") -> 
 
 
 def verify_theorem_bound(
-    trace: NormTrace, C_bound: float, lam: float, slack: float, name: str = ""
+    trace: NormTrace, C_bound, lam: float, slack: float, name: str = ""
 ) -> BoundCheck:
     """:func:`check_envelope` of values(t) <= slack * C_bound * exp(-lam t) * values(0).
 
     The trace's first record is the initial norm ||w0|| of the theorem's
     ``||w(t)|| <= C e^{-lambda t} ||w0||``: the records start at t = 0.
+    ``C_bound`` is a float, or an array C(t) at the trace's times.
     """
     t = np.asarray(trace.times, dtype=float)
     return check_envelope(trace, C_bound * trace.values[0] * np.exp(-lam * t), slack, name)
@@ -207,7 +208,9 @@ class InitialData:
         if "coeffs" in p and len(p["coeffs"]) == 0:
             raise ConfigError("polynomial coeffs must be non-empty")
 
-    def build(self, grid_m: int) -> Profile:
+    def build(self, grid_m: int, k: KernelGrid | None = None) -> Profile:
+        """The datum on ``grid_m`` uniform nodes of [0, 1], with ``make_compatible``'s shift
+        for the direct kernel ``k`` if ``adjust_compatibility`` is set (``k = None``: open loop)."""
         p = {**_INITIAL_FAMILIES[self.family], **self.params}
         x = np.linspace(0.0, 1.0, grid_m)
         if self.family == "constant":
@@ -222,7 +225,8 @@ class InitialData:
             vals = np.zeros(grid_m)
             inside = d < wd  # so d / wd < 1 cannot overflow
             vals[inside] = hgt * np.exp(1.0 - 1.0 / (1.0 - (d[inside] / wd) ** 2))
-        return Profile(grid_m, vals)
+        w0 = Profile(grid_m, vals)
+        return make_compatible(w0, k) if self.adjust_compatibility and k is not None else w0
 
 
 @dataclass(frozen=True)
@@ -275,6 +279,12 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+def _directory(text: str) -> str:
+    if not text:
+        raise ValueError("must be a non-empty directory name")
+    return text
+
+
 def _scheme(text: str) -> str:
     if text != "crank_nicolson":
         raise ValueError("the only scheme is crank_nicolson")
@@ -293,7 +303,7 @@ _SCHEMA = {
                         for params in _INITIAL_FAMILIES.values()
                         for key, default in params.items()}},
     "verify": {"p_list": _floats, "tau_list": _floats, "skip_fraction": float, "slack": float},
-    "outputs": {"directory": str},
+    "outputs": {"directory": _directory},
 }
 
 
@@ -531,9 +541,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         }
 
         stage = "compatibility"
-        w0 = config.initial_data.build(config.sim.grid_m)
-        if config.initial_data.adjust_compatibility:
-            w0 = make_compatible(w0, k)
+        w0 = config.initial_data.build(config.sim.grid_m, k)
         compat = check_compatibility(w0, k)
 
         stage = "simulate"
@@ -552,11 +560,13 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
             pass_flags: dict[str, bool] = {}
             fits: dict[str, tuple] = {}
             margins = []
+            # the plant against C; the target against its floor, C = 1 in L^p and
+            # C(t) = 1 + L t in W^{1,p}, L = max |c1'|, as c1' u feeds u_x (README)
+            floor = {"lp": 1.0, "w1p": 1.0 + spec.family.c1_slope() * traj_u.times}
             for (p, kind), wtr in norms_w.items():
                 tag = f"{kind}_{_ptag(p)}"
-                # the plant against C, the target against the floor 1
                 for check, side, tr, C in (("envelope", "w", wtr, per_p[p][kind]),
-                                           ("floor", "u", norms_u[p, kind], 1.0)):
+                                           ("floor", "u", norms_u[p, kind], floor[kind])):
                     name, flag = f"{side}_{tag}", f"{check}_{side}_{tag}"
                     traces[name] = tr
                     chk = verify_theorem_bound(tr, C, lam, config.slack, flag)

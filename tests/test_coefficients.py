@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from backstep import coefficients, simulator
+from backstep.cli import main as cli_main
 from backstep.coefficients import (
     CoefficientFamily,
     ConfigError,
@@ -15,6 +17,8 @@ from backstep.coefficients import (
     sup_c,
 )
 from backstep.kernel import ChartLattice, GoursatProblem, _psi_tables
+
+DEFAULT_INI = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.ini"
 
 
 def spec_of(c1=(0.0,), kind="constant", a=0.0, b=0.0, lambda0=1.0, horizon=2.0):
@@ -168,6 +172,36 @@ class TestSup:
         assert analytic <= grid_max + 1e-6
         if abs(b) > 1e154:
             assert analytic == 1.0
+
+
+class TestPolyRange:
+    # a negligible leading coefficient: the derivative's root solver divided by it, and lost
+    # the maximum at x = 0.5 (sup_c's cross-check then exited 2) or overflowed (exit 3)
+    @pytest.mark.parametrize("c1, expected", [((0, 1, -1, 1.35e-288), (0.0, 0.25)),
+                                              ((0, 0, 1, 1e-320), (0.0, 1.0))])
+    def test_negligible_leading_coefficient(self, tmp_path, capsys, c1, expected):
+        with np.errstate(all="raise", under="ignore"):
+            assert CoefficientFamily(c1_poly=c1).c1_range() == pytest.approx(expected, abs=1e-12)
+        text = DEFAULT_INI.read_text()
+        for old, new in {"c1_poly = 0 0 1": f"c1_poly = {' '.join(map(repr, c1))}",
+                         "n_xi = 401": "n_xi = 101"}.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("c1, slope", [((3.0,), 0.0), ((1.0, -2.5), 2.5),
+                                           ((0, 0, -4), 8.0), ((0, 3, -3), 3.0)])
+    def test_c1_slope(self, c1, slope):
+        assert CoefficientFamily(c1_poly=c1).c1_slope() == pytest.approx(slope, abs=1e-12)
+
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=5))
+    def test_range_brackets_dense_samples(self, coeffs):
+        lo, hi = coefficients.poly_range(coeffs)
+        vals = npoly.polyval(np.linspace(0, 1, 2001), coeffs)
+        assert lo <= np.min(vals) + 1e-9 and np.max(vals) <= hi + 1e-9
 
 
 class TestValidate:

@@ -136,7 +136,7 @@ def test_config_sweep(tmp_path, monkeypatch):
     run_case, problems = sweep["run_case"], sweep["problems"]
     assert len(sweep["keys"]()) == 32
     assert [command[0] for command in sweep["COMMANDS"]] == [
-        "verify", "simulate", "kernel", "oracle", "oracle"]
+        "verify", "simulate", "kernel", "oracle"]
     monkeypatch.chdir(tmp_path)
     codes = set()
     constant, cosine = {"family": "constant"}, {"family": "cosine"}

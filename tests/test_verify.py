@@ -24,7 +24,7 @@ from backstep.coefficients import CoefficientFamily, ProblemSpec, lambda_lower
 from backstep.kernel import ConvergenceError, KernelConstants
 from backstep.norms import NormTrace, gronwall_bound, rho
 from backstep.simulator import SimConfig, Trajectory
-from backstep.transforms import Profile, TransformError
+from backstep.transforms import Profile, TransformError, make_compatible
 from backstep.verify import (
     ConfigError,
     FitError,
@@ -427,6 +427,63 @@ class TestScenario:
         assert (tmp_path / "out" / "MANIFEST.txt").read_text().startswith("complete")
 
 
+#: c1 = -4 x^2 and f = -xy: the target's W^{1,p} norm of a constant datum peaks at
+#: 1.0557 times e^{-lambda_lower t} ||u0||, at t = 0.072, on every grid_m from 51 to 401
+W1P_FLOOR_INI = """
+[problem]
+c1_poly = 0 0 -4
+f_poly = 0 0; 0 -1
+lambda0 = 1
+[kernel]
+n_xi = 101
+[sim]
+grid_m = 51
+dt = 4e-4
+t_end = 2
+record_stride = 20
+[initial_data]
+family = constant
+"""
+
+
+class TestFloorEnvelope:
+    """v = u_x solves v_t = v_xx - lambda v + c1' u with v = 0 at both ends, so the target's
+    W^{1,p} floor is (1 + L t) e^{-lambda_lower t} ||u0||_{W^{1,p}}, L = max |c1'|."""
+
+    def floor_factors(self, tmp_path, monkeypatch, text) -> tuple:
+        """(exit code of verify on ``text``, {flag: (times, C_bound)} of its floor checks)."""
+        seen, real = {}, verify.verify_theorem_bound
+
+        def recording(trace, C_bound, lam, slack, name=""):
+            if name.startswith("floor_"):
+                seen[name] = trace.times, C_bound
+            return real(trace, C_bound, lam, slack, name)
+
+        monkeypatch.setattr(verify, "verify_theorem_bound", recording)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        return cli_main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]), seen
+
+    def test_w1p_floor_takes_the_slope_of_c1(self, tmp_path, monkeypatch):
+        code, seen = self.floor_factors(tmp_path, monkeypatch, W1P_FLOOR_INI)
+        assert code == 0
+        assert sorted(seen) == ["floor_u_lp_p1", "floor_u_lp_p2", "floor_u_lp_pinf",
+                                "floor_u_w1p_p1", "floor_u_w1p_p2", "floor_u_w1p_pinf"]
+        for name, (times, C) in seen.items():
+            if "_lp_" in name:
+                assert C == 1.0
+            else:
+                assert np.array_equal(C, 1.0 + 8.0 * times)
+
+    def test_constant_c1_keeps_the_floor_one(self, tmp_path, monkeypatch):
+        text = W1P_FLOOR_INI.replace("c1_poly = 0 0 -4", "c1_poly = -0.5")
+        code, seen = self.floor_factors(tmp_path, monkeypatch, text)
+        assert code == 0
+        assert len(seen) == 6
+        for name, (times, C) in seen.items():
+            assert np.all(np.asarray(C) == 1.0), name  # so the envelope's bits are C = 1's
+
+
 class TestAlfStage:
     """The ALF checks of run_scenario equal a per-(p, tau) reference evaluation."""
 
@@ -622,6 +679,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"\[problem\]"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
+    def test_empty_directory_exit(self, tmp_path, monkeypatch, capsys, command):
+        # an empty directory failed on [Errno 2] at the first write, and oracle ignored it
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=""))
+        named = "[outputs] directory = : must be a non-empty directory name"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_scenario(path)
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert os.listdir(tmp_path) == ["s.ini"]
+
     def test_omitted_keys_take_field_defaults(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text("[problem]\nlambda0 = 2.0\n[outputs]\n")
@@ -647,6 +717,14 @@ class TestConfigFile:
 
 
 class TestInitialData:
+    def test_build_applies_the_compatibility_shift(self, kernels_rx2_101):
+        k = kernels_rx2_101[0]
+        raw = InitialData("cosine", adjust_compatibility=False).build(101, k)
+        assert np.array_equal(raw.values, InitialData("cosine").build(101).values)  # open loop
+        shifted = InitialData("cosine").build(101, k)
+        assert np.array_equal(shifted.values, make_compatible(raw, k).values)
+        assert not np.array_equal(shifted.values, raw.values)
+
     def test_families(self):
         m = 101
         x = np.linspace(0, 1, m)
@@ -783,6 +861,15 @@ class TestCli:
                                        [[f"{v:.12g}" for v in row] for row in rows])
         assert (tmp_path / "run" / "oracle.csv").read_bytes() == ref
 
+    def test_oracle_writes_without_out(self, tmp_path):
+        # --out only redirects: without it the table goes to the config's directory
+        path = tmp_path / "s.ini"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
+        assert cli_main(["oracle", "--config", str(path)]) == 0
+        assert cli_main(["oracle", "--config", str(path), "--out", str(tmp_path / "other")]) == 0
+        table = (tmp_path / "run" / "oracle.csv").read_bytes()
+        assert table and table == (tmp_path / "other" / "oracle.csv").read_bytes()
+
     def test_open_loop_solves_no_kernel(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(DEFAULT_INI.read_text().replace("max_iter = 80", "max_iter = 1")
@@ -804,7 +891,7 @@ class TestCli:
 
     def test_refine_one_keeps_the_config(self):
         base = load_scenario(DEFAULT_INI)
-        assert cli._refine(base, 1) is base
+        assert cli._refine(base, 1) == base
         assert cli._load(cli.build_parser().parse_args(
             ["verify", "--config", str(DEFAULT_INI), "--refine", "1"])) == base
 

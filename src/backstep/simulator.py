@@ -1,15 +1,15 @@
 """Crank-Nicolson time integration of the plant and the target system.
 
-One propagator serves both.  The reaction is c(x, t) = c1(x) + c2(t)
-with c2 independent of x, so the integrating factor is exact: from s to
-t, w(t) = exp(C2(t) - C2(s)) e^{(t - s) L} w(s), C2 = int_0^t c2.  L is
-one dense m x m matrix: the centered Laplacian with second-order Neumann
-ghost nodes, c1 on the diagonal, the boundary feedback U = r . w as a
-rank-one last row through the ghost node at x = 1, and the plant's
-Volterra source.  Crank-Nicolson takes e^{dt L} as the constant matrix
-A = (I - dt/2 L)^{-1} (I + dt/2 L), every term implicit, and a record is
-w: one product with A^stride from repeated squaring, times the record's
-own factor exp(C2(t_r) - C2(t_(r-1))); there is no loop over steps.
+One propagator serves both: the target is the uncontrolled plant with
+reaction c - lambda0 and no source.  The reaction is c1(x) + c2(t), so the
+integrating factor is exact: from s to t, w(t) = exp(C2(t) - C2(s))
+e^{(t - s) L} w(s), C2 = int_0^t c2.  L, built by :func:`_generator` alone,
+is one dense m x m matrix: the centered Laplacian with second-order Neumann
+ghost nodes, c1 on the diagonal, the feedback U = r . w as a rank-one last
+row through the ghost node at x = 1, and the Volterra source.  A record is
+w times one power of A = (I - dt/2 L)^{-1} (I + dt/2 L), from repeated
+squaring, and the record's own factor exp(C2(t_r) - C2(t_(r-1))); there is
+no loop over steps.
 
 Divergence is still checked at every step: K, the product of
 max(1, ||A^(2^i)||_inf) over the squarings, bounds every power up to the
@@ -25,7 +25,7 @@ records are closer than about 4 steps apart (README).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class SimConfig:
                               f"dt = {self.dt!r}; t_end must exceed dt/2")
 
     @property
-    def h(self) -> float:
-        return 1.0 / (self.grid_m - 1)
-
-    @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
@@ -91,39 +87,50 @@ class Trajectory:
         return np.linspace(0.0, 1.0, self.grid_m)
 
 
-def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: float = 0.0,
-                    row: np.ndarray | None = None, source: np.ndarray | None = None):
-    """Integrate w_t = w_xx + (c(x, t) - shift) w + source @ w, w_x(0) = 0.
+def _target_family(spec: ProblemSpec) -> CoefficientFamily:
+    """The target's coefficients: c1 - lambda0, the plant's c2, and f = 0.
 
-    ``w0`` holds the initial values, shape (m,) for one datum or (m, n)
-    for a block of n data, one per column, all advanced by the same
-    powers of A.  The flux at x = 1 is U = row . w (zero without a row);
-    the ghost node turns it into (2/h) U in the last equation.  Returns
-    the recorded (times, fields), fields of shape (n_records,) + w0.shape.
-    Raises DivergenceError on the first step whose sup-norm, over the
-    whole block, is not finite or exceeds ``BLOWUP_FACTOR`` times the
-    initial one, and before any step when 0.5 dt ||source||_inf >= 1: the
+    Raises OverflowError (an ArithmeticError) if c1(0) - lambda0 overflows,
+    which Python float subtraction does silently."""
+    fam = spec.family
+    c0 = fam.c1_poly[0] - spec.lambda0
+    if not math.isfinite(c0):
+        raise OverflowError(f"the target's reaction overflows: c1(0) - lambda0 = "
+                            f"{fam.c1_poly[0]:g} - {spec.lambda0:g}")
+    return replace(fam, c1_poly=(c0,) + fam.c1_poly[1:], f_poly=((0.0,),))
+
+
+def simulate_target(spec: ProblemSpec, u0: Profile, cfg: SimConfig) -> Trajectory:
+    """Integrate u_t = u_xx - lambda(x, t) u, Neumann ends: :func:`_target_family` with U = 0."""
+    return simulate_closed_loop(replace(spec, family=_target_family(spec)), None, u0, cfg)
+
+
+def _source_operator(fam: CoefficientFamily, m: int) -> np.ndarray | None:
+    """Matrix of w -> int_0^x w(y) f(x, y) dy by cumulative trapezoid; None if f = 0."""
+    if fam.f_is_zero:
+        return None
+    x = np.linspace(0.0, 1.0, m)
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    vals = np.where(yy <= xx, fam.f(xx, np.minimum(yy, xx)), 0.0)
+    return volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
+
+
+def _generator(fam: CoefficientFamily, row: np.ndarray | None, m: int, dt: float) -> np.ndarray:
+    """L of w_t = L w + c2(t) w on m nodes, w_x(0) = 0, flux U = row . w at x = 1.
+
+    The ghost node turns U into (2/h) row in the last row (U = 0 without a
+    row).  Raises DivergenceError when 0.5 dt ||source||_inf >= 1: the
     amplification (1 + z)/(1 - z) of a growth rate mu, z = dt mu / 2, is
     singular at z = 1 and tends to -1 beyond, so a huge source would look bounded.
-
-    Record r is exp(C2(t_r) - C2(t_(r-1))) A^j w(t_(r-1)) and c2 <= sup c2, so none
-    of its steps crosses the threshold if K exp(max(sup c2, 0) stride dt) sup|w(t_(r-1))|
-    does not.  Powers, factors, records and this one-pass certificate run with
-    overflow ignored; each record the bound fails (NaN and overflow included) is
-    redone in order from the one before it, so the first crossing raises.
     """
-    m, h, dt = cfg.grid_m, cfg.h, cfg.dt
-    if w0.shape[0] != m:
-        raise ValueError("initial datum must live on the configured grid")
-    n_steps = cfg.n_steps
-    stride = max(1, min(cfg.record_stride, n_steps))
-    fam = spec.family
-    L = np.diag(fam.c1(np.linspace(0.0, 1.0, m)) - shift - 2.0 / (h * h))
+    h = 1.0 / (m - 1)
+    L = np.diag(fam.c1(np.linspace(0.0, 1.0, m)) - 2.0 / (h * h))
     off = np.full(m - 1, 1.0 / (h * h))
     off[0] = 2.0 / (h * h)  # ghost node at x = 0
     L += np.diag(off, 1) + np.diag(off[::-1], -1)
     if row is not None:
         L[-1] += (2.0 / h) * row
+    source = _source_operator(fam, m)
     if source is not None:
         with np.errstate(over="ignore"):  # an infinite norm fails the test below
             z = 0.5 * dt * np.linalg.norm(source, np.inf)
@@ -131,7 +138,36 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
             raise DivergenceError(f"the source is too strong for Crank-Nicolson at dt = {dt:g}: "
                                   f"0.5 dt ||source||_inf = {z:.3e} >= 1")
         L += source
-    eye = np.eye(m)
+    return L
+
+
+def simulate_closed_loop(spec: ProblemSpec, k: KernelGrid | None, w0: Profile | np.ndarray,
+                         cfg: SimConfig) -> Trajectory:
+    """Integrate the plant under the backstepping boundary feedback U = r . w.
+
+    Every term is implicit, in the one :func:`_generator`.  ``k = None`` is
+    the uncontrolled plant, U = 0: the target, and instability contrast runs.
+    ``w0`` is one Profile or an (m, n) block of n data, one per column;
+    a block shares the one matrix and its powers, and its Trajectory has
+    fields of shape (n_records, m, n) and controls (n_records, n).
+    Raises DivergenceError on the first step whose sup-norm, over the
+    whole block, is not finite or exceeds ``BLOWUP_FACTOR`` times the
+    initial one, and before any step if :func:`_generator` rejects the source.
+
+    Record r is exp(C2(t_r) - C2(t_(r-1))) A^j w(t_(r-1)) and c2 <= sup c2, so none
+    of its steps crosses the threshold if K exp(max(sup c2, 0) stride dt) sup|w(t_(r-1))|
+    does not.  Powers, factors, records and this one-pass certificate run with
+    overflow ignored; each record the bound fails (NaN and overflow included) is
+    redone in order from the one before it, so the first crossing raises.
+    """
+    m, dt, n_steps = cfg.grid_m, cfg.dt, cfg.n_steps
+    row = None if k is None else feedback_row(k, m)
+    w0 = w0.values if isinstance(w0, Profile) else w0
+    if w0.shape[0] != m:
+        raise ValueError("initial datum must live on the configured grid")
+    stride = max(1, min(cfg.record_stride, n_steps))
+    fam, eye = spec.family, np.eye(m)
+    L = _generator(fam, row, m, dt)
     A = _flush(np.linalg.solve(eye - (0.5 * dt) * L, eye + (0.5 * dt) * L))
     steps = np.minimum(np.arange(-(-n_steps // stride) + 1) * stride, n_steps)
     V = np.empty((len(steps),) + w0.shape)
@@ -148,7 +184,9 @@ def _crank_nicolson(spec: ProblemSpec, w0: np.ndarray, cfg: SimConfig, shift: fl
         for r in np.flatnonzero(~ok) + 1:  # in order: a crossing raises from its own record
             V[r] = _step_checked(A, V[r - 1], fam, steps[r - 1], steps[r] - steps[r - 1],
                                  limit, dt)
-    return steps * dt, V
+    controls = np.zeros(V.shape[:1] + V.shape[2:]) if row is None else (
+        np.moveaxis(V, 1, -1) @ row)
+    return Trajectory(steps * dt, V, controls)
 
 
 def _powers(A: np.ndarray, stride: int, rem: int):
@@ -201,45 +239,3 @@ def _step_checked(A, w, fam: CoefficientFamily, start: int, n: int, limit: float
                 f"(blow-up threshold {BLOWUP_FACTOR:g} x initial sup)"
             )
     return w
-
-
-def simulate_target(spec: ProblemSpec, u0: Profile, cfg: SimConfig) -> Trajectory:
-    """Integrate u_t = u_xx - lambda(x, t) u with homogeneous Neumann ends."""
-    return Trajectory(*_crank_nicolson(spec, u0.values, cfg, shift=spec.lambda0))
-
-
-def _source_operator(fam: CoefficientFamily, m: int) -> np.ndarray | None:
-    """Matrix of w -> int_0^x w(y) f(x, y) dy by cumulative trapezoid; None if f = 0."""
-    if fam.f_is_zero:
-        return None
-    x = np.linspace(0.0, 1.0, m)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    vals = np.where(yy <= xx, fam.f(xx, np.minimum(yy, xx)), 0.0)
-    return volterra_matrix(m, 1.0 / (m - 1), order=2) * vals
-
-
-def simulate_closed_loop(
-    spec: ProblemSpec,
-    k: KernelGrid | None,
-    w0: Profile | np.ndarray,
-    cfg: SimConfig,
-) -> Trajectory:
-    """Integrate the plant under the backstepping boundary feedback.
-
-    Diffusion, the local reaction c(x, t), the nonlocal source and the
-    feedback U = r . w are all implicit: the feedback row and the source
-    matrix sit inside the constant Crank-Nicolson matrix.
-    ``k = None`` is the uncontrolled plant, U = 0 (for instability contrast runs).
-    ``w0`` is one Profile or an (m, n) block of n data, one per column;
-    a block shares the one matrix and its powers, and its Trajectory has
-    fields of shape (n_records, m, n) and controls (n_records, n).
-    Raises DivergenceError if the field grows by ``BLOWUP_FACTOR`` over
-    the initial sup-norm (of the whole block).
-    """
-    row = None if k is None else feedback_row(k, cfg.grid_m)
-    source = _source_operator(spec.family, cfg.grid_m)
-    values = w0.values if isinstance(w0, Profile) else w0
-    times, fields = _crank_nicolson(spec, values, cfg, row=row, source=source)
-    controls = np.zeros(fields.shape[:1] + fields.shape[2:]) if row is None else (
-        np.moveaxis(fields, 1, -1) @ row)
-    return Trajectory(times, fields, controls)

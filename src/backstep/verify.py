@@ -751,7 +751,7 @@ def oracle_comparison(spec: ProblemSpec, n_xi: int, tol: float, max_iter: int):
     Returns (rows, sup_error): rows is an array of (xi, eta, picard, series, abs_err)
     at every ``len // 200``-th region node.
     """
-    c1 = np.asarray(spec.family.c1_poly)
+    c1 = np.trim_zeros(np.asarray(spec.family.c1_poly), "b")  # 0 0 2 0 is r x^2 too
     ok_family = spec.family.f_is_zero and len(c1) <= 3 and not np.any(c1[:2])
     if not ok_family:
         raise ConfigError("oracle comparison needs f = 0 and c1(x) = r x^2")

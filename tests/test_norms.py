@@ -241,7 +241,7 @@ class TestAlfDecay:
         x = traj.x
         lam_xt = np.array([3.0 - x ** 2 - np.exp(-t) for t in traj.times])
         for p, tau in ((1.5, 1e-2), (2.0, 1e-2), (1.0, 1e-1)):
-            z, psi = alf(rho(traj.fields, tau), lam_xt, cfg.h, p)
+            z, psi = alf(rho(traj.fields, tau), lam_xt, 1.0 / (cfg.grid_m - 1), p)
             dz = np.gradient(z, traj.times)
             rhs = -lam_floor * p * z + tau * psi
             headroom = 0.05 * np.maximum(np.abs(rhs), np.max(z))

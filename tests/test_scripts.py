@@ -237,6 +237,35 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_unused_private_names():
+    """Every module-level ``_name`` a backstep module defines is read somewhere in the
+    package outside its own definition: no private helper is there for the tests alone."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SCRIPTS.parent / "src" / "backstep").glob("*.py"))}
+    loads = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    defined = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    assert len(defined) > 50
+    unused = []
+    for module, name, stmt in defined:
+        own = {id(node) for node in ast.walk(stmt)}
+        if not any(read == name and id(node) not in own for read, node in loads):
+            unused.append(f"{module}: {name}")
+    assert unused == []
+
+
 def test_readme_names_resolve():
     """Every backstep name and test the README cites in backticks exists."""
     import backstep

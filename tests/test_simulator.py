@@ -1,10 +1,12 @@
+import functools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from backstep.coefficients import CoefficientFamily, ProblemSpec
-from backstep import simulator
+from backstep import cli, simulator, verify
 from backstep.simulator import (
     DivergenceError,
     SimConfig,
@@ -14,11 +16,17 @@ from backstep.simulator import (
 from backstep.transforms import (
     Profile,
     check_compatibility,
+    feedback_row,
     forward_transform,
     initial_target_data,
 )
 
 from conftest import profile_norm, profile_of
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = {"default": REPO / "scripts" / "configs" / "default.ini",
+           "source_xy": REPO / "bench" / "source_xy.ini",
+           "oracle_rx2": REPO / "scripts" / "configs" / "oracle_rx2.ini"}
 
 
 def const_lambda_spec(level):
@@ -69,6 +77,34 @@ class TestTarget:
         cfg = SimConfig(grid_m=51, dt=1e-3, t_end=0.05)
         with pytest.raises(ValueError):
             simulate_target(const_lambda_spec(1.0), Profile(41, np.ones(41)), cfg)
+
+    def test_target_is_the_uncontrolled_plant(self):
+        # reaction c - lambda0 through the constant coefficient, the plant's c2, no source
+        fam = CoefficientFamily(c1_poly=(0.5, 0.0, 1.0), c2_kind="damped_osc", c2_a=1.0,
+                                c2_b=4.0, f_poly=((1.0, 0.0), (0.0, 1.0)))
+        target = simulator._target_family(ProblemSpec(fam, lambda0=3.0))
+        assert target.c1_poly == (0.5 - 3.0, 0.0, 1.0) and target.f_is_zero
+        assert (target.c2_kind, target.c2_a, target.c2_b) == ("damped_osc", 1.0, 4.0)
+
+    @pytest.mark.parametrize("c1_poly", [(0.0, 0.0, 1.0), (0.0,), (0.0, 1.0, -3.0, 2.0)])
+    def test_target_diagonal_keeps_its_bits(self, c1_poly):
+        # with c1(0) = 0, p(x) x + (-lambda0) is the same IEEE operation as p(x) x - lambda0
+        spec = ProblemSpec(CoefficientFamily(c1_poly=c1_poly), lambda0=3.0)
+        m = 201
+        h, x = 1.0 / (m - 1), np.linspace(0.0, 1.0, m)
+        L = simulator._generator(simulator._target_family(spec), None, m, 2.5e-5)
+        assert np.array_equal(np.diag(L), spec.family.c1(x) - 3.0 - 2.0 / (h * h))
+
+    def test_overflowing_target_reaction_is_arithmetic(self):
+        # -1e308 - 1e308 is -inf in Python floats, silently: a numerical failure (exit 3),
+        # not a ConfigError about a coefficient nobody wrote
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(-1e308, 0.0, 1.0)), lambda0=1e308)
+        cfg = SimConfig(grid_m=51, dt=1e-3, t_end=0.05)
+        with verify.run_scope(), pytest.raises(ArithmeticError) as err:
+            simulate_target(spec, Profile(51, np.ones(51)), cfg)
+        assert type(err.value) is OverflowError
+        assert str(err.value) == ("the target's reaction overflows: "
+                                  "c1(0) - lambda0 = -1e+308 - 1e+308")
 
 
 class TestCompatibility:
@@ -359,6 +395,51 @@ class TestClosedLoop:
         errs = [np.max(np.abs(final(dt) - ref)) for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert min(ratios) >= 3.8, ratios
+
+
+@functools.lru_cache(maxsize=None)
+def leading_eigenvalues(name: str, refine: int = 1, n: int = 4):
+    """The n eigenvalues of largest real part of the closed-loop generator, under the
+    direct kernel of the scenario, and of the target's, both from simulator._generator."""
+    config = cli._refine(verify.load_scenario(CONFIGS[name]), refine)
+    k, _ = verify.solve_kernels(config)
+    m, dt, spec = config.sim.grid_m, config.sim.dt, config.spec
+    out = []
+    for fam, row in ((spec.family, feedback_row(k, m)), (simulator._target_family(spec), None)):
+        ev = np.linalg.eigvals(simulator._generator(fam, row, m, dt))
+        out.append(ev[np.argsort(-ev.real)][:n])
+    return tuple(out)
+
+
+class TestSpectrum:
+    """Backstepping maps the closed-loop generator onto the target's, so their leading
+    eigenvalues agree up to the discretisation error."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_closed_loop_has_the_target_spectrum(self, name):
+        ev_w, ev_u = leading_eigenvalues(name)
+        a_u = ev_u[0].real
+        assert np.max(np.abs(ev_w - ev_u)) <= 1e-3 * abs(a_u)
+
+    def test_gap_falls_under_refinement(self):
+        gaps = [np.max(np.abs(np.subtract(*leading_eigenvalues("default", refine))))
+                for refine in (1, 2)]
+        assert gaps[0] >= 3.8 * gaps[1], gaps
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_rate_slack_is_nonnegative(self, name):
+        # the target generator is similar to a symmetric matrix whose Laplacian part is
+        # negative semidefinite, so its abscissa a_u is at most max c1 - lambda0
+        spec = verify.load_scenario(CONFIGS[name]).spec
+        a_u = leading_eigenvalues(name)[1][0].real
+        assert -a_u - (spec.lambda0 - spec.family.c1_range()[1]) >= -1e-8
+
+    def test_rate_slack_vanishes_for_a_constant_c1(self):
+        # the Neumann zero mode is the constant vector: a_u = c1 - lambda0 exactly
+        spec = ProblemSpec(CoefficientFamily(c1_poly=(0.5,)), lambda0=3.0)
+        L = simulator._generator(simulator._target_family(spec), None, 201, 2.5e-5)
+        a_u = np.max(np.linalg.eigvals(L).real)
+        assert abs(-a_u - (3.0 - 0.5)) <= 1e-8
 
 
 class TestFlush:

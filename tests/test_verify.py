@@ -1028,6 +1028,25 @@ class TestCli:
         assert cli_main(["oracle", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert "configuration error: oracle comparison needs r >= 0" in capsys.readouterr().err
 
+    def test_oracle_trailing_zeros(self, tmp_path, capsys):
+        # c1 = 0 0 2 0 is r x^2 with r = 2, as verify and kernel read it; a nonzero
+        # trailing coefficient, however small, is not
+        text = ORACLE_INI.read_text()
+        assert "c1_poly = 0 0 2\n" in text
+        tables = []
+        for c1 in ("0 0 2", "0 0 2 0", "0 0 2 0 0"):
+            path = tmp_path / "s.ini"
+            path.write_text(text.replace("c1_poly = 0 0 2\n", f"c1_poly = {c1}\n"))
+            out = tmp_path / c1.replace(" ", "_")
+            assert cli_main(["oracle", "--config", str(path), "--out", str(out)]) == 0
+            tables.append((out / "oracle.csv").read_bytes())
+        assert tables[0] and tables[1] == tables[0] and tables[2] == tables[0]
+        capsys.readouterr()
+        path.write_text(text.replace("c1_poly = 0 0 2\n", "c1_poly = 0 0 2 1e-300\n"))
+        assert cli_main(["oracle", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: oracle comparison needs f = 0 and c1(x) = r x^2"]
+
     def test_p_inf_alone(self, tmp_path):
         # the smoothed ALF functional is checked at finite p only: no alf_envelope flag
         out = tmp_path / "run"

@@ -463,11 +463,11 @@ class KernelConstants(NamedTuple):
 class KernelGrid:
     """A converged kernel: what the solve produced, and every view derived from it.
 
-    Stored: the ``lattice``, the growth constant ``bound_M``, G on the padded
-    lattice (``values_xieta``), and the finest lattice's sweep ``increments``
-    and certified cap ``n_certified``; ``level_sweeps`` counts the sweeps on
-    each lattice of a nested solve, coarse to fine.  Derived from those, so
-    they always agree with ``values_xieta``: ``n_xi``, ``delta``, ``x_nodes``,
+    Stored: the ``lattice``, G on the padded lattice (``values_xieta``), and
+    the finest lattice's sweep ``increments`` and certified cap
+    ``n_certified``; ``level_sweeps`` counts the sweeps on each lattice of a
+    nested solve, coarse to fine.  Derived from those, so they always agree
+    with ``values_xieta``: ``n_xi``, ``delta``, ``x_nodes``,
     ``iterations_used`` and ``final_increment``; the kernel on the uniform
     triangle grid x_m = m delta (``values_xy``, zero above the diagonal) and
     its k_x (``kx_xy``), each formed once, on first read, and read-only;
@@ -477,7 +477,6 @@ class KernelGrid:
     """
 
     lattice: ChartLattice
-    bound_M: float
     values_xieta: np.ndarray
     increments: tuple
     n_certified: int
@@ -704,7 +703,7 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
             carried = None if lat is levels[0] else _prolong(G, lat)  # none past the finest
         G, increments, n_cert = _sweeps(problem, lat, start, M, tol, max_iter, where)
         level_sweeps.append(len(increments))
-    return KernelGrid(levels[0], M, G, tuple(increments), n_cert, tuple(level_sweeps))
+    return KernelGrid(levels[0], G, tuple(increments), n_cert, tuple(level_sweeps))
 
 
 # --------------------------------------------------------------------------
@@ -735,15 +734,13 @@ class KernelResidual:
     """Residual report of the kernel problem on a converged grid.
 
     ``interior_sup`` measures the hyperbolic identity with centered
-    stencils of spacing ``h``.  The boundary entries report the diagonal
-    slope and the corner value.
+    stencils of spacing ``h``.  The Goursat data, k(x, x) = lambda0 x / 2
+    and the zero corner, are not reported: every integral of the sweep
+    starts at eta = 0, so they hold by construction for any iterate.
     """
 
     interior_sup: float
-    bc_diagonal: float
-    bc_corner: float
     h: float
-    n_points: int
 
 
 def _residual_source(problem: GoursatProblem, lat: ChartLattice, Gs: np.ndarray, st: int, inner):
@@ -789,7 +786,4 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     if not fam.f_is_zero:
         res -= _residual_source(problem, lat, Gs, st, inner)
     inside = lat.region_mask()[inner]
-    slope = np.gradient(grid.trace_diag, d, edge_order=2)
-    bc_diag = float(np.max(np.abs(2.0 * slope - problem.spec.lambda0)))
-    return KernelResidual(float(np.max(np.abs(res[inside]))), bc_diag, float(abs(G[0, 0])),
-                          st * d, int(np.count_nonzero(inside)))
+    return KernelResidual(float(np.max(np.abs(res[inside]))), st * d)

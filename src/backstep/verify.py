@@ -113,14 +113,14 @@ def fit_decay_rate(trace: NormTrace, skip_fraction: float):
 @dataclass(frozen=True)
 class BoundCheck:
     passed: bool
-    worst_t: float
     margin: float  # min over t of log(envelope/value), slack excluded
 
 
 def check_envelope(trace: NormTrace, envelope, slack: float, name: str = "") -> BoundCheck:
     """Check values(t) <= slack * envelope(t), ``envelope`` sampled at the trace's times.
 
-    The one comparison behind every pass flag.  Raises OverflowError, led
+    The one comparison behind every pass flag; ``margin`` is its slack-free
+    distance, which ``bound_margin`` reads.  Raises OverflowError, led
     by ``name`` if given, naming the first time where a value or the
     envelope is not finite: no comparison with an overflowed float decides
     a bound.
@@ -137,10 +137,9 @@ def check_envelope(trace: NormTrace, envelope, slack: float, name: str = "") -> 
     # a few ulps of headroom so exact-equality envelopes are not rejected
     # by rounding in the envelope evaluation itself
     ok = v <= slack * envelope * (1.0 + 8.0 * np.finfo(float).eps) + 1e-300
-    worst = int(np.argmax(v - slack * envelope))
     tiny = max(np.max(v), 1.0) * 1e-250
     margin = float(np.min(np.log((envelope + tiny) / np.maximum(v, tiny))))
-    return BoundCheck(bool(np.all(ok)), float(t[worst]), margin)
+    return BoundCheck(bool(np.all(ok)), margin)
 
 
 def verify_theorem_bound(
@@ -244,6 +243,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.p_list) == 0 or any(not (p >= 1.0) for p in self.p_list):
             raise ConfigError("p_list must be non-empty with every p >= 1")
+        if len(self.tau_list) == 0:
+            raise ConfigError("tau_list must be non-empty")
         try:
             for tau in self.tau_list:
                 _check_tau(tau)

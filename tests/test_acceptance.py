@@ -14,6 +14,7 @@ import pytest
 from backstep.coefficients import CoefficientFamily, ProblemSpec, lambda_lower
 from backstep.kernel import (
     GoursatProblem,
+    bound_constant_M,
     kernel_constants,
     picard_solve,
     residual,
@@ -117,7 +118,10 @@ def test_criterion_2_kernel_pde_residual(crit1_solve, src_solves):
         fine = residual(grid, prob, h=grid.delta)
         coarse = residual(grid, prob, h=2 * grid.delta)
         ratio = coarse.interior_sup / fine.interior_sup
-        bc = max(fine.bc_diagonal, fine.bc_corner)
+        # the Goursat data on the grid: k(x, x) = lambda0 x / 2 and a zero corner
+        lam0 = prob.spec.lambda0
+        bc = max(float(np.max(np.abs(grid.trace_diag - 0.5 * lam0 * grid.x_nodes))),
+                 abs(float(grid.values_xieta[0, 0])))
         ok = ok and 3.0 <= ratio <= 5.0 and bc <= 1e-8
         details.append(f"{label}: ratio={ratio:.2f} (in [3,5]), boundary={bc:.2e} (<=1e-8)")
     report(2, "kernel PDE residual", ok, "; ".join(details))
@@ -126,9 +130,11 @@ def test_criterion_2_kernel_pde_residual(crit1_solve, src_solves):
 def test_criterion_3_picard_certified_convergence(crit1_solve, src_solves):
     ok = True
     worst = 0.0
-    for grid in (crit1_solve[0],) + src_solves:
+    solves = ((crit1_solve[0], SPEC_RX2), (src_solves[0], SPEC_SRC), (src_solves[1], SPEC_SRC))
+    for grid, spec in solves:
+        M = bound_constant_M(spec)
         for n, inc in enumerate(grid.increments):
-            bound = tail_bound(n, grid.bound_M, 2.0, 0.0)
+            bound = tail_bound(n, M, 2.0, 0.0)
             ok = ok and inc <= 1.1 * bound
             if bound > 0:
                 worst = max(worst, inc / bound)

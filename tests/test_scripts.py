@@ -266,6 +266,34 @@ def test_no_unused_private_names():
     assert unused == []
 
 
+def test_every_result_field_is_read():
+    """Every field of a backstep ``@dataclass`` or ``NamedTuple`` is read as an attribute
+    in the package, ``scripts/`` or ``bench/``, outside its class's ``__post_init__``: a
+    field nothing reads is dead API.  ``report.json``'s schema classes are exempt, as
+    ``asdict`` writes every field."""
+    root = SCRIPTS.parent
+    trees = {path: ast.parse(path.read_text()) for folder in ("src/backstep", "scripts", "bench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    loads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    fields = []
+    for cls in (node for path, tree in trees.items() if path.parent.name == "backstep"
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        marks = [ast.unparse(d) for d in cls.decorator_list] + [ast.unparse(b) for b in cls.bases]
+        if cls.name in ("DecayReport", "CompatibilityReport") or not any(
+                m.startswith(("dataclass", "NamedTuple")) for m in marks):
+            continue
+        # a check in __post_init__ is not a reader of the field it checks
+        own = {id(node) for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+               and stmt.name == "__post_init__" for node in ast.walk(stmt)}
+        fields += [(cls.name, stmt.target.id, own) for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert len(fields) > 40
+    unread = [f"{cls}.{name}" for cls, name, own in fields
+              if not any(attr == name and id(node) not in own for attr, node in loads)]
+    assert unread == []
+
+
 def test_readme_names_resolve():
     """Every backstep name and test the README cites in backticks exists."""
     import backstep

@@ -170,13 +170,12 @@ class TestBound:
         chk = verify_theorem_bound(NormTrace(t, vals), 1.0, 2.0, slack=1.0)
         assert chk.passed
 
-    def test_violation_reports_worst_time(self):
+    def test_violation_fails_with_negative_margin(self):
         t = np.linspace(0, 1, 11)
         vals = np.exp(-1.0 * t)
         vals[5] = 2.0
         chk = verify_theorem_bound(NormTrace(t, vals), 1.0, 1.0, slack=1.05)
         assert not chk.passed
-        assert chk.worst_t == pytest.approx(t[5])
         assert chk.margin < 0
 
     def test_alf_envelope_edge(self, monkeypatch):
@@ -386,6 +385,11 @@ class TestScenario:
             scenario(tmp_path, p_list=())
         with pytest.raises(ConfigError):
             scenario(tmp_path, p_list=(0.5,))
+
+    def test_tau_list_validation(self, tmp_path):
+        # an empty tau_list would silently drop every alf_envelope_* flag
+        with pytest.raises(ConfigError, match="tau_list must be non-empty"):
+            scenario(tmp_path, tau_list=())
 
     def test_kernels_csv_not_formatted_in_process(self, tmp_path, monkeypatch):
         headers = []
@@ -846,7 +850,12 @@ class TestCli:
         assert cli_main(["kernel", "--config", str(path)]) == 0
         assert (tmp_path / "run" / "target.csv").exists()
         assert (tmp_path / "run" / "closed_loop.csv").exists()
-        assert (tmp_path / "run" / "kernel_report.txt").exists()
+        lines = (tmp_path / "run" / "kernel_report.txt").read_text().splitlines()
+        residuals = [ln for ln in lines if " residual at " in ln]
+        assert len(residuals) == 4
+        for ln in residuals:
+            assert re.fullmatch(r"(direct|inverse) residual at h=[0-9.e+-]+: interior [0-9.e+-]+", ln)
+        assert not any("boundary" in ln for ln in lines)
 
     def test_oracle_command(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -979,9 +988,11 @@ class TestCli:
         ("c1_poly = 0 0 1", "c1_poly =", "[problem] c1_poly must be non-empty"),
         ("f_poly = 0", "f_poly =", "[problem] f_poly must be non-empty"),
         ("f_poly = 0", "f_poly = ;", "[problem] f_poly must be non-empty"),
+        ("tau_list = 1e-1 1e-2", "tau_list =", "[verify] tau_list must be non-empty"),
     ], ids=["c2_b", "t_end", "horizon", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
             "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324",
-            "sup_tolerance_0", "c1_poly_empty", "f_poly_empty", "f_poly_empty_rows"])
+            "sup_tolerance_0", "c1_poly_empty", "f_poly_empty", "f_poly_empty_rows",
+            "tau_list_empty"])
     def test_admissibility_error_named(self, tmp_path, capsys, old, new, named):
         path = tmp_path / "s.ini"
         text = CONFIG_TEXT.format(out=tmp_path / "run")

@@ -15,10 +15,11 @@ and one shared matrix product.  Their s-weights start with the fourth-order
 row (9, 19, -5, 1)/24 on [0, delta] (Brunner, *Collocation Methods for
 Volterra Integral Equations*, 2004), so the solve is fourth order with or
 without f.  Picard iteration of this map converges
-factorially; each increment obeys the certified bound :func:`tail_bound`.
+factorially: from any start, the n-th increment is at most e1 (2M)^n / n!
+with e1 the first, and :func:`warm_remainder_bound` of e1 caps every solve.
 A large lattice starts from the solution on its half lattice (nested
 iteration), Richardson-extrapolated against the quarter lattice where there
-is one, and :func:`warm_remainder_bound` caps that warm solve.
+is one.
 
 Discretisation: one uniform lattice with the same spacing ``delta`` in xi
 and eta.  On that lattice every integration limit that appears in the
@@ -57,8 +58,8 @@ _NEST_FLOOR = 101
 class ConvergenceError(ArithmeticError):
     """Picard iteration stopped with the increment above tolerance.
 
-    Either ``max_iter`` ran out, or the certified stop came while the
-    increments stagnated at a rounding floor above the tolerance.
+    Either ``max_iter`` ran out, or the certified stop came with a last
+    increment >= tol and above its bound: a rounding floor above tol.
     """
 
     def __init__(self, message: str, last_increment: float):
@@ -314,9 +315,10 @@ class _SweepOperator:
 
 
 def tail_bound(n: int, M: float, xi: float, eta: float) -> float:
-    """Certified bound M^(n+2) (xi+eta)^(n+1) / (n+1)! on the n-th increment.
+    """Certified bound M^(n+2) (xi+eta)^(n+1) / (n+1)! on the n-th increment from G0.
 
-    Infinite where the bound passes the float range.
+    The continuum bound of the README; no solve stops by it.  Infinite where
+    the bound passes the float range.
     """
     if n < 0 or M < 0:
         raise ValueError("need n >= 0 and M >= 0")
@@ -332,43 +334,32 @@ def tail_bound(n: int, M: float, xi: float, eta: float) -> float:
         return math.inf
 
 
-def remainder_bound(n: int, M: float, xi: float, eta: float) -> float:
-    """Certified bound on the sum of every increment from the n-th on.
-
-    Consecutive terms of :func:`tail_bound` shrink by M (xi+eta)/(k+2) <=
-    M (xi+eta)/(n+2) for k >= n, so the remainder is at most the n-th term
-    over 1 - M (xi+eta)/(n+2); infinite unless M (xi+eta) < n + 2.
-    """
-    term = tail_bound(n, M, xi, eta)
-    ratio = M * (xi + eta) / (n + 2)
-    return term / (1.0 - ratio) if ratio < 1.0 else math.inf
-
-
-def warm_remainder_bound(n: int, M: float, first_increment: float) -> float:
-    """Bound on the sum of every increment from the n-th on, from any start G_s.
+def _increment_bound(n: int, M: float, first_increment: float) -> float:
+    """Bound e1 (2M)^n / n! on the n-th increment (from 0) of a solve whose first is e1.
 
     The k-th increment is Phi^k (G_1 - G_s) and ||Phi^k|| <= (2M)^k / k! on
-    the region xi + eta <= 2, so the sum from n on is at most
-    e1 sum_{k>=n} (2M)^k / k! with e1 = ``first_increment`` = ||G_1 - G_s||.
-    Consecutive terms shrink by 2M/(k+1) <= 2M/(n+1), so that is at most the
-    n-th term over 1 - 2M/(n+1); infinite unless 2M < n + 1.
+    the region xi + eta <= 2, from any start G_s, G0 included.  A running
+    product, so a term past the float range is inf where a float ** would
+    raise OverflowError.
     """
-    if n < 0 or M < 0 or first_increment < 0:
-        raise ValueError("need n >= 0, M >= 0 and first_increment >= 0")
     term = first_increment
     for k in range(1, n + 1):
         term *= 2.0 * M / k
+    return term
+
+
+def warm_remainder_bound(n: int, M: float, first_increment: float) -> float:
+    """Bound on the sum of every increment from the n-th on, from any start, G0 included.
+
+    The sum is at most e1 sum_{k>=n} (2M)^k / k! (:func:`_increment_bound`)
+    with e1 = ``first_increment`` = ||G_1 - G_s||.  Consecutive terms shrink
+    by 2M/(k+1) <= 2M/(n+1), so that is at most the n-th term over
+    1 - 2M/(n+1); infinite unless 2M < n + 1.
+    """
+    if n < 0 or M < 0 or first_increment < 0:
+        raise ValueError("need n >= 0, M >= 0 and first_increment >= 0")
     ratio = 2.0 * M / (n + 1)
-    return term / (1.0 - ratio) if ratio < 1.0 else math.inf
-
-
-def _certified_sweeps(bound, n: int, tol: float) -> int:
-    """The first sweep count from n on whose remainder ``bound`` is below tol (at most 1001)."""
-    while bound(n) >= tol:
-        n += 1
-        if n > 1000:
-            break
-    return n
+    return _increment_bound(n, M, first_increment) / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
 def bound_constant_M(spec: ProblemSpec) -> float:
@@ -614,19 +605,19 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
             max_iter: int, where: str):
     """Picard sweeps on ``lat`` from G0 (``start`` None) or from ``start``.
 
-    Returns (G, increments, n_certified).  A cold solve is capped by
-    :func:`remainder_bound`, a warm one by :func:`warm_remainder_bound` of
-    its first increment.  ``where`` names the lattice in an error message;
-    an increment that is not finite raises at once, naming its sweep.  One
-    :class:`_SweepOperator` holds what every sweep on ``lat`` reads but G.
+    Returns (G, increments, n_certified).  The cap is the first n >= 1 (at
+    most 1001) whose :func:`warm_remainder_bound` of the first increment is
+    below tol.  A stop at the cap with a last increment >= tol raises only if
+    it is above 1.1 times its :func:`_increment_bound`: a rounding floor.
+    ``where`` names the lattice in an error message; an increment that is not
+    finite raises at once, naming its sweep.  One :class:`_SweepOperator`
+    holds what every sweep on ``lat`` reads but G.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed G0 shows in sweep 1
         op = _SweepOperator(problem, lat)
     region = lat.region_mask()
-    if start is None:
-        G, n_cert = op.g0, _certified_sweeps(lambda n: remainder_bound(n, M, 2.0, 0.0), 0, tol)
-    else:
-        G, n_cert = start, math.inf  # until the first increment fixes the warm cap
+    G = op.g0 if start is None else start
+    n_cert = math.inf  # until the first increment fixes the cap
     increments: list[float] = []
     while len(increments) < n_cert and (not increments or increments[-1] >= tol):
         if len(increments) == max_iter:
@@ -646,15 +637,16 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
                 f"{'coarse ' if where else ''}lattice n_xi = {lat.n_xi}: the iteration "
                 "overflowed a float", last_increment=increments[-1])
         G = G_next
-        if n_cert == math.inf:
-            e1 = increments[0]
-            n_cert = _certified_sweeps(lambda n: warm_remainder_bound(n, M, e1), 1, tol)
-    if increments and increments[-1] >= tol:
+        if len(increments) == 1:
+            n_cert = next((n for n in range(1, 1001)
+                           if warm_remainder_bound(n, M, increments[0]) < tol), 1001)
+    last = increments[-1]
+    if last >= tol and last > 1.1 * _increment_bound(len(increments) - 1, M, increments[0]):
         raise ConvergenceError(
             f"the certified stop after {n_cert} sweeps{where} left an increment of "
-            f"{increments[-1]:.3e} >= tol {tol:.3e}: the increments stagnate at "
+            f"{last:.3e} >= tol {tol:.3e}, above its bound: the increments stagnate at "
             "a rounding floor, so this tolerance is out of reach",
-            last_increment=increments[-1],
+            last_increment=last,
         )
     return G, increments, n_cert
 
@@ -663,23 +655,24 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     """Solve the kernel integral equation by successive approximation.
 
     Iterates ``G <- G0 + Phi(G)`` until the sup of the increment over the
-    region drops below ``tol``, or until a certified bound says the sum of
-    every remaining increment is already below ``tol`` (whichever happens
-    first).  Nested iteration: while the half lattice ``(n_xi + 1) // 2`` is
-    odd and at least ``_NEST_FLOOR``, the same problem is solved there first
+    region drops below ``tol``, or until :func:`warm_remainder_bound` of the
+    first increment says the sum of every remaining increment is already
+    below ``tol`` (whichever happens first).  Nested iteration: while the half
+    lattice ``(n_xi + 1) // 2`` is odd and at least ``_NEST_FLOOR``, the same
+    problem is solved there first
     (to the same ``tol`` and ``max_iter``, itself nested) and carried over by
     the cubic midpoint rule as the start.  When the half lattice has a half
     lattice of its own, the carried solution G_c is first extrapolated to
     G_c + (G_c - G_cc) / 16, G_cc being the next coarser solution carried to
     G_c's lattice: the solver is fourth order, so that removes the leading
     O(h^4) difference between G_c and the solution on the lattice it starts.
-    The coarsest lattice starts from G0 and is capped by
-    :func:`remainder_bound`; a warm start, extrapolated or not, is capped by
-    :func:`warm_remainder_bound`.  Raises ConvergenceError, naming a coarse
-    lattice by its n_xi, when a sweep is still due after ``max_iter`` sweeps,
-    when the certified stop comes while the last increment is still
-    >= ``tol`` (the increments have reached a rounding floor above the
-    tolerance), or when an increment is not finite (the iterate overflowed).
+    The coarsest lattice starts from G0; every lattice, cold or warm, is
+    capped the same way.  Raises ConvergenceError, naming a coarse lattice
+    by its n_xi, when a sweep is still due after ``max_iter`` sweeps, when
+    the certified stop comes while the last increment is still >= ``tol``
+    and above 1.1 times its own bound (the increments have reached a
+    rounding floor above the tolerance), or when an increment is not finite
+    (the iterate overflowed).
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")

@@ -9,18 +9,19 @@ ghost nodes, c1 on the diagonal, the feedback U = r . w as a rank-one last
 row through the ghost node at x = 1, and the Volterra source.  A record is
 w times one power of A = (I - dt/2 L)^{-1} (I + dt/2 L), from repeated
 squaring, and the record's own factor exp(C2(t_r) - C2(t_(r-1))); there is
-no loop over steps.
+no loop over steps but in a last record shorter than the stride.
 
 Divergence is still checked at every step: K, the product of
 max(1, ||A^(2^i)||_inf) over the squarings, bounds every power up to the
 stride.  A and every squaring and product are flushed (entries below
 sqrt(tiny) zeroed), so no product is subnormal, and K bounds the flushed
 powers the records apply.  The records are computed first and certified
-in one pass; the ones the bound cannot clear are redone, in order, one
-checked step at a time.  The squarings cost O(m^3 log stride) once and a
-record O(m^2), against O(m) per step for a banded stepper: this pays at
-every stride on the default grid_m = 201, but at grid_m = 801 not once
-records are closer than about 4 steps apart (README).
+in one pass; the ones the bound cannot clear, and a partial last record,
+are redone, in order, one checked step at a time.  The squarings cost
+O(m^3 log stride) once and a record O(m^2), against O(m) per step for a
+banded stepper: this pays at every stride on the default grid_m = 201, but
+at grid_m = 801 not once records are closer than about 4 steps apart
+(README).
 """
 from __future__ import annotations
 
@@ -157,8 +158,9 @@ def simulate_closed_loop(spec: ProblemSpec, k: KernelGrid | None, w0: Profile | 
     Record r is exp(C2(t_r) - C2(t_(r-1))) A^j w(t_(r-1)) and c2 <= sup c2, so none
     of its steps crosses the threshold if K exp(max(sup c2, 0) stride dt) sup|w(t_(r-1))|
     does not.  Powers, factors, records and this one-pass certificate run with
-    overflow ignored; each record the bound fails (NaN and overflow included) is
-    redone in order from the one before it, so the first crossing raises.
+    overflow ignored; each record the bound fails (NaN and overflow included), and
+    a last record shorter than the stride, is redone in order from the one before
+    it, so the first crossing raises.
     """
     m, dt, n_steps = cfg.grid_m, cfg.dt, cfg.n_steps
     row = None if k is None else feedback_row(k, m)
@@ -174,13 +176,15 @@ def simulate_closed_loop(spec: ProblemSpec, k: KernelGrid | None, w0: Profile | 
     V[0] = w0
     limit = BLOWUP_FACTOR * max(float(np.max(np.abs(w0))), 1e-12)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
-        P, Q, K = _powers(A, stride, n_steps % stride)
+        P, K = _powers(A, stride)
         factor = np.exp(np.diff(fam.c2_integral(steps * dt)))
-        for r in range(1, len(steps)):
-            np.matmul(P if steps[r] - steps[r - 1] == stride else Q, V[r - 1], out=V[r])
+        partial = n_steps % stride != 0  # the last record has no power of its own
+        for r in range(1, len(steps) - partial):
+            np.matmul(P, V[r - 1], out=V[r])
             V[r] *= factor[r - 1]
         sup = np.abs(V[:-1]).reshape(len(steps) - 1, -1).max(axis=1)
         ok = K * np.exp(max(fam.c2_sup(), 0.0) * stride * dt) * sup <= limit
+        ok[-1] &= not partial
         for r in np.flatnonzero(~ok) + 1:  # in order: a crossing raises from its own record
             V[r] = _step_checked(A, V[r - 1], fam, steps[r - 1], steps[r] - steps[r - 1],
                                  limit, dt)
@@ -189,17 +193,17 @@ def simulate_closed_loop(spec: ProblemSpec, k: KernelGrid | None, w0: Profile | 
     return Trajectory(steps * dt, V, controls)
 
 
-def _powers(A: np.ndarray, stride: int, rem: int):
-    """(A^stride, A^rem or None, K) from one pass of repeated squaring.
+def _powers(A: np.ndarray, stride: int):
+    """(A^stride, K) from one pass of repeated squaring.
 
     A^j is the product of the squarings A^(2^i) over the set bits of j, so
     by submultiplicativity K = prod_i max(1, ||A^(2^i)||_inf) bounds
     ||A^j||_inf for every 1 <= j <= stride.  Only the current squaring and
-    the two products are held.  Every squaring and product is flushed
+    the product are held.  Every squaring and product is flushed
     (:func:`_flush`) and K reads the flushed squarings, so it bounds the
     flushed powers, which are the ones the records apply.
     """
-    P = Q = None
+    P = None
     K = 1.0
     S = A
     for i in range(stride.bit_length()):
@@ -208,9 +212,7 @@ def _powers(A: np.ndarray, stride: int, rem: int):
         K *= max(1.0, np.linalg.norm(S, np.inf))
         if stride >> i & 1:
             P = S if P is None else _flush(P @ S)
-        if rem >> i & 1:
-            Q = S if Q is None else _flush(Q @ S)
-    return P, Q, K
+    return P, K
 
 
 def _flush(M: np.ndarray) -> np.ndarray:

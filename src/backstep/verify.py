@@ -333,12 +333,15 @@ def _build(name: str, cls, **kwargs):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse the scenario file; an omitted key takes its dataclass field's default."""
+    """Parse the scenario file; an omitted key takes its dataclass field's default.
+
+    A path that cannot be read, such as a directory, raises its OSError."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        cp.read(path)
+        with open(path) as fh:  # ConfigParser.read skips a file it cannot open
+            cp.read_file(fh)
         for name in cp.sections():
             if name not in _SCHEMA:
                 raise ConfigError(f"unknown section [{name}]")

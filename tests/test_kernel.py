@@ -25,7 +25,6 @@ from backstep.kernel import (
     bound_constant_M,
     kernel_constants,
     picard_solve,
-    remainder_bound,
     residual,
     series_coefficients,
     series_oracle,
@@ -282,16 +281,7 @@ class TestTailBound:
     def test_beyond_float_range_is_infinite(self):
         # lambda0 = 1000 gives M = 500: the bound passes the float range near n = 340
         assert tail_bound(340, 500.0, 2.0, 0.0) == math.inf
-        assert remainder_bound(340, 500.0, 2.0, 0.0) == math.inf
         assert math.isfinite(tail_bound(335, 500.0, 2.0, 0.0))
-
-    @pytest.mark.parametrize("M", [0.0, 2.0, 3.0, 6.0])
-    def test_remainder_bounds_the_sum(self, M):
-        for n in range(60):
-            rest = math.fsum(tail_bound(k, M, 2.0, 0.0) for k in range(n, n + 400))
-            bound = remainder_bound(n, M, 2.0, 0.0)
-            assert rest <= bound
-            assert math.isinf(bound) == (2.0 * M >= n + 2)
 
     @pytest.mark.parametrize("M", [0.0, 2.0, 3.0, 6.0])
     def test_warm_remainder_bounds_the_sum(self, M):
@@ -385,8 +375,9 @@ def solved_101(request, spec_rx2):
 
 class TestPicard:
     def test_null_problem(self):
+        # one sweep fixes the cap, and its increment is zero
         grid = picard_solve(GoursatProblem.direct(zero_spec()), n_xi=65, tol=1e-12, max_iter=5)
-        assert grid.iterations_used == 0
+        assert grid.increments == (0.0,)
         assert np.all(grid.values_xieta == 0.0)
         assert np.all(grid.values_xy == 0.0)
 
@@ -439,13 +430,13 @@ class TestPicard:
 
     def test_certified_stop_bounds_remainder(self, spec_rx2, kernels_rx2_101):
         # solved at tol = 1e-11: the certified stop is the first n whose remaining
-        # increments sum below tol, one sweep after the first term below tol
+        # increments sum below tol, by the bound of the first increment
         tol = 1e-11
         M = bound_constant_M(spec_rx2)
         for grid in kernels_rx2_101:
-            n = grid.n_certified
+            n, e1 = grid.n_certified, grid.increments[0]
             assert math.fsum(tail_bound(k, M, 2.0, 0.0) for k in range(n, n + 400)) < tol
-            assert remainder_bound(n, M, 2.0, 0.0) < tol <= remainder_bound(n - 1, M, 2.0, 0.0)
+            assert warm_remainder_bound(n, M, e1) < tol <= warm_remainder_bound(n - 1, M, e1)
             assert tail_bound(n - 1, M, 2.0, 0.0) < tol
 
     def test_uniqueness_diagnostic(self, spec_rx2):
@@ -515,7 +506,7 @@ class TestNested:
                 assert inc <= 1.1 * e1 * two_m ** k / math.factorial(k)
 
     def test_warm_certified_stop(self, nested_401):
-        # the warm cap comes from the first increment, not from the cold remainder_bound
+        # the warm cap comes from the first increment
         for prob, grid in nested_401:
             n, M, e1 = grid.n_certified, bound_constant_M(prob.spec), grid.increments[0]
             assert warm_remainder_bound(n, M, e1) < NEST_TOL <= warm_remainder_bound(n - 1, M, e1)
@@ -525,7 +516,7 @@ class TestNested:
         for prob, grid in nested_401:
             lat, M = grid.lattice, bound_constant_M(prob.spec)
             cold, increments, n_cert = kernel._sweeps(prob, lat, None, M, NEST_TOL, 80, "")
-            assert remainder_bound(n_cert, M, 2.0, 0.0) < NEST_TOL
+            assert warm_remainder_bound(n_cert, M, increments[0]) < NEST_TOL
             assert len(increments) > grid.iterations_used
             gap = np.max(np.abs((grid.values_xieta - cold)[lat.region_mask()]))
             assert gap < 10 * NEST_TOL

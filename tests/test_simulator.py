@@ -225,7 +225,7 @@ class TestClosedLoop:
         assert np.max(np.abs(traj.fields / exact[:, None] - 1.0)) < 1e-4
         # record r clears when K exp(C2(t_r) - C2(t_(r-1))) sup|w(t_(r-1))| <= 1e6 sup|w0|,
         # c2 constant; only the records that fail it are stepped, from their start
-        bound = powers[0][2] * exact[1:] * np.max(np.abs(traj.fields[:-1]), axis=1) / exact[:-1]
+        bound = powers[0][1] * exact[1:] * np.max(np.abs(traj.fields[:-1]), axis=1) / exact[:-1]
         failing = np.flatnonzero(bound > 1e6) + 1
         assert failing[0] > 1 and list(failing) == list(range(failing[0], len(traj.times)))
         assert stepped == [round(traj.times[r - 1] / 1e-3) for r in failing]
@@ -282,6 +282,36 @@ class TestClosedLoop:
         scale = np.max(np.abs(chain.fields[stepped]), axis=1)
         assert np.all(np.max(np.abs(traj.fields[stepped] - chain.fields[stepped]), axis=1)
                       <= 1e-12 * scale)
+
+    def test_partial_last_record_is_stepped(self, monkeypatch):
+        # 50 steps at stride 7: records at steps 0, 7, ..., 49 and 50; the last record
+        # is one step, for which the propagator holds no power, so it is stepped; a
+        # bounded run whose stride divides its steps steps nothing
+        stepped = []
+
+        def spy(A, w, fam, start, n, limit, dt):
+            stepped.append((start, n))
+            return step_checked(A, w, fam, start, n, limit, dt)
+
+        step_checked = simulator._step_checked
+        monkeypatch.setattr(simulator, "_step_checked", spy)
+        spec = const_lambda_spec(1.0)
+        w0 = profile_of(lambda x: np.cos(np.pi * x), 51)
+
+        def run(t_end, stride):
+            cfg = SimConfig(grid_m=51, dt=1e-3, t_end=t_end, record_stride=stride)
+            return simulate_closed_loop(spec, None, w0, cfg)
+
+        traj = run(0.05, 7)
+        assert stepped == [(49, 1)]
+        assert traj.times[-2:] == pytest.approx([0.049, 0.05])
+        stepped.clear()
+        for stride in (7, 1):
+            run(0.049, stride)
+        assert not stepped
+        every = run(0.05, 1)
+        scale = np.max(np.abs(every.fields[-1]))
+        assert np.max(np.abs(traj.fields[-1] - every.fields[-1])) <= 1e-12 * scale
 
     def test_integrating_factor_is_record_local(self, monkeypatch):
         # C2 is read at the record times, and in a redone record at its own steps;
@@ -473,8 +503,8 @@ class TestFlush:
             assert below[0] > 0 and below[1] > 0  # A and its first squaring
         for M in flushed:
             assert np.all(np.abs(M[M != 0]) >= simulator._FLUSH_FLOOR)
-        (P, Q, K), = powers
-        assert P is flushed[-1] and Q is None
+        (P, K), = powers
+        assert P is flushed[-1]
         assert np.linalg.norm(P, np.inf) <= K
 
 def _resample(p: Profile, m: int) -> Profile:

@@ -62,7 +62,7 @@ def scenario_text(c1, c2, f, lambda0, family) -> str:
        f=st.one_of(st.just(ZERO_F),
                    st.tuples(st.tuples(coefficient, coefficient),
                              st.tuples(coefficient, coefficient))),
-       gap=st.floats(1, 25),
+       gap=st.floats(0.05, 25),
        family=st.sampled_from(("constant", "cosine", "polynomial", "bump")))
 # c1' feeds the target's u_x: the W^{1,p} floor needs its factor 1 + max|c1'| t
 @example(c1=(0.0, 0.0, -4.0), c2=("constant", 0.0, 1.0), f=((0.0, 0.0), (0.0, -1.0)), gap=1.0,
@@ -72,6 +72,9 @@ def scenario_text(c1, c2, f, lambda0, family) -> str:
          family="bump")
 @example(c1=(0.0, 0.0, 1.0, 1e-320), c2=("constant", 0.0, 1.0), f=ZERO_F, gap=1.0,
          family="bump")
+# c = 0 with a small gap: the second increment is >= tol at the certified stop, but
+# within its bound, which is no rounding floor
+@example(c1=(0.0,), c2=("constant", 0.0, 1.0), f=ZERO_F, gap=0.005, family="bump")
 def test_every_flag_passes(c1, c2, f, gap, family):
     text = scenario_text(c1, c2, f, sampled_sup_c(c1, c2) + gap, family)
     note(text)

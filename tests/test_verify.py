@@ -551,7 +551,7 @@ class TestContinuousDependence:
         calls = []
         real = simulator._powers
         monkeypatch.setattr(simulator, "_powers",
-                            lambda A, stride, rem: calls.append(stride) or real(A, stride, rem))
+                            lambda A, stride: calls.append(stride) or real(A, stride))
         cfg = scenario(tmp_path / "dep", p_list=(1.0, 2.0), tau_list=(1e-2,))
         m = cfg.sim.grid_m
         x = np.linspace(0, 1, m)
@@ -670,6 +670,14 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_scenario("/nonexistive/nope.ini")
+
+    @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
+    def test_directory_exit(self, tmp_path, capsys, command):
+        # ConfigParser.read skipped a path it could not open, and the error named a
+        # missing [problem] section; the OS error names the path and the reason
+        assert cli_main([command, "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: [Errno 21] Is a directory: '{tmp_path}'"]
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -1313,8 +1321,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "rounding floor" in err and "coarse lattice n_xi = 201" in err
 
+    @pytest.mark.parametrize("command", ["kernel", "verify"])
+    def test_small_lambda0_exit(self, tmp_path, capsys, command):
+        # c = 0 and lambda0 = 0.005: the coarse lattice's certified stop after 2 sweeps
+        # leaves a second increment of 3.3e-10 >= tol, within its bound 2M e1; that is
+        # no rounding floor, and the solve returns
+        path = tmp_path / "s.ini"
+        text = DEFAULT_INI.read_text()
+        for old, new in (("c1_poly = 0 0 1", "c1_poly = 0"), ("c2_kind = exp_decay",
+                         "c2_kind = constant"), ("c2_a = 1.0", "c2_a = 0"),
+                         ("lambda0 = 3.0", "lambda0 = 0.005")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text)
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "verify":
+            flags = json.loads((tmp_path / "run" / "report.json").read_text())["pass_flags"]
+            assert flags and all(flags.values())
+
     def test_huge_lambda0_exit(self, tmp_path, capsys):
-        # the cold cap's bound passes the float range; the sweeps run out instead
+        # M = 500: the first-increment cap is infinite below 1000 sweeps; max_iter runs out
         path = tmp_path / "s.ini"
         text = ORACLE_INI.read_text()
         assert "lambda0 = 10.0" in text and "max_iter = 80" in text

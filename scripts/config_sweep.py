@@ -20,13 +20,17 @@ flagged when
 * its exit code is outside {0, 1, 2, 3}, or is 1 while no flag failed (1
   means a bound violation, and only ``verify`` checks bounds);
 * it prints more than one line to stderr;
-* an exception escapes ``cli.main``: a warning, or a traceback exit.
+* an exception escapes ``cli.main``: a warning, or a traceback exit;
+* a command of ``SHARED`` exits 2 on its file or flag value and another
+  command does not: every command validates a scenario the same way, so a
+  configuration error is every command's.  ``oracle`` alone may exit 2,
+  as it rejects every family but its own.
 
 Prints one line per flagged case, a count of the cases per exit code for
 each command, and the total; exits 1 if any case is flagged, 2 on an unknown
 ``KEY``.  The whole sweep (32 keys, 14 values, 4 commands: 1792 cases; then
 6 ``--refine`` values on 4 commands and 8 ``--p`` values on ``verify``: 32
-cases) takes about 13 s on a 2-core Xeon VM.
+cases) takes about 13 s on a 2-core Xeon VM; none is flagged.
 """
 import configparser
 import contextlib
@@ -59,6 +63,8 @@ SWITCHED = (("initial_data", "a", {"family": "constant"}),
             ("problem", "c2_b", {"c2_kind": "damped_osc"}))
 BUMP = ("center", "width", "height")
 COMMANDS = (("verify",), ("simulate", "--open-loop"), ("kernel",), ("oracle",))
+#: the commands whose configuration error (exit 2) every other command must share
+SHARED = ("verify", "simulate --open-loop", "kernel")
 #: (flag, its values, the commands that take it)
 FLAGS = (("--refine", ("2", "200000000", "0", "-1", "abc", "1e308"), COMMANDS),
          ("--p", ("1", "inf", "1e308", "0.5", "nan", "2,2.0000001", "abc", ""), (("verify",),)))
@@ -133,15 +139,29 @@ def problems(code, stdout: str, stderr: str, escaped) -> list:
     return found
 
 
+def disagreement(codes: dict) -> list:
+    """What is wrong with one file's or flag value's exit codes across commands,
+    ``{command: code}``: a configuration error of a ``SHARED`` command that
+    another command ran past; empty when nothing is."""
+    rejecting = [command for command in SHARED if codes.get(command) == 2]
+    passing = [f"{command} exits {code}" for command, code in codes.items() if code != 2]
+    if rejecting and passing:
+        return [f"{', '.join(rejecting)} exit 2 but {', '.join(passing)}"]
+    return []
+
+
 def sweep(selected, flags) -> tuple:
     """(flagged lines, {command: Counter of exit codes}) over every case of the
     ``selected`` keys and of the ``flags``, entries of ``FLAGS``."""
     flagged, codes = [], {}
 
-    def record(label, command, outcome):
-        codes.setdefault(" ".join(command), Counter())[outcome[0]] += 1
-        for problem in problems(*outcome):
-            flagged.append(f"{label}, {' '.join(command)}: {problem}")
+    def record(label, outcomes):
+        """Count and check ``outcomes``, ``{command: outcome}``, of one file or flag value."""
+        for command, outcome in outcomes.items():
+            codes.setdefault(command, Counter())[outcome[0]] += 1
+            flagged.extend(f"{label}, {command}: {problem}" for problem in problems(*outcome))
+        flagged.extend(f"{label}: {problem}" for problem in
+                       disagreement({command: outcome[0] for command, outcome in outcomes.items()}))
 
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -150,13 +170,13 @@ def sweep(selected, flags) -> tuple:
             for section, key, switch in selected:
                 label = "".join(f" ({name} = {text})" for name, text in switch.items())
                 for value in VALUES:
-                    for command in COMMANDS:
-                        record(f"[{section}] {key} = {value!r}{label}", command,
-                               run_case(section, key, value, command, switch))
+                    record(f"[{section}] {key} = {value!r}{label}",
+                           {" ".join(command): run_case(section, key, value, command, switch)
+                            for command in COMMANDS})
             for flag, values, commands in flags:
                 for value in values:
-                    for command in commands:
-                        record(f"{flag} {value!r}", command, run_flag(flag, value, command))
+                    record(f"{flag} {value!r}", {" ".join(command): run_flag(flag, value, command)
+                                                 for command in commands})
         finally:
             os.chdir(cwd)
     return flagged, codes

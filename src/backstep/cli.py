@@ -7,9 +7,11 @@ grid too large for memory) exits 2.  An ArithmeticError exits 3: every
 numerical failure the package raises derives from it, as do a float
 overflow and numpy's float errors.  numpy's LinAlgError, a ValueError,
 exits 3 too.  A failure inside ``verify`` names its pipeline stage.  Every
-command runs in :func:`~backstep.verify.run_scope`: on one OpenBLAS thread,
-so that its artifacts do not depend on the caller's thread count, and with
-numpy's float errors raised, so that none prints a warning.
+command validates a scenario the same way, by
+:func:`~backstep.verify.validate_scenario`, before any solve, and runs in
+:func:`~backstep.verify.run_scope`: on one OpenBLAS thread, so that its
+artifacts do not depend on the caller's thread count, and with numpy's
+float errors raised, so that none prints a warning.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .coefficients import ConfigError, lambda_lower
+from .coefficients import ConfigError
 from .kernel import GoursatProblem, picard_solve, residual
 from .simulator import simulate_closed_loop, simulate_target
 from .transforms import initial_target_data
@@ -33,6 +35,7 @@ from .verify import (
     run_scenario,
     run_scope,
     solve_kernels,
+    validate_scenario,
     write_controls,
     write_oracle,
     write_trajectory,
@@ -66,8 +69,7 @@ def _load(args) -> ScenarioConfig:
 
 def _cmd_kernel(args) -> int:
     config = _load(args)
-    os.makedirs(config.outputs, exist_ok=True)
-    lambda_lower(config.spec)
+    validate_scenario(config)
     k, l = solve_kernels(config)
     dump_kernel_csv(os.path.join(config.outputs, "kernels.csv"), k, l)
     lines = [
@@ -90,8 +92,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    os.makedirs(config.outputs, exist_ok=True)
-    lambda_lower(config.spec)
+    validate_scenario(config)
     ks = config.kernel
     k = None if args.open_loop else picard_solve(
         GoursatProblem.direct(config.spec), ks.n_xi, ks.tol, ks.max_iter)
@@ -122,7 +123,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
-    os.makedirs(config.outputs, exist_ok=True)
+    validate_scenario(config)
     ks = config.kernel
     rows, sup = oracle_comparison(config.spec, ks.n_xi, ks.tol, ks.max_iter)
     print(f"sup |picard - series| over the region: {sup:.6e}")

@@ -14,9 +14,10 @@ quadrature in xi; the triple integrals add one line sum per power of z in f
 and one shared matrix product.  Their s-weights start with the fourth-order
 row (9, 19, -5, 1)/24 on [0, delta] (Brunner, *Collocation Methods for
 Volterra Integral Equations*, 2004), so the solve is fourth order with or
-without f.  Picard iteration of this map converges
-factorially: from any start, the n-th increment is at most e1 (2M)^n / n!
-with e1 the first, and :func:`warm_remainder_bound` of e1 caps every solve.
+without f.  Picard iteration of this map converges factorially: from any
+start, the n-th increment is at most e1 (2M)^n / n! with e1 the first;
+:func:`warm_remainder_bound` of e1 caps every solve, which returns a
+certified kernel or raises :class:`ConvergenceError`.
 A large lattice starts from the solution on its half lattice (nested
 iteration), Richardson-extrapolated against the quarter lattice where there
 is one.
@@ -53,14 +54,12 @@ _PAD = 8
 #: and at least this, so that 401 has two coarser levels (201 and 101) and its
 #: start can be extrapolated; lattices below 201 start cold.
 _NEST_FLOOR = 101
+#: The Picard cap is searched up to this many sweeps: a bound on that O(n^2) search, not the solve.
+_CAP_SEARCH = 1000
 
 
 class ConvergenceError(ArithmeticError):
-    """Picard iteration stopped with the increment above tolerance.
-
-    Either ``max_iter`` ran out, or the certified stop came with a last
-    increment >= tol and above its bound: a rounding floor above tol.
-    """
+    """Picard iteration ended with no certified kernel, by the verdict of :func:`_sweeps`."""
 
     def __init__(self, message: str, last_increment: float):
         super().__init__(message)
@@ -456,21 +455,22 @@ class KernelGrid:
 
     Stored: the ``lattice``, G on the padded lattice (``values_xieta``), and
     the finest lattice's sweep ``increments`` and certified cap
-    ``n_certified``; ``level_sweeps`` counts the sweeps on each lattice of a
-    nested solve, coarse to fine.  Derived from those, so they always agree
-    with ``values_xieta``: ``n_xi``, ``delta``, ``x_nodes``,
-    ``iterations_used`` and ``final_increment``; the kernel on the uniform
-    triangle grid x_m = m delta (``values_xy``, zero above the diagonal) and
-    its k_x (``kx_xy``), each formed once, on first read, and read-only;
-    ``trace_diag``, k(x, x), and ``trace_kx1``, k_x(1, y).  These images are
-    the one exact read: a profile grid on the lattice takes strided views of
-    them.  ``values_at`` and ``kx1_at`` interpolate at arbitrary points.
+    ``n_certified`` (None if none was found); ``level_sweeps`` counts the
+    sweeps on each lattice of a nested solve, coarse to fine.  Derived from
+    those, so they always agree with ``values_xieta``: ``n_xi``, ``delta``,
+    ``x_nodes``, ``iterations_used`` and ``final_increment``; the kernel on
+    the uniform triangle grid x_m = m delta (``values_xy``, zero above the
+    diagonal) and its k_x (``kx_xy``), each formed once, on first read, and
+    read-only; ``trace_diag``, k(x, x), and ``trace_kx1``, k_x(1, y).  These
+    images are the one exact read: a profile grid on the lattice takes
+    strided views of them.  ``values_at`` and ``kx1_at`` interpolate at
+    arbitrary points.
     """
 
     lattice: ChartLattice
     values_xieta: np.ndarray
     increments: tuple
-    n_certified: int
+    n_certified: int | None
     level_sweeps: tuple
 
     @property
@@ -605,49 +605,47 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
             max_iter: int, where: str):
     """Picard sweeps on ``lat`` from G0 (``start`` None) or from ``start``.
 
-    Returns (G, increments, n_certified).  The cap is the first n >= 1 (at
-    most 1001) whose :func:`warm_remainder_bound` of the first increment is
-    below tol.  A stop at the cap with a last increment >= tol raises only if
-    it is above 1.1 times its :func:`_increment_bound`: a rounding floor.
-    ``where`` names the lattice in an error message; an increment that is not
-    finite raises at once, naming its sweep.  One :class:`_SweepOperator`
+    Returns (G, increments, n_certified).  After the first sweep the cap is
+    the first n <= _CAP_SEARCH whose :func:`warm_remainder_bound` of the
+    first increment is below tol, or None; the sweeps go on while the last
+    increment is >= tol, up to the cap and never past ``max_iter``.  Then
+    one verdict: an increment >= tol left raises unless the solve stopped
+    at its cap within 1.1 times its :func:`_increment_bound` (above it: a
+    rounding floor).  An increment that is not finite raises at once.
+    ``where`` names the lattice in every message.  One :class:`_SweepOperator`
     holds what every sweep on ``lat`` reads but G.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed G0 shows in sweep 1
         op = _SweepOperator(problem, lat)
     region = lat.region_mask()
     G = op.g0 if start is None else start
-    n_cert = math.inf  # until the first increment fixes the cap
+    n_cert, budget = None, max_iter  # until the first increment fixes the cap
     increments: list[float] = []
-    while len(increments) < n_cert and (not increments or increments[-1] >= tol):
-        if len(increments) == max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} sweeps{where} "
-                f"(last increment {increments[-1]:.3e} >= tol {tol:.3e}); "
-                "the grid is too coarse for this tolerance",
-                last_increment=increments[-1],
-            )
+    while not increments or (increments[-1] >= tol and len(increments) < budget):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by sweep
             G_next = op.phi(G)
             G_next += op.g0
             increments.append(float(np.max(np.abs(G_next - G), where=region, initial=0.0)))
         if not math.isfinite(increments[-1]):
             raise ConvergenceError(
-                f"the increment of sweep {len(increments)} is {increments[-1]:g} on the "
-                f"{'coarse ' if where else ''}lattice n_xi = {lat.n_xi}: the iteration "
-                "overflowed a float", last_increment=increments[-1])
+                f"the increment of sweep {len(increments)} is {increments[-1]:g}{where}: "
+                "the iteration overflowed a float", last_increment=increments[-1])
         G = G_next
         if len(increments) == 1:
-            n_cert = next((n for n in range(1, 1001)
-                           if warm_remainder_bound(n, M, increments[0]) < tol), 1001)
+            n_cert = next((n for n in range(1, _CAP_SEARCH + 1)
+                           if warm_remainder_bound(n, M, increments[0]) < tol), None)
+            budget = min(n_cert or max_iter, max_iter)
     last = increments[-1]
-    if last >= tol and last > 1.1 * _increment_bound(len(increments) - 1, M, increments[0]):
+    if last >= tol and len(increments) != n_cert:
+        raise ConvergenceError(
+            f"no convergence after {len(increments)} sweeps{where} (last increment "
+            f"{last:.3e} >= tol {tol:.3e}, certified cap {n_cert or f'past {_CAP_SEARCH}'})",
+            last_increment=last)
+    if last >= tol and last > 1.1 * _increment_bound(n_cert - 1, M, increments[0]):
         raise ConvergenceError(
             f"the certified stop after {n_cert} sweeps{where} left an increment of "
             f"{last:.3e} >= tol {tol:.3e}, above its bound: the increments stagnate at "
-            "a rounding floor, so this tolerance is out of reach",
-            last_increment=last,
-        )
+            "a rounding floor, so this tolerance is out of reach", last_increment=last)
     return G, increments, n_cert
 
 
@@ -666,13 +664,9 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     G_c + (G_c - G_cc) / 16, G_cc being the next coarser solution carried to
     G_c's lattice: the solver is fourth order, so that removes the leading
     O(h^4) difference between G_c and the solution on the lattice it starts.
-    The coarsest lattice starts from G0; every lattice, cold or warm, is
-    capped the same way.  Raises ConvergenceError, naming a coarse lattice
-    by its n_xi, when a sweep is still due after ``max_iter`` sweeps, when
-    the certified stop comes while the last increment is still >= ``tol``
-    and above 1.1 times its own bound (the increments have reached a
-    rounding floor above the tolerance), or when an increment is not finite
-    (the iterate overflowed).
+    The coarsest lattice starts from G0.  Every lattice, cold or warm, is
+    capped and judged by :func:`_sweeps`: it gives a certified solution, or
+    raises ConvergenceError naming the lattice by its n_xi.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -683,7 +677,7 @@ def picard_solve(problem: GoursatProblem, n_xi: int, tol: float, max_iter: int) 
     G = carried = None  # the last solution, and the one before it carried to its lattice
     level_sweeps = []
     for lat in reversed(levels):
-        where = "" if lat is levels[0] else f" on the coarse lattice n_xi = {lat.n_xi}"
+        where = f" on the {'' if lat is levels[0] else 'coarse '}lattice n_xi = {lat.n_xi}"
         if G is None:
             start = None
         elif carried is None:

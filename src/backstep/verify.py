@@ -403,6 +403,12 @@ class DecayReport:
 # --------------------------------------------------------------------------
 
 
+def validate_scenario(config: ScenarioConfig) -> float:
+    """Make the output directory and return lambda_lower: every command's check before a solve."""
+    os.makedirs(config.outputs, exist_ok=True)
+    return lambda_lower(config.spec)
+
+
 def solve_kernels(config: ScenarioConfig) -> tuple[KernelGrid, KernelGrid]:
     """The direct kernel k and the inverse kernel l at the config's kernel settings."""
     ks = config.kernel
@@ -498,7 +504,7 @@ def run_scope():
 
 @run_scope()
 def run_scenario(config: ScenarioConfig) -> DecayReport:
-    """Full pipeline: validate, solve kernels, simulate, fit, check, write.
+    """Full pipeline: :func:`validate_scenario`, solve kernels, simulate, fit, check, write.
 
     Deterministic for a given config.  On a stage failure the exception
     propagates with its ``stage`` attribute set, after the MANIFEST has
@@ -524,9 +530,8 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
     stage = "validate"
     writer = None
     try:
-        os.makedirs(outdir, exist_ok=True)
+        lam = validate_scenario(config)
         spec = config.spec
-        lam = lambda_lower(spec)  # raises unless lambda0 > sup c
         # started before the kernel stage, so that its start-up overlaps the solve
         writer = _WriterChild([os.path.join(outdir, name)
                                for name in ("kernels.csv", "closed_loop.csv")])

@@ -460,6 +460,27 @@ class TestPicard:
         gap = np.max(np.abs((G - base.values_xieta)[reg]))
         assert gap < 10 * tol
 
+    @pytest.mark.parametrize("c1_poly, lambda0, max_iter", [
+        ((0.0, 0.0, 2.0), 10.0, 80),
+        ((0.0, 0.0, 2.0), 150.0, 3000),  # stops by tol after 25 sweeps, below its cap of 440
+        ((0.0, 0.0, 2.0), 250.0, 3000),  # a rounding floor at its cap of 713
+        ((0.0, 0.0, 2.0), 450.0, 1002),  # no cap within 1000 sweeps
+        ((0.0,), 0.005, 80),  # stops at its cap of 2, within the second increment's bound
+    ])
+    def test_every_returned_solve_is_certified(self, c1_poly, lambda0, max_iter):
+        spec = ProblemSpec(CoefficientFamily(c1_poly=c1_poly), lambda0=lambda0)
+        tol = 1e-10
+        try:
+            grid = picard_solve(GoursatProblem.direct(spec), n_xi=101, tol=tol, max_iter=max_iter)
+        except ConvergenceError:
+            return
+        # returned: converged by tol, or stopped at a cap that certifies the rest below tol,
+        # with the last increment within 1.1 times its bound
+        n, last, e1, M = grid.n_certified, grid.final_increment, grid.increments[0], \
+            bound_constant_M(spec)
+        assert last < tol or (grid.iterations_used == n and warm_remainder_bound(n, M, e1) < tol
+                              and last <= 1.1 * kernel._increment_bound(n - 1, M, e1))
+
     def test_nonconvergence_error(self, spec_rx2):
         with pytest.raises(ConvergenceError) as err:
             picard_solve(GoursatProblem.direct(spec_rx2), n_xi=65, tol=1e-12, max_iter=2)

@@ -160,6 +160,16 @@ def test_config_sweep(tmp_path, monkeypatch):
     code, stdout, stderr, escaped = sweep["run_flag"]("--refine", "abc", ("kernel",))
     assert (code, escaped) == (2, None) and stderr.startswith("backstep kernel: error: ")
     assert problems(code, stdout, stderr, escaped) == []
+    # a configuration error is every command's: oracle once ran lambda0 = 0.1 < sup c,
+    # which the other three reject; it alone may reject a family not its own
+    disagreement = sweep["disagreement"]
+    outcomes = {" ".join(command): run_case("problem", "lambda0", "0.1", command)
+                for command in sweep["COMMANDS"]}
+    assert all(outcome[0] == 2 and problems(*outcome) == [] for outcome in outcomes.values())
+    assert disagreement({command: outcome[0] for command, outcome in outcomes.items()}) == []
+    assert disagreement({"verify": 2, "simulate --open-loop": 2, "kernel": 2, "oracle": 0}) == [
+        "verify, simulate --open-loop, kernel exit 2 but oracle exits 0"]
+    assert disagreement({"verify": 0, "simulate --open-loop": 0, "kernel": 0, "oracle": 2}) == []
 
     # exit 1: a zero kernel in the closed loop fails two envelope flags
     def zero_kernel(spec, k, *args, _real=verify.simulate_closed_loop):

@@ -844,11 +844,18 @@ class TestCli:
         code = cli_main(["verify", "--config", str(tmp_path / "missing.ini")])
         assert code == 2
 
-    def test_invalid_lambda_exit(self, tmp_path):
+    @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
+    def test_invalid_lambda_exit(self, tmp_path, capsys, command):
+        # every command validates a scenario the same way, oracle included
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
             "lambda0 = 3.0", "lambda0 = 1.0"))
-        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert cli_main([command, "--config", str(path)]) == 2
+        stage = "stage validate: " if command == "verify" else ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"configuration error: {stage}lambda0 must exceed the supremum "
+                                 "of c(x, t): ")
 
     def test_simulate_and_kernel_commands(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -1348,6 +1355,21 @@ class TestCli:
         path.write_text(text.replace("lambda0 = 10.0", "lambda0 = 1000"))
         assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
         assert "numerical failure: no convergence after 80 sweeps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kernel", "verify", "oracle"])
+    def test_uncertified_solve_exit(self, tmp_path, capsys, command):
+        # M = 225: no cap within 1000 sweeps, and the increments still stand at 4.8e-7
+        # after max_iter; such a solve is no kernel, however many sweeps it takes
+        path = tmp_path / "s.ini"
+        text = ORACLE_INI.read_text()
+        assert "lambda0 = 10.0" in text and "max_iter = 80" in text
+        path.write_text(text.replace("lambda0 = 10.0", "lambda0 = 450").replace(
+            "max_iter = 80", "max_iter = 1002"))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        stage = "stage kernel: " if command == "verify" else ""
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: {stage}no convergence after 1002 sweeps on the coarse lattice "
+            "n_xi = 101 (last increment 4.768e-07 >= tol 1.000e-10")
 
     @pytest.mark.parametrize("command", ["kernel", "verify"])
     def test_overflowing_sweep_exit(self, tmp_path, capsys, command):

@@ -19,6 +19,9 @@ flagged when
 
 * its exit code is outside {0, 1, 2, 3}, or is 1 while no flag failed (1
   means a bound violation, and only ``verify`` checks bounds);
+* it exits 3 in ``verify``'s stage ``validate``: a float error there is a
+  configuration value that numpy's trap decided, which should exit 2 and
+  name its key;
 * it prints more than one line to stderr;
 * an exception escapes ``cli.main``: a warning, or a traceback exit;
 * a command of ``SHARED`` exits 2 on its file or flag value and another
@@ -134,6 +137,8 @@ def problems(code, stdout: str, stderr: str, escaped) -> list:
         found.append(f"exit {code}")
     elif code == 1 and "[FAIL]" not in stdout:
         found.append("exit 1 with no failed flag")
+    elif code == 3 and stderr.startswith("numerical failure: stage validate: "):
+        found.append("exit 3 in stage validate")
     if len(stderr.splitlines()) > 1:
         found.append(f"{len(stderr.splitlines())} stderr lines")
     return found

@@ -9,8 +9,8 @@ take one of two orders:
   (Gregory-type weights), exact for cubics.
 
 The norms integrate with :func:`trapezoid`, one weighted dot per line.  The
-kernel solver's cumulative integrals (:func:`cumquad`) are fourth order only:
-the corrected trapezoid, written as one stencil and one running sum.
+kernel solver's cumulative integrals (:func:`cumquad`) have one rule, fourth
+order: the corrected trapezoid, written as one stencil and one running sum.
 """
 from __future__ import annotations
 
@@ -62,20 +62,20 @@ def _along(g: np.ndarray, axis: int, index) -> np.ndarray:
     return g[(slice(None),) * (axis % g.ndim) + (index, ...)]
 
 
-def cumtrapz(g: np.ndarray, d, axis: int = -1) -> np.ndarray:
-    """Cumulative trapezoid sums from the first node, same shape as ``g``.
+def cumtrapz(g: np.ndarray, d) -> np.ndarray:
+    """Cumulative trapezoid sums of the samples ``g`` of one line, from its first node.
 
     ``d`` is the node spacing: a scalar, or the gaps between consecutive
-    nodes along the last axis.  Entry ``k`` is the running sum of
-    ``(g[i] + g[i + 1]) * (d / 2.0)`` over ``i < k``, evaluated in that
-    order (``d * (g[i] + g[i + 1]) / 2.0`` to the bit, halving being exact).
+    nodes.  Entry ``k`` is the running sum of ``(g[i] + g[i + 1]) * (d / 2.0)``
+    over ``i < k``, evaluated in that order (``d * (g[i] + g[i + 1]) / 2.0``
+    to the bit, halving being exact).
     """
     g = np.asarray(g, dtype=float)
     out = np.empty_like(g)
-    _along(out, axis, 0)[...] = 0.0
-    pairs = _along(g, axis, slice(1, None)) + _along(g, axis, slice(None, -1))
+    out[0] = 0.0
+    pairs = g[1:] + g[:-1]
     pairs *= d / 2.0
-    np.cumsum(pairs, axis=axis, out=_along(out, axis, slice(1, None)))
+    np.cumsum(pairs, out=out[1:])
     return out
 
 
@@ -87,11 +87,9 @@ def cumquad(g: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     ``((5.0 * g[0] + 8.0 * g[1]) - g[2]) * (h / 12.0)`` and its mirror on the end
     intervals: the trapezoid sum less the h^2/12 endpoint correction with the slopes
     of ``np.gradient(g, h, edge_order=2)``, up to rounding.  Entry ``k`` carries an
-    O(h^4) error uniformly in ``k``.  Fewer than three nodes take the trapezoid.
+    O(h^4) error uniformly in ``k``.  It needs three nodes along ``axis``; lattice lines have 17+.
     """
     g = np.ascontiguousarray(g, dtype=float)
-    if g.shape[axis] < 3:
-        return cumtrapz(g, h, axis)
     s = g.strides[axis] // g.itemsize  # flat distance of neighbours along axis
     f, out = g.ravel(), np.empty_like(g)
     # interval i goes to node i + 1 of out; where the flat stencil straddles two

@@ -192,14 +192,20 @@ def sup_c(spec: ProblemSpec) -> float:
     """Supremum of c over (0,1) x (0, inf).
 
     Closed form per family (the sum is separable), confirmed against dense
-    1-D sampling of each factor on [0,1] and [0, horizon].
+    1-D sampling of each factor on [0,1] and [0, horizon], overflow ignored: a
+    non-finite closed form or sample of c1 or c2 is a ConfigError naming its key.
     """
     fam = spec.family
-    analytic = fam.c1_range()[1] + fam.c2_sup()
     xs = np.linspace(0.0, 1.0, _CONFIRM_NODES)
     ts = np.linspace(0.0, spec.horizon, _CONFIRM_NODES)
-    sampled = float(np.max(fam.c1(xs)) + np.max(fam.c2(ts)))
-    if not sampled <= analytic + _SUP_TOLERANCE:  # a NaN sample fails too
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1 = fam.c1_range()[1], np.max(fam.c1(xs))
+        c2 = fam.c2_sup(), np.max(fam.c2(ts))  # |c2| <= |c2_a|: only c2_b, in b t, can overflow
+        analytic, sampled = c1[0] + c2[0], float(c1[1] + c2[1])
+    for key, (sup, sample) in ((f"c1_poly = {fam.c1_poly}", c1), (f"c2_b = {fam.c2_b!r}", c2)):
+        if not (math.isfinite(sup) and math.isfinite(sample)):
+            raise ConfigError(f"{key} is out of float range: sup {sup:.6g}, sampled {sample:.6g}")
+    if not sampled <= analytic + _SUP_TOLERANCE:
         raise ConfigError(
             f"sampled sup of c ({sampled:.12g}) is not at most the closed form "
             f"({analytic:.12g}); coefficient family is inconsistent"

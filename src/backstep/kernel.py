@@ -99,11 +99,11 @@ class GoursatProblem:
     def conv_sign(self) -> float:
         return 1.0 if self.orientation == "direct" else -1.0
 
-    def reaction_lattice(self, lat: "ChartLattice", at=np.s_[:, :]) -> np.ndarray:
-        """Reaction weight conv_sign lambda0 - c1((xi + eta)/2) + c1((xi - eta)/2) at the nodes
-        ``at`` of ``lat``, from one c1 table on its half nodes."""
+    def reaction_lattice(self, lat: "ChartLattice") -> np.ndarray:
+        """Reaction weight conv_sign lambda0 - c1((xi + eta)/2) + c1((xi - eta)/2) on the whole
+        of ``lat``, from one c1 table on its half nodes."""
         plus, minus = lat.chart_views(self.spec.family.c1(lat.half_nodes))
-        return self.conv_sign * self.spec.lambda0 - plus[at] + minus[at]
+        return self.conv_sign * self.spec.lambda0 - plus + minus
 
 
 @dataclass(frozen=True)
@@ -245,19 +245,16 @@ def _source_weights(lat: ChartLattice) -> np.ndarray:
     return WB
 
 
-def _f_lattice(f_poly, lat: ChartLattice, at=np.s_[:, :]) -> np.ndarray:
-    """f((xi + eta)/2, (xi - eta)/2) at the nodes ``at`` of ``lat``.
-
-    Horner in y over the x-polynomials' tables on the half nodes, each view
-    sliced to ``at`` first.
-    """
-    return horner(lat.chart_views(lat.half_nodes)[1][at],
-                  [lat.chart_views(p)[0][at] for p in _x_polys(f_poly, lat)])
+def _f_lattice(f_poly, lat: ChartLattice) -> np.ndarray:
+    """f((xi + eta)/2, (xi - eta)/2) on the whole of ``lat``, by Horner in y over the
+    x-polynomials' tables on the half nodes, read as views."""
+    return horner(lat.chart_views(lat.half_nodes)[1],
+                  [lat.chart_views(p)[0] for p in _x_polys(f_poly, lat)])
 
 
-def _g0_lattice(problem: GoursatProblem, lat: ChartLattice) -> np.ndarray:
-    fam = problem.spec.family
-    G0 = 0.25 * problem.spec.lambda0 * (lat.xi + lat.eta[:, None])
+def _g0_lattice(spec: ProblemSpec, lat: ChartLattice) -> np.ndarray:
+    fam = spec.family
+    G0 = 0.25 * spec.lambda0 * (lat.xi + lat.eta[:, None])
     if not fam.f_is_zero:
         G0 += _double_parts(cumquad(_f_lattice(fam.f_poly, lat), lat.delta, axis=0), lat)
     return G0
@@ -268,13 +265,14 @@ class _SweepOperator:
 
     ``g0``, the reaction chart and, for f != 0, the psi tables, the x^r rows and
     one :class:`_LineSum` of :func:`_source_weights`, whose buffers every z-power
-    shares.  A sweep is ``g0 + phi(G)``.
+    shares.  A sweep is ``g0 + phi(G)``.  ``g0`` and the psi tables read the spec alone:
+    only the reaction chart's +-lambda0 and the source sign follow the orientation.
     """
 
     def __init__(self, problem: GoursatProblem, lat: ChartLattice):
         fam = problem.spec.family
         self.lat, self.sign = lat, problem.conv_sign
-        self.g0 = _g0_lattice(problem, lat)
+        self.g0 = _g0_lattice(problem.spec, lat)
         self.react = problem.reaction_lattice(lat)
         self.psi = [] if fam.f_is_zero else _psi_tables(fam.f_poly, lat)
         self.xr = [lat.xi ** r for r in range(len(self.psi))]
@@ -492,7 +490,7 @@ class KernelGrid:
 
     @property
     def final_increment(self) -> float:
-        return self.increments[-1] if self.increments else 0.0
+        return self.increments[-1]
 
     @cached_property
     def values_xy(self) -> np.ndarray:
@@ -742,7 +740,7 @@ def _residual_source(problem: GoursatProblem, lat: ChartLattice, Gs: np.ndarray,
     lines = _LineSum(volterra_matrix(len(Gs), st * lat.delta), lat.npts, st)
     conv = sum(lat.chart_views(t ** q)[1][::st] * lines(lat.chart_views(p)[1][::st] * Gs)
                for q, p in enumerate(_x_polys(f_poly, lat)))
-    return _f_lattice(f_poly, lat, inner) + problem.conv_sign * conv[1:-1, st:-st]
+    return _f_lattice(f_poly, lat)[inner] + problem.conv_sign * conv[1:-1, st:-st]
 
 
 def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) -> KernelResidual:
@@ -769,7 +767,7 @@ def residual(grid: KernelGrid, problem: GoursatProblem, h: float | None = None) 
     inner = (slice(st, lat.n_eta - st, st), slice(st, -st))
     gxe = (Gs[2:, 2 * st:] - Gs[2:, :-2 * st]
            - Gs[:-2, 2 * st:] + Gs[:-2, :-2 * st]) / (4.0 * (st * d) ** 2)
-    res = 4.0 * gxe - problem.reaction_lattice(lat, inner) * G[inner]
+    res = 4.0 * gxe - problem.reaction_lattice(lat)[inner] * G[inner]
     if not fam.f_is_zero:
         res -= _residual_source(problem, lat, Gs, st, inner)
     inside = lat.region_mask()[inner]

@@ -167,7 +167,7 @@ def simulate_closed_loop(spec: ProblemSpec, k: KernelGrid | None, w0: Profile | 
     w0 = w0.values if isinstance(w0, Profile) else w0
     if w0.shape[0] != m:
         raise ValueError("initial datum must live on the configured grid")
-    stride = max(1, min(cfg.record_stride, n_steps))
+    stride = min(cfg.record_stride, n_steps)
     fam, eye = spec.family, np.eye(m)
     L = _generator(fam, row, m, dt)
     A = _flush(np.linalg.solve(eye - (0.5 * dt) * L, eye + (0.5 * dt) * L))

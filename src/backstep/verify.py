@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import _csvout
+from . import _csvout, coefficients
 from .coefficients import CoefficientFamily, ConfigError, ProblemSpec, horner, lambda_lower
 from .kernel import (
     MIN_N_XI,
@@ -197,9 +197,7 @@ class InitialData:
             raise ConfigError(f"initial-data family {self.family!r} takes no "
                               f"parameter {', '.join(unknown)}")
         p = self.params  # the defaults in _INITIAL_FAMILIES pass every check
-        for key, value in p.items():
-            if not all(math.isfinite(v) for v in (value if key == "coeffs" else (value,))):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+        coefficients._check_finite(**p)
         if "modes" in p and not float(p["modes"]).is_integer():
             raise ConfigError(f"cosine modes must be a whole number, got {p['modes']!r}")
         if "width" in p and not p["width"] > 0:
@@ -622,8 +620,7 @@ def run_scenario(config: ScenarioConfig) -> DecayReport:
         return report
     except Exception as exc:
         exc.stage = stage
-        with contextlib.suppress(OSError):
-            os.makedirs(outdir, exist_ok=True)
+        with contextlib.suppress(OSError):  # validate_scenario made outdir, or failed to
             _write_manifest(outdir, artifacts, failure_text(exc))
         raise
     finally:

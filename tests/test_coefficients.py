@@ -148,11 +148,12 @@ class TestSup:
             sup_c(s)
 
     def test_nan_rejected(self, monkeypatch):
-        # b t passes the float range for t > 1.8, where sin(inf) is NaN: a NaN sample fails
-        # the closed form's cross-check, and a NaN sup of c fails lambda0 > sup c
+        # b t passes the float range for t > 1.8, where sin(inf) is NaN: a NaN sample is a
+        # configuration error naming c2_b, raised without a float warning under the
+        # default errstate; and a NaN sup of c fails lambda0 > sup c
         s = spec_of(c1=(0, 0, 1.0), kind="damped_osc", a=1.0, b=1e308, lambda0=3.0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ConfigError, match=r"sampled sup of c \(nan\)"):
+        with pytest.raises(ConfigError,
+                           match=r"^c2_b = 1e\+308 is out of float range: sup 1, sampled nan$"):
             sup_c(s)
         monkeypatch.setattr(coefficients, "sup_c", lambda spec: math.nan)
         with pytest.raises(ConfigError, match="sup c = nan"):

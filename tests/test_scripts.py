@@ -184,6 +184,11 @@ def test_config_sweep(tmp_path, monkeypatch):
     assert problems(0, "", "one\ntwo\n", None) == ["2 stderr lines"]
     assert problems(None, "", "", RuntimeWarning("overflow\nin power")) == [
         "RuntimeWarning escaped: overflow in power"]
+    # a float error in verify's validate stage is a configuration value numpy's trap decided
+    assert problems(3, "", "numerical failure: stage validate: overflow encountered in add\n",
+                    None) == ["exit 3 in stage validate"]
+    assert problems(3, "", "numerical failure: stage kernel: overflow encountered in reduce\n",
+                    None) == []
     assert problems(4, "", "", None) == ["exit 4"]
     assert sweep["main"](["no_such_key"]) == 2
 

@@ -857,6 +857,25 @@ class TestCli:
         assert err[0].startswith(f"configuration error: {stage}lambda0 must exceed the supremum "
                                  "of c(x, t): ")
 
+    @pytest.mark.parametrize("key, edits", [
+        ("c1_poly", {"c1_poly = 0 0 1": "c1_poly = 1e308 1e308"}),
+        ("c2_b", {"c2_kind = exp_decay": "c2_kind = damped_osc", "c2_b = 1.0": "c2_b = 1e308"})])
+    @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
+    def test_out_of_range_coefficient_exit(self, tmp_path, capsys, command, key, edits):
+        # sup c of a coefficient past the float range is a configuration error naming the
+        # coefficient, not numpy's overflow
+        text = CONFIG_TEXT.format(out=tmp_path / "run")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        assert cli_main([command, "--config", str(path)]) == 2
+        stage = "stage validate: " if command == "verify" else ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"configuration error: {stage}") and f"{key} = " in err[0]
+        assert "is out of float range: sup " in err[0]
+
     def test_simulate_and_kernel_commands(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run"))
@@ -1217,7 +1236,8 @@ class TestCli:
     # warning where warnings are errors; the long run (c2 = 2, t_end = 400) decays while
     # exp(C2) = e^{2t} passes the float range near t = 355.  A float error that no stage
     # handles exits 3 from every command that reads the value (kernel reads no initial
-    # data), and verify's line names the stage
+    # data), and verify's line names the stage; a c1 or c2 whose sup leaves the float
+    # range is a configuration error, exit 2, naming its keys
     KERNEL, OPEN_LOOP, VERIFY = ("kernel",), ("simulate", "--open-loop"), ("verify",)
     BUMP = "center = 0.5\nwidth = 0.3\nheight = 1.0"
 
@@ -1238,13 +1258,15 @@ class TestCli:
          {KERNEL: 0, OPEN_LOOP: 3, VERIFY: 3},
          "numerical failure: stage compatibility: invalid value encountered in multiply"),
         ({**SMALL, "c1_poly = 0 0 1": "c1_poly = 1e308 1e308"},
-         {KERNEL: 3, OPEN_LOOP: 3, VERIFY: 3},
-         "numerical failure: stage validate: overflow encountered in add"),
+         {KERNEL: 2, OPEN_LOOP: 2, VERIFY: 2},
+         "configuration error: stage validate: c1_poly = (1e+308, 1e+308) is out of float "
+         "range: sup inf, sampled inf"),
         ({**SMALL, "f_poly = 0": "f_poly = 1e308 1e308"}, {KERNEL: 3, OPEN_LOOP: 3, VERIFY: 3},
          "numerical failure: stage kernel: overflow encountered in reduce"),
         ({**SMALL, "c2_kind = exp_decay": "c2_kind = damped_osc", "c2_b = 1.0": "c2_b = 1e308"},
-         {KERNEL: 3, OPEN_LOOP: 3, VERIFY: 3},
-         "numerical failure: stage validate: overflow encountered in multiply"),
+         {KERNEL: 2, OPEN_LOOP: 2, VERIFY: 2},
+         "configuration error: stage validate: c2_b = 1e+308 is out of float range: sup 1, "
+         "sampled nan"),
     ], ids=["f_poly_1e308", "c2_b_1e308", "center_1e308", "long_run", "dt_0.1",
             "constant_a_1e308", "cosine_modes_1e308", "c1_poly_1e308_1e308",
             "f_poly_1e308_1e308", "damped_osc_c2_b_1e308"])
@@ -1264,7 +1286,8 @@ class TestCli:
             if command == self.VERIFY and named:
                 assert err[0].startswith(named)
             elif code:
-                assert err[0].startswith("numerical failure: ") and "stage" not in err[0]
+                kind = "configuration error: " if code == 2 else "numerical failure: "
+                assert err[0].startswith(kind) and "stage" not in err[0]
         if not named:
             report = json.loads((tmp_path / "run" / "report.json").read_text())
             assert all(report["pass_flags"].values())
@@ -1648,26 +1671,26 @@ class TestBlasThreads:
     """run_scenario and the commands run OpenBLAS on one thread, with numpy raising on
     float errors, and give the caller's settings back."""
 
-    @pytest.mark.parametrize("c1_poly", ["0 0 1", "1e308 1e308"], ids=["success", "overflow"])
+    @pytest.mark.parametrize("f_poly", ["0", "1e308 1e308"], ids=["success", "overflow"])
     @pytest.mark.parametrize("call", ["run_scenario", "verify", "kernel"])
-    def test_float_errors_raise_inside_only(self, tmp_path, monkeypatch, c1_poly, call):
+    def test_float_errors_raise_inside_only(self, tmp_path, monkeypatch, f_poly, call):
         seen = []
         real = coefficients.sup_c
         monkeypatch.setattr(coefficients, "sup_c", lambda spec: seen.append(np.geterr()) or
                             real(spec))
         path = tmp_path / "s.ini"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "run").replace(
-            "c1_poly = 0 0 1", f"c1_poly = {c1_poly}"))
+            "f_poly = 0", f"f_poly = {f_poly}"))
         caller = {"divide": "warn", "over": "ignore", "under": "raise", "invalid": "print"}
         with np.errstate(**caller):
             if call != "run_scenario":
-                assert cli_main([call, "--config", str(path)]) == (0 if c1_poly == "0 0 1" else 3)
-            elif c1_poly == "0 0 1":
+                assert cli_main([call, "--config", str(path)]) == (0 if f_poly == "0" else 3)
+            elif f_poly == "0":
                 assert run_scenario(load_scenario(path)).passed
-            else:
+            else:  # sum |F| overflows in bound_constant_M
                 with pytest.raises(FloatingPointError, match="overflow") as exc:
                     run_scenario(load_scenario(path))
-                assert exc.value.stage == "validate"
+                assert exc.value.stage == "kernel"
             assert np.geterr() == caller
         assert seen == [{"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}]
 

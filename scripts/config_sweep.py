@@ -31,9 +31,9 @@ flagged when
 
 Prints one line per flagged case, a count of the cases per exit code for
 each command, and the total; exits 1 if any case is flagged, 2 on an unknown
-``KEY``.  The whole sweep (32 keys, 14 values, 4 commands: 1792 cases; then
+``KEY``.  The whole sweep (30 keys, 15 values, 4 commands: 1800 cases; then
 6 ``--refine`` values on 4 commands and 8 ``--p`` values on ``verify``: 32
-cases) takes about 13 s on a 2-core Xeon VM; none is flagged.
+cases) takes about 14 s on a 2-core Xeon VM; none is flagged.
 """
 import configparser
 import contextlib
@@ -53,8 +53,8 @@ DEFAULT = ROOT / "scripts" / "configs" / "default.ini"
 #: the small scenario: these keys of default.ini changed
 SMALL = {("kernel", "n_xi"): "101", ("sim", "grid_m"): "51", ("sim", "dt"): "1e-3",
          ("sim", "t_end"): "0.5", ("outputs", "directory"): "out"}
-VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e308 1e308", "1e-308", "0.1", "abc", "2",
-          "1 2", "3;4")
+VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "1e308 1e308", "-1e308 -1e308", "1e-308",
+          "0.1", "abc", "2", "1 2", "3;4")
 #: keys the small scenario leaves unset, each with the switch ``{key: value}`` of its section
 #: that makes the run read it; switching the initial-data family drops the bump's keys
 SWITCHED = (("initial_data", "a", {"family": "constant"}),

@@ -21,6 +21,7 @@ C2_KINDS = ("constant", "exp_decay", "damped_osc")
 _CONFIRM_NODES = 2001
 #: slack of that cross-check: a sampled sup above the closed form by more is an error
 _SUP_TOLERANCE = 1e-9
+_HORIZON = 2.0  #: c2's sampling window: the cross-check is one-sided, so it moves no number
 
 
 def horner(x, coeffs):
@@ -176,35 +177,34 @@ class CoefficientFamily:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A full plant description plus the spectral shift ``lambda0``."""
+    """A plant and its spectral shift ``lambda0``; :func:`sup_c` alone decides if c is admissible."""
 
     family: CoefficientFamily = field(default_factory=CoefficientFamily)
     lambda0: float = 1.0
-    horizon: float = 2.0
 
     def __post_init__(self):
-        _check_finite(lambda0=self.lambda0, horizon=self.horizon)
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        _check_finite(lambda0=self.lambda0)
 
 
 def sup_c(spec: ProblemSpec) -> float:
-    """Supremum of c over (0,1) x (0, inf).
+    """Supremum of c over (0,1) x (0, inf), and the one decision on c's float range.
 
-    Closed form per family (the sum is separable), confirmed against dense
-    1-D sampling of each factor on [0,1] and [0, horizon], overflow ignored: a
-    non-finite closed form or sample of c1 or c2 is a ConfigError naming its key.
+    Closed form per family (the sum is separable), confirmed against dense 1-D
+    sampling of each factor on [0,1] and [0, _HORIZON], overflow ignored: a non-finite
+    sample, c2 closed form, or c1 max, min or slope (which the kernel bound and the
+    W^{1,p} floor read) is a ConfigError naming its key.
     """
     fam = spec.family
     xs = np.linspace(0.0, 1.0, _CONFIRM_NODES)
-    ts = np.linspace(0.0, spec.horizon, _CONFIRM_NODES)
+    ts = np.linspace(0.0, _HORIZON, _CONFIRM_NODES)
     with np.errstate(over="ignore", invalid="ignore"):
-        c1 = fam.c1_range()[1], np.max(fam.c1(xs))
+        c1 = fam.c1_range()[1], np.max(fam.c1(xs)), fam.c1_range()[0], fam.c1_slope()
         c2 = fam.c2_sup(), np.max(fam.c2(ts))  # |c2| <= |c2_a|: only c2_b, in b t, can overflow
         analytic, sampled = c1[0] + c2[0], float(c1[1] + c2[1])
-    for key, (sup, sample) in ((f"c1_poly = {fam.c1_poly}", c1), (f"c2_b = {fam.c2_b!r}", c2)):
-        if not (math.isfinite(sup) and math.isfinite(sample)):
-            raise ConfigError(f"{key} is out of float range: sup {sup:.6g}, sampled {sample:.6g}")
+    for key, vals in ((f"c1_poly = {fam.c1_poly}", c1), (f"c2_b = {fam.c2_b!r}", c2)):
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{key} is out of float range: " + ", ".join(
+                f"{n} {v:.6g}" for n, v in zip(("sup", "sampled", "min", "slope"), vals)))
     if not sampled <= analytic + _SUP_TOLERANCE:
         raise ConfigError(
             f"sampled sup of c ({sampled:.12g}) is not at most the closed form "

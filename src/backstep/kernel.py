@@ -61,10 +61,6 @@ _CAP_SEARCH = 1000
 class ConvergenceError(ArithmeticError):
     """Picard iteration ended with no certified kernel, by the verdict of :func:`_sweeps`."""
 
-    def __init__(self, message: str, last_increment: float):
-        super().__init__(message)
-        self.last_increment = last_increment
-
 
 # --------------------------------------------------------------------------
 # problem description and lattice
@@ -627,7 +623,7 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
         if not math.isfinite(increments[-1]):
             raise ConvergenceError(
                 f"the increment of sweep {len(increments)} is {increments[-1]:g}{where}: "
-                "the iteration overflowed a float", last_increment=increments[-1])
+                "the iteration overflowed a float")
         G = G_next
         if len(increments) == 1:
             n_cert = next((n for n in range(1, _CAP_SEARCH + 1)
@@ -637,13 +633,12 @@ def _sweeps(problem: GoursatProblem, lat: ChartLattice, start, M: float, tol: fl
     if last >= tol and len(increments) != n_cert:
         raise ConvergenceError(
             f"no convergence after {len(increments)} sweeps{where} (last increment "
-            f"{last:.3e} >= tol {tol:.3e}, certified cap {n_cert or f'past {_CAP_SEARCH}'})",
-            last_increment=last)
+            f"{last:.3e} >= tol {tol:.3e}, certified cap {n_cert or f'past {_CAP_SEARCH}'})")
     if last >= tol and last > 1.1 * _increment_bound(n_cert - 1, M, increments[0]):
         raise ConvergenceError(
             f"the certified stop after {n_cert} sweeps{where} left an increment of "
             f"{last:.3e} >= tol {tol:.3e}, above its bound: the increments stagnate at "
-            "a rounding floor, so this tolerance is out of reach", last_increment=last)
+            "a rounding floor, so this tolerance is out of reach")
     return G, increments, n_cert
 
 

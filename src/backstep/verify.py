@@ -284,19 +284,23 @@ def _directory(text: str) -> str:
     return text
 
 
-def _scheme(text: str) -> str:
-    if text != "crank_nicolson":
-        raise ValueError("the only scheme is crank_nicolson")
-    return text
+def _fixed(value):
+    """Parser of a key that changes no number: it admits only text that reads as ``value``."""
+    def parse(text: str):
+        if type(value)(text) != value:
+            raise ValueError(f"changes no number; the only value is {value}")
+        return value
+    return parse
 
 
 #: section -> key -> parser of the key's text.  An omitted key takes the
 #: default of the dataclass field it fills, so no default is written here.
 _SCHEMA = {
     "problem": {"c1_poly": _floats, "c2_kind": str, "c2_a": float, "c2_b": float,
-                "f_poly": _matrix, "lambda0": float, "horizon": float},
+                "f_poly": _matrix, "lambda0": float, "horizon": _fixed(2.0)},
     "kernel": {"n_xi": int, "tol": float, "max_iter": int},
-    "sim": {"grid_m": int, "dt": float, "t_end": float, "record_stride": int, "scheme": _scheme},
+    "sim": {"grid_m": int, "dt": float, "t_end": float, "record_stride": int,
+            "scheme": _fixed("crank_nicolson")},
     "initial_data": {"family": str, "adjust_compatibility": _boolean,
                      **{key: _floats if isinstance(default, tuple) else float
                         for params in _INITIAL_FAMILIES.values()
@@ -333,6 +337,7 @@ def _build(name: str, cls, **kwargs):
 def load_scenario(path) -> ScenarioConfig:
     """Parse the scenario file; an omitted key takes its dataclass field's default.
 
+    ``[problem] horizon`` and ``[sim] scheme`` are parsed by :func:`_fixed`, then dropped.
     A path that cannot be read, such as a directory, raises its OSError."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -348,7 +353,7 @@ def load_scenario(path) -> ScenarioConfig:
         prob, ker, sim, init, top, out = (_section(cp, name) for name in (
             "problem", "kernel", "sim", "initial_data", "verify", "outputs"))
         family = {f.name: prob.pop(f.name) for f in fields(CoefficientFamily) if f.name in prob}
-        sim.pop("scheme", None)  # its parser admits only the one scheme
+        prob.pop("horizon", None), sim.pop("scheme", None)  # fixed: they change no number
         named = {f.name: init.pop(f.name) for f in fields(InitialData) if f.name in init}
         if "directory" in out:
             top["outputs"] = out["directory"]

@@ -21,9 +21,9 @@ from backstep.kernel import ChartLattice, GoursatProblem, _psi_tables
 DEFAULT_INI = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.ini"
 
 
-def spec_of(c1=(0.0,), kind="constant", a=0.0, b=0.0, lambda0=1.0, horizon=2.0):
+def spec_of(c1=(0.0,), kind="constant", a=0.0, b=0.0, lambda0=1.0):
     return ProblemSpec(CoefficientFamily(c1_poly=c1, c2_kind=kind, c2_a=a, c2_b=b),
-                       lambda0=lambda0, horizon=horizon)
+                       lambda0=lambda0)
 
 
 def c_of(spec, x, t):
@@ -165,7 +165,7 @@ class TestSup:
                                      (0.0, 2.0), (1.0, 0.0), (1.0, 1e155), (1.0, 1e200),
                                      (1.0, 1e300)])
     def test_damped_osc_matches_dense_grid(self, a, b):
-        s = spec_of(kind="damped_osc", a=a, b=b, horizon=50.0)
+        s = spec_of(kind="damped_osc", a=a, b=b)
         ts = np.linspace(0, 50, 400001) / max(1.0, abs(b))
         grid_max = np.max(a * np.sin(b * ts) * np.exp(-ts))
         analytic = s.family.c2_sup()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -484,7 +485,8 @@ class TestPicard:
     def test_nonconvergence_error(self, spec_rx2):
         with pytest.raises(ConvergenceError) as err:
             picard_solve(GoursatProblem.direct(spec_rx2), n_xi=65, tol=1e-12, max_iter=2)
-        assert err.value.last_increment > 0
+        last = re.search(r"\(last increment (\S+) >= tol 1\.000e-12, ", str(err.value))
+        assert float(last.group(1)) > 0
 
     def test_grid_preconditions(self, spec_rx2):
         prob = GoursatProblem.direct(spec_rx2)
@@ -678,7 +680,7 @@ class TestKernelGrid:
                                                        "coarse lattice n_xi = 101") as exc:
                 picard_solve(GoursatProblem.direct(spec), n_xi=201, tol=1e-10, max_iter=80)
         assert caught == []
-        assert math.isnan(exc.value.last_increment)
+        assert str(exc.value).startswith("the increment of sweep 43 is nan on the coarse lattice")
 
 
 class TestConstants:

@@ -130,7 +130,7 @@ def test_config_sweep(tmp_path, monkeypatch):
 
     sweep = load("config_sweep.py")
     run_case, problems = sweep["run_case"], sweep["problems"]
-    assert len(sweep["keys"]()) == 32
+    assert len(sweep["keys"]()) == 30
     assert [command[0] for command in sweep["COMMANDS"]] == [
         "verify", "simulate", "kernel", "oracle"]
     monkeypatch.chdir(tmp_path)
@@ -277,16 +277,23 @@ def test_no_unused_private_names():
     assert unused == []
 
 
-def test_every_result_field_is_read():
-    """Every field of a backstep ``@dataclass`` or ``NamedTuple`` is read as an attribute
-    in the package, ``scripts/`` or ``bench/``, outside its class's ``__post_init__``: a
-    field nothing reads is dead API.  ``report.json``'s schema classes are exempt, as
-    ``asdict`` writes every field."""
+def attribute_loads() -> tuple[dict, list]:
+    """The parsed ``.py`` files of the package, ``scripts/`` and ``bench/`` by path, and
+    every attribute read in them, as ``(name, node)``."""
     root = SCRIPTS.parent
     trees = {path: ast.parse(path.read_text()) for folder in ("src/backstep", "scripts", "bench")
              for path in sorted((root / folder).rglob("*.py"))}
     loads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    return trees, loads
+
+
+def test_every_result_field_is_read():
+    """Every field of a backstep ``@dataclass`` or ``NamedTuple`` is read as an attribute
+    in the package, ``scripts/`` or ``bench/``, outside its class's ``__post_init__``: a
+    field nothing reads is dead API.  ``report.json``'s schema classes are exempt, as
+    ``asdict`` writes every field."""
+    trees, loads = attribute_loads()
     fields = []
     for cls in (node for path, tree in trees.items() if path.parent.name == "backstep"
                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
@@ -302,6 +309,26 @@ def test_every_result_field_is_read():
     assert len(fields) > 40
     unread = [f"{cls}.{name}" for cls, name, own in fields
               if not any(attr == name and id(node) not in own for attr, node in loads)]
+    assert unread == []
+
+
+def test_every_exception_attribute_is_read():
+    """Every attribute a backstep exception sets on ``self`` in its ``__init__`` is read
+    as an attribute in the package, ``scripts/`` or ``bench/``: what a caller needs of a
+    failure its message states, so an attribute nothing reads is dead API."""
+    trees, loads = attribute_loads()
+    read = {attr for attr, _ in loads}
+    exceptions = [(cls, importlib.import_module(f"backstep.{path.stem}"))
+                  for path, tree in trees.items() if path.parent.name == "backstep"
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    exceptions = [cls for cls, mod in exceptions
+                  if issubclass(getattr(mod, cls.name, object), BaseException)]
+    assert len(exceptions) == 5
+    unread = [f"{cls.name}.{node.attr}" for cls in exceptions for stmt in cls.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+              for node in ast.walk(stmt) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store) and ast.unparse(node.value) == "self"
+              and node.attr not in read]
     assert unread == []
 
 

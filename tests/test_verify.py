@@ -718,11 +718,15 @@ class TestConfigFile:
         cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
         cp.read_string(block)
         params = {key for family in _INITIAL_FAMILIES.values() for key in family}
+        # the keys that change no number are named in the prose, not in the block
+        fixed = {key for parsers in _SCHEMA.values() for key, parse in parsers.items()
+                 if parse.__qualname__.startswith("_fixed.")}
+        assert fixed == {"horizon", "scheme"}
         assert set(cp.sections()) == set(_SCHEMA)
         for name in cp.sections():
-            assert set(cp[name]) <= set(_SCHEMA[name]), name
-            # every key but the family parameters is shown with its default
-            assert set(_SCHEMA[name]) - params <= set(cp[name]), name
+            assert set(cp[name]) <= set(_SCHEMA[name]) - fixed, name
+            # every other key but the family parameters is shown with its default
+            assert set(_SCHEMA[name]) - params - fixed <= set(cp[name]), name
         path = tmp_path / "grammar.ini"
         path.write_text(block)
         assert load_scenario(path) == load_scenario(DEFAULT_INI)
@@ -859,17 +863,22 @@ class TestCli:
 
     @pytest.mark.parametrize("key, edits", [
         ("c1_poly", {"c1_poly = 0 0 1": "c1_poly = 1e308 1e308"}),
-        ("c2_b", {"c2_kind = exp_decay": "c2_kind = damped_osc", "c2_b = 1.0": "c2_b = 1e308"})])
-    @pytest.mark.parametrize("command", ["kernel", "simulate", "verify", "oracle"])
+        ("c2_b", {"c2_kind = exp_decay": "c2_kind = damped_osc", "c2_b = 1.0": "c2_b = 1e308"}),
+        # the derivative overflows, so the closed-form max loses its interior point
+        ("c1_poly", {"c1_poly = 0 0 1": "c1_poly = 0 0 1e308 -1e308"}),
+        # a finite max, but the min overflows (read by the kernel bound and the simulator)
+        ("c1_poly", {"c1_poly = 0 0 1": "c1_poly = -1e308 -1e308"})])
+    @pytest.mark.parametrize("command", ["kernel", "simulate", "simulate --open-loop", "verify",
+                                         "oracle"])
     def test_out_of_range_coefficient_exit(self, tmp_path, capsys, command, key, edits):
-        # sup c of a coefficient past the float range is a configuration error naming the
-        # coefficient, not numpy's overflow
+        # c past the float range is a configuration error naming the coefficient, decided
+        # once by sup_c: not numpy's overflow, and not the family's consistency check
         text = CONFIG_TEXT.format(out=tmp_path / "run")
         for old, new in edits.items():
             text = text.replace(old, new)
         path = tmp_path / "s.ini"
         path.write_text(text)
-        assert cli_main([command, "--config", str(path)]) == 2
+        assert cli_main([*command.split(), "--config", str(path)]) == 2
         stage = "stage validate: " if command == "verify" else ""
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -1005,13 +1014,11 @@ class TestCli:
     @pytest.mark.parametrize("old, new, named", [
         ("c2_b = 1.0", "c2_b = 0", "[problem] exp_decay requires b > 0"),
         ("t_end = 0.5", "t_end = 1e-6", "[sim] invalid simulation configuration: t_end = 1e-06"),
-        ("horizon = 2.0", "horizon = -1", "[problem] horizon must be positive"),
         ("n_xi = 101", "n_xi = 100", "[kernel] kernel settings need"),
         ("lambda0 = 3.0", "lambda0 = nan", "[problem] lambda0 must be finite, got nan"),
         ("c1_poly = 0 0 1", "c1_poly = 0 0 nan", "[problem] c1_poly must be finite"),
         ("c2_a = 1.0", "c2_a = nan", "[problem] c2_a must be finite, got nan"),
         ("c2_b = 1.0", "c2_b = inf", "[problem] c2_b must be finite, got inf"),
-        ("horizon = 2.0", "horizon = inf", "[problem] horizon must be finite, got inf"),
         ("family = cosine\na = 1.0\nmodes = 1", "family = polynomial\ncoeffs =",
          "[initial_data] polynomial coeffs must be non-empty"),
         ("dt = 2e-4", "dt = 1e-20", "[sim] invalid simulation configuration: t_end / dt"),
@@ -1023,8 +1030,8 @@ class TestCli:
         ("f_poly = 0", "f_poly =", "[problem] f_poly must be non-empty"),
         ("f_poly = 0", "f_poly = ;", "[problem] f_poly must be non-empty"),
         ("tau_list = 1e-1 1e-2", "tau_list =", "[verify] tau_list must be non-empty"),
-    ], ids=["c2_b", "t_end", "horizon", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
-            "c2_b_inf", "horizon_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324",
+    ], ids=["c2_b", "t_end", "n_xi", "lambda0_nan", "c1_poly_nan", "c2_a_nan",
+            "c2_b_inf", "coeffs_empty", "dt_1e-20", "dt_1e-300", "dt_5e-324",
             "sup_tolerance_0", "c1_poly_empty", "f_poly_empty", "f_poly_empty_rows",
             "tau_list_empty"])
     def test_admissibility_error_named(self, tmp_path, capsys, old, new, named):
@@ -1049,7 +1056,7 @@ class TestCli:
 
     @pytest.mark.parametrize("error, code", [
         (ConfigError("injected"), 2), (OSError("injected"), 2), (MemoryError("injected"), 2),
-        (ConvergenceError("injected", 1.0), 3), (simulator.DivergenceError("injected"), 3),
+        (ConvergenceError("injected"), 3), (simulator.DivergenceError("injected"), 3),
         (TransformError("injected"), 3), (FitError("injected"), 3), (OverflowError("injected"), 3),
         (FloatingPointError("injected"), 3), (ZeroDivisionError("injected"), 3),
         (np.linalg.LinAlgError("injected"), 3)],
@@ -1482,13 +1489,31 @@ class TestCli:
         assert "configuration error: [verify] " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_unknown_scheme_exit(self, tmp_path):
-        path = tmp_path / "s.ini"
-        text = CONFIG_TEXT.format(out=tmp_path / "run")
-        path.write_text(text.replace("[sim]\n", "[sim]\nscheme = crank_nicolson\n"))
-        assert load_scenario(str(path)).sim.grid_m == 101
-        path.write_text(text.replace("[sim]\n", "[sim]\nscheme = explicit_euler\n"))
+    @pytest.mark.parametrize("section, line, named", [
+        ("problem", "horizon = 2", None), ("problem", "horizon = 2.0", None),
+        ("sim", "scheme = crank_nicolson", None),
+        ("problem", "horizon = -1", "[problem] horizon = -1: changes no number; the only "
+                                    "value is 2.0"),
+        ("problem", "horizon = inf", "[problem] horizon = inf: "),
+        ("problem", "horizon = 2.5", "[problem] horizon = 2.5: "),
+        ("problem", "horizon = abc", "[problem] horizon = abc: "),
+        ("sim", "scheme = explicit_euler", "[sim] scheme = explicit_euler: changes no number; "
+                                           "the only value is crank_nicolson"),
+    ], ids=["horizon_2", "horizon_2.0", "scheme_crank_nicolson", "horizon_-1", "horizon_inf",
+            "horizon_2.5", "horizon_abc", "scheme_explicit_euler"])
+    def test_unknown_scheme_exit(self, tmp_path, capsys, section, line, named):
+        # a key that changes no number loads at the one value it ever took, and is dropped;
+        # any other value exits 2 naming the key
+        text = CONFIG_TEXT.format(out=tmp_path / "run").replace("horizon = 2.0\n", "")
+        base, path = tmp_path / "base.ini", tmp_path / "s.ini"
+        base.write_text(text)
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        if named is None:
+            assert load_scenario(str(path)) == load_scenario(str(base))
+            return
         assert cli_main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: {named}")
 
     @pytest.mark.parametrize("case", ["no_trace", "degenerate_shift"])
     def test_unusable_kernel_exit(self, tmp_path, monkeypatch, capsys, case):
